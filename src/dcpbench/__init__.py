@@ -12,11 +12,10 @@ compression rates.
 __version__ = "0.1.0"
 
 from .bandwidth import (
-    BlockCost,
     FrameStats,
     WorkloadStats,
     aggregate,
-    charge_block,
+    charged_bursts,
     csb_frame_bits,
     csb_overhead,
     harmonic_mean,
@@ -46,22 +45,23 @@ from .reference_codecs import (
     red_compress_block,
     red_decompress_block,
 )
-from .runner import ExperimentConfig, RunResult, run_experiment
+from .runner import ExperimentConfig, ReplayFrame, RunResult, replay, run_experiment
+from .schemes import SCHEMES, Scheme
 from .surface import Frame, SurfaceTrace, load_trace, write_trace
 from .synth import SyntheticSpec, generate
 
 __all__ = [
-    "BlockCost", "Ccd", "CodecState", "CompressedBlock", "ExperimentConfig",
+    "SCHEMES", "Ccd", "CodecState", "CompressedBlock", "ExperimentConfig",
     "Frame", "FrameStats", "Fvc", "FvcConfig", "HuffmanTable", "Rccd",
-    "RunResult", "SurfaceTrace", "SyntheticSpec", "WorkloadStats",
-    "adcp_optimal_ccd_size", "advance_frame", "aggregate", "build_ccd",
-    "build_table", "charge_block", "color_cdf", "color_change",
+    "ReplayFrame", "RunResult", "Scheme", "SurfaceTrace", "SyntheticSpec",
+    "WorkloadStats", "adcp_optimal_ccd_size", "advance_frame", "aggregate",
+    "build_ccd", "build_table", "charged_bursts", "color_cdf", "color_change",
     "csb_frame_bits", "csb_overhead", "dcp_compress_block",
     "dcp_decompress_block", "entropy", "generate", "harmonic_mean",
     "huffdcp_compress_block", "huffdcp_decompress_block",
     "hybrid_compress_block", "hybrid_decompress_block", "load_trace",
     "pixel_change", "ras_compress_block", "ras_decompress_block",
     "red_classify_block", "red_compress_block", "red_decompress_block",
-    "relative_coverage", "run_experiment", "vdcp_compress_block",
+    "relative_coverage", "replay", "run_experiment", "vdcp_compress_block",
     "vdcp_decompress_block", "write_trace",
 ]

@@ -8,47 +8,36 @@ reported, from most optimistic to most faithful:
   payload       raw bits / payload bits, no metadata, no burst rounding
   payload+csb   raw bits / (payload + status-buffer bits), no rounding
   full          raw bursts / (charged bursts + status-buffer bursts)
+
+Status widths come from `schemes.py`; the runner charges each `replay` frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .schemes import SCHEMES
+
 BURST_BITS = 128
 BLOCK_BITS = 2048              # uncompressed 8x8 block
-BLOCK_BURSTS = BLOCK_BITS // BURST_BITS
-
-# Status metadata width: per 2x2 sub-block for the palette schemes, per
-# 8x8 block for the reference codecs.
-CSB_BITS_PER_SUB_BLOCK = {"DCP": 1, "ADCP": 1, "HUFFDCP": 1, "VDCP": 3, "HDCP": 5}
-META_BITS_PER_BLOCK = {"RAS": 2, "RED": 2}
 
 ACCOUNTING_MODES = ("payload", "payload+csb", "full")
 
 
-def bursts(bits: int) -> int:
+def bursts(bits):
+    """Bursts needed to move `bits`; works elementwise on arrays."""
     return -(-bits // BURST_BITS)
 
 
-@dataclass
-class BlockCost:
-    payload_bits: int
-    charged_bursts: int
-    uncompressed_bursts: int = BLOCK_BURSTS
+def charged_bursts(payload_bits, raw_bits=BLOCK_BITS):
+    """Burst charge per block, elementwise on arrays.
 
-    @property
-    def effective_rate(self) -> float:
-        if self.charged_bursts == 0:
-            return float("inf")
-        return self.uncompressed_bursts / self.charged_bursts
-
-
-def charge_block(payload_bits: int, raw_bits: int = BLOCK_BITS) -> BlockCost:
-    """Burst charge for one block; never more than storing it raw."""
-    if payload_bits < 0:
-        raise ValueError("payload_bits must be non-negative")
-    raw_bursts = bursts(raw_bits)
-    return BlockCost(payload_bits, min(bursts(payload_bits), raw_bursts), raw_bursts)
+    The payload is rounded up to whole bursts and never charged more than
+    storing the block raw; an edge block's raw size counts its live pixels.
+    """
+    return np.minimum(bursts(payload_bits), bursts(raw_bits))
 
 
 def csb_frame_bits(width: int, height: int, scheme: str) -> int:
@@ -57,13 +46,11 @@ def csb_frame_bits(width: int, height: int, scheme: str) -> int:
     Only cells containing at least one real pixel count, so for the 1-bit
     schemes on block-aligned frames this equals surface_bits / 128.
     """
-    if scheme in CSB_BITS_PER_SUB_BLOCK:
-        cells = -(-width // 2) * -(-height // 2)
-        return cells * CSB_BITS_PER_SUB_BLOCK[scheme]
-    if scheme in META_BITS_PER_BLOCK:
-        blocks = -(-width // 8) * -(-height // 8)
-        return blocks * META_BITS_PER_BLOCK[scheme]
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    s = SCHEMES[scheme]
+    edge = 8 if s.per_block else 2
+    return -(-width // edge) * -(-height // edge) * s.status_bits
 
 
 def csb_overhead(width: int, height: int, scheme: str) -> int:

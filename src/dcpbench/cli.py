@@ -27,13 +27,14 @@ from .container import compress_frame
 from .fvc import POLICIES, FvcConfig
 from .metrics import color_cdf, color_change, entropy, pixel_change, unique_colors
 from .runner import (
-    SCHEMES,
     ConfigError,
     ExperimentConfig,
     RunResult,
     VerificationError,
+    replay,
     run_experiment,
 )
+from .schemes import SCHEMES
 from .surface import SurfaceTrace, TraceError, load_trace, write_trace
 from .synth import GENERATORS, SyntheticSpec, generate
 
@@ -100,7 +101,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     # Defaults live in ExperimentConfig; None here means "not set on the
     # command line" so a config file can fill the gap.
     p.add_argument("--config", default=None, help="JSON file mirroring these flags")
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default=None)
     p.add_argument("--fvc-size", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default=None)
     p.add_argument("--assoc", default=None,
@@ -174,9 +175,9 @@ def build_config(args) -> ExperimentConfig:
             return value
         return file_cfg.get(key, default)
 
-    seed = int(pick("seed", "seed", 0))
-    entry_count = int(pick("fvc_size", "fvc_size", 64))
     try:
+        seed = int(pick("seed", "seed", 0))
+        entry_count = int(pick("fvc_size", "fvc_size", 64))
         fvc = FvcConfig(
             entry_count=entry_count,
             ways=_parse_assoc(pick("assoc", "assoc", None), entry_count),
@@ -187,9 +188,9 @@ def build_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig(
             scheme=str(pick("scheme", "scheme", "DCP")),
             fvc=fvc,
-            ccd_size=pick("ccd_size", "ccd_size", None),
+            ccd_size=_typed(pick("ccd_size", "ccd_size", None), "ccd_size", int),
             frame_sampling=int(pick("frame_sampling", "frame_sampling", 1)),
-            coverage_threshold=pick("ct", "ct", None),
+            coverage_threshold=_typed(pick("ct", "ct", None), "ct", (int, float)),
             accounting=str(pick("accounting", "accounting", "full")),
             seed=seed,
             verify_fraction=float(pick("verify_fraction", "verify_fraction", 0.01)),
@@ -200,6 +201,15 @@ def build_config(args) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
+
+
+def _typed(value, key: str, kinds):
+    """A value unset or of the given JSON number type; a config file can hold
+    strings or fractions where a typed flag could not."""
+    if value is None or (isinstance(value, kinds) and not isinstance(value, bool)):
+        return value
+    kind = "an integer" if kinds is int else "a number"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +342,7 @@ def _config_for_value(base: ExperimentConfig, dimension: str, token: str) -> Exp
             if not 1 <= value <= 60:
                 raise ConfigError("frame_sampling sweep values must lie in 1..60")
             cfg = replace(base, frame_sampling=value)
-        cfg = replace(cfg, track_relative_coverage=base.scheme != "RAS"
-                      and base.scheme != "RED")
+        cfg = replace(cfg, track_relative_coverage=SCHEMES[base.scheme].palette is not None)
         cfg.validate()
     except ConfigError:
         raise
@@ -402,31 +411,12 @@ def _summary_json(trace: SurfaceTrace, cfg: ExperimentConfig, result: RunResult)
 
 
 def _dump_containers(directory: str, trace: SurfaceTrace, cfg: ExperimentConfig) -> None:
-    """Re-run the palette handoff and write one container per measured frame."""
-    from . import dcp_codecs
-    from .fvc import Fvc
-    from dataclasses import replace as dc_replace
-
+    """Write one container per measured frame, under the palette in force."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = None
-    if cfg.scheme in ("DCP", "ADCP", "VDCP", "HUFFDCP", "HDCP"):
-        fvc_cfg = dc_replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed)
-        state = dcp_codecs.CodecState(
-            scheme=cfg.scheme, fvc=Fvc(fvc_cfg),
-            frame_pixels=trace.width * trace.height,
-            frame_sampling=cfg.frame_sampling,
-            coverage_threshold=cfg.coverage_threshold,
-            ccd_size=cfg.ccd_size)
-    for t, frame in enumerate(trace.frames):
-        if t >= 1:
-            ccd = state.ccd if state and state.enabled else None
-            table = state.huffman if state and state.enabled else None
-            data = compress_frame(frame, cfg.scheme, ccd=ccd, table=table)
-            (out_dir / f"frame_{t:05d}.fbc").write_bytes(data)
-        if state is not None and state.collects_on(t):
-            state.fvc.observe_frame(frame)
-            dcp_codecs.advance_frame(state)
+    for m in replay(trace, cfg):
+        data = compress_frame(m.frame, cfg.scheme, ccd=m.ccd, table=m.table)
+        (out_dir / f"frame_{m.index:05d}.fbc").write_bytes(data)
 
 
 if __name__ == "__main__":

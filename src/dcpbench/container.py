@@ -3,7 +3,7 @@
 Layout (integers little-endian unless they live in the bit streams):
 
   magic   4 bytes  b"FBC1"
-  scheme  u8       tag from SCHEME_TAGS
+  scheme  u8       the scheme's tag in `schemes.py`
   width   u32      real frame width in pixels
   height  u32      real frame height
   rccd    u16 entry count + count x u32 colors (zero entries for RAS/RED)
@@ -14,7 +14,8 @@ Layout (integers little-endian unless they live in the bit streams):
   payload per-block bit streams in block raster order, each byte-aligned
 
 Bandwidth accounting never reads container bytes; the burst model is the
-measurement path and this format exists for losslessness audits.
+measurement path and this format exists for losslessness audits. Scheme facts
+come from `schemes.py`; `--dump-frames` takes palettes from `runner.replay`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import numpy as np
 
 from .bitio import BitReader, BitWriter, CorruptStreamError
 from .dcp_codecs import (
-    CompressedBlock,
     dcp_compress_block,
-    dcp_decompress_block,
     huffdcp_compress_block,
+    read_block,
     vdcp_compress_block,
-    vdcp_decompress_block,
 )
 from .huffman import HuffmanTable
 from .palette import Ccd, Rccd
@@ -44,48 +43,29 @@ from .reference_codecs import (
     red_compress_block,
     red_decompress_block,
 )
-from .surface import BLOCK, Frame, block_refs
+from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme
+from .surface import BLOCK, Frame, block_refs, iter_blocks
 
 MAGIC = b"FBC1"
-SCHEME_TAGS = {"DCP": 1, "ADCP": 2, "VDCP": 3, "HUFFDCP": 4, "RAS": 5, "RED": 6, "HDCP": 7}
-_TAG_SCHEMES = {v: k for k, v in SCHEME_TAGS.items()}
-_CSB_WIDTH = {"DCP": 1, "ADCP": 1, "VDCP": 3, "HUFFDCP": 1, "HDCP": 5}
 
 
 def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
                    table: HuffmanTable | None = None) -> bytes:
-    if scheme not in SCHEME_TAGS:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    padded, _ = frame.padded()
-    refs = block_refs(frame.width, frame.height)
-    nbx = padded.shape[1] // BLOCK
-
-    blocks = []
-    for x0, y0 in refs:
-        block = padded[y0:y0 + BLOCK, x0:x0 + BLOCK]
-        if scheme in ("DCP", "ADCP"):
-            blocks.append(dcp_compress_block(block, ccd))
-        elif scheme == "VDCP":
-            blocks.append(vdcp_compress_block(block, ccd))
-        elif scheme == "HUFFDCP":
-            blocks.append(huffdcp_compress_block(block, table))
-        elif scheme == "RAS":
-            blocks.append(ras_compress_block(block))
-        elif scheme == "RED":
-            blocks.append(red_compress_block(block))
-        else:
-            blocks.append(hybrid_compress_block(block, ccd))
+    s = SCHEMES[scheme]
+    blocks = [_encode_block(s, block, ccd, table) for _, _, block, _ in iter_blocks(frame)]
 
     out = bytearray()
     out += MAGIC
-    out.append(SCHEME_TAGS[scheme])
+    out.append(s.tag)
     out += frame.width.to_bytes(4, "little")
     out += frame.height.to_bytes(4, "little")
-    if ccd is not None and scheme in ("DCP", "ADCP", "VDCP", "HDCP"):
+    if ccd is not None and s.palette == CCD:
         out += ccd.rccd().to_bytes()
     else:
         out += Rccd([]).to_bytes()
-    if scheme == "HUFFDCP":
+    if s.palette == HUFFMAN:
         tbl = table if table is not None else HuffmanTable([], [])
         out += len(tbl).to_bytes(2, "little")
         for color, length in zip(tbl.colors.tolist(), tbl.lengths.tolist()):
@@ -93,11 +73,12 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
             out.append(int(length))
 
     csb = BitWriter()
-    if scheme in ("RAS", "RED"):
+    if s.per_block:
         for blk in blocks:
-            csb.write(blk.size_class if scheme == "RAS" else blk.cls, 2)
+            csb.write(blk.size_class if s.codec == "ras" else blk.cls, s.status_bits)
     else:
-        width = _CSB_WIDTH[scheme]
+        padded, _ = frame.padded()
+        nbx = padded.shape[1] // BLOCK
         cells_y = padded.shape[0] // 2
         cells_x = padded.shape[1] // 2
         entries = np.zeros((cells_y, cells_x), dtype=np.int64)
@@ -106,19 +87,19 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
             entries[by * 4:(by + 1) * 4, bx * 4:(bx + 1) * 4] = \
                 np.array(blk.csb, dtype=np.int64).reshape(4, 4)
         for value in entries.reshape(-1).tolist():
-            csb.write(value, width)
+            csb.write(value, s.status_bits)
     csb.align_byte()
     out += csb.to_bytes()
 
     # Per-block payloads are byte-aligned already, so they just concatenate.
     payload = bytearray()
     for blk in blocks:
-        if scheme == "RED":
+        if s.codec == "red":
             w = BitWriter()
             for color in blk.colors:
                 w.write(color, 32)
             payload += w.to_bytes()
-        elif scheme == "HDCP":
+        elif s.codec == "hybrid":
             inner = blk.vdcp if blk.winner == "VDCP" else blk.ras
             payload += inner.payload
         else:
@@ -127,19 +108,32 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
     return bytes(out)
 
 
+def _encode_block(s: Scheme, block, ccd, table):
+    if s.codec == "dcp":
+        return dcp_compress_block(block, ccd)
+    if s.codec == "vdcp":
+        return vdcp_compress_block(block, ccd)
+    if s.codec == "huffdcp":
+        return huffdcp_compress_block(block, table)
+    if s.codec == "ras":
+        return ras_compress_block(block)
+    if s.codec == "red":
+        return red_compress_block(block)
+    return hybrid_compress_block(block, ccd)
+
+
 def decompress_frame(data: bytes) -> Frame:
     if data[:4] != MAGIC:
         raise CorruptStreamError("bad container magic")
-    scheme = _TAG_SCHEMES.get(data[4])
-    if scheme is None:
+    s = BY_TAG.get(data[4])
+    if s is None:
         raise CorruptStreamError(f"unknown scheme tag {data[4]}")
     width = int.from_bytes(data[5:9], "little")
     height = int.from_bytes(data[9:13], "little")
     pos = 13
-    rccd = Rccd.from_bytes(data[pos:])
-    pos += rccd.byte_size
-    table = None
-    if scheme == "HUFFDCP":
+    palette = Rccd.from_bytes(data[pos:])
+    pos += palette.byte_size
+    if s.palette == HUFFMAN:
         count = int.from_bytes(data[pos:pos + 2], "little")
         pos += 2
         colors, lengths = [], []
@@ -147,39 +141,36 @@ def decompress_frame(data: bytes) -> Frame:
             colors.append(int.from_bytes(data[pos:pos + 4], "little"))
             lengths.append(data[pos + 4])
             pos += 5
-        table = HuffmanTable(colors, lengths)
+        palette = HuffmanTable(colors, lengths)
 
     refs = block_refs(width, height)
     nbx, nby = -(-width // BLOCK), -(-height // BLOCK)
-
-    if scheme in ("RAS", "RED"):
-        csb_bits = len(refs) * 2
-    else:
-        csb_bits = (nby * 4) * (nbx * 4) * _CSB_WIDTH[scheme]
-    csb_bytes = (csb_bits + 7) // 8
+    cells = len(refs) if s.per_block else (nby * 4) * (nbx * 4)
+    csb_bytes = (cells * s.status_bits + 7) // 8
     csb = BitReader(data[pos:pos + csb_bytes])
     pos += csb_bytes
-    if scheme in ("RAS", "RED"):
-        statuses = [csb.read(2) for _ in refs]
-        grid = None
-    else:
-        w = _CSB_WIDTH[scheme]
-        grid = np.array([csb.read(w) for _ in range((nby * 4) * (nbx * 4))],
-                        dtype=np.int64).reshape(nby * 4, nbx * 4)
+    statuses = [csb.read(s.status_bits) for _ in range(cells)]
+    if not s.per_block:
+        grid = np.array(statuses, dtype=np.int64).reshape(nby * 4, nbx * 4)
 
+    codec = "vdcp" if s.codec == "hybrid" else s.codec   # HDCP's palette blocks are VDCP's
     reader = BitReader(data[pos:])
     padded = np.zeros((nby * BLOCK, nbx * BLOCK), dtype=np.uint32)
     for ref_idx, (x0, y0) in enumerate(refs):
         by, bx = divmod(ref_idx, nbx)
-        if scheme == "RED":
+        if s.codec == "red":
             block = red_decompress_block(
                 _read_red_block(statuses[ref_idx], reader))
-        elif scheme == "RAS":
+        elif s.codec == "ras":
             block = ras_decompress_block(
                 _read_ras_block(statuses[ref_idx], reader))
         else:
-            entries = tuple(grid[by * 4:(by + 1) * 4, bx * 4:(bx + 1) * 4].reshape(-1).tolist())
-            block = _read_palette_block(scheme, entries, reader, rccd, table)
+            entries = grid[by * 4:(by + 1) * 4, bx * 4:(bx + 1) * 4].reshape(-1).tolist()
+            if s.codec == "hybrid" and entries[0] >= HDCP_RAS_BASE:
+                block = ras_decompress_block(
+                    _read_ras_block(entries[0] - HDCP_RAS_BASE, reader))
+            else:
+                block = read_block(codec, reader, entries, palette)
         reader.align_byte()
         padded[y0:y0 + BLOCK, x0:x0 + BLOCK] = block
     return Frame(padded[:height, :width].copy())
@@ -189,33 +180,6 @@ def _slice_bits(reader: BitReader, nbits: int) -> bytes:
     value = reader.read(nbits)
     nbytes = (nbits + 7) // 8
     return (value << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
-
-
-def _read_palette_block(scheme, entries, reader, rccd, table) -> np.ndarray:
-    if scheme == "HDCP" and entries[0] >= HDCP_RAS_BASE:
-        return ras_decompress_block(
-            _read_ras_block(entries[0] - HDCP_RAS_BASE, reader))
-    if scheme == "HUFFDCP":
-        return _read_huff_block(entries, reader, table)
-    if scheme in ("DCP", "ADCP"):
-        bits = sum(4 * rccd.bits_per_code if s else 128 for s in entries)
-        comp = CompressedBlock(scheme, entries, _slice_bits(reader, bits), bits)
-        return dcp_decompress_block(comp, rccd)
-    bits = sum(128 if s == 7 else 4 * s for s in entries)
-    comp = CompressedBlock(scheme, entries, _slice_bits(reader, bits), bits)
-    return vdcp_decompress_block(comp, rccd)
-
-
-def _read_huff_block(entries, reader, table) -> np.ndarray:
-    # Prefix codes have data-dependent lengths, so decode in place.
-    from .surface import assemble_sub_blocks
-    groups = []
-    for status in entries:
-        if status:
-            groups.append([table.decode_symbol(reader) for _ in range(4)])
-        else:
-            groups.append([reader.read(32) for _ in range(4)])
-    return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
 
 
 def _read_red_block(status, reader) -> RedBlock:

@@ -29,17 +29,15 @@ from .bitio import BitReader, BitWriter
 from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
 from .palette import Ccd, Rccd, build_ccd
+from .schemes import HUFFMAN, SCHEMES
 from .surface import assemble_sub_blocks, sub_block_pixels
 
 RAW_SUB_BLOCK_BITS = 128      # 4 pixels x 32 bits
 VDCP_RAW = 7                  # 3-bit status value marking a raw sub-block
-VDCP_MAX_CCD = 64             # widths 0..6 address at most 64 entries
+VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 entries
 
 # v for a zero-based max palette index m: the smallest v with 2**v > m.
 _VDCP_WIDTH = np.array([m.bit_length() for m in range(VDCP_MAX_CCD)], dtype=np.int64)
-
-SUB_SCHEMES = ("DCP", "ADCP", "VDCP", "HUFFDCP")
-
 
 @dataclass
 class CompressedBlock:
@@ -51,108 +49,106 @@ class CompressedBlock:
 
 # ---------------------------------------------------------------------------
 # Per-block bitstream codecs
+#
+# One skeleton serves the three code families. A family fixes the status of
+# a raw sub-block and how a coded sub-block's codes are sized and read:
+#
+#   size(codes, palette)          -> (status, [(value, width), ...]) to write
+#   read(status, reader, palette) -> the color of the next code in the stream
 
-def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
-    groups = sub_block_pixels(block).tolist()
-    bits = ccd.bits_per_code if ccd is not None and len(ccd) else None
+def _fixed_size(codes, ccd: Ccd):
+    return 1, [(c, ccd.bits_per_code) for c in codes]
+
+
+def _fixed_read(status, reader: BitReader, rccd: Rccd) -> int:
+    return rccd.decode(reader.read(rccd.bits_per_code))
+
+
+def _variable_size(codes, ccd: Ccd):
+    v = max(codes).bit_length()
+    return v, [(c, v) for c in codes]
+
+
+def _variable_read(status, reader: BitReader, rccd: Rccd) -> int:
+    return rccd.decode(reader.read(status))
+
+
+def _prefix_size(codes, table: HuffmanTable):
+    return 1, codes                  # table.encode already gives (code, length)
+
+
+def _prefix_read(status, reader: BitReader, table: HuffmanTable) -> int:
+    return table.decode_symbol(reader)
+
+
+# codec -> (raw status, size, read)
+_FAMILIES = {
+    "dcp": (0, _fixed_size, _fixed_read),
+    "vdcp": (VDCP_RAW, _variable_size, _variable_read),
+    "huffdcp": (0, _prefix_size, _prefix_read),
+}
+
+
+def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
+    raw_status, size, _ = _FAMILIES[codec]
+    usable = palette is not None and len(palette) > 0
     w = BitWriter()
     csb = []
-    for group in groups:
-        codes = None
-        if bits is not None:
-            codes = [ccd.encode(p) for p in group]
-            if any(c is None for c in codes):
-                codes = None
-        if codes is None:
-            csb.append(0)
+    for group in sub_block_pixels(block).tolist():
+        codes = [palette.encode(p) for p in group] if usable else [None]
+        if None in codes:
+            csb.append(raw_status)
             for p in group:
                 w.write(p, 32)
         else:
-            csb.append(1)
-            for c in codes:
-                w.write(c, bits)
-    return CompressedBlock("DCP", tuple(csb), w.to_bytes(), w.bit_length)
+            status, fields = size(codes, palette)
+            csb.append(status)
+            for value, width in fields:
+                w.write(value, width)
+    return CompressedBlock(codec.upper(), tuple(csb), w.to_bytes(), w.bit_length)
+
+
+def read_block(codec: str, reader: BitReader, csb, palette) -> np.ndarray:
+    """Decode one block's sub-blocks in place from `reader`.
+
+    `palette` is the reverse palette for "dcp" and "vdcp" and the Huffman
+    table for "huffdcp". Prefix codes have data-dependent lengths, so the
+    container decodes every palette block this way rather than slicing it.
+    """
+    raw_status, _, read = _FAMILIES[codec]
+    groups = []
+    for status in csb:
+        if status == raw_status:
+            groups.append([reader.read(32) for _ in range(4)])
+        else:
+            groups.append([read(status, reader, palette) for _ in range(4)])
+    return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
+
+
+def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
+    return _compress_block("dcp", block, ccd)
 
 
 def dcp_decompress_block(comp: CompressedBlock, rccd: Rccd) -> np.ndarray:
-    bits = rccd.bits_per_code
-    r = BitReader(comp.payload, comp.payload_bits)
-    groups = []
-    for status in comp.csb:
-        if status:
-            groups.append([rccd.decode(r.read(bits)) for _ in range(4)])
-        else:
-            groups.append([r.read(32) for _ in range(4)])
-    return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
+    return read_block("dcp", BitReader(comp.payload, comp.payload_bits), comp.csb, rccd)
 
 
 def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
     if ccd is not None and len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
-    groups = sub_block_pixels(block).tolist()
-    usable = ccd is not None and len(ccd) > 0
-    w = BitWriter()
-    csb = []
-    for group in groups:
-        codes = None
-        if usable:
-            codes = [ccd.encode(p) for p in group]
-            if any(c is None for c in codes):
-                codes = None
-        if codes is None:
-            csb.append(VDCP_RAW)
-            for p in group:
-                w.write(p, 32)
-        else:
-            v = max(codes).bit_length()
-            csb.append(v)
-            for c in codes:
-                w.write(c, v)
-    return CompressedBlock("VDCP", tuple(csb), w.to_bytes(), w.bit_length)
+    return _compress_block("vdcp", block, ccd)
 
 
 def vdcp_decompress_block(comp: CompressedBlock, rccd: Rccd) -> np.ndarray:
-    r = BitReader(comp.payload, comp.payload_bits)
-    groups = []
-    for status in comp.csb:
-        if status == VDCP_RAW:
-            groups.append([r.read(32) for _ in range(4)])
-        else:
-            groups.append([rccd.decode(r.read(status)) for _ in range(4)])
-    return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
+    return read_block("vdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, rccd)
 
 
 def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlock:
-    groups = sub_block_pixels(block).tolist()
-    usable = table is not None and len(table) > 0
-    w = BitWriter()
-    csb = []
-    for group in groups:
-        codes = None
-        if usable:
-            codes = [table.encode(p) for p in group]
-            if any(c is None for c in codes):
-                codes = None
-        if codes is None:
-            csb.append(0)
-            for p in group:
-                w.write(p, 32)
-        else:
-            csb.append(1)
-            for code, length in codes:
-                w.write(code, length)
-    return CompressedBlock("HUFFDCP", tuple(csb), w.to_bytes(), w.bit_length)
+    return _compress_block("huffdcp", block, table)
 
 
 def huffdcp_decompress_block(comp: CompressedBlock, table: HuffmanTable) -> np.ndarray:
-    r = BitReader(comp.payload, comp.payload_bits)
-    groups = []
-    for status in comp.csb:
-        if status:
-            groups.append([table.decode_symbol(r) for _ in range(4)])
-        else:
-            groups.append([r.read(32) for _ in range(4)])
-    return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
+    return read_block("huffdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, table)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +290,18 @@ def advance_frame(state: CodecState) -> CodecState:
         state.enabled = state.last_coverage >= state.coverage_threshold
     ranked = fvc.ranked_values()
     state.last_ranked = ranked
-    scheme = state.scheme
-    if scheme == "ADCP":
+    scheme = SCHEMES[state.scheme]
+    if scheme.adaptive:
         n = fvc.config.pixel_sampling
         freqs = [f * n for _, f in ranked]
         size = adcp_optimal_ccd_size(freqs, state.frame_pixels,
                                      max_size=fvc.entry_count)
         state.ccd = build_ccd(ranked, size)
-    elif scheme in ("VDCP", "HDCP"):
-        size = state.ccd_size or min(fvc.entry_count, VDCP_MAX_CCD)
-        state.ccd = build_ccd(ranked, size)
-    elif scheme == "HUFFDCP":
+    elif scheme.palette == HUFFMAN:
         top = ranked[:state.ccd_size] if state.ccd_size else ranked
         state.huffman = build_table(top) if top else None
-    elif scheme == "DCP":
-        size = state.ccd_size or fvc.entry_count
+    elif scheme.palette is not None:
+        size = state.ccd_size or min(fvc.entry_count, scheme.max_palette or fvc.entry_count)
         state.ccd = build_ccd(ranked, size)
     else:
         raise ValueError(f"scheme {state.scheme!r} carries no palette state")

@@ -33,14 +33,12 @@ class Ccd:
         order = np.argsort(arr, kind="stable")
         self._sorted_colors = arr[order]
         self._sorted_to_code = order.astype(np.int64)
+        # Code width in bits; a single-entry palette needs zero bits. Stored
+        # once because the block codecs read it for every code.
+        self.bits_per_code = (arr.size - 1).bit_length() if arr.size else 0
 
     def __len__(self) -> int:
         return int(self.colors.size)
-
-    @property
-    def bits_per_code(self) -> int:
-        """Code width in bits; a single-entry palette needs zero bits."""
-        return (len(self) - 1).bit_length() if len(self) else 0
 
     def encode(self, color: int) -> int | None:
         return self._index.get(int(color))
@@ -64,13 +62,10 @@ class Rccd:
 
     def __init__(self, colors):
         self.colors = np.asarray(colors, dtype=np.uint32)
+        self.bits_per_code = (self.colors.size - 1).bit_length() if self.colors.size else 0
 
     def __len__(self) -> int:
         return int(self.colors.size)
-
-    @property
-    def bits_per_code(self) -> int:
-        return (len(self) - 1).bit_length() if len(self) else 0
 
     def decode(self, index: int) -> int:
         if index < 0 or index >= len(self):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bandwidth import charged_bursts
 from .bitio import BitReader, BitWriter, CorruptStreamError
 from .dcp_codecs import CompressedBlock, vdcp_compress_block, vdcp_decompress_block, vdcp_frame_cost
 from .palette import Ccd, Rccd
@@ -310,7 +311,7 @@ def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> HybridBlock:
     """
     vb = vdcp_compress_block(block, ccd)
     rb = ras_compress_block(block)
-    v_bursts = min(-(-vb.payload_bits // 128), 16)
+    v_bursts = charged_bursts(vb.payload_bits)
     r_bursts = rb.charged_bits // 128
     if v_bursts <= r_bursts:
         return HybridBlock("VDCP", vb.csb, vb, None)
@@ -327,10 +328,9 @@ def hybrid_frame_cost(padded: np.ndarray, sb_real: np.ndarray, block_real: np.nd
                       ccd: Ccd | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(accounting bits, charged bursts, vdcp-won mask) per block."""
     vbits = vdcp_frame_cost(padded, sb_real, ccd)
-    raw_bursts = (32 * block_real + 127) // 128
-    v_bursts = np.minimum((vbits + 127) // 128, raw_bursts)
+    v_bursts = charged_bursts(vbits, 32 * block_real)
     r_charged, _, _ = ras_frame_cost(padded, block_real)
-    r_bursts = (r_charged + 127) // 128
+    r_bursts = charged_bursts(r_charged, 32 * block_real)
     vdcp_wins = v_bursts <= r_bursts
     bits = np.where(vdcp_wins, vbits, r_charged)
     bursts = np.where(vdcp_wins, v_bursts, r_bursts)

@@ -1,11 +1,13 @@
 """Replays a trace through one compression scheme and collects statistics.
 
-Frame 0 is warm-up: it populates the first collector and palette and is
-never measured. Every later frame is charged through the burst model with
-the palette built from the most recent collection frame. Block costs come
-from the vectorized frame engines; a seeded sample of blocks additionally
-runs through the exact per-block codecs, checking both losslessness and
-that the two cost paths agree.
+`replay` is the one palette handoff loop. Frame 0 is warm-up: it populates
+the first collector and palette and is never measured. Every later frame is
+yielded with the palette built from the most recent collection frame;
+`run_experiment` charges it through the burst model and `--dump-frames`
+writes it to a container. Block costs come from the vectorized frame
+engines; a seeded sample of blocks additionally runs through the exact
+per-block codecs, checking both losslessness and that the two cost paths
+agree. What differs between schemes is read from the table in `schemes.py`.
 """
 
 from __future__ import annotations
@@ -18,17 +20,17 @@ import numpy as np
 from . import bandwidth, dcp_codecs, reference_codecs
 from .bandwidth import ACCOUNTING_MODES, FrameStats, WorkloadStats
 from .fvc import Fvc, FvcConfig, is_pow2, relative_coverage
-from .palette import Rccd
+from .huffman import HuffmanTable
+from .palette import Ccd, Rccd
 from .rng import SplitMix64, mix64
+from .schemes import HUFFMAN, SCHEMES, Scheme
 from .surface import (
     BLOCK,
+    Frame,
     SurfaceTrace,
     block_valid_counts,
     sub_block_valid_counts,
 )
-
-SCHEMES = ("DCP", "ADCP", "VDCP", "HUFFDCP", "RAS", "RED", "HDCP")
-PALETTE_SCHEMES = ("DCP", "ADCP", "VDCP", "HUFFDCP", "HDCP")
 
 
 class ConfigError(ValueError):
@@ -55,25 +57,26 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ConfigError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
+        scheme = SCHEMES[self.scheme]
         if self.accounting not in ACCOUNTING_MODES:
             raise ConfigError(
                 f"accounting must be one of {ACCOUNTING_MODES}, got {self.accounting!r}")
         if self.frame_sampling < 1:
             raise ConfigError("frame_sampling must be >= 1")
         if self.ccd_size is not None:
-            if self.scheme == "ADCP":
-                raise ConfigError("ADCP chooses its own palette size")
-            if self.scheme in ("RAS", "RED"):
+            if scheme.adaptive:
+                raise ConfigError(f"{self.scheme} chooses its own palette size")
+            if scheme.palette is None:
                 raise ConfigError(f"{self.scheme} does not use a palette")
             if not is_pow2(self.ccd_size):
                 raise ConfigError("ccd_size must be a power of two")
             if self.ccd_size > self.fvc.entry_count:
                 raise ConfigError("ccd_size cannot exceed the FVC entry count")
-            if self.scheme in ("VDCP", "HDCP") and self.ccd_size > dcp_codecs.VDCP_MAX_CCD:
+            if scheme.max_palette is not None and self.ccd_size > scheme.max_palette:
                 raise ConfigError(
                     f"{self.scheme} status bits address at most "
-                    f"{dcp_codecs.VDCP_MAX_CCD} palette entries")
+                    f"{scheme.max_palette} palette entries")
         if self.coverage_threshold is not None and not 0.0 <= self.coverage_threshold <= 1.0:
             raise ConfigError("coverage_threshold must lie in [0, 1]")
         if not 0.0 < self.verify_fraction <= 1.0:
@@ -90,69 +93,124 @@ class RunResult:
     mean_relative_coverage: float = float("nan")
 
 
-def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
-    cfg.validate()
-    width, height = trace.width, trace.height
-    _, valid = trace.frames[0].padded()
-    sb_real = sub_block_valid_counts(valid)
-    block_real = block_valid_counts(valid)
-    raw_bursts_per_block = (32 * block_real + 127) // 128
-    uncompressed_bits = int(32 * block_real.sum())
-    uncompressed_bursts = int(raw_bursts_per_block.sum())
-    csb_bits = bandwidth.csb_frame_bits(width, height, cfg.scheme)
-    csb_bursts = bandwidth.bursts(csb_bits)
+@dataclass(frozen=True)
+class ReplayFrame:
+    """One measured frame and the palette in force for it."""
 
-    needs_palette = cfg.scheme in PALETTE_SCHEMES
-    state = None
-    if needs_palette:
-        fvc_cfg = replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed)
-        state = dcp_codecs.CodecState(
-            scheme=cfg.scheme,
-            fvc=Fvc(fvc_cfg),
-            frame_pixels=width * height,
-            frame_sampling=cfg.frame_sampling,
-            coverage_threshold=cfg.coverage_threshold,
-            ccd_size=cfg.ccd_size,
-        )
+    index: int
+    frame: Frame
+    ccd: Ccd | None = None               # None while compression is gated off
+    table: HuffmanTable | None = None
+    palette_size: int = 0                # entries built, even when gated off
+    rccd_bytes: int = 0                  # palette bytes first sent with this frame
+    coverage: float = float("nan")
+    enabled: bool = True
+    # One value per collection since the previous measured frame (warm-up
+    # included), when cfg.track_relative_coverage is set.
+    relative_coverages: tuple[float, ...] = ()
 
-    verify_rng = SplitMix64(mix64(cfg.seed ^ 0xB10C5))
-    frames_out: list[FrameStats] = []
-    blocks_verified = 0
-    rel_covs: list[float] = []
+
+def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
+    """Yield every measured frame with the palette in force for it.
+
+    This is the palette handoff: warm-up on frame 0, collection every
+    cfg.frame_sampling frames, the coverage gate, and the reverse-palette
+    bytes charged to the first frame that uses a new palette. A frame's
+    palette is fixed before the collector observes that frame.
+    """
+    scheme = SCHEMES[cfg.scheme]
+    if scheme.palette is None:
+        for t in range(1, len(trace)):
+            yield ReplayFrame(t, trace.frames[t])
+        return
+    fvc_cfg = replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed)
+    state = dcp_codecs.CodecState(
+        scheme=cfg.scheme,
+        fvc=Fvc(fvc_cfg),
+        frame_pixels=trace.width * trace.height,
+        frame_sampling=cfg.frame_sampling,
+        coverage_threshold=cfg.coverage_threshold,
+        ccd_size=cfg.ccd_size,
+    )
     pending_rccd_bytes = 0
-
+    rel_covs: list[float] = []
     for t, frame in enumerate(trace.frames):
-        padded, _ = frame.padded()
-        if t >= 1:
-            bits, bursts_arr, v_blocks, r_blocks = _frame_cost(
-                cfg, padded, valid, sb_real, block_real, raw_bursts_per_block, state)
-            fs = FrameStats(
-                frame=t,
-                uncompressed_bits=uncompressed_bits,
-                payload_bits=int(bits.sum()),
-                csb_bits=csb_bits,
-                uncompressed_bursts=uncompressed_bursts,
-                payload_bursts=int(bursts_arr.sum()),
-                csb_bursts=csb_bursts,
-                rate=0.0,
-                coverage=state.last_coverage if state else float("nan"),
-                ccd_size=_palette_size(state),
-                rccd_bytes=pending_rccd_bytes,
-                compression_enabled=state.enabled if state else True,
-                vdcp_blocks=v_blocks,
-                ras_blocks=r_blocks,
-            )
-            pending_rccd_bytes = 0
-            fs.rate = bandwidth.frame_rate(fs, cfg.accounting)
-            frames_out.append(fs)
-            blocks_verified += _verify_frame(cfg, padded, block_real, bits, state, verify_rng)
-        if needs_palette and state.collects_on(t):
+        in_force = ReplayFrame(
+            index=t,
+            frame=frame,
+            ccd=state.ccd if state.enabled else None,
+            table=state.huffman if state.enabled else None,
+            palette_size=_palette_size(scheme, state),
+            rccd_bytes=pending_rccd_bytes,
+            coverage=state.last_coverage,
+            enabled=state.enabled,
+        )
+        if state.collects_on(t):      # always true on the warm-up frame
             state.fvc.observe_frame(frame)
             if cfg.track_relative_coverage:
                 rel_covs.append(relative_coverage(state.fvc.ranked_values(), frame,
                                                   top_n=state.fvc.entry_count))
             dcp_codecs.advance_frame(state)
-            pending_rccd_bytes = _palette_bytes(state)
+            # Reverse-palette serialization: u16 count + u32 per color; the
+            # Huffman table additionally carries one length byte per entry.
+            per_entry = 5 if scheme.palette == HUFFMAN else 4
+            pending_rccd_bytes = 2 + per_entry * _palette_size(scheme, state)
+        else:
+            pending_rccd_bytes = 0
+        if t >= 1:
+            yield replace(in_force, relative_coverages=tuple(rel_covs))
+            rel_covs.clear()
+
+
+def _palette_size(scheme: Scheme, state) -> int:
+    palette = state.huffman if scheme.palette == HUFFMAN else state.ccd
+    return len(palette) if palette else 0
+
+
+def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
+    cfg.validate()
+    scheme = SCHEMES[cfg.scheme]
+    _, valid = trace.frames[0].padded()
+    sb_real = sub_block_valid_counts(valid)
+    block_real = block_valid_counts(valid)
+    raw_bits = 32 * block_real
+    uncompressed_bits = int(raw_bits.sum())
+    uncompressed_bursts = int(bandwidth.bursts(raw_bits).sum())
+    csb_bits = bandwidth.csb_frame_bits(trace.width, trace.height, cfg.scheme)
+    csb_bursts = bandwidth.bursts(csb_bits)
+
+    verify_rng = SplitMix64(mix64(cfg.seed ^ 0xB10C5))
+    frames_out: list[FrameStats] = []
+    blocks_verified = 0
+    rel_covs: list[float] = []
+
+    for m in replay(trace, cfg):
+        padded, _ = m.frame.padded()
+        bits, vdcp_wins = _frame_cost(scheme, m, padded, valid, sb_real, block_real, cfg.jobs)
+        v_blocks = r_blocks = 0
+        if vdcp_wins is not None:
+            v_blocks = int(vdcp_wins.sum())
+            r_blocks = int(vdcp_wins.size) - v_blocks
+        fs = FrameStats(
+            frame=m.index,
+            uncompressed_bits=uncompressed_bits,
+            payload_bits=int(bits.sum()),
+            csb_bits=csb_bits,
+            uncompressed_bursts=uncompressed_bursts,
+            payload_bursts=int(bandwidth.charged_bursts(bits, raw_bits).sum()),
+            csb_bursts=csb_bursts,
+            rate=0.0,
+            coverage=m.coverage,
+            ccd_size=m.palette_size,
+            rccd_bytes=m.rccd_bytes,
+            compression_enabled=m.enabled,
+            vdcp_blocks=v_blocks,
+            ras_blocks=r_blocks,
+        )
+        fs.rate = bandwidth.frame_rate(fs, cfg.accounting)
+        frames_out.append(fs)
+        rel_covs += m.relative_coverages
+        blocks_verified += _verify_frame(cfg, scheme, m, padded, block_real, bits, verify_rng)
 
     workload = WorkloadStats(
         name=trace.name,
@@ -175,61 +233,32 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     return RunResult(workload, frames_out, blocks_verified, mean_rel)
 
 
-def _palette_size(state) -> int:
-    if state is None:
-        return 0
-    if state.scheme == "HUFFDCP":
-        return len(state.huffman) if state.huffman else 0
-    return len(state.ccd) if state.ccd else 0
+def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_real, jobs):
+    """Per-block accounting bits for one frame, plus HDCP's VDCP-won mask.
+
+    Engines are looked up on their modules when called, so a patched engine
+    is the one that runs.
+    """
+    engine = {
+        "dcp": lambda p, v, s, b: dcp_codecs.dcp_frame_cost(p, s, m.ccd),
+        "vdcp": lambda p, v, s, b: dcp_codecs.vdcp_frame_cost(p, s, m.ccd),
+        "huffdcp": lambda p, v, s, b: dcp_codecs.huffdcp_frame_cost(p, v, s, m.table),
+        "ras": lambda p, v, s, b: reference_codecs.ras_frame_cost(p, b)[0],
+        "red": lambda p, v, s, b: reference_codecs.red_frame_cost(p, v, s, b)[0],
+        # (bits, VDCP-won mask); HDCP bursts follow from the bits like any other's.
+        "hybrid": lambda p, v, s, b: reference_codecs.hybrid_frame_cost(p, s, b, m.ccd)[::2],
+    }[scheme.codec]
+    out = _banded(engine, padded, valid, sb_real, block_real, jobs)
+    return out if isinstance(out, tuple) else (out, None)
 
 
-def _palette_bytes(state) -> int:
-    # Reverse-palette serialization: u16 count + u32 per color; the Huffman
-    # table additionally carries one length byte per entry.
-    n = _palette_size(state)
-    return 2 + 5 * n if state.scheme == "HUFFDCP" else 2 + 4 * n
-
-
-def _frame_cost(cfg, padded, valid, sb_real, block_real, raw_bursts, state):
-    """Per-block accounting bits and charged bursts for one frame."""
-    scheme = cfg.scheme
-    if scheme == "HDCP":
-        ccd = state.ccd if state.enabled else None
-        bits, bursts_arr, vdcp_wins = _banded(
-            lambda p, v, s, b: reference_codecs.hybrid_frame_cost(p, s, b, ccd),
-            padded, valid, sb_real, block_real, cfg.jobs, outputs=3)
-        v_blocks = int(vdcp_wins.sum())
-        return bits, bursts_arr, v_blocks, int(vdcp_wins.size - v_blocks)
-    if scheme == "RAS":
-        charged, _, _ = _banded(
-            lambda p, v, s, b: reference_codecs.ras_frame_cost(p, b),
-            padded, valid, sb_real, block_real, cfg.jobs, outputs=3)
-        return charged, (charged + 127) // 128, 0, 0
-    if scheme == "RED":
-        bits, _ = _banded(
-            lambda p, v, s, b: reference_codecs.red_frame_cost(p, v, s, b),
-            padded, valid, sb_real, block_real, cfg.jobs, outputs=2)
-        return bits, np.minimum((bits + 127) // 128, raw_bursts), 0, 0
-    if scheme == "HUFFDCP":
-        table = state.huffman if state.enabled else None
-        bits = _banded(
-            lambda p, v, s, b: dcp_codecs.huffdcp_frame_cost(p, v, s, table),
-            padded, valid, sb_real, block_real, cfg.jobs)
-    else:
-        ccd = state.ccd if state.enabled else None
-        engine = dcp_codecs.vdcp_frame_cost if scheme == "VDCP" else dcp_codecs.dcp_frame_cost
-        bits = _banded(
-            lambda p, v, s, b: engine(p, s, ccd),
-            padded, valid, sb_real, block_real, cfg.jobs)
-    return bits, np.minimum((bits + 127) // 128, raw_bursts), 0, 0
-
-
-def _banded(fn, padded, valid, sb_real, block_real, jobs, outputs=1):
+def _banded(fn, padded, valid, sb_real, block_real, jobs):
     """Run a frame-cost engine over horizontal bands of block rows.
 
     Blocks are self-contained in every scheme, so splitting on block-row
     boundaries is exact; results concatenate in order, which keeps
-    multi-worker runs bit-identical to sequential ones.
+    multi-worker runs bit-identical to sequential ones. An engine may
+    return one array or a tuple of arrays.
     """
     nby = padded.shape[0] // BLOCK
     if jobs <= 1 or nby < 2:
@@ -242,12 +271,13 @@ def _banded(fn, padded, valid, sb_real, block_real, jobs, outputs=1):
     ]
     with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
         results = list(pool.map(lambda args: fn(*args), tasks))
-    if outputs == 1:
-        return np.concatenate(results, axis=0)
-    return tuple(np.concatenate([r[i] for r in results], axis=0) for i in range(outputs))
+    if isinstance(results[0], tuple):
+        return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
+    return np.concatenate(results, axis=0)
 
 
-def _verify_frame(cfg, padded, block_real, engine_bits, state, rng) -> int:
+def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
+                  engine_bits, rng) -> int:
     """Round-trip a sample of blocks through the exact per-block codecs.
 
     Fully live blocks must also reproduce the vectorized engine's
@@ -266,40 +296,38 @@ def _verify_frame(cfg, padded, block_real, engine_bits, state, rng) -> int:
     for idx in indices:
         by, bx = divmod(idx, nbx)
         block = padded[by * BLOCK:(by + 1) * BLOCK, bx * BLOCK:(bx + 1) * BLOCK]
-        out, stream_bits = _block_round_trip(cfg.scheme, block, state)
+        out, stream_bits = _block_round_trip(scheme, block, m)
         if not np.array_equal(out, block):
             raise VerificationError(
-                f"{cfg.scheme} round-trip mismatch at block ({bx},{by})")
+                f"{scheme.name} round-trip mismatch at frame {m.index} block ({bx},{by})")
         if flat_real[idx] == 64 and stream_bits != int(flat_bits[idx]):
             raise VerificationError(
-                f"{cfg.scheme} cost mismatch at block ({bx},{by}): "
+                f"{scheme.name} cost mismatch at frame {m.index} block ({bx},{by}): "
                 f"stream {stream_bits} bits vs engine {int(flat_bits[idx])}")
         checked += 1
     return checked
 
 
-def _block_round_trip(scheme, block, state):
+def _block_round_trip(scheme: Scheme, block, m: ReplayFrame):
     """(decoded block, accounting-comparable stream bits)."""
-    if scheme == "RAS":
+    codec = scheme.codec
+    if codec == "ras":
         rb = reference_codecs.ras_compress_block(block)
         return reference_codecs.ras_decompress_block(rb), rb.charged_bits
-    if scheme == "RED":
+    if codec == "red":
         red = reference_codecs.red_compress_block(block)
         return reference_codecs.red_decompress_block(red), 32 * len(red.colors)
-    ccd = state.ccd if state.enabled else None
-    if scheme == "HDCP":
-        hb = reference_codecs.hybrid_compress_block(block, ccd)
-        rccd = ccd.rccd() if ccd is not None else Rccd([])
+    if codec == "huffdcp":
+        comp = dcp_codecs.huffdcp_compress_block(block, m.table)
+        return dcp_codecs.huffdcp_decompress_block(comp, m.table), comp.payload_bits
+    rccd = m.ccd.rccd() if m.ccd is not None else Rccd([])
+    if codec == "hybrid":
+        hb = reference_codecs.hybrid_compress_block(block, m.ccd)
         decoded = reference_codecs.hybrid_decompress_block(hb, rccd)
         bits = hb.vdcp.payload_bits if hb.winner == "VDCP" else hb.ras.charged_bits
         return decoded, bits
-    if scheme == "HUFFDCP":
-        table = state.huffman if state.enabled else None
-        comp = dcp_codecs.huffdcp_compress_block(block, table)
-        return dcp_codecs.huffdcp_decompress_block(comp, table), comp.payload_bits
-    rccd = ccd.rccd() if ccd is not None else Rccd([])
-    if scheme == "VDCP":
-        comp = dcp_codecs.vdcp_compress_block(block, ccd)
+    if codec == "vdcp":
+        comp = dcp_codecs.vdcp_compress_block(block, m.ccd)
         return dcp_codecs.vdcp_decompress_block(comp, rccd), comp.payload_bits
-    comp = dcp_codecs.dcp_compress_block(block, ccd)
+    comp = dcp_codecs.dcp_compress_block(block, m.ccd)
     return dcp_codecs.dcp_decompress_block(comp, rccd), comp.payload_bits

@@ -137,10 +137,6 @@ def block_refs(width: int, height: int) -> list[tuple[int, int]]:
     return [(bx * BLOCK, by * BLOCK) for by in range(rows) for bx in range(cols)]
 
 
-def block_pixels(padded: np.ndarray, x0: int, y0: int) -> np.ndarray:
-    return padded[y0:y0 + BLOCK, x0:x0 + BLOCK]
-
-
 def iter_blocks(frame: Frame):
     """Yield (x0, y0, pixels 8x8, valid 8x8) in raster order."""
     padded, valid = frame.padded()

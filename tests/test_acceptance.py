@@ -11,7 +11,7 @@ import pytest
 
 from conftest import frame_from_cells, rand_palette
 
-from dcpbench.bandwidth import charge_block, csb_frame_bits, csb_overhead
+from dcpbench.bandwidth import charged_bursts, csb_frame_bits, csb_overhead
 from dcpbench.dcp_codecs import (
     CodecState,
     adcp_optimal_ccd_size,
@@ -242,8 +242,7 @@ def test_c05_collector_equals_exact_histogram():
 
 def test_c06_burst_model_fixtures():
     fixtures = {0: 0, 1: 1, 128: 1, 129: 2, 2048: 16, 2049: 16}
-    charges_ok = all(charge_block(bits).charged_bursts == want
-                     for bits, want in fixtures.items())
+    charges_ok = all(charged_bursts(bits) == want for bits, want in fixtures.items())
     identity_ok = (csb_frame_bits(720, 1280, "DCP") == 720 * 1280 * 32 // 128
                    and csb_overhead(720, 1280, "DCP") == 1800
                    and csb_overhead(8, 8, "DCP") == 1)

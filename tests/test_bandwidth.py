@@ -1,12 +1,11 @@
-import math
-
+import numpy as np
 import pytest
 
 from dcpbench.bandwidth import (
     FrameStats,
     WorkloadStats,
     aggregate,
-    charge_block,
+    charged_bursts,
     csb_frame_bits,
     csb_overhead,
     frame_rate,
@@ -18,18 +17,23 @@ from dcpbench.bandwidth import (
 @pytest.mark.parametrize("bits,expect", [(0, 0), (1, 1), (128, 1), (129, 2),
                                          (384, 3), (2048, 16), (2049, 16), (99999, 16)])
 def test_charge_block_fixtures(bits, expect):
-    assert charge_block(bits).charged_bursts == expect
+    assert charged_bursts(bits) == expect
 
 
 def test_charge_block_effective_rate():
-    cost = charge_block(384)
-    assert cost.effective_rate == pytest.approx(16 / 3)
-    assert charge_block(0).effective_rate == math.inf
+    assert 16 / charged_bursts(384) == pytest.approx(16 / 3)   # a raw block is 16 bursts
+    assert charged_bursts(0) == 0      # an empty payload moves no bursts
 
 
 def test_charge_block_respects_partial_raw_size():
     # An edge block with 8 live pixels never charges past its own raw size.
-    assert charge_block(999, raw_bits=256).charged_bursts == 2
+    assert charged_bursts(999, raw_bits=256) == 2
+
+
+def test_charge_block_vectorized():
+    bits = np.array([[0, 129, 99999], [999, 999, 64]])
+    raw = np.array([[2048, 2048, 2048], [256, 2048, 32]])
+    assert charged_bursts(bits, raw).tolist() == [[0, 2, 16], [2, 8, 1]]
 
 
 def test_csb_identity_for_one_bit_schemes():
@@ -81,7 +85,7 @@ def test_rate_modes():
 
 def test_full_rate_never_beats_payload_rate():
     for pbits in (0, 1, 128, 500, 2048):
-        fs = _stats(pbits=pbits, pbursts=charge_block(pbits).charged_bursts)
+        fs = _stats(pbits=pbits, pbursts=int(charged_bursts(pbits)))
         assert frame_rate(fs, "full") <= frame_rate(fs, "payload")
         assert frame_rate(fs, "payload+csb") <= frame_rate(fs, "payload")
 

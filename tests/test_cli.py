@@ -165,6 +165,17 @@ def test_exit_code_verification_failure(ui_trace, tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("values", [{"ccd_size": "32"}, {"ccd_size": 32.0}, {"ct": "0.5"}],
+                         ids=["ccd-string", "ccd-float", "ct-string"])
+def test_config_file_wrong_type(ui_trace, tmp_path, capsys, values):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    rc = main(["compress", str(ui_trace), "--config", str(cfg),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_invalid_config_combination(ui_trace, tmp_path):
     rc = main(["compress", str(ui_trace), "--scheme", "VDCP", "--fvc-size", "256",
                "--ccd-size", "128", "--out", str(tmp_path / "o.csv")])

@@ -4,8 +4,9 @@ import pytest
 from conftest import block_pool, ccd_from_blocks
 
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.container import SCHEME_TAGS, compress_frame, decompress_frame
+from dcpbench.container import compress_frame, decompress_frame
 from dcpbench.huffman import build_table
+from dcpbench.schemes import SCHEMES
 from dcpbench.surface import Frame, frames_equal
 
 
@@ -18,7 +19,7 @@ def _frame(seed, width=40, height=24):
     return Frame(pixels.copy())
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEME_TAGS))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_container_round_trip_block_aligned(scheme):
     frame = _frame(3, width=48, height=24)
     blocks = block_pool(18, seed=3)
@@ -28,7 +29,7 @@ def test_container_round_trip_block_aligned(scheme):
     assert frames_equal(decompress_frame(data), frame)
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEME_TAGS))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_container_round_trip_with_padding(scheme):
     # 21x13 forces edge-replicated padding on both axes.
     frame = _frame(7, width=21, height=13)

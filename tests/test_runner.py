@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dcpbench.dcp_codecs
+import dcpbench.reference_codecs
 from dcpbench.fvc import FvcConfig
 from dcpbench.runner import (
     ConfigError,
@@ -158,7 +159,7 @@ def test_verification_catches_corruption(monkeypatch):
         return out
 
     monkeypatch.setattr("dcpbench.runner.dcp_codecs.dcp_decompress_block", corrupt)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match=r"at frame 1 block \(0,0\)"):
         run_experiment(trace, ExperimentConfig(scheme="DCP", verify_full=True))
 
 
@@ -207,3 +208,42 @@ def test_vdcp_palette_clamped_to_64():
     cfg = ExperimentConfig(scheme="VDCP", fvc=FvcConfig(entry_count=256))
     res = run_experiment(trace, cfg)
     assert all(f.ccd_size <= 64 for f in res.frames)
+
+
+# Every frame-cost engine and block codec a scheme uses, named at the module
+# attribute where callers (and the benchmark's tracer) look it up.
+_DCP, _REF = "dcpbench.dcp_codecs", "dcpbench.reference_codecs"
+SCHEME_FUNCTIONS = {
+    "DCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_block"),
+            (_DCP, "dcp_decompress_block")],
+    "ADCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_block"),
+             (_DCP, "dcp_decompress_block")],
+    "VDCP": [(_DCP, "vdcp_frame_cost"), (_DCP, "vdcp_compress_block"),
+             (_DCP, "vdcp_decompress_block")],
+    "HUFFDCP": [(_DCP, "huffdcp_frame_cost"), (_DCP, "huffdcp_compress_block"),
+                (_DCP, "huffdcp_decompress_block")],
+    "RAS": [(_REF, "ras_frame_cost"), (_REF, "ras_compress_block"),
+            (_REF, "ras_decompress_block")],
+    "RED": [(_REF, "red_frame_cost"), (_REF, "red_compress_block"),
+            (_REF, "red_decompress_block")],
+    "HDCP": [(_REF, "hybrid_frame_cost"), (_REF, "vdcp_frame_cost"), (_REF, "ras_frame_cost"),
+             (_REF, "hybrid_compress_block"), (_REF, "hybrid_decompress_block")],
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_FUNCTIONS))
+def test_engines_and_codecs_looked_up_when_called(scheme, monkeypatch):
+    # A scheme table holding function objects would call the originals and
+    # bypass patches like these.
+    calls = {}
+    for module, name in SCHEME_FUNCTIONS[scheme]:
+        real = getattr(__import__(module, fromlist=[name]), name)
+
+        def counting(*args, _real=real, _key=(module, name), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(f"{module}.{name}", counting)
+    trace = generate(SyntheticSpec(generator="ui-like", width=32, height=24, frames=2, seed=2))
+    run_experiment(trace, ExperimentConfig(scheme=scheme, verify_full=True))
+    assert sorted(calls) == sorted(SCHEME_FUNCTIONS[scheme])
