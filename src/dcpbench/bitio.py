@@ -41,25 +41,38 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads bits most-significant-first from a byte string."""
+    """Reads bits most-significant-first from a byte string.
+
+    Only a window of WINDOW_BYTES bytes is held as an integer, reloaded when
+    a read crosses its end, so a read costs the same however long the
+    stream is.
+    """
+
+    WINDOW_BYTES = 64
 
     def __init__(self, data: bytes, nbits: int | None = None):
-        self._data = int.from_bytes(data, "big")
+        self._data = bytes(data)
         self._total = len(data) * 8 if nbits is None else nbits
         if nbits is not None and nbits > len(data) * 8:
             raise ValueError("declared bit length exceeds buffer")
-        # Drop the right-padding so bit 0 is the first written bit.
-        self._data >>= len(data) * 8 - self._total
         self._pos = 0
+        self._window = 0
+        self._window_end = 0     # bit position just past the window
 
     def read(self, nbits: int) -> int:
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
-        if self._pos + nbits > self._total:
+        end = self._pos + nbits
+        if end > self._total:
             raise CorruptStreamError("bit stream exhausted")
-        shift = self._total - self._pos - nbits
-        self._pos += nbits
-        return (self._data >> shift) & ((1 << nbits) - 1)
+        if end > self._window_end:
+            first = self._pos // 8
+            last = max(first + self.WINDOW_BYTES, (end + 7) // 8)
+            chunk = self._data[first:last]
+            self._window = int.from_bytes(chunk, "big")
+            self._window_end = (first + len(chunk)) * 8
+        self._pos = end
+        return (self._window >> (self._window_end - end)) & ((1 << nbits) - 1)
 
     def read_unary(self, cap: int = 4096) -> int:
         """Count of leading one-bits before a zero; `cap` guards corrupt data."""
@@ -77,12 +90,3 @@ class BitReader:
 
     def tell(self) -> int:
         return self._pos
-
-    def seek(self, pos: int) -> None:
-        if pos < 0 or pos > self._total:
-            raise ValueError("seek out of range")
-        self._pos = pos
-
-    @property
-    def bits_left(self) -> int:
-        return self._total - self._pos

@@ -31,7 +31,6 @@ from .runner import (
     ExperimentConfig,
     RunResult,
     VerificationError,
-    replay,
     run_experiment,
 )
 from .schemes import SCHEMES
@@ -268,7 +267,7 @@ def _cmd_compress(args) -> int:
     summary_path = out.with_suffix(".json")
     summary_path.write_text(_summary_json(trace, cfg, result))
     if args.dump_frames:
-        _dump_containers(args.dump_frames, trace, cfg)
+        _dump_containers(args.dump_frames, trace, cfg, result)
     w = result.workload
     print(f"{trace.name}: scheme={cfg.scheme} accounting={cfg.accounting} "
           f"frames={w.frames_measured} rate={w.rate:.4f} "
@@ -410,12 +409,13 @@ def _summary_json(trace: SurfaceTrace, cfg: ExperimentConfig, result: RunResult)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _dump_containers(directory: str, trace: SurfaceTrace, cfg: ExperimentConfig) -> None:
+def _dump_containers(directory: str, trace: SurfaceTrace, cfg: ExperimentConfig,
+                     result: RunResult) -> None:
     """Write one container per measured frame, under the palette in force."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for m in replay(trace, cfg):
-        data = compress_frame(m.frame, cfg.scheme, ccd=m.ccd, table=m.table)
+    for m in result.replayed:
+        data = compress_frame(trace.frames[m.index], cfg.scheme, ccd=m.ccd, table=m.table)
         (out_dir / f"frame_{m.index:05d}.fbc").write_bytes(data)
 
 

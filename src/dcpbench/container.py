@@ -9,42 +9,31 @@ Layout (integers little-endian unless they live in the bit streams):
   rccd    u16 entry count + count x u32 colors (zero entries for RAS/RED)
   table   HUFFDCP only: u16 count + count x (u32 color, u8 code length)
   csb     packed status entries, padded to a byte boundary; palette schemes
-          store one entry per sub-block in global raster order, RAS/RED
-          store one 2-bit entry per block in block raster order
+          and HDCP store one entry per sub-block in global raster order,
+          RAS/RED store one 2-bit entry per block in block raster order
   payload per-block bit streams in block raster order, each byte-aligned
+
+The container knows no block format. Every codec returns one
+`CompressedBlock`: its status entries go into the status grid and its
+payload is appended as is; on the way back `dcp_codecs.read_block` decodes
+each block in place from the payload stream given its entries.
 
 Bandwidth accounting never reads container bytes; the burst model is the
 measurement path and this format exists for losslessness audits. Scheme facts
-come from `schemes.py`; `--dump-frames` takes palettes from `runner.replay`.
+come from `schemes.py`; `--dump-frames` takes the palettes that `run_experiment`
+kept from `runner.replay`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter, CorruptStreamError
-from .dcp_codecs import (
-    dcp_compress_block,
-    huffdcp_compress_block,
-    read_block,
-    vdcp_compress_block,
-)
+from .bitio import BitReader, CorruptStreamError
+from .dcp_codecs import block_codec, read_block
 from .huffman import HuffmanTable
 from .palette import Ccd, Rccd
-from .reference_codecs import (
-    GR_K_RAW,
-    HDCP_RAS_BASE,
-    RasBlock,
-    RedBlock,
-    golomb_rice_decode,
-    hybrid_compress_block,
-    ras_compress_block,
-    ras_decompress_block,
-    red_compress_block,
-    red_decompress_block,
-)
-from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme
-from .surface import BLOCK, Frame, block_refs, iter_blocks
+from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES
+from .surface import BLOCK, Frame, block_grid, block_refs, iter_blocks
 
 MAGIC = b"FBC1"
 
@@ -54,7 +43,9 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
-    blocks = [_encode_block(s, block, ccd, table) for _, _, block, _ in iter_blocks(frame)]
+    compress = block_codec(s.codec, "compress")
+    palette = {CCD: ccd, HUFFMAN: table}.get(s.palette)
+    blocks = [compress(block, palette) for _, _, block, _ in iter_blocks(frame)]
 
     out = bytearray()
     out += MAGIC
@@ -72,54 +63,16 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
             out += int(color).to_bytes(4, "little")
             out.append(int(length))
 
-    csb = BitWriter()
-    if s.per_block:
-        for blk in blocks:
-            csb.write(blk.size_class if s.codec == "ras" else blk.cls, s.status_bits)
-    else:
-        padded, _ = frame.padded()
-        nbx = padded.shape[1] // BLOCK
-        cells_y = padded.shape[0] // 2
-        cells_x = padded.shape[1] // 2
-        entries = np.zeros((cells_y, cells_x), dtype=np.int64)
-        for ref_idx, blk in enumerate(blocks):
-            by, bx = divmod(ref_idx, nbx)
-            entries[by * 4:(by + 1) * 4, bx * 4:(bx + 1) * 4] = \
-                np.array(blk.csb, dtype=np.int64).reshape(4, 4)
-        for value in entries.reshape(-1).tolist():
-            csb.write(value, s.status_bits)
-    csb.align_byte()
-    out += csb.to_bytes()
-
+    # Each block's k x k status entries go to their place in the frame's
+    # raster-order grid: k = 1 per block, or 4 per 2x2 sub-block.
+    nbx, nby = block_grid(frame.width, frame.height)
+    k = 1 if s.per_block else 4
+    entries = np.array([blk.csb for blk in blocks], dtype=np.uint8)
+    grid = entries.reshape(nby, nbx, k, k).transpose(0, 2, 1, 3).reshape(-1, 1)
+    out += np.packbits(np.unpackbits(grid, axis=1)[:, 8 - s.status_bits:]).tobytes()
     # Per-block payloads are byte-aligned already, so they just concatenate.
-    payload = bytearray()
-    for blk in blocks:
-        if s.codec == "red":
-            w = BitWriter()
-            for color in blk.colors:
-                w.write(color, 32)
-            payload += w.to_bytes()
-        elif s.codec == "hybrid":
-            inner = blk.vdcp if blk.winner == "VDCP" else blk.ras
-            payload += inner.payload
-        else:
-            payload += blk.payload
-    out += payload
+    out += b"".join(blk.payload for blk in blocks)
     return bytes(out)
-
-
-def _encode_block(s: Scheme, block, ccd, table):
-    if s.codec == "dcp":
-        return dcp_compress_block(block, ccd)
-    if s.codec == "vdcp":
-        return vdcp_compress_block(block, ccd)
-    if s.codec == "huffdcp":
-        return huffdcp_compress_block(block, table)
-    if s.codec == "ras":
-        return ras_compress_block(block)
-    if s.codec == "red":
-        return red_compress_block(block)
-    return hybrid_compress_block(block, ccd)
 
 
 def decompress_frame(data: bytes) -> Frame:
@@ -143,63 +96,21 @@ def decompress_frame(data: bytes) -> Frame:
             pos += 5
         palette = HuffmanTable(colors, lengths)
 
-    refs = block_refs(width, height)
-    nbx, nby = -(-width // BLOCK), -(-height // BLOCK)
-    cells = len(refs) if s.per_block else (nby * 4) * (nbx * 4)
+    nbx, nby = block_grid(width, height)
+    k = 1 if s.per_block else 4
+    cells = nby * nbx * k * k
     csb_bytes = (cells * s.status_bits + 7) // 8
-    csb = BitReader(data[pos:pos + csb_bytes])
+    packed = np.frombuffer(data[pos:pos + csb_bytes], dtype=np.uint8)
+    if packed.size < csb_bytes:
+        raise CorruptStreamError("status buffer truncated")
     pos += csb_bytes
-    statuses = [csb.read(s.status_bits) for _ in range(cells)]
-    if not s.per_block:
-        grid = np.array(statuses, dtype=np.int64).reshape(nby * 4, nbx * 4)
+    bits = np.unpackbits(packed)[:cells * s.status_bits].reshape(cells, s.status_bits)
+    values = bits.dot(1 << np.arange(s.status_bits - 1, -1, -1))
+    grid = values.reshape(nby, k, nbx, k).transpose(0, 2, 1, 3).reshape(nby * nbx, k * k)
 
-    codec = "vdcp" if s.codec == "hybrid" else s.codec   # HDCP's palette blocks are VDCP's
     reader = BitReader(data[pos:])
     padded = np.zeros((nby * BLOCK, nbx * BLOCK), dtype=np.uint32)
-    for ref_idx, (x0, y0) in enumerate(refs):
-        by, bx = divmod(ref_idx, nbx)
-        if s.codec == "red":
-            block = red_decompress_block(
-                _read_red_block(statuses[ref_idx], reader))
-        elif s.codec == "ras":
-            block = ras_decompress_block(
-                _read_ras_block(statuses[ref_idx], reader))
-        else:
-            entries = grid[by * 4:(by + 1) * 4, bx * 4:(bx + 1) * 4].reshape(-1).tolist()
-            if s.codec == "hybrid" and entries[0] >= HDCP_RAS_BASE:
-                block = ras_decompress_block(
-                    _read_ras_block(entries[0] - HDCP_RAS_BASE, reader))
-            else:
-                block = read_block(codec, reader, entries, palette)
+    for (x0, y0), entries in zip(block_refs(width, height), grid.tolist()):
+        padded[y0:y0 + BLOCK, x0:x0 + BLOCK] = read_block(s.codec, reader, entries, palette)
         reader.align_byte()
-        padded[y0:y0 + BLOCK, x0:x0 + BLOCK] = block
     return Frame(padded[:height, :width].copy())
-
-
-def _slice_bits(reader: BitReader, nbits: int) -> bytes:
-    value = reader.read(nbits)
-    nbytes = (nbits + 7) // 8
-    return (value << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
-
-
-def _read_red_block(status, reader) -> RedBlock:
-    count = {0: 8, 1: 16, 2: 64}[status]
-    return RedBlock(status, tuple(reader.read(32) for _ in range(count)))
-
-
-def _read_ras_block(size_class: int, reader: BitReader) -> RasBlock:
-    if size_class == 3:
-        return RasBlock(3, _slice_bits(reader, 2048), 2048, 2048)
-    # The stream is self-terminating: walk it once to measure, then slice.
-    mark = reader.tell()
-    for _ in range(4):
-        k = reader.read(3)
-        if k == GR_K_RAW:
-            reader.read(64 * 8)
-        else:
-            for _ in range(64):
-                golomb_rice_decode(reader, k)
-    nbits = reader.tell() - mark
-    reader.seek(mark)
-    return RasBlock(size_class, _slice_bits(reader, nbits), nbits,
-                    (size_class + 1) * 512)

@@ -15,13 +15,20 @@ Each scheme has a per-block bitstream codec (exact, used for round-trip
 verification and the frame container) and a vectorized whole-frame cost
 engine used by the benchmark runner; tests pin the two against each other.
 
+Every block codec, here and in `reference_codecs`, returns one
+`CompressedBlock`, and `read_block` decodes any of them in place from a
+`BitReader` given its status entries. The codec modules are the only owners
+of the block bitstream formats: the container stores status entries and
+payloads without knowing what is in them.
+
 Payload bits are packed most-significant-bit first, sub-blocks in raster
 order; raw sub-blocks store their four packed pixels the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +46,23 @@ VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 en
 # v for a zero-based max palette index m: the smallest v with 2**v > m.
 _VDCP_WIDTH = np.array([m.bit_length() for m in range(VDCP_MAX_CCD)], dtype=np.int64)
 
+
 @dataclass
 class CompressedBlock:
-    scheme: str
-    csb: tuple[int, ...]       # 16 status entries, sub-block raster order
+    """One block's output from any block codec.
+
+    `csb` holds the status entries as the container stores them: 16 in
+    sub-block raster order for the palette schemes and HDCP, one per block
+    for RAS (its size class) and RED (its class). `payload` is the stream,
+    padded to a byte boundary. `cost_bits` is what the burst model charges
+    and the frame engines must reproduce: the stream bits for the palette
+    schemes and RED, the size-class bits for RAS, the winner's for HDCP.
+    """
+
+    csb: tuple[int, ...]
     payload: bytes
-    payload_bits: int
+    payload_bits: int          # true stream bits before the byte padding
+    cost_bits: int
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +123,33 @@ def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
             csb.append(status)
             for value, width in fields:
                 w.write(value, width)
-    return CompressedBlock(codec.upper(), tuple(csb), w.to_bytes(), w.bit_length)
+    return CompressedBlock(tuple(csb), w.to_bytes(), w.bit_length, w.bit_length)
 
 
-def read_block(codec: str, reader: BitReader, csb, palette) -> np.ndarray:
-    """Decode one block's sub-blocks in place from `reader`.
+def _codec_module(codec: str):
+    """The module that owns a codec family's bitstream format."""
+    if codec in _FAMILIES:
+        return sys.modules[__name__]
+    from . import reference_codecs   # it imports this module, so it is found when called
+    return reference_codecs
 
-    `palette` is the reverse palette for "dcp" and "vdcp" and the Huffman
-    table for "huffdcp". Prefix codes have data-dependent lengths, so the
-    container decodes every palette block this way rather than slicing it.
+
+def block_codec(codec: str, op: str):
+    """`<codec>_<op>_block` for op "compress" or "decompress", looked up on
+    its module when called, so that a patched codec is the one that runs."""
+    return getattr(_codec_module(codec), f"{codec}_{op}_block")
+
+
+def read_block(codec: str, reader: BitReader, csb, palette=None) -> np.ndarray:
+    """Decode one block in place from `reader`, given its status entries.
+
+    `palette` is the reverse palette for "dcp", "vdcp" and "hybrid", the
+    Huffman table for "huffdcp", and unused by "ras" and "red". The reader is
+    left just past the block's stream; a status no encoder writes raises
+    CorruptStreamError.
     """
+    if codec not in _FAMILIES:
+        return _codec_module(codec).READERS[codec](reader, csb, palette)
     raw_status, _, read = _FAMILIES[codec]
     groups = []
     for status in csb:
@@ -129,8 +164,8 @@ def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
     return _compress_block("dcp", block, ccd)
 
 
-def dcp_decompress_block(comp: CompressedBlock, rccd: Rccd) -> np.ndarray:
-    return read_block("dcp", BitReader(comp.payload, comp.payload_bits), comp.csb, rccd)
+def dcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
+    return read_block("dcp", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
 
 
 def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
@@ -139,16 +174,17 @@ def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
     return _compress_block("vdcp", block, ccd)
 
 
-def vdcp_decompress_block(comp: CompressedBlock, rccd: Rccd) -> np.ndarray:
-    return read_block("vdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, rccd)
+def vdcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
+    return read_block("vdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
 
 
 def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlock:
     return _compress_block("huffdcp", block, table)
 
 
-def huffdcp_decompress_block(comp: CompressedBlock, table: HuffmanTable) -> np.ndarray:
-    return read_block("huffdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, table)
+def huffdcp_decompress_block(comp: CompressedBlock,
+                             palette: HuffmanTable | None = None) -> np.ndarray:
+    return read_block("huffdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +307,6 @@ class CodecState:
     huffman: HuffmanTable | None = None
     enabled: bool = True
     last_coverage: float = float("nan")
-    last_ranked: list = field(default_factory=list)
 
     def collects_on(self, frame_index: int) -> bool:
         return frame_index % self.frame_sampling == 0
@@ -289,7 +324,6 @@ def advance_frame(state: CodecState) -> CodecState:
     if state.coverage_threshold is not None:
         state.enabled = state.last_coverage >= state.coverage_threshold
     ranked = fvc.ranked_values()
-    state.last_ranked = ranked
     scheme = SCHEMES[state.scheme]
     if scheme.adaptive:
         n = fvc.config.pixel_sampling

@@ -5,17 +5,27 @@ Both reference codecs are block self-contained: no pixel outside the 8x8
 block is ever consulted, preserving random block access. RAS predicts each
 channel sample with the median edge detector, using the constant 128 where
 the left / above / above-left neighbor falls outside the block.
+
+This module owns the RAS, RED and HDCP block formats. Their compressors
+return the same `CompressedBlock` as the palette codecs, with one status
+entry per block for RAS (its size class) and RED (its class) and 16 for
+HDCP; `READERS` decodes each in place from a `BitReader`, and
+`dcp_codecs.read_block` is the one entry point to them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bandwidth import charged_bursts
 from .bitio import BitReader, BitWriter, CorruptStreamError
-from .dcp_codecs import CompressedBlock, vdcp_compress_block, vdcp_decompress_block, vdcp_frame_cost
+from .dcp_codecs import (
+    VDCP_RAW,
+    CompressedBlock,
+    read_block,
+    vdcp_compress_block,
+    vdcp_frame_cost,
+)
 from .palette import Ccd, Rccd
 
 GR_K_MAX = 6
@@ -54,6 +64,12 @@ def golomb_rice_decode(reader: BitReader, k: int, cap: int = 4096) -> int:
     q = reader.read_unary(cap)
     r = reader.read(k) if k else 0
     return (q << k) | r
+
+
+def _read_pixels(reader: BitReader, count: int) -> np.ndarray:
+    """`count` raw 32-bit pixels, read as one field."""
+    data = reader.read(32 * count).to_bytes(4 * count, "big")
+    return np.frombuffer(data, dtype=">u4").astype(np.uint32)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +113,8 @@ def med_residuals(plane: np.ndarray) -> np.ndarray:
 # RED: uniform-region classification
 
 RED_C8, RED_C4, RED_RAW = 0, 1, 2
+# 8 region colors, 16 sub-block colors, or 64 raw pixels, 32 bits each.
 RED_CHARGED_BITS = {RED_C8: 256, RED_C4: 512, RED_RAW: 2048}
-
-
-@dataclass
-class RedBlock:
-    cls: int
-    colors: tuple[int, ...]    # 8 region colors, 16 sub-block colors, or 64 raw
 
 
 def _red_regions8(block: np.ndarray) -> np.ndarray:
@@ -126,25 +137,32 @@ def red_classify_block(block: np.ndarray) -> tuple[int, int]:
     return RED_RAW, RED_CHARGED_BITS[RED_RAW]
 
 
-def red_compress_block(block: np.ndarray) -> RedBlock:
-    cls, _ = red_classify_block(block)
+def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
+    """The class's region colors as 32-bit words; `palette` is unused."""
+    cls, bits = red_classify_block(block)
     if cls == RED_C8:
-        colors = _red_regions8(block)[:, 0, :, 0].reshape(-1)
+        colors = _red_regions8(block)[:, 0, :, 0]
     elif cls == RED_C4:
-        colors = _red_regions4(block)[:, 0, :, 0].reshape(-1)
+        colors = _red_regions4(block)[:, 0, :, 0]
     else:
-        colors = block.reshape(-1)
-    return RedBlock(cls, tuple(int(c) for c in colors))
+        colors = block
+    return CompressedBlock((cls,), colors.astype(">u4").tobytes(), bits, bits)
 
 
-def red_decompress_block(rb: RedBlock) -> np.ndarray:
-    if rb.cls == RED_C8:
-        grid = np.array(rb.colors, dtype=np.uint32).reshape(4, 2)
-        return np.repeat(np.repeat(grid, 2, axis=0), 4, axis=1)
-    if rb.cls == RED_C4:
-        grid = np.array(rb.colors, dtype=np.uint32).reshape(4, 4)
-        return np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
-    return np.array(rb.colors, dtype=np.uint32).reshape(8, 8)
+def red_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
+    return read_block("red", BitReader(comp.payload, comp.payload_bits), comp.csb)
+
+
+def _read_red(reader: BitReader, csb, palette=None) -> np.ndarray:
+    bits = RED_CHARGED_BITS.get(csb[0])
+    if bits is None:
+        raise CorruptStreamError(f"RED status {csb[0]} is not a class")
+    colors = _read_pixels(reader, bits // 32)
+    if csb[0] == RED_C8:
+        return np.repeat(np.repeat(colors.reshape(4, 2), 2, axis=0), 4, axis=1)
+    if csb[0] == RED_C4:
+        return np.repeat(np.repeat(colors.reshape(4, 4), 2, axis=0), 2, axis=1)
+    return colors.reshape(8, 8)
 
 
 def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
@@ -169,13 +187,11 @@ def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # RAS: MED prediction + Golomb-Rice, quantized to four block sizes
+#
+# The status entry is the size class, 0..3 for 512/1024/1536/2048 charged
+# bits; class 3 stores the 64 pixels raw.
 
-@dataclass
-class RasBlock:
-    size_class: int            # 0..3 for 512/1024/1536/2048 charged bits
-    payload: bytes
-    payload_bits: int          # true stream bits
-    charged_bits: int
+RAS_RAW_CLASS = 3
 
 
 def _quantize_512(bits: int | np.ndarray):
@@ -192,12 +208,13 @@ def _choose_k(zz: np.ndarray) -> tuple[int, int]:
     return best_k, best_bits
 
 
-def ras_compress_block(block: np.ndarray) -> RasBlock:
+def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
     """Encode one block: per channel a 3-bit k then the sample stream.
 
     A channel whose best Golomb-Rice size exceeds its raw size (512 bits)
     stores raw samples under k=7. A block whose channel total exceeds 1536
-    bits is stored as 64 raw pixels and charged the full 2048.
+    bits is stored as 64 raw pixels and charged the full 2048. `palette` is
+    unused.
     """
     planes = [((block >> s) & np.uint32(0xFF)).astype(np.int64) for s in _CHANNEL_SHIFTS]
     choices = []
@@ -215,7 +232,7 @@ def ras_compress_block(block: np.ndarray) -> RasBlock:
         w = BitWriter()
         for p in block.reshape(-1).tolist():
             w.write(p, 32)
-        return RasBlock(3, w.to_bytes(), w.bit_length, RAW_BLOCK_BITS)
+        return CompressedBlock((RAS_RAW_CLASS,), w.to_bytes(), w.bit_length, RAW_BLOCK_BITS)
     w = BitWriter()
     for k, samples in choices:
         w.write(k, 3)
@@ -226,14 +243,18 @@ def ras_compress_block(block: np.ndarray) -> RasBlock:
             for z in samples.tolist():
                 golomb_rice_encode(w, z, k)
     charged = int(_quantize_512(total))
-    return RasBlock(charged // 512 - 1, w.to_bytes(), w.bit_length, charged)
+    return CompressedBlock((charged // 512 - 1,), w.to_bytes(), w.bit_length, charged)
 
 
-def ras_decompress_block(rb: RasBlock) -> np.ndarray:
-    r = BitReader(rb.payload, rb.payload_bits)
-    if rb.size_class == 3:
-        pixels = [r.read(32) for _ in range(64)]
-        return np.array(pixels, dtype=np.uint32).reshape(8, 8)
+def ras_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
+    return read_block("ras", BitReader(comp.payload, comp.payload_bits), comp.csb)
+
+
+def _read_ras(r: BitReader, csb, palette=None) -> np.ndarray:
+    size_class = csb[0]
+    if size_class == RAS_RAW_CLASS:
+        return _read_pixels(r, 64).reshape(8, 8)
+    start = r.tell()
     planes = []
     for _ in range(4):
         k = r.read(3)
@@ -252,6 +273,11 @@ def ras_decompress_block(rb: RasBlock) -> np.ndarray:
                 c = vals[y - 1][x - 1] if x and y else 128
                 vals[y][x] = res + med_predict(a, b, c)
         planes.append(vals)
+    # The stream is exactly the bits its size class was charged for, less
+    # under 512; anything else means the status or the stream is corrupt.
+    if not size_class * 512 < r.tell() - start <= (size_class + 1) * 512:
+        raise CorruptStreamError(
+            f"RAS stream of {r.tell() - start} bits does not fit size class {size_class}")
     out = np.zeros((8, 8), dtype=np.uint32)
     for plane, shift in zip(planes, _CHANNEL_SHIFTS):
         out |= (np.array(plane, dtype=np.uint32) & np.uint32(0xFF)) << np.uint32(shift)
@@ -295,15 +321,7 @@ def ras_frame_cost(padded: np.ndarray, block_real: np.ndarray
 HDCP_RAS_BASE = 8              # 5-bit status values 8..11 carry the RAS class
 
 
-@dataclass
-class HybridBlock:
-    winner: str                # "VDCP" or "RAS"
-    csb: tuple[int, ...]       # 16 5-bit entries
-    vdcp: CompressedBlock | None
-    ras: RasBlock | None
-
-
-def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> HybridBlock:
+def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
     """Compress with both codecs, keep the one needing fewer bursts.
 
     Ties go to VDCP. The RAS outcome replicates its size class into all 16
@@ -311,17 +329,28 @@ def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> HybridBlock:
     """
     vb = vdcp_compress_block(block, ccd)
     rb = ras_compress_block(block)
-    v_bursts = charged_bursts(vb.payload_bits)
-    r_bursts = rb.charged_bits // 128
-    if v_bursts <= r_bursts:
-        return HybridBlock("VDCP", vb.csb, vb, None)
-    return HybridBlock("RAS", (HDCP_RAS_BASE + rb.size_class,) * 16, None, rb)
+    if charged_bursts(vb.cost_bits) <= charged_bursts(rb.cost_bits):
+        return vb
+    return CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
+                           rb.payload_bits, rb.cost_bits)
 
 
-def hybrid_decompress_block(hb: HybridBlock, rccd: Rccd) -> np.ndarray:
-    if hb.winner == "VDCP":
-        return vdcp_decompress_block(hb.vdcp, rccd)
-    return ras_decompress_block(hb.ras)
+def hybrid_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
+    return read_block("hybrid", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
+
+
+def _read_hybrid(reader: BitReader, csb, rccd: Rccd | None) -> np.ndarray:
+    if max(csb) <= VDCP_RAW:
+        return read_block("vdcp", reader, csb, rccd)
+    size_class = csb[0] - HDCP_RAS_BASE
+    if not 0 <= size_class <= RAS_RAW_CLASS or any(e != csb[0] for e in csb):
+        raise CorruptStreamError(f"HDCP status {list(csb)} is neither VDCP codes nor a RAS class")
+    return _read_ras(reader, (size_class,))
+
+
+# Block format -> in-place reader(reader, status entries, palette); reached
+# through dcp_codecs.read_block.
+READERS = {"ras": _read_ras, "red": _read_red, "hybrid": _read_hybrid}
 
 
 def hybrid_frame_cost(padded: np.ndarray, sb_real: np.ndarray, block_real: np.ndarray,

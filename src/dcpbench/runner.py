@@ -3,8 +3,8 @@
 `replay` is the one palette handoff loop. Frame 0 is warm-up: it populates
 the first collector and palette and is never measured. Every later frame is
 yielded with the palette built from the most recent collection frame;
-`run_experiment` charges it through the burst model and `--dump-frames`
-writes it to a container. Block costs come from the vectorized frame
+`run_experiment` charges it through the burst model and keeps what was
+yielded, from which `--dump-frames` writes containers. Block costs come from the vectorized frame
 engines; a seeded sample of blocks additionally runs through the exact
 per-block codecs, checking both losslessness and that the two cost paths
 agree. What differs between schemes is read from the table in `schemes.py`.
@@ -26,7 +26,6 @@ from .rng import SplitMix64, mix64
 from .schemes import HUFFMAN, SCHEMES, Scheme
 from .surface import (
     BLOCK,
-    Frame,
     SurfaceTrace,
     block_valid_counts,
     sub_block_valid_counts,
@@ -91,14 +90,19 @@ class RunResult:
     frames: list[FrameStats]
     blocks_verified: int = 0
     mean_relative_coverage: float = float("nan")
+    # The palettes in force for each measured frame, for writing containers.
+    replayed: list[ReplayFrame] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class ReplayFrame:
-    """One measured frame and the palette in force for it."""
+    """The palette in force for one measured frame.
+
+    The frame is `trace.frames[index]`; it is not held here, so a result
+    that keeps its ReplayFrames does not keep the trace's pixels alive.
+    """
 
     index: int
-    frame: Frame
     ccd: Ccd | None = None               # None while compression is gated off
     table: HuffmanTable | None = None
     palette_size: int = 0                # entries built, even when gated off
@@ -121,7 +125,7 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
     scheme = SCHEMES[cfg.scheme]
     if scheme.palette is None:
         for t in range(1, len(trace)):
-            yield ReplayFrame(t, trace.frames[t])
+            yield ReplayFrame(t)
         return
     fvc_cfg = replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed)
     state = dcp_codecs.CodecState(
@@ -137,7 +141,6 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
     for t, frame in enumerate(trace.frames):
         in_force = ReplayFrame(
             index=t,
-            frame=frame,
             ccd=state.ccd if state.enabled else None,
             table=state.huffman if state.enabled else None,
             palette_size=_palette_size(scheme, state),
@@ -181,11 +184,13 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
 
     verify_rng = SplitMix64(mix64(cfg.seed ^ 0xB10C5))
     frames_out: list[FrameStats] = []
+    replayed: list[ReplayFrame] = []
     blocks_verified = 0
     rel_covs: list[float] = []
 
     for m in replay(trace, cfg):
-        padded, _ = m.frame.padded()
+        replayed.append(m)
+        padded, _ = trace.frames[m.index].padded()
         bits, vdcp_wins = _frame_cost(scheme, m, padded, valid, sb_real, block_real, cfg.jobs)
         v_blocks = r_blocks = 0
         if vdcp_wins is not None:
@@ -230,7 +235,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     )
     workload.rate = bandwidth.workload_rate(frames_out, cfg.accounting)
     mean_rel = float(np.mean(rel_covs)) if rel_covs else float("nan")
-    return RunResult(workload, frames_out, blocks_verified, mean_rel)
+    return RunResult(workload, frames_out, blocks_verified, mean_rel, replayed)
 
 
 def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_real, jobs):
@@ -292,11 +297,15 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
         indices = sorted({rng.next_below(nblocks) for _ in range(want)})
     flat_real = block_real.reshape(-1)
     flat_bits = engine_bits.reshape(-1)
+    if scheme.palette == HUFFMAN:
+        palette = rpalette = m.table
+    else:
+        palette, rpalette = m.ccd, (m.ccd.rccd() if m.ccd is not None else Rccd([]))
     checked = 0
     for idx in indices:
         by, bx = divmod(idx, nbx)
         block = padded[by * BLOCK:(by + 1) * BLOCK, bx * BLOCK:(bx + 1) * BLOCK]
-        out, stream_bits = _block_round_trip(scheme, block, m)
+        out, stream_bits = _block_round_trip(scheme, block, palette, rpalette)
         if not np.array_equal(out, block):
             raise VerificationError(
                 f"{scheme.name} round-trip mismatch at frame {m.index} block ({bx},{by})")
@@ -308,26 +317,12 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     return checked
 
 
-def _block_round_trip(scheme: Scheme, block, m: ReplayFrame):
-    """(decoded block, accounting-comparable stream bits)."""
-    codec = scheme.codec
-    if codec == "ras":
-        rb = reference_codecs.ras_compress_block(block)
-        return reference_codecs.ras_decompress_block(rb), rb.charged_bits
-    if codec == "red":
-        red = reference_codecs.red_compress_block(block)
-        return reference_codecs.red_decompress_block(red), 32 * len(red.colors)
-    if codec == "huffdcp":
-        comp = dcp_codecs.huffdcp_compress_block(block, m.table)
-        return dcp_codecs.huffdcp_decompress_block(comp, m.table), comp.payload_bits
-    rccd = m.ccd.rccd() if m.ccd is not None else Rccd([])
-    if codec == "hybrid":
-        hb = reference_codecs.hybrid_compress_block(block, m.ccd)
-        decoded = reference_codecs.hybrid_decompress_block(hb, rccd)
-        bits = hb.vdcp.payload_bits if hb.winner == "VDCP" else hb.ras.charged_bits
-        return decoded, bits
-    if codec == "vdcp":
-        comp = dcp_codecs.vdcp_compress_block(block, m.ccd)
-        return dcp_codecs.vdcp_decompress_block(comp, rccd), comp.payload_bits
-    comp = dcp_codecs.dcp_compress_block(block, m.ccd)
-    return dcp_codecs.dcp_decompress_block(comp, rccd), comp.payload_bits
+def _block_round_trip(scheme: Scheme, block, palette, rpalette):
+    """(decoded block, the stream's accounting bits).
+
+    `palette` encodes and `rpalette` decodes; the reference codecs ignore
+    both. The codec pair is looked up on its module when called.
+    """
+    comp = dcp_codecs.block_codec(scheme.codec, "compress")(block, palette)
+    decoded = dcp_codecs.block_codec(scheme.codec, "decompress")(comp, rpalette)
+    return decoded, comp.cost_bits

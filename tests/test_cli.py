@@ -194,3 +194,24 @@ def test_dump_frames_round_trip(ui_trace, tmp_path):
     assert len(files) == 3
     for t, path in enumerate(files, start=1):
         assert frames_equal(decompress_frame(path.read_bytes()), trace.frames[t])
+
+
+@pytest.mark.parametrize("scheme", ["DCP", "HUFFDCP", "HDCP"])
+def test_dump_frames_replays_once(ui_trace, tmp_path, monkeypatch, scheme):
+    from dcpbench.fvc import Fvc
+
+    calls = []
+    real = Fvc.observe_frame
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fvc, "observe_frame", counting)
+    counts = []
+    for extra in ([], ["--dump-frames", str(tmp_path / "frames")]):
+        calls.clear()
+        assert main(["compress", str(ui_trace), "--scheme", scheme,
+                     "--out", str(tmp_path / "o.csv"), *extra]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 4     # one observation per trace frame

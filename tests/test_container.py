@@ -3,9 +3,12 @@ import pytest
 
 from conftest import block_pool, ccd_from_blocks
 
-from dcpbench.bitio import CorruptStreamError
+from dcpbench.bitio import BitReader, CorruptStreamError
 from dcpbench.container import compress_frame, decompress_frame
+from dcpbench.dcp_codecs import block_codec, read_block
 from dcpbench.huffman import build_table
+from dcpbench.palette import Rccd
+from dcpbench.reference_codecs import HDCP_RAS_BASE, RED_C4, RED_C8, RED_RAW
 from dcpbench.schemes import SCHEMES
 from dcpbench.surface import Frame, frames_equal
 
@@ -67,3 +70,79 @@ def test_scheme_tag_distinguishes_layouts():
     ras = compress_frame(frame, "RAS")
     assert vdcp[4] != ras[4]
     assert frames_equal(decompress_frame(vdcp), decompress_frame(ras))
+
+
+def _stream_cases():
+    """(codec, block, encode palette, decode palette) covering every status
+    kind: raw and coded sub-blocks, every RAS size class, every RED class and
+    both HDCP winners."""
+    blocks = block_pool(40, seed=13)
+    blocks.append(np.full((8, 8), 0x80808080, dtype=np.uint32))      # RAS class 0
+    noise = np.random.default_rng(0).integers(0, 1 << 32, size=(8, 8), dtype=np.uint64)
+    blocks.append(noise.astype(np.uint32))                            # RAS class 3
+    quads = np.indices((4, 4)).sum(axis=0) % 2
+    blocks.append(np.kron(quads, np.ones((2, 2), dtype=np.uint32)) + 7)  # RED C4
+    ccd = ccd_from_blocks(blocks[:8], 16)
+    table = build_table([(int(c), 30 - i) for i, c in enumerate(ccd.colors)])
+    rccd = ccd.rccd()
+    cases = []
+    for block in blocks:
+        cases += [("dcp", block, ccd, rccd), ("vdcp", block, ccd, rccd),
+                  ("huffdcp", block, table, table), ("ras", block, None, None),
+                  ("red", block, None, None), ("hybrid", block, ccd, rccd)]
+    return cases
+
+
+def test_every_decoder_stops_where_its_stream_ends():
+    sentinel = b"\xa5\x5a"
+    seen = {}
+    for codec, block, palette, rpalette in _stream_cases():
+        comp = block_codec(codec, "compress")(block, palette)
+        reader = BitReader(comp.payload + sentinel)
+        decoded = read_block(codec, reader, comp.csb, rpalette)
+        assert np.array_equal(decoded, block), codec
+        assert reader.tell() == comp.payload_bits, (codec, comp.csb)
+        reader.align_byte()
+        assert reader.read(16) == 0xA55A, (codec, comp.csb)
+        seen.setdefault(codec, set()).add(comp.csb[0] if codec in ("ras", "red", "hybrid")
+                                          else min(comp.csb))
+    assert seen["ras"] == {0, 1, 2, 3}
+    assert seen["red"] == {RED_C8, RED_C4, RED_RAW}
+    assert any(s < HDCP_RAS_BASE for s in seen["hybrid"])
+    assert any(s >= HDCP_RAS_BASE for s in seen["hybrid"])
+    assert {0, 1} <= seen["dcp"] and {0, 1} <= seen["huffdcp"]
+
+
+def test_container_rejects_red_status_3():
+    frame = _frame(1, width=16, height=8)
+    data = bytearray(compress_frame(frame, "RED"))
+    data[15] = 0xFF            # the status byte after a 2-byte empty palette
+    with pytest.raises(CorruptStreamError):
+        decompress_frame(bytes(data))
+
+
+@pytest.mark.parametrize("status", [12, 20, 31])
+def test_container_rejects_hdcp_status_past_ras_classes(status):
+    frame = Frame(np.full((8, 8), 0x80808080, dtype=np.uint32))
+    data = bytearray(compress_frame(frame, "HDCP"))  # no palette: RAS class 0
+    assert data[15] >> 3 == HDCP_RAS_BASE            # first 5-bit entry
+    data[15] = (status << 3) | (data[15] & 0b111)
+    with pytest.raises(CorruptStreamError):
+        decompress_frame(bytes(data))
+
+
+def test_hdcp_reader_rejects_mixed_status_entries():
+    block = np.full((8, 8), 0x80808080, dtype=np.uint32)
+    comp = block_codec("hybrid", "compress")(block, None)
+    assert comp.csb == (HDCP_RAS_BASE,) * 16
+    for csb in ((HDCP_RAS_BASE,) * 15 + (HDCP_RAS_BASE + 1,), (0,) * 15 + (HDCP_RAS_BASE,)):
+        with pytest.raises(CorruptStreamError):
+            read_block("hybrid", BitReader(comp.payload), csb, Rccd([]))
+
+
+def test_ras_reader_rejects_wrong_size_class():
+    block = np.full((8, 8), 0x80808080, dtype=np.uint32)
+    comp = block_codec("ras", "compress")(block)
+    assert comp.csb == (0,)
+    with pytest.raises(CorruptStreamError):
+        read_block("ras", BitReader(comp.payload), (1,))

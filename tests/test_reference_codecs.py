@@ -5,6 +5,7 @@ from conftest import block_pool, ccd_from_blocks, make_block
 
 from dcpbench.bitio import BitReader, BitWriter, CorruptStreamError
 from dcpbench.reference_codecs import (
+    HDCP_RAS_BASE,
     RED_C4,
     RED_C8,
     RED_RAW,
@@ -154,7 +155,7 @@ def test_ras_uniform_midgray_charges_one_quarter():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
     rb = ras_compress_block(block)
     assert rb.payload_bits == 4 * (3 + 64) == 268
-    assert rb.charged_bits == 512 and rb.size_class == 0
+    assert rb.cost_bits == 512 and rb.csb[0] == 0
     assert np.array_equal(ras_decompress_block(rb), block)
 
 
@@ -163,7 +164,7 @@ def test_ras_noise_block_goes_raw(rng):
         local = np.random.default_rng(seed)
         block = local.integers(0, 1 << 32, size=(8, 8), dtype=np.uint64).astype(np.uint32)
         rb = ras_compress_block(block)
-        assert rb.charged_bits == 2048 and rb.size_class == 3
+        assert rb.cost_bits == 2048 and rb.csb[0] == 3
         assert np.array_equal(ras_decompress_block(rb), block)
 
 
@@ -175,18 +176,18 @@ def test_ras_round_trip_every_class(rng):
     blocks.append(noise.astype(np.uint32))                        # class 3
     for block in blocks:
         rb = ras_compress_block(block)
-        seen.add(rb.size_class)
+        seen.add(rb.csb[0])
         assert np.array_equal(ras_decompress_block(rb), block)
-        assert rb.charged_bits >= rb.payload_bits or rb.size_class == 3
+        assert rb.cost_bits >= rb.payload_bits or rb.csb[0] == 3
     assert seen == {0, 1, 2, 3}
 
 
 def test_ras_charge_never_undercharges(rng):
     for block in block_pool(120, seed=5):
         rb = ras_compress_block(block)
-        if rb.size_class < 3:
-            assert rb.charged_bits >= rb.payload_bits
-            assert rb.charged_bits in (512, 1024, 1536)
+        if rb.csb[0] < 3:
+            assert rb.cost_bits >= rb.payload_bits
+            assert rb.cost_bits in (512, 1024, 1536)
 
 
 def test_ras_frame_cost_matches_blocks(rng):
@@ -199,9 +200,9 @@ def test_ras_frame_cost_matches_blocks(rng):
         for bx in range(4):
             block = padded[by * 8:(by + 1) * 8, bx * 8:(bx + 1) * 8]
             rb = ras_compress_block(block)
-            assert charged[by, bx] == rb.charged_bits
-            assert classes[by, bx] == rb.size_class
-            if rb.size_class < 3:
+            assert charged[by, bx] == rb.cost_bits
+            assert classes[by, bx] == rb.csb[0]
+            if rb.csb[0] < 3:
                 assert true_bits[by, bx] == rb.payload_bits
 
 
@@ -212,7 +213,7 @@ def test_hybrid_uniform_palette_block_prefers_vdcp():
     ccd = Ccd(np.arange(100, 116, dtype=np.uint32))
     block = np.full((8, 8), 100, dtype=np.uint32)   # palette index 0
     hb = hybrid_compress_block(block, ccd)
-    assert hb.winner == "VDCP"
+    assert hb.csb[0] < HDCP_RAS_BASE
     assert np.array_equal(hybrid_decompress_block(hb, ccd.rccd()), block)
 
 
@@ -220,8 +221,10 @@ def test_hybrid_gradient_block_prefers_ras():
     ccd = Ccd(np.arange(100, 116, dtype=np.uint32))
     block = make_block("gradient", np.random.default_rng(2))
     hb = hybrid_compress_block(block, ccd)
-    assert hb.winner == "RAS"
-    assert hb.csb == (8 + hb.ras.size_class,) * 16
+    assert hb.csb[0] >= HDCP_RAS_BASE
+    rb = ras_compress_block(block)
+    assert hb.csb == (8 + rb.csb[0],) * 16
+    assert (hb.payload, hb.cost_bits) == (rb.payload, rb.cost_bits)
     assert np.array_equal(hybrid_decompress_block(hb, ccd.rccd()), block)
 
 
