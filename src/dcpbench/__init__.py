@@ -21,7 +21,6 @@ from .bandwidth import (
     harmonic_mean,
 )
 from .dcp_codecs import (
-    CodecState,
     CompressedBlock,
     adcp_optimal_ccd_size,
     advance_frame,
@@ -51,7 +50,7 @@ from .surface import Frame, SurfaceTrace, load_trace, write_trace
 from .synth import SyntheticSpec, generate
 
 __all__ = [
-    "SCHEMES", "Ccd", "CodecState", "CompressedBlock", "ExperimentConfig",
+    "SCHEMES", "Ccd", "CompressedBlock", "ExperimentConfig",
     "Frame", "FrameStats", "Fvc", "FvcConfig", "HuffmanTable", "Rccd",
     "ReplayFrame", "RunResult", "Scheme", "SurfaceTrace", "SyntheticSpec",
     "WorkloadStats", "adcp_optimal_ccd_size", "advance_frame", "aggregate",

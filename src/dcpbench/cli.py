@@ -192,8 +192,9 @@ def build_config(args) -> ExperimentConfig:
             coverage_threshold=_typed(pick("ct", "ct", None), "ct", (int, float)),
             accounting=str(pick("accounting", "accounting", "full")),
             seed=seed,
-            verify_fraction=float(pick("verify_fraction", "verify_fraction", 0.01)),
-            verify_full=bool(pick("verify_full", "verify_full", False)),
+            # --verify-full (or "verify_full" in a config file) means fraction 1.
+            verify_fraction=(1.0 if pick("verify_full", "verify_full", False) else
+                             float(pick("verify_fraction", "verify_fraction", 0.01))),
             jobs=int(pick("jobs", "jobs", 1)),
         )
         cfg.validate()
@@ -415,7 +416,7 @@ def _dump_containers(directory: str, trace: SurfaceTrace, cfg: ExperimentConfig,
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     for m in result.replayed:
-        data = compress_frame(trace.frames[m.index], cfg.scheme, ccd=m.ccd, table=m.table)
+        data = compress_frame(trace.frames[m.index], cfg.scheme, m.palette)
         (out_dir / f"frame_{m.index:05d}.fbc").write_bytes(data)
 
 

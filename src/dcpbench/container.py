@@ -6,8 +6,9 @@ Layout (integers little-endian unless they live in the bit streams):
   scheme  u8       the scheme's tag in `schemes.py`
   width   u32      real frame width in pixels
   height  u32      real frame height
-  rccd    u16 entry count + count x u32 colors (zero entries for RAS/RED)
-  table   HUFFDCP only: u16 count + count x (u32 color, u8 code length)
+  rccd    the reverse palette, `Rccd.to_bytes` (zero entries unless the
+          scheme's palette is a CCD)
+  table   HUFFDCP only: the prefix-code table, `HuffmanTable.to_bytes`
   csb     packed status entries, padded to a byte boundary; palette schemes
           and HDCP store one entry per sub-block in global raster order,
           RAS/RED store one 2-bit entry per block in block raster order
@@ -18,10 +19,15 @@ The container knows no block format. Every codec returns one
 payload is appended as is; on the way back `dcp_codecs.read_block` decodes
 each block in place from the payload stream given its entries.
 
+Likewise the palettes serialize themselves: the container places their
+bytes and knows neither layout. A palette is passed as the one object
+`runner.replay` yields, which both encodes and decodes.
+
 Bandwidth accounting never reads container bytes; the burst model is the
 measurement path and this format exists for losslessness audits. Scheme facts
 come from `schemes.py`; `--dump-frames` takes the palettes that `run_experiment`
-kept from `runner.replay`.
+kept from `runner.replay`. Any damage the decoder detects raises
+`CorruptStreamError`.
 """
 
 from __future__ import annotations
@@ -36,15 +42,18 @@ from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES
 from .surface import BLOCK, Frame, block_grid, block_refs, iter_blocks
 
 MAGIC = b"FBC1"
+HEADER_BYTES = 13              # magic, scheme, width, height
 
 
-def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
-                   table: HuffmanTable | None = None) -> bytes:
+def compress_frame(frame: Frame, scheme: str,
+                   palette: Ccd | HuffmanTable | None = None) -> bytes:
+    """`palette` is the scheme's palette in force (a `Ccd` for the CCD
+    schemes, a `HuffmanTable` for HUFFDCP) or None for none; the reference
+    schemes ignore it."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
     compress = block_codec(s.codec, "compress")
-    palette = {CCD: ccd, HUFFMAN: table}.get(s.palette)
     blocks = [compress(block, palette) for _, _, block, _ in iter_blocks(frame)]
 
     out = bytearray()
@@ -52,16 +61,9 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
     out.append(s.tag)
     out += frame.width.to_bytes(4, "little")
     out += frame.height.to_bytes(4, "little")
-    if ccd is not None and s.palette == CCD:
-        out += ccd.rccd().to_bytes()
-    else:
-        out += Rccd([]).to_bytes()
+    out += (palette if s.palette == CCD and palette is not None else Rccd([])).to_bytes()
     if s.palette == HUFFMAN:
-        tbl = table if table is not None else HuffmanTable([], [])
-        out += len(tbl).to_bytes(2, "little")
-        for color, length in zip(tbl.colors.tolist(), tbl.lengths.tolist()):
-            out += int(color).to_bytes(4, "little")
-            out.append(int(length))
+        out += (palette if palette is not None else HuffmanTable([], [])).to_bytes()
 
     # Each block's k x k status entries go to their place in the frame's
     # raster-order grid: k = 1 per block, or 4 per 2x2 sub-block.
@@ -76,6 +78,8 @@ def compress_frame(frame: Frame, scheme: str, ccd: Ccd | None = None,
 
 
 def decompress_frame(data: bytes) -> Frame:
+    if len(data) < HEADER_BYTES:
+        raise CorruptStreamError("truncated container header")
     if data[:4] != MAGIC:
         raise CorruptStreamError("bad container magic")
     s = BY_TAG.get(data[4])
@@ -83,18 +87,12 @@ def decompress_frame(data: bytes) -> Frame:
         raise CorruptStreamError(f"unknown scheme tag {data[4]}")
     width = int.from_bytes(data[5:9], "little")
     height = int.from_bytes(data[9:13], "little")
-    pos = 13
+    pos = HEADER_BYTES
     palette = Rccd.from_bytes(data[pos:])
     pos += palette.byte_size
     if s.palette == HUFFMAN:
-        count = int.from_bytes(data[pos:pos + 2], "little")
-        pos += 2
-        colors, lengths = [], []
-        for _ in range(count):
-            colors.append(int.from_bytes(data[pos:pos + 4], "little"))
-            lengths.append(data[pos + 4])
-            pos += 5
-        palette = HuffmanTable(colors, lengths)
+        palette = HuffmanTable.from_bytes(data[pos:])
+        pos += palette.byte_size
 
     nbx, nby = block_grid(width, height)
     k = 1 if s.per_block else 4

@@ -1,4 +1,4 @@
-"""The palette codecs over 8x8 blocks and the frame-to-frame palette handoff.
+"""The palette codecs over 8x8 blocks and the palette rebuild between frames.
 
 Four schemes share one skeleton: a 2x2 sub-block is compressed only when all
 four of its pixels encode through the current palette, otherwise the four
@@ -14,6 +14,8 @@ raw 32-bit pixels are stored. They differ in how codes are sized:
 Each scheme has a per-block bitstream codec (exact, used for round-trip
 verification and the frame container) and a vectorized whole-frame cost
 engine used by the benchmark runner; tests pin the two against each other.
+`advance_frame` builds the next palette from the collector's ranking; the
+handoff around it (schedule, coverage gate, reset) is `runner.replay`.
 
 Every block codec, here and in `reference_codecs`, returns one
 `CompressedBlock`, and `read_block` decodes any of them in place from a
@@ -36,10 +38,9 @@ from .bitio import BitReader, BitWriter
 from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
 from .palette import Ccd, Rccd, build_ccd
-from .schemes import HUFFMAN, SCHEMES
+from .schemes import HUFFMAN, SCHEMES, Scheme
 from .surface import assemble_sub_blocks, sub_block_pixels
 
-RAW_SUB_BLOCK_BITS = 128      # 4 pixels x 32 bits
 VDCP_RAW = 7                  # 3-bit status value marking a raw sub-block
 VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 entries
 
@@ -285,59 +286,26 @@ def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Frame-to-frame state
+# Palette rebuild
 
-@dataclass
-class CodecState:
-    """Palette state crossing frame boundaries.
+def advance_frame(scheme: Scheme, fvc: Fvc, frame_pixels: int,
+                  ccd_size: int | None = None) -> Ccd | HuffmanTable:
+    """The next palette, built from the collector's ranking.
 
-    Frame 0 of a trace only populates the collector; the palette built from
-    it compresses the following frames. Under frame sampling with period N
-    the collector is enabled on frames where index % N == 0 and the palette
-    it produces serves the next N frames.
+    ADCP sizes its palette from the ranked frequencies; HUFFDCP builds a
+    prefix-code table over the top `ccd_size` colors (all of them when
+    unset); the other palette schemes take the top `ccd_size` colors, by
+    default as many as the collector holds and their status bits address.
+    An empty ranking gives an empty palette. When to rebuild, the coverage
+    gate and the collector reset belong to `runner.replay`.
     """
-
-    scheme: str
-    fvc: Fvc
-    frame_pixels: int
-    frame_sampling: int = 1
-    coverage_threshold: float | None = None
-    ccd_size: int | None = None          # explicit size for DCP/VDCP/HUFFDCP
-    ccd: Ccd | None = None
-    huffman: HuffmanTable | None = None
-    enabled: bool = True
-    last_coverage: float = float("nan")
-
-    def collects_on(self, frame_index: int) -> bool:
-        return frame_index % self.frame_sampling == 0
-
-
-def advance_frame(state: CodecState) -> CodecState:
-    """Close a collection frame: gate on coverage, rebuild, reset the FVC.
-
-    When a coverage threshold is set and the collector's coverage falls
-    below it, compression is disabled for the next period; blocks pass
-    through raw while status metadata stays accounted.
-    """
-    fvc = state.fvc
-    state.last_coverage = fvc.coverage() if fvc.samples_observed else 0.0
-    if state.coverage_threshold is not None:
-        state.enabled = state.last_coverage >= state.coverage_threshold
     ranked = fvc.ranked_values()
-    scheme = SCHEMES[state.scheme]
     if scheme.adaptive:
         n = fvc.config.pixel_sampling
-        freqs = [f * n for _, f in ranked]
-        size = adcp_optimal_ccd_size(freqs, state.frame_pixels,
+        size = adcp_optimal_ccd_size([f * n for _, f in ranked], frame_pixels,
                                      max_size=fvc.entry_count)
-        state.ccd = build_ccd(ranked, size)
-    elif scheme.palette == HUFFMAN:
-        top = ranked[:state.ccd_size] if state.ccd_size else ranked
-        state.huffman = build_table(top) if top else None
-    elif scheme.palette is not None:
-        size = state.ccd_size or min(fvc.entry_count, scheme.max_palette or fvc.entry_count)
-        state.ccd = build_ccd(ranked, size)
-    else:
-        raise ValueError(f"scheme {state.scheme!r} carries no palette state")
-    fvc.reset()
-    return state
+        return build_ccd(ranked, size)
+    if scheme.palette == HUFFMAN:
+        return build_table(ranked[:ccd_size] if ccd_size else ranked)
+    return build_ccd(ranked, ccd_size or min(fvc.entry_count,
+                                             scheme.max_palette or fvc.entry_count))

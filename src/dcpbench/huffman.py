@@ -1,4 +1,10 @@
-"""Canonical prefix codes over ranked color frequencies."""
+"""Canonical prefix codes over ranked color frequencies.
+
+A `HuffmanTable` is HUFFDCP's palette: it encodes and decodes the codes and
+serializes itself for the frame container. Only the color and the code
+length of each entry are stored; the codes follow from the lengths by the
+canonical assignment.
+"""
 
 from __future__ import annotations
 
@@ -61,6 +67,10 @@ def canonical_codes(lengths: list[int]) -> list[int]:
     return codes
 
 
+# One serialized table entry: little-endian u32 color, u8 code length.
+_ENTRY = np.dtype([("color", "<u4"), ("length", "u1")])
+
+
 class HuffmanTable:
     """Prefix-code table over ranked colors, canonical assignment."""
 
@@ -81,6 +91,28 @@ class HuffmanTable:
 
     def __len__(self) -> int:
         return int(self.colors.size)
+
+    def to_bytes(self) -> bytes:
+        """Serialized layout: u16 entry count, then per entry the u32 color
+        and the u8 code length."""
+        entries = np.empty(len(self), dtype=_ENTRY)
+        entries["color"] = self.colors
+        entries["length"] = self.lengths
+        return len(self).to_bytes(2, "little") + entries.tobytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "HuffmanTable":
+        if len(data) < 2:
+            raise CorruptStreamError("truncated Huffman table")
+        count = int.from_bytes(data[:2], "little")
+        if len(data) < 2 + _ENTRY.itemsize * count:
+            raise CorruptStreamError("truncated Huffman table")
+        entries = np.frombuffer(data[2:2 + _ENTRY.itemsize * count], dtype=_ENTRY)
+        return cls(entries["color"].tolist(), entries["length"].tolist())
+
+    @property
+    def byte_size(self) -> int:
+        return 2 + _ENTRY.itemsize * len(self)
 
     def encode(self, color: int) -> tuple[int, int] | None:
         return self._enc.get(int(color))

@@ -1,4 +1,5 @@
-"""Color palettes: ranked color -> short code, and the inverse read-side map."""
+"""Color palettes: the read-side map code -> color, and the forward palette
+that adds color -> code on top of it."""
 
 from __future__ import annotations
 
@@ -14,54 +15,13 @@ def largest_pow2_le(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-class Ccd:
-    """Forward palette: index i encodes the i-th most frequent color.
-
-    Index 0 always holds the most frequent color; the order is exactly the
-    ranked-frequency order it was built from, so a size-k palette is a
-    prefix of the size-2k palette built from the same ranking.
-    """
-
-    def __init__(self, colors):
-        arr = np.asarray(list(colors), dtype=np.uint32)
-        if arr.ndim != 1:
-            raise ValueError("palette colors must be a flat sequence")
-        if len(np.unique(arr)) != arr.size:
-            raise ValueError("palette colors must be unique")
-        self.colors = arr
-        self._index = {int(c): i for i, c in enumerate(arr.tolist())}
-        order = np.argsort(arr, kind="stable")
-        self._sorted_colors = arr[order]
-        self._sorted_to_code = order.astype(np.int64)
-        # Code width in bits; a single-entry palette needs zero bits. Stored
-        # once because the block codecs read it for every code.
-        self.bits_per_code = (arr.size - 1).bit_length() if arr.size else 0
-
-    def __len__(self) -> int:
-        return int(self.colors.size)
-
-    def encode(self, color: int) -> int | None:
-        return self._index.get(int(color))
-
-    def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized encode: (codes, hit). codes is -1 where hit is False."""
-        if len(self) == 0:
-            return np.full(pixels.shape, -1, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
-        pos = np.searchsorted(self._sorted_colors, pixels)
-        pos = np.minimum(pos, len(self) - 1)
-        hit = self._sorted_colors[pos] == pixels
-        codes = np.where(hit, self._sorted_to_code[pos], -1)
-        return codes, hit
-
-    def rccd(self) -> "Rccd":
-        return Rccd(self.colors)
-
-
 class Rccd:
     """Reverse palette (code -> color), attached to compressed frames."""
 
     def __init__(self, colors):
         self.colors = np.asarray(colors, dtype=np.uint32)
+        # Code width in bits; a single-entry palette needs zero bits. Stored
+        # once because the block codecs read it for every code.
         self.bits_per_code = (self.colors.size - 1).bit_length() if self.colors.size else 0
 
     def __len__(self) -> int:
@@ -90,6 +50,42 @@ class Rccd:
     @property
     def byte_size(self) -> int:
         return 2 + 4 * len(self)
+
+
+class Ccd(Rccd):
+    """Forward palette: the reverse palette plus a color -> index map.
+
+    Index 0 always holds the most frequent color; the order is exactly the
+    ranked-frequency order it was built from, so a size-k palette is a
+    prefix of the size-2k palette built from the same ranking. The same
+    object encodes a frame and decodes it, and serializes as its reverse
+    palette.
+    """
+
+    def __init__(self, colors):
+        super().__init__(list(colors))
+        arr = self.colors
+        if arr.ndim != 1:
+            raise ValueError("palette colors must be a flat sequence")
+        if len(np.unique(arr)) != arr.size:
+            raise ValueError("palette colors must be unique")
+        self._index = {int(c): i for i, c in enumerate(arr.tolist())}
+        order = np.argsort(arr, kind="stable")
+        self._sorted_colors = arr[order]
+        self._sorted_to_code = order.astype(np.int64)
+
+    def encode(self, color: int) -> int | None:
+        return self._index.get(int(color))
+
+    def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized encode: (codes, hit). codes is -1 where hit is False."""
+        if len(self) == 0:
+            return np.full(pixels.shape, -1, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
+        pos = np.searchsorted(self._sorted_colors, pixels)
+        pos = np.minimum(pos, len(self) - 1)
+        hit = self._sorted_colors[pos] == pixels
+        codes = np.where(hit, self._sorted_to_code[pos], -1)
+        return codes, hit
 
 
 def build_ccd(ranked: list[tuple[int, int]], size: int) -> Ccd:

@@ -30,7 +30,6 @@ from .palette import Ccd, Rccd
 
 GR_K_MAX = 6
 GR_K_RAW = 7                   # "special mode": channel stored raw
-RAS_SIZES = (512, 1024, 1536, 2048)   # the "3 sizes" plus raw
 RAW_CHANNEL_BITS = 512         # 64 samples x 8 bits
 RAW_BLOCK_BITS = 2048
 _CHANNEL_SHIFTS = (0, 8, 16, 24)      # R, G, B, A
@@ -278,10 +277,11 @@ def _read_ras(r: BitReader, csb, palette=None) -> np.ndarray:
     if not size_class * 512 < r.tell() - start <= (size_class + 1) * 512:
         raise CorruptStreamError(
             f"RAS stream of {r.tell() - start} bits does not fit size class {size_class}")
-    out = np.zeros((8, 8), dtype=np.uint32)
-    for plane, shift in zip(planes, _CHANNEL_SHIFTS):
-        out |= (np.array(plane, dtype=np.uint32) & np.uint32(0xFF)) << np.uint32(shift)
-    return out
+    samples = np.array(planes, dtype=np.int64)
+    if samples.min() < 0 or samples.max() > 255:
+        raise CorruptStreamError("RAS sample outside 0..255")
+    shifts = np.array(_CHANNEL_SHIFTS, dtype=np.int64).reshape(4, 1, 1)
+    return (samples << shifts).sum(axis=0).astype(np.uint32)
 
 
 def _block_sum(values: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 `replay` is the one palette handoff loop. Frame 0 is warm-up: it populates
 the first collector and palette and is never measured. Every later frame is
-yielded with the palette built from the most recent collection frame;
-`run_experiment` charges it through the burst model and keeps what was
-yielded, from which `--dump-frames` writes containers. Block costs come from the vectorized frame
-engines; a seeded sample of blocks additionally runs through the exact
-per-block codecs, checking both losslessness and that the two cost paths
-agree. What differs between schemes is read from the table in `schemes.py`.
+yielded with the palette built from the most recent collection frame, one
+object that encodes, decodes and serializes itself; `run_experiment`
+charges the frame through the burst model and keeps what was yielded, from
+which `--dump-frames` writes containers. Block costs come from the
+vectorized frame engines; a seeded sample of distinct blocks additionally
+runs through the exact per-block codecs, checking both losslessness and
+that the two cost paths agree. What differs between schemes is read from
+the table in `schemes.py`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from . import bandwidth, dcp_codecs, reference_codecs
 from .bandwidth import ACCOUNTING_MODES, FrameStats, WorkloadStats
 from .fvc import Fvc, FvcConfig, is_pow2, relative_coverage
 from .huffman import HuffmanTable
-from .palette import Ccd, Rccd
+from .palette import Ccd
 from .rng import SplitMix64, mix64
-from .schemes import HUFFMAN, SCHEMES, Scheme
+from .schemes import SCHEMES, Scheme
 from .surface import (
     BLOCK,
     SurfaceTrace,
@@ -49,8 +51,7 @@ class ExperimentConfig:
     coverage_threshold: float | None = None
     accounting: str = "full"
     seed: int = 0
-    verify_fraction: float = 0.01
-    verify_full: bool = False
+    verify_fraction: float = 0.01        # 1.0 verifies every block
     jobs: int = 1
     track_relative_coverage: bool = False
 
@@ -103,8 +104,7 @@ class ReplayFrame:
     """
 
     index: int
-    ccd: Ccd | None = None               # None while compression is gated off
-    table: HuffmanTable | None = None
+    palette: Ccd | HuffmanTable | None = None   # None while compression is gated off
     palette_size: int = 0                # entries built, even when gated off
     rccd_bytes: int = 0                  # palette bytes first sent with this frame
     coverage: float = float("nan")
@@ -118,56 +118,45 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
     """Yield every measured frame with the palette in force for it.
 
     This is the palette handoff: warm-up on frame 0, collection every
-    cfg.frame_sampling frames, the coverage gate, and the reverse-palette
-    bytes charged to the first frame that uses a new palette. A frame's
-    palette is fixed before the collector observes that frame.
+    cfg.frame_sampling frames, and after each collection the coverage gate,
+    the rebuild (`dcp_codecs.advance_frame`) and the collector reset. A
+    palette's serialized size is charged to the first frame that uses it.
+    A frame's palette is fixed before the collector observes that frame.
     """
     scheme = SCHEMES[cfg.scheme]
     if scheme.palette is None:
         for t in range(1, len(trace)):
             yield ReplayFrame(t)
         return
-    fvc_cfg = replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed)
-    state = dcp_codecs.CodecState(
-        scheme=cfg.scheme,
-        fvc=Fvc(fvc_cfg),
-        frame_pixels=trace.width * trace.height,
-        frame_sampling=cfg.frame_sampling,
-        coverage_threshold=cfg.coverage_threshold,
-        ccd_size=cfg.ccd_size,
-    )
-    pending_rccd_bytes = 0
+    fvc = Fvc(replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed))
+    palette, coverage, enabled = None, float("nan"), True
     rel_covs: list[float] = []
     for t, frame in enumerate(trace.frames):
-        in_force = ReplayFrame(
-            index=t,
-            ccd=state.ccd if state.enabled else None,
-            table=state.huffman if state.enabled else None,
-            palette_size=_palette_size(scheme, state),
-            rccd_bytes=pending_rccd_bytes,
-            coverage=state.last_coverage,
-            enabled=state.enabled,
-        )
-        if state.collects_on(t):      # always true on the warm-up frame
-            state.fvc.observe_frame(frame)
+        in_force = palette, coverage, enabled
+        if t % cfg.frame_sampling == 0:      # always true on the warm-up frame
+            fvc.observe_frame(frame)
             if cfg.track_relative_coverage:
-                rel_covs.append(relative_coverage(state.fvc.ranked_values(), frame,
-                                                  top_n=state.fvc.entry_count))
-            dcp_codecs.advance_frame(state)
-            # Reverse-palette serialization: u16 count + u32 per color; the
-            # Huffman table additionally carries one length byte per entry.
-            per_entry = 5 if scheme.palette == HUFFMAN else 4
-            pending_rccd_bytes = 2 + per_entry * _palette_size(scheme, state)
-        else:
-            pending_rccd_bytes = 0
+                rel_covs.append(relative_coverage(fvc.ranked_values(), frame,
+                                                  top_n=fvc.entry_count))
+            coverage = fvc.coverage() if fvc.samples_observed else 0.0
+            if cfg.coverage_threshold is not None:
+                enabled = coverage >= cfg.coverage_threshold
+            palette = dcp_codecs.advance_frame(scheme, fvc, trace.width * trace.height,
+                                               cfg.ccd_size)
+            fvc.reset()
         if t >= 1:
-            yield replace(in_force, relative_coverages=tuple(rel_covs))
+            built, cov, on = in_force
+            yield ReplayFrame(
+                index=t,
+                palette=built if on else None,
+                palette_size=len(built),
+                # A palette travels with the first frame that uses it.
+                rccd_bytes=built.byte_size if (t - 1) % cfg.frame_sampling == 0 else 0,
+                coverage=cov,
+                enabled=on,
+                relative_coverages=tuple(rel_covs),
+            )
             rel_covs.clear()
-
-
-def _palette_size(scheme: Scheme, state) -> int:
-    palette = state.huffman if scheme.palette == HUFFMAN else state.ccd
-    return len(palette) if palette else 0
 
 
 def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
@@ -180,7 +169,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     uncompressed_bits = int(raw_bits.sum())
     uncompressed_bursts = int(bandwidth.bursts(raw_bits).sum())
     csb_bits = bandwidth.csb_frame_bits(trace.width, trace.height, cfg.scheme)
-    csb_bursts = bandwidth.bursts(csb_bits)
+    csb_bursts = bandwidth.csb_overhead(trace.width, trace.height, cfg.scheme)
 
     verify_rng = SplitMix64(mix64(cfg.seed ^ 0xB10C5))
     frames_out: list[FrameStats] = []
@@ -245,13 +234,13 @@ def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_re
     is the one that runs.
     """
     engine = {
-        "dcp": lambda p, v, s, b: dcp_codecs.dcp_frame_cost(p, s, m.ccd),
-        "vdcp": lambda p, v, s, b: dcp_codecs.vdcp_frame_cost(p, s, m.ccd),
-        "huffdcp": lambda p, v, s, b: dcp_codecs.huffdcp_frame_cost(p, v, s, m.table),
+        "dcp": lambda p, v, s, b: dcp_codecs.dcp_frame_cost(p, s, m.palette),
+        "vdcp": lambda p, v, s, b: dcp_codecs.vdcp_frame_cost(p, s, m.palette),
+        "huffdcp": lambda p, v, s, b: dcp_codecs.huffdcp_frame_cost(p, v, s, m.palette),
         "ras": lambda p, v, s, b: reference_codecs.ras_frame_cost(p, b)[0],
         "red": lambda p, v, s, b: reference_codecs.red_frame_cost(p, v, s, b)[0],
         # (bits, VDCP-won mask); HDCP bursts follow from the bits like any other's.
-        "hybrid": lambda p, v, s, b: reference_codecs.hybrid_frame_cost(p, s, b, m.ccd)[::2],
+        "hybrid": lambda p, v, s, b: reference_codecs.hybrid_frame_cost(p, s, b, m.palette)[::2],
     }[scheme.codec]
     out = _banded(engine, padded, valid, sb_real, block_real, jobs)
     return out if isinstance(out, tuple) else (out, None)
@@ -283,29 +272,20 @@ def _banded(fn, padded, valid, sb_real, block_real, jobs):
 
 def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
                   engine_bits, rng) -> int:
-    """Round-trip a sample of blocks through the exact per-block codecs.
+    """Round-trip a sample of distinct blocks through the exact codecs.
 
     Fully live blocks must also reproduce the vectorized engine's
     accounting bits exactly; edge blocks are checked for losslessness only.
     """
     nby, nbx = block_real.shape
     nblocks = nby * nbx
-    if cfg.verify_full:
-        indices = range(nblocks)
-    else:
-        want = max(1, round(cfg.verify_fraction * nblocks))
-        indices = sorted({rng.next_below(nblocks) for _ in range(want)})
+    indices = _sample(rng, nblocks, max(1, round(cfg.verify_fraction * nblocks)))
     flat_real = block_real.reshape(-1)
     flat_bits = engine_bits.reshape(-1)
-    if scheme.palette == HUFFMAN:
-        palette = rpalette = m.table
-    else:
-        palette, rpalette = m.ccd, (m.ccd.rccd() if m.ccd is not None else Rccd([]))
-    checked = 0
     for idx in indices:
         by, bx = divmod(idx, nbx)
         block = padded[by * BLOCK:(by + 1) * BLOCK, bx * BLOCK:(bx + 1) * BLOCK]
-        out, stream_bits = _block_round_trip(scheme, block, palette, rpalette)
+        out, stream_bits = _block_round_trip(scheme, block, m.palette)
         if not np.array_equal(out, block):
             raise VerificationError(
                 f"{scheme.name} round-trip mismatch at frame {m.index} block ({bx},{by})")
@@ -313,16 +293,24 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
             raise VerificationError(
                 f"{scheme.name} cost mismatch at frame {m.index} block ({bx},{by}): "
                 f"stream {stream_bits} bits vs engine {int(flat_bits[idx])}")
-        checked += 1
-    return checked
+    return len(indices)
 
 
-def _block_round_trip(scheme: Scheme, block, palette, rpalette):
+def _sample(rng: SplitMix64, n: int, k: int) -> list[int]:
+    """k distinct indices in range(n), ascending (Floyd's algorithm)."""
+    chosen: set[int] = set()
+    for j in range(n - k, n):
+        pick = rng.next_below(j + 1)
+        chosen.add(j if pick in chosen else pick)
+    return sorted(chosen)
+
+
+def _block_round_trip(scheme: Scheme, block, palette):
     """(decoded block, the stream's accounting bits).
 
-    `palette` encodes and `rpalette` decodes; the reference codecs ignore
-    both. The codec pair is looked up on its module when called.
+    The one palette both encodes and decodes; the reference codecs ignore
+    it. The codec pair is looked up on its module when called.
     """
     comp = dcp_codecs.block_codec(scheme.codec, "compress")(block, palette)
-    decoded = dcp_codecs.block_codec(scheme.codec, "decompress")(comp, rpalette)
+    decoded = dcp_codecs.block_codec(scheme.codec, "decompress")(comp, palette)
     return decoded, comp.cost_bits

@@ -15,7 +15,6 @@ import numpy as np
 
 BLOCK = 8        # pixel block edge, fixed
 SUB = 2          # sub-block edge, fixed
-RAW_BLOCK_BITS = BLOCK * BLOCK * 32   # 2048 bits for a full block
 
 CATEGORIES = ("UI", "2D", "3D", "synthetic", "unknown")
 

@@ -13,9 +13,7 @@ from conftest import frame_from_cells, rand_palette
 
 from dcpbench.bandwidth import charged_bursts, csb_frame_bits, csb_overhead
 from dcpbench.dcp_codecs import (
-    CodecState,
     adcp_optimal_ccd_size,
-    advance_frame,
     dcp_compress_block,
     dcp_decompress_block,
     huffdcp_compress_block,
@@ -38,7 +36,7 @@ from dcpbench.reference_codecs import (
     red_compress_block,
     red_decompress_block,
 )
-from dcpbench.runner import ExperimentConfig, run_experiment
+from dcpbench.runner import ExperimentConfig, replay, run_experiment
 from dcpbench.surface import (
     Frame,
     SurfaceTrace,
@@ -152,15 +150,14 @@ def test_c01_lossless_round_trip_all_schemes():
     for i, block in enumerate(blocks):
         size = sizes[i % 4]
         ccd = ccds[size]
-        rccd = ccd.rccd()
         table = tables[size]
         pairs = (
-            dcp_decompress_block(dcp_compress_block(block, ccd), rccd),
-            vdcp_decompress_block(vdcp_compress_block(block, ccd), rccd),
+            dcp_decompress_block(dcp_compress_block(block, ccd), ccd),
+            vdcp_decompress_block(vdcp_compress_block(block, ccd), ccd),
             huffdcp_decompress_block(huffdcp_compress_block(block, table), table),
             ras_decompress_block(ras_compress_block(block)),
             red_decompress_block(red_compress_block(block)),
-            hybrid_decompress_block(hybrid_compress_block(block, ccd), rccd),
+            hybrid_decompress_block(hybrid_compress_block(block, ccd), ccd),
         )
         for out in pairs:
             if not np.array_equal(out, block):
@@ -335,23 +332,16 @@ def test_c09_scheme_ordering_on_synthetic_corpora():
             sb_real = sub_block_valid_counts(valid)
             block_real = block_valid_counts(valid)
             raw_bursts = (32 * block_real + 127) // 128
-            state = CodecState(scheme="HDCP", fvc=Fvc(FvcConfig()),
-                               frame_pixels=tr.width * tr.height)
-            for t, frame in enumerate(tr.frames):
-                padded, _ = frame.padded()
-                if t >= 1:
-                    vbits = vdcp_frame_cost(padded, sb_real, state.ccd)
-                    vbursts = np.minimum((vbits + 127) // 128, raw_bursts)
-                    rcharged, _, _ = ras_frame_cost(padded, block_real)
-                    rbursts = (rcharged + 127) // 128
-                    _, hbursts, _ = hybrid_frame_cost(padded, sb_real, block_real,
-                                                      state.ccd)
-                    floor = np.minimum(vbursts, rbursts)
-                    total_blocks += hbursts.size
-                    dominated += int((hbursts <= floor).sum())
-                if state.collects_on(t):
-                    state.fvc.observe_frame(frame)
-                    advance_frame(state)
+            for m in replay(tr, ExperimentConfig(scheme="HDCP")):
+                padded, _ = tr.frames[m.index].padded()
+                vbits = vdcp_frame_cost(padded, sb_real, m.palette)
+                vbursts = np.minimum((vbits + 127) // 128, raw_bursts)
+                rcharged, _, _ = ras_frame_cost(padded, block_real)
+                rbursts = (rcharged + 127) // 128
+                _, hbursts, _ = hybrid_frame_cost(padded, sb_real, block_real, m.palette)
+                floor = np.minimum(vbursts, rbursts)
+                total_blocks += hbursts.size
+                dominated += int((hbursts <= floor).sum())
     elapsed = time.time() - start
     ok = (ui_wins >= 9 and noise_wins >= 9 and dominated == total_blocks
           and elapsed < 300)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dcpbench.cli import main
+from dcpbench.cli import build_config, build_parser, main
 from dcpbench.runner import VerificationError
 
 
@@ -174,6 +174,22 @@ def test_config_file_wrong_type(ui_trace, tmp_path, capsys, values):
                "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, values, fraction", [
+    ([], {}, 0.01),
+    (["--verify-fraction", "0.5"], {}, 0.5),
+    (["--verify-full"], {}, 1.0),
+    (["--verify-fraction", "0.5", "--verify-full"], {}, 1.0),
+    ([], {"verify_full": True}, 1.0),
+    ([], {"verify_full": False, "verify_fraction": 0.25}, 0.25),
+], ids=["default", "fraction", "full-flag", "full-wins", "full-key", "fraction-key"])
+def test_verify_full_sets_fraction_one(tmp_path, flags, values, fraction):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    args = build_parser().parse_args(["compress", "trace", "--out", "o.csv",
+                                      "--config", str(cfg), *flags])
+    assert build_config(args).verify_fraction == fraction
 
 
 def test_invalid_config_combination(ui_trace, tmp_path):

@@ -9,8 +9,10 @@ from dcpbench.dcp_codecs import block_codec, read_block
 from dcpbench.huffman import build_table
 from dcpbench.palette import Rccd
 from dcpbench.reference_codecs import HDCP_RAS_BASE, RED_C4, RED_C8, RED_RAW
-from dcpbench.schemes import SCHEMES
+from dcpbench.runner import ExperimentConfig, replay
+from dcpbench.schemes import HUFFMAN, SCHEMES
 from dcpbench.surface import Frame, frames_equal
+from dcpbench.synth import SyntheticSpec, generate
 
 
 def _frame(seed, width=40, height=24):
@@ -28,7 +30,7 @@ def test_container_round_trip_block_aligned(scheme):
     blocks = block_pool(18, seed=3)
     ccd = ccd_from_blocks(blocks, 16)
     table = build_table([(int(c), 50 - i) for i, c in enumerate(ccd.colors)])
-    data = compress_frame(frame, scheme, ccd=ccd, table=table)
+    data = compress_frame(frame, scheme, table if SCHEMES[scheme].palette == HUFFMAN else ccd)
     assert frames_equal(decompress_frame(data), frame)
 
 
@@ -39,13 +41,13 @@ def test_container_round_trip_with_padding(scheme):
     blocks = block_pool(12, seed=7)
     ccd = ccd_from_blocks(blocks, 8)
     table = build_table([(int(c), 20 - i) for i, c in enumerate(ccd.colors)])
-    data = compress_frame(frame, scheme, ccd=ccd, table=table)
+    data = compress_frame(frame, scheme, table if SCHEMES[scheme].palette == HUFFMAN else ccd)
     assert frames_equal(decompress_frame(data), frame)
 
 
 def test_container_empty_palette():
     frame = _frame(5, width=16, height=16)
-    data = compress_frame(frame, "DCP", ccd=None)
+    data = compress_frame(frame, "DCP", None)
     assert frames_equal(decompress_frame(data), frame)
 
 
@@ -66,16 +68,16 @@ def test_scheme_tag_distinguishes_layouts():
     frame = _frame(9, width=16, height=16)
     blocks = block_pool(4, seed=9)
     ccd = ccd_from_blocks(blocks, 8)
-    vdcp = compress_frame(frame, "VDCP", ccd=ccd)
+    vdcp = compress_frame(frame, "VDCP", ccd)
     ras = compress_frame(frame, "RAS")
     assert vdcp[4] != ras[4]
     assert frames_equal(decompress_frame(vdcp), decompress_frame(ras))
 
 
 def _stream_cases():
-    """(codec, block, encode palette, decode palette) covering every status
-    kind: raw and coded sub-blocks, every RAS size class, every RED class and
-    both HDCP winners."""
+    """(codec, block, palette) covering every status kind: raw and coded
+    sub-blocks, every RAS size class, every RED class and both HDCP
+    winners."""
     blocks = block_pool(40, seed=13)
     blocks.append(np.full((8, 8), 0x80808080, dtype=np.uint32))      # RAS class 0
     noise = np.random.default_rng(0).integers(0, 1 << 32, size=(8, 8), dtype=np.uint64)
@@ -84,22 +86,20 @@ def _stream_cases():
     blocks.append(np.kron(quads, np.ones((2, 2), dtype=np.uint32)) + 7)  # RED C4
     ccd = ccd_from_blocks(blocks[:8], 16)
     table = build_table([(int(c), 30 - i) for i, c in enumerate(ccd.colors)])
-    rccd = ccd.rccd()
     cases = []
     for block in blocks:
-        cases += [("dcp", block, ccd, rccd), ("vdcp", block, ccd, rccd),
-                  ("huffdcp", block, table, table), ("ras", block, None, None),
-                  ("red", block, None, None), ("hybrid", block, ccd, rccd)]
+        cases += [("dcp", block, ccd), ("vdcp", block, ccd), ("huffdcp", block, table),
+                  ("ras", block, None), ("red", block, None), ("hybrid", block, ccd)]
     return cases
 
 
 def test_every_decoder_stops_where_its_stream_ends():
     sentinel = b"\xa5\x5a"
     seen = {}
-    for codec, block, palette, rpalette in _stream_cases():
+    for codec, block, palette in _stream_cases():
         comp = block_codec(codec, "compress")(block, palette)
         reader = BitReader(comp.payload + sentinel)
-        decoded = read_block(codec, reader, comp.csb, rpalette)
+        decoded = read_block(codec, reader, comp.csb, palette)
         assert np.array_equal(decoded, block), codec
         assert reader.tell() == comp.payload_bits, (codec, comp.csb)
         reader.align_byte()
@@ -146,3 +146,41 @@ def test_ras_reader_rejects_wrong_size_class():
     assert comp.csb == (0,)
     with pytest.raises(CorruptStreamError):
         read_block("ras", BitReader(comp.payload), (1,))
+
+
+def _damaged(data: bytes, rng, flips: int, cuts: int):
+    """Truncations of `data` at every length under 256 bytes and at `cuts`
+    seeded longer lengths, then `flips` seeded single-bit flips past the
+    header."""
+    lengths = list(range(min(len(data), 256)))
+    if len(data) > 256:
+        lengths += rng.integers(256, len(data), size=cuts).tolist()
+    for n in lengths:
+        yield data[:n]
+    for bit in rng.integers(13 * 8, 8 * len(data), size=flips).tolist():
+        blob = bytearray(data)
+        blob[bit // 8] ^= 0x80 >> (bit % 8)
+        yield bytes(blob)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_damaged_containers_raise_only_corrupt_stream_error(scheme):
+    # A wrong frame decoded without an error is still allowed: FBC1 has no
+    # integrity check.
+    trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=0))
+    (m,) = replay(trace, ExperimentConfig(scheme=scheme))
+    data = compress_frame(trace.frames[1], scheme, m.palette)
+    assert frames_equal(decompress_frame(data), trace.frames[1])
+    rng = np.random.default_rng(SCHEMES[scheme].tag)
+    for blob in _damaged(data, rng, flips=200, cuts=100):
+        try:
+            decompress_frame(blob)
+        except CorruptStreamError:
+            pass
+
+
+def test_container_rejects_header_only_blob():
+    data = compress_frame(_frame(1, width=16, height=8), "DCP")
+    for n in (0, 4, 5, 12):
+        with pytest.raises(CorruptStreamError):
+            decompress_frame(data[:n])

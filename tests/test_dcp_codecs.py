@@ -6,7 +6,6 @@ import pytest
 from conftest import block_pool, ccd_from_blocks
 
 from dcpbench.dcp_codecs import (
-    CodecState,
     adcp_optimal_ccd_size,
     advance_frame,
     dcp_compress_block,
@@ -22,7 +21,9 @@ from dcpbench.dcp_codecs import (
 from dcpbench.fvc import Fvc, FvcConfig
 from dcpbench.huffman import build_table
 from dcpbench.palette import Ccd
-from dcpbench.surface import Frame, sub_block_valid_counts
+from dcpbench.runner import ExperimentConfig, replay
+from dcpbench.schemes import SCHEMES
+from dcpbench.surface import Frame, SurfaceTrace, sub_block_valid_counts
 
 
 def test_dcp_uniform_block_384_bits():
@@ -47,7 +48,7 @@ def test_dcp_empty_palette_all_raw():
     comp = dcp_compress_block(block, Ccd([]))
     assert comp.csb == (0,) * 16
     assert comp.payload_bits == 2048
-    out = dcp_decompress_block(comp, Ccd([]).rccd())
+    out = dcp_decompress_block(comp, Ccd([]))
     assert np.array_equal(out, block)
 
 
@@ -56,18 +57,17 @@ def test_dcp_size_one_palette_zero_payload():
     block = np.full((8, 8), 9, dtype=np.uint32)
     comp = dcp_compress_block(block, ccd)
     assert comp.payload_bits == 0
-    assert np.array_equal(dcp_decompress_block(comp, ccd.rccd()), block)
+    assert np.array_equal(dcp_decompress_block(comp, ccd), block)
 
 
 @pytest.mark.parametrize("size", [1, 2, 16, 64])
 def test_round_trips_random_blocks(size, rng):
     blocks = block_pool(60, seed=size)
     ccd = ccd_from_blocks(blocks, size)
-    rccd = ccd.rccd()
     table = build_table([(int(c), 10 + i) for i, c in enumerate(ccd.colors)][::-1])
     for block in blocks:
-        assert np.array_equal(dcp_decompress_block(dcp_compress_block(block, ccd), rccd), block)
-        assert np.array_equal(vdcp_decompress_block(vdcp_compress_block(block, ccd), rccd), block)
+        assert np.array_equal(dcp_decompress_block(dcp_compress_block(block, ccd), ccd), block)
+        assert np.array_equal(vdcp_decompress_block(vdcp_compress_block(block, ccd), ccd), block)
         assert np.array_equal(
             huffdcp_decompress_block(huffdcp_compress_block(block, table), table), block)
 
@@ -85,7 +85,7 @@ def test_vdcp_status_widths():
     assert comp.csb[3] == 0      # all C0 -> zero bits
     bits = 4 * 2 + 4 * 1 + 128 + 0 + 12 * 0
     assert comp.payload_bits == bits
-    assert np.array_equal(vdcp_decompress_block(comp, ccd.rccd()), block)
+    assert np.array_equal(vdcp_decompress_block(comp, ccd), block)
 
 
 def test_vdcp_rejects_oversized_palette():
@@ -189,57 +189,63 @@ def test_frame_cost_excludes_padding():
     assert int(bits.sum()) == 32 * 96
 
 
-def make_state(scheme, entries=64, **kw):
-    return CodecState(scheme=scheme, fvc=Fvc(FvcConfig(entry_count=entries)),
-                      frame_pixels=4096, **kw)
+def replayed(frames, scheme, entries=64, **kw):
+    """The ReplayFrames of a trace made of `frames`, under an `entries`-entry
+    collector."""
+    trace = SurfaceTrace([Frame(np.asarray(f, dtype=np.uint32)) for f in frames])
+    cfg = ExperimentConfig(scheme=scheme, fvc=FvcConfig(entry_count=entries), **kw)
+    return list(replay(trace, cfg))
 
 
 def test_advance_frame_gates_on_coverage():
     # 100 samples of which 69 stay resident: coverage 0.69 < CT 0.7.
-    state = make_state("DCP", entries=4, coverage_threshold=0.7)
-    state.fvc.observe_run(1, 50)
-    state.fvc.observe_run(2, 10)
-    state.fvc.observe_run(3, 8)
-    for c in range(100, 132):   # singletons thrash the fourth slot
-        state.fvc.observe(c)
-    advance_frame(state)
-    assert state.last_coverage == pytest.approx(0.69)
-    assert not state.enabled
+    # Singletons thrash the fourth slot.
+    first = np.array([1] * 50 + [2] * 10 + [3] * 8 + list(range(100, 132))).reshape(10, 10)
+    (m,) = replayed([first, first], "DCP", entries=4, coverage_threshold=0.7)
+    assert m.coverage == pytest.approx(0.69)
+    assert not m.enabled
+    assert m.palette is None and m.palette_size == 4
 
-    state2 = make_state("DCP", entries=2, coverage_threshold=0.7)
-    state2.fvc.observe_run(1, 70)
-    state2.fvc.observe_run(2, 30)
-    advance_frame(state2)
-    assert state2.last_coverage == 1.0
-    assert state2.enabled
+    first2 = np.array([1] * 70 + [2] * 30).reshape(10, 10)
+    (m2,) = replayed([first2, first2], "DCP", entries=2, coverage_threshold=0.7)
+    assert m2.coverage == 1.0
+    assert m2.enabled
+    assert len(m2.palette) == 2
 
 
 def test_advance_frame_builds_per_scheme():
     colors = np.arange(100, 110, dtype=np.uint32)
-    pixels = np.repeat(colors, np.arange(10, 0, -1) * 8)
+    pixels = np.repeat(colors, np.arange(10, 0, -1) * 8).reshape(8, -1)
 
-    for scheme, expect in (("DCP", 8), ("VDCP", 8), ("ADCP", 8)):
-        state = make_state(scheme, entries=8)
-        state.frame_pixels = pixels.size
-        state.fvc.observe_frame(Frame(pixels.reshape(8, -1)))
-        advance_frame(state)
-        assert len(state.ccd) == expect
-        assert state.fvc.samples_observed == 0   # reset happened
+    for scheme, expect in (("DCP", 8), ("VDCP", 8), ("ADCP", 8), ("HUFFDCP", 8)):
+        fvc = Fvc(FvcConfig(entry_count=8))
+        fvc.observe_frame(Frame(pixels))
+        assert len(advance_frame(SCHEMES[scheme], fvc, pixels.size)) == expect
+        # The collector is reset between collections: the second palette
+        # holds only the second frame's colors.
+        ms = replayed([pixels, pixels + 1000, pixels], scheme, entries=8)
+        assert len(ms[0].palette) == expect
+        assert ms[1].palette.colors.min() >= 1100
 
-    state = make_state("HUFFDCP", entries=8)
-    state.fvc.observe_frame(Frame(pixels.reshape(8, -1)))
-    advance_frame(state)
-    assert len(state.huffman) == 8
+    # An empty ranking gives an empty table, not None.
+    assert len(advance_frame(SCHEMES["HUFFDCP"], Fvc(FvcConfig(entry_count=8)), 4096)) == 0
 
 
 def test_advance_frame_respects_explicit_size():
-    state = make_state("DCP", entries=64, ccd_size=4)
-    state.fvc.observe_frame(Frame(np.arange(64, dtype=np.uint32).reshape(8, 8)))
-    advance_frame(state)
-    assert len(state.ccd) == 4
+    fvc = Fvc(FvcConfig(entry_count=64))
+    fvc.observe_frame(Frame(np.arange(64, dtype=np.uint32).reshape(8, 8)))
+    assert len(advance_frame(SCHEMES["DCP"], fvc, 4096, ccd_size=4)) == 4
 
 
-def test_collects_on_schedule():
-    state = make_state("DCP", frame_sampling=3)
-    assert [state.collects_on(t) for t in range(7)] == [
+def test_collects_on_schedule(monkeypatch):
+    observed = []
+    real = Fvc.observe_frame
+
+    def observe(fvc, frame):
+        observed.append(int(frame.pixels[0, 0]))
+        real(fvc, frame)
+
+    monkeypatch.setattr(Fvc, "observe_frame", observe)
+    replayed([np.full((8, 8), t) for t in range(7)], "DCP", frame_sampling=3)
+    assert [t in observed for t in range(7)] == [
         True, False, False, True, False, False, True]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.huffman import build_table, canonical_codes, code_lengths
+from dcpbench.huffman import HuffmanTable, build_table, canonical_codes, code_lengths
 from dcpbench.palette import Ccd, Rccd, build_ccd, largest_pow2_le
 from dcpbench.bitio import BitReader, BitWriter
 
@@ -39,9 +39,11 @@ def test_prefix_property():
 def test_encode_decode_identity(rng):
     colors = np.unique(rng.integers(0, 1 << 32, size=64, dtype=np.uint64).astype(np.uint32))
     ccd = Ccd(colors)
-    rccd = ccd.rccd()
     for c in colors.tolist():
-        assert rccd.decode(ccd.encode(c)) == c
+        assert ccd.decode(ccd.encode(c)) == c
+    # A forward palette serializes as its reverse palette.
+    assert ccd.to_bytes() == Rccd(colors).to_bytes()
+    assert ccd.byte_size == Rccd(colors).byte_size
 
 
 def test_decode_out_of_range():
@@ -152,3 +154,28 @@ def test_table_lookup_matches_encode(rng):
     assert hit.tolist() == [[True, True], [True, False]]
     for value, l in ((10, lens[0, 0]), (20, lens[0, 1]), (30, lens[1, 0])):
         assert table.encode(value)[1] == l
+
+
+def test_table_serialization_round_trip(rng):
+    colors = np.unique(rng.integers(0, 1 << 32, size=20, dtype=np.uint64).astype(np.uint32))
+    freqs = rng.integers(1, 100, size=len(colors)).tolist()
+    table = build_table(list(zip(colors.tolist(), freqs)))
+    blob = table.to_bytes()
+    assert len(blob) == table.byte_size == 2 + 5 * len(colors)
+    back = HuffmanTable.from_bytes(blob + b"trailing bytes are not read")
+    assert back.byte_size == table.byte_size
+    assert np.array_equal(back.colors, table.colors)
+    assert np.array_equal(back.lengths, table.lengths)
+    assert back.codes == table.codes
+    assert HuffmanTable.from_bytes(HuffmanTable([], []).to_bytes()).byte_size == 2
+
+
+@pytest.mark.parametrize("palette", [
+    build_table([(7, 50), (3, 20), (9, 5), (1, 1)]),
+    Rccd([7, 3, 9, 1]),
+], ids=["huffman", "rccd"])
+def test_from_bytes_rejects_every_truncation(palette):
+    blob = palette.to_bytes()
+    for cut in range(len(blob)):
+        with pytest.raises(CorruptStreamError):
+            type(palette).from_bytes(blob[:cut])

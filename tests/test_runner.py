@@ -160,14 +160,45 @@ def test_verification_catches_corruption(monkeypatch):
 
     monkeypatch.setattr("dcpbench.runner.dcp_codecs.dcp_decompress_block", corrupt)
     with pytest.raises(VerificationError, match=r"at frame 1 block \(0,0\)"):
-        run_experiment(trace, ExperimentConfig(scheme="DCP", verify_full=True))
+        run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=1.0))
 
 
 def test_verify_full_checks_every_block():
     trace = static_trace(frames=3, width=64, height=48)
-    res = run_experiment(trace, ExperimentConfig(scheme="DCP", verify_full=True))
+    res = run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=1.0))
     blocks = (64 // 8) * (48 // 8)
     assert res.blocks_verified == blocks * res.workload.frames_measured
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5, 0.01])
+def test_verify_fraction_checks_distinct_blocks(fraction, monkeypatch):
+    # 160x128 is 320 blocks a frame; each sampled block is verified once.
+    trace = generate(SyntheticSpec(generator="ui-like", width=160, height=128, frames=3, seed=1))
+    seen = []
+    real = dcpbench.dcp_codecs.dcp_compress_block
+
+    def recording(block, palette):
+        seen.append(block.tobytes())
+        return real(block, palette)
+
+    monkeypatch.setattr("dcpbench.dcp_codecs.dcp_compress_block", recording)
+    res = run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=fraction))
+    per_frame = round(fraction * 320)
+    assert res.blocks_verified == per_frame * res.workload.frames_measured == len(seen)
+    if fraction == 1.0:
+        blocks = [trace.frames[t].pixels[y:y + 8, x:x + 8].tobytes()
+                  for t in (1, 2) for y in range(0, 128, 8) for x in range(0, 160, 8)]
+        assert sorted(seen) == sorted(blocks)
+
+
+@pytest.mark.parametrize("scheme", ["DCP", "VDCP", "HUFFDCP", "HDCP"])
+def test_rccd_bytes_is_the_serialized_palette(scheme):
+    trace = generate(SyntheticSpec(generator="ui-like", width=64, height=48, frames=5, seed=4))
+    res = run_experiment(trace, ExperimentConfig(scheme=scheme, frame_sampling=2))
+    # Palettes built after frames 0 and 2 are first used by frames 1 and 3.
+    for f, m in zip(res.frames, res.replayed):
+        assert len(m.palette) > 0
+        assert f.rccd_bytes == (len(m.palette.to_bytes()) if m.index in (1, 3) else 0)
 
 
 def test_padded_trace_runs_all_schemes():
@@ -175,7 +206,7 @@ def test_padded_trace_runs_all_schemes():
     frames = [Frame(rng.integers(0, 6, size=(13, 21)).astype(np.uint32)) for _ in range(3)]
     trace = SurfaceTrace(frames, name="odd", category="synthetic")
     for scheme in ("DCP", "ADCP", "VDCP", "HUFFDCP", "RAS", "RED", "HDCP"):
-        res = run_experiment(trace, ExperimentConfig(scheme=scheme, verify_full=True))
+        res = run_experiment(trace, ExperimentConfig(scheme=scheme, verify_fraction=1.0))
         for fs in res.frames:
             assert fs.uncompressed_bits == 13 * 21 * 32
             assert fs.payload_bursts <= fs.uncompressed_bursts
@@ -245,5 +276,5 @@ def test_engines_and_codecs_looked_up_when_called(scheme, monkeypatch):
 
         monkeypatch.setattr(f"{module}.{name}", counting)
     trace = generate(SyntheticSpec(generator="ui-like", width=32, height=24, frames=2, seed=2))
-    run_experiment(trace, ExperimentConfig(scheme=scheme, verify_full=True))
+    run_experiment(trace, ExperimentConfig(scheme=scheme, verify_fraction=1.0))
     assert sorted(calls) == sorted(SCHEME_FUNCTIONS[scheme])
