@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .bandwidth import ACCOUNTING_MODES
 from .container import compress_frame
-from .fvc import POLICIES, FvcConfig
+from .fvc import MAX_ENTRY_COUNT, POLICIES, FvcConfig
 from .metrics import color_cdf, color_change, entropy, pixel_change, unique_colors
 from .runner import (
     ConfigError,
@@ -324,8 +324,8 @@ def _config_for_value(base: ExperimentConfig, dimension: str, token: str) -> Exp
     value = _coerce_sweep_value(dimension, token)
     try:
         if dimension == "fvc_size":
-            if not 16 <= value <= 512:
-                raise ConfigError("fvc_size sweep values must lie in 16..512")
+            if not 16 <= value <= MAX_ENTRY_COUNT:
+                raise ConfigError(f"fvc_size sweep values must lie in 16..{MAX_ENTRY_COUNT}")
             cfg = replace(base, fvc=replace(base.fvc, entry_count=value))
         elif dimension == "policy":
             if value not in POLICIES:

@@ -10,6 +10,7 @@ splitmix64 stream.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ from .surface import Frame
 
 POLICIES = ("LFC", "2LFC", "LRU", "RANDOM")
 MAX_PIXEL_SAMPLING = 16384
+# Every set is a dict plus a victim structure, so the entry count bounds the
+# collector's memory; a direct-mapped 2**30-entry collector would build 2**30
+# of each.
+MAX_ENTRY_COUNT = 512
 
 
 class UndefinedCoverageError(ValueError):
@@ -39,8 +44,9 @@ class FvcConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not is_pow2(self.entry_count):
-            raise ValueError(f"entry_count must be a power of two, got {self.entry_count}")
+        if not is_pow2(self.entry_count) or self.entry_count > MAX_ENTRY_COUNT:
+            raise ValueError(f"entry_count must be a power of two <= {MAX_ENTRY_COUNT}, "
+                             f"got {self.entry_count}")
         if self.ways is not None:
             if not is_pow2(self.ways) or self.ways > self.entry_count:
                 raise ValueError(f"ways must be a power of two <= entry_count, got {self.ways}")
@@ -63,19 +69,39 @@ class Fvc:
     """Bounded color -> frequency tracker with eviction.
 
     Set index for associative configurations is the low log2(num_sets) bits
-    of the packed 32-bit value.
+    of the packed 32-bit value. Capacity is at most MAX_ENTRY_COUNT (512)
+    entries. Each set is a dict color -> frequency, and each policy keeps
+    one structure per set that finds its victim without scanning the set:
+
+    - LFC/2LFC: a min-heap of (frequency, color) with one entry per resident
+      color. A hit only bumps the dict, so an entry's frequency may lag; an
+      eviction refreshes lagging entries at the top until the top is exact.
+      O(log ways) per eviction, amortized over the hits.
+    - LRU: the dict's own order. A hit moves the color to the end, so the
+      victim is the first key. O(1).
+    - RANDOM: the set's colors as a sorted list; the victim is the entry at a
+      drawn index. One draw per eviction and a memmove of at most `ways` keys.
+
+    observe_frame() skips the per-run loop when no set can overflow: every
+    set's resident colors plus the frame's new distinct colors fit in `ways`.
+    It then applies the frame's counts in one vectorized pass and leaves the
+    collector exactly as the run loop would, with no RNG draw.
     """
 
     def __init__(self, config: FvcConfig | None = None):
         self.config = config or FvcConfig()
         nsets = self.config.num_sets
-        self._nsets = nsets
         self._set_mask = nsets - 1
         self._ways = self.config.ways_effective
         self._rng = SplitMix64(self.config.rng_seed)
-        self._sets: list[dict[int, list[int]]] = [dict() for _ in range(nsets)]
+        self._sets: list[dict[int, int]] = [{} for _ in range(nsets)]
+        # Per-set victim structure: the (freq, color) heap for LFC/2LFC, the
+        # sorted color list for RANDOM; unused by LRU.
+        self._victims: list[list] = [[] for _ in range(nsets)]
+        self._lru = self.config.policy == "LRU"
+        self._miss = {"LFC": self._miss_lfc, "2LFC": self._miss_2lfc,
+                      "LRU": self._miss_lru, "RANDOM": self._miss_random}[self.config.policy]
         self._samples = 0
-        self._tick = 0
 
     @property
     def entry_count(self) -> int:
@@ -94,10 +120,10 @@ class Fvc:
         The replacement RNG keeps its stream position so RANDOM stays
         deterministic across a whole run.
         """
-        for s in self._sets:
+        for s, v in zip(self._sets, self._victims):
             s.clear()
+            v.clear()
         self._samples = 0
-        self._tick = 0
 
     def observe(self, color: int) -> None:
         self.observe_run(color, 1)
@@ -112,38 +138,65 @@ class Fvc:
             return
         color = int(color)
         self._samples += count
-        self._tick += count
-        s = self._sets[color & self._set_mask] if self._nsets > 1 else self._sets[0]
-        entry = s.get(color)
-        if entry is not None:
-            entry[0] += count
-            entry[1] = self._tick
-            return
-        if len(s) >= self._ways:
-            del s[self._pick_victim(s)]
-        s[color] = [count, self._tick]
+        index = color & self._set_mask
+        s = self._sets[index]
+        freq = s.get(color)
+        if freq is None:
+            self._miss(s, self._victims[index], color, count)
+        elif self._lru:
+            del s[color]
+            s[color] = freq + count
+        else:
+            s[color] = freq + count
 
-    def _pick_victim(self, s: dict[int, list[int]]) -> int:
-        policy = self.config.policy
-        if policy == "LFC":
-            return min(s.items(), key=lambda kv: (kv[1][0], kv[0]))[0]
-        if policy == "2LFC":
-            # Second-smallest frequency; the smallest survives so a freshly
-            # inserted color is not immediately thrashed out.
-            two = heapq.nsmallest(2, s.items(), key=lambda kv: (kv[1][0], kv[0]))
-            return two[-1][0]
-        if policy == "LRU":
-            return min(s.items(), key=lambda kv: kv[1][1])[0]
-        # RANDOM: uniform over the set's entries in ascending color order.
-        keys = sorted(s)
-        return keys[self._rng.next_below(len(keys))]
+    # Each _miss_* inserts a color that is not resident, evicting first when
+    # its set is full. Frequency ties break on ascending color.
+
+    def _miss_lfc(self, s, heap, color, count):
+        if len(s) >= self._ways:
+            del s[_exact_top(heap, s)]
+            heapq.heapreplace(heap, (count, color))
+        else:
+            heapq.heappush(heap, (count, color))
+        s[color] = count
+
+    def _miss_2lfc(self, s, heap, color, count):
+        # The second-least-frequent entry goes; the least frequent survives
+        # so a freshly inserted color is not immediately thrashed out. A
+        # one-entry set evicts its only entry.
+        if len(s) >= self._ways:
+            if len(heap) == 1:
+                del s[heap[0][1]]
+                heap[0] = (count, color)
+            else:
+                _exact_top(heap, s)
+                least = heapq.heappop(heap)
+                del s[_exact_top(heap, s)]
+                heapq.heapreplace(heap, (count, color))
+                heapq.heappush(heap, least)
+        else:
+            heapq.heappush(heap, (count, color))
+        s[color] = count
+
+    def _miss_lru(self, s, _, color, count):
+        if len(s) >= self._ways:
+            del s[next(iter(s))]
+        s[color] = count
+
+    def _miss_random(self, s, keys, color, count):
+        # Uniform over the set's entries in ascending color order.
+        if len(s) >= self._ways:
+            del s[keys.pop(self._rng.next_below(len(keys)))]
+        bisect.insort(keys, color)
+        s[color] = count
 
     def observe_frame(self, frame: Frame) -> None:
         """Feed a frame through pixel sampling in canonical raster order.
 
         Position p of the non-padded raster stream is sampled when
         p % pixel_sampling == 0. Runs of equal sampled values collapse into
-        observe_run calls, which is exact for every policy.
+        observe_run calls, which is exact for every policy; a frame that
+        cannot overflow any set makes no observe_run call at all.
         """
         flat = frame.pixels.reshape(-1)
         n = self.config.pixel_sampling
@@ -154,22 +207,78 @@ class Fvc:
         change = np.flatnonzero(flat[:-1] != flat[1:]) + 1
         starts = np.concatenate(([0], change))
         ends = np.concatenate((change, [flat.size]))
-        values = flat[starts].tolist()
-        for value, a, b in zip(values, starts.tolist(), ends.tolist()):
-            self.observe_run(value, b - a)
+        values, lengths = flat[starts], ends - starts
+        if self._observe_without_eviction(values, lengths):
+            return
+        for value, count in zip(values.tolist(), lengths.tolist()):
+            self.observe_run(value, count)
+
+    def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray) -> bool:
+        """Apply runs `values` x `lengths` at once if no set can overflow.
+
+        Returns False, changing nothing, when some set's resident colors
+        plus the runs' new distinct colors exceed `ways`. Otherwise no
+        eviction can happen, and the collector ends exactly as the run loop
+        leaves it: the same frequencies, new colors entered in order of first
+        occurrence (dict, heap and key list alike), and under LRU every
+        observed color moved to the end in order of its last run.
+        """
+        colors, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        if colors.size > self.config.entry_count:
+            return False
+        sets, victims, mask = self._sets, self._victims, self._set_mask
+        color_list = colors.tolist()
+        new = [i for i, c in enumerate(color_list) if c not in sets[c & mask]]
+        if new:
+            new_per_set = np.bincount(colors[new] & mask, minlength=len(sets))
+            if any(len(s) + k > self._ways for s, k in zip(sets, new_per_set.tolist())):
+                return False
+        # Float weights are exact: a frame holds far fewer than 2**53 samples.
+        counts = np.bincount(inverse, weights=lengths).astype(np.int64)
+        first_run = lengths[first]
+        # New colors enter as in the run loop: by first occurrence, with their
+        # first run's length, through the policy's miss path, which cannot
+        # evict here. Then every color gets the rest of its frame count.
+        for i in sorted(new, key=first.__getitem__):
+            c = color_list[i]
+            self._miss(sets[c & mask], victims[c & mask], c, int(first_run[i]))
+        counts[new] -= first_run[new]
+        for c, n in zip(color_list, counts.tolist()):
+            sets[c & mask][c] += n
+        if self._lru:
+            last_end = np.zeros(colors.size, dtype=lengths.dtype)
+            np.maximum.at(last_end, inverse, np.cumsum(lengths))
+            for i in np.argsort(last_end).tolist():
+                c = color_list[i]
+                s = sets[c & mask]
+                s[c] = s.pop(c)
+        self._samples += int(lengths.sum())
+        return True
 
     def coverage(self) -> float:
         """Fraction of observed samples whose colors are still resident."""
         if self._samples == 0:
             raise UndefinedCoverageError("no samples observed")
-        kept = sum(e[0] for s in self._sets for e in s.values())
+        kept = sum(sum(s.values()) for s in self._sets)
         return kept / self._samples
 
     def ranked_values(self) -> list[tuple[int, int]]:
         """(color, frequency) pairs, descending frequency, ties on color."""
-        items = [(c, e[0]) for s in self._sets for c, e in s.items()]
+        items = [cf for s in self._sets for cf in s.items()]
         items.sort(key=lambda cf: (-cf[1], cf[0]))
         return items
+
+
+def _exact_top(heap: list[tuple[int, int]], s: dict[int, int]) -> int:
+    """Refresh lagging entries at the heap top until it holds its color's
+    true frequency; that entry is then the set's true (freq, color) minimum,
+    because stored frequencies never exceed true ones. Returns its color."""
+    while True:
+        freq, color = heap[0]
+        true = s[color]
+        if freq == true:
+            return color
+        heapq.heapreplace(heap, (true, color))
 
 
 def relative_coverage(ranked: list[tuple[int, int]], frame: Frame,

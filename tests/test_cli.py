@@ -176,6 +176,13 @@ def test_config_file_wrong_type(ui_trace, tmp_path, capsys, values):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_oversized_collector_is_a_configuration_error(ui_trace, tmp_path, capsys):
+    rc = main(["compress", str(ui_trace), "--fvc-size", str(1 << 30), "--assoc", "direct",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, values, fraction", [
     ([], {}, 0.01),
     (["--verify-fraction", "0.5"], {}, 0.5),

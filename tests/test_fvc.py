@@ -1,7 +1,17 @@
+import heapq
+
 import numpy as np
 import pytest
 
-from dcpbench.fvc import Fvc, FvcConfig, UndefinedCoverageError, relative_coverage
+from dcpbench.fvc import (
+    MAX_ENTRY_COUNT,
+    POLICIES,
+    Fvc,
+    FvcConfig,
+    UndefinedCoverageError,
+    relative_coverage,
+)
+from dcpbench.rng import SplitMix64
 from dcpbench.surface import Frame
 
 
@@ -10,25 +20,78 @@ def fvc(entries=64, **kw):
 
 
 class ReferenceFvc:
-    """Straight-line re-implementation used as the eviction oracle."""
+    """The scan-based collector, used as the eviction oracle for every policy.
 
-    def __init__(self, entries):
-        self.entries = entries
-        self.freq = {}
-        self.samples = 0
+    Each entry holds [frequency, tick of last use], and every miss in a full
+    set scans the whole set for its victim.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._set_mask = config.num_sets - 1
+        self._ways = config.ways_effective
+        self._rng = SplitMix64(config.rng_seed)
+        self._sets = [{} for _ in range(config.num_sets)]
+        self.samples_observed = 0
+        self._tick = 0
+
+    def __len__(self):
+        return sum(len(s) for s in self._sets)
+
+    def reset(self):
+        for s in self._sets:
+            s.clear()
+        self.samples_observed = 0
+        self._tick = 0
 
     def observe(self, color):
-        self.samples += 1
-        if color in self.freq:
-            self.freq[color] += 1
+        self.observe_run(color, 1)
+
+    def observe_run(self, color, count):
+        if count <= 0:
             return
-        if len(self.freq) >= self.entries:
-            victim = min(self.freq.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            del self.freq[victim]
-        self.freq[color] = 1
+        color = int(color)
+        self.samples_observed += count
+        self._tick += count
+        s = self._sets[color & self._set_mask]
+        entry = s.get(color)
+        if entry is not None:
+            entry[0] += count
+            entry[1] = self._tick
+            return
+        if len(s) >= self._ways:
+            del s[self._pick_victim(s)]
+        s[color] = [count, self._tick]
+
+    def _pick_victim(self, s):
+        policy = self.config.policy
+        if policy == "LFC":
+            return min(s.items(), key=lambda kv: (kv[1][0], kv[0]))[0]
+        if policy == "2LFC":
+            two = heapq.nsmallest(2, s.items(), key=lambda kv: (kv[1][0], kv[0]))
+            return two[-1][0]
+        if policy == "LRU":
+            return min(s.items(), key=lambda kv: kv[1][1])[0]
+        keys = sorted(s)
+        return keys[self._rng.next_below(len(keys))]
+
+    def observe_frame(self, frame):
+        flat = frame.pixels.reshape(-1)[::self.config.pixel_sampling]
+        if flat.size == 0:
+            return
+        change = np.flatnonzero(flat[:-1] != flat[1:]) + 1
+        starts = np.concatenate(([0], change))
+        ends = np.concatenate((change, [flat.size]))
+        for value, a, b in zip(flat[starts].tolist(), starts.tolist(), ends.tolist()):
+            self.observe_run(value, b - a)
 
     def coverage(self):
-        return sum(self.freq.values()) / self.samples
+        return sum(e[0] for s in self._sets for e in s.values()) / self.samples_observed
+
+    def ranked_values(self):
+        items = [(c, e[0]) for s in self._sets for c, e in s.items()]
+        items.sort(key=lambda cf: (-cf[1], cf[0]))
+        return items
 
 
 def test_basic_counting():
@@ -79,12 +142,12 @@ def test_eviction_replay_oracle_65_colors():
     stream = np.repeat(np.arange(65, dtype=np.uint32), 16)
     rng.shuffle(stream)
     f = fvc(64)
-    ref = ReferenceFvc(64)
+    ref = ReferenceFvc(FvcConfig(entry_count=64))
     for c in stream.tolist():
         f.observe(c)
         ref.observe(c)
     assert f.coverage() == ref.coverage()
-    assert dict(f.ranked_values()) == ref.freq
+    assert f.ranked_values() == ref.ranked_values()
 
 
 def test_ranked_tie_breaks_on_color():
@@ -195,11 +258,11 @@ def test_relative_coverage_adversarial_burst():
     frame = Frame(pixels.reshape(4, 16))
     f = fvc(2)
     f.observe_frame(frame)
-    ref = ReferenceFvc(2)
+    ref = ReferenceFvc(FvcConfig(entry_count=2))
     for c in pixels.tolist():
         ref.observe(c)
     ranked = f.ranked_values()
-    assert dict(ranked) == ref.freq
+    assert ranked == ref.ranked_values()
     rc = relative_coverage(ranked, frame, top_n=2)
     colors, counts = np.unique(pixels, return_counts=True)
     true_top = np.sort(counts)[::-1][:2].sum()
@@ -218,3 +281,185 @@ def test_config_validation():
         FvcConfig(pixel_sampling=3)
     with pytest.raises(ValueError):
         FvcConfig(pixel_sampling=32768)
+    with pytest.raises(ValueError):
+        FvcConfig(entry_count=2 * MAX_ENTRY_COUNT)
+    assert FvcConfig(entry_count=MAX_ENTRY_COUNT, ways=1).num_sets == MAX_ENTRY_COUNT
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the scan-based oracle
+
+ASSOCS = {"full": None, "direct": 1, "4-way": 4}
+
+
+def _pair(policy, assoc, sampling=1, entries=16, seed=11):
+    cfg = FvcConfig(entry_count=entries, ways=ASSOCS[assoc], policy=policy,
+                    pixel_sampling=sampling, rng_seed=seed)
+    return Fvc(cfg), ReferenceFvc(cfg)
+
+
+def _assert_same(f, ref):
+    assert f.ranked_values() == ref.ranked_values()
+    assert len(f) == len(ref)
+    assert f.samples_observed == ref.samples_observed
+    if ref.samples_observed:
+        assert f.coverage() == ref.coverage()
+    assert f._rng._state == ref._rng._state
+
+
+def _run_frame(rng, pool, shape=(8, 16), max_run=9):
+    """A frame of runs of colors drawn from `pool`, raster order."""
+    size = shape[0] * shape[1]
+    lengths = rng.integers(1, max_run, size=size)
+    values = pool[rng.integers(0, len(pool), size=size)]
+    return Frame(np.repeat(values, lengths)[:size].reshape(shape))
+
+
+class _RunCounter:
+    """Counts observe_run calls on one collector, i.e. frames that missed
+    the no-overflow path."""
+
+    def __init__(self, f):
+        self.calls = 0
+        real = f.observe_run
+
+        def counting(color, count):
+            self.calls += 1
+            real(color, count)
+
+        f.observe_run = counting
+
+    def took_fast_path(self, f, frame):
+        before = self.calls
+        f.observe_frame(frame)
+        return self.calls == before
+
+
+@pytest.mark.parametrize("sampling", [1, 4])
+@pytest.mark.parametrize("assoc", list(ASSOCS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_frames_match_reference(policy, assoc, sampling):
+    rng = np.random.default_rng(101)
+    pool = rng.integers(0, 1 << 32, size=48, dtype=np.uint64).astype(np.uint32)
+    f, ref = _pair(policy, assoc, sampling)
+    counter = _RunCounter(f)
+    paths = set()
+    for _ in range(40):
+        sub = pool[:int(rng.choice([1, 2, 3, 6, 12, 48]))]
+        frame = _run_frame(rng, sub)
+        paths.add(counter.took_fast_path(f, frame))
+        ref.observe_frame(frame)
+        _assert_same(f, ref)
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["carry", "reset"])
+@pytest.mark.parametrize("assoc", list(ASSOCS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_mixed_calls_match_reference(policy, assoc, reset):
+    rng = np.random.default_rng(202)
+    pool = rng.integers(0, 1 << 32, size=40, dtype=np.uint64).astype(np.uint32)
+    f, ref = _pair(policy, assoc)
+    for step in range(60):
+        if rng.random() < 0.5:
+            for _ in range(int(rng.integers(1, 30))):
+                color = int(pool[rng.integers(0, len(pool))])
+                count = int(rng.integers(0, 5))
+                f.observe_run(color, count)
+                ref.observe_run(color, count)
+        else:
+            frame = _run_frame(rng, pool[:int(rng.integers(1, len(pool) + 1))])
+            f.observe_frame(frame)
+            ref.observe_frame(frame)
+        _assert_same(f, ref)
+        if reset and step % 7 == 6:
+            f.reset()
+            ref.reset()
+            _assert_same(f, ref)
+
+
+@pytest.mark.parametrize("assoc", list(ASSOCS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_fast_path_then_overflow(policy, assoc):
+    # The no-overflow path must leave the recency order, heaps and key lists
+    # exactly as the run loop does, or the evictions that follow diverge.
+    rng = np.random.default_rng(303)
+    colors = rng.permutation(1 << 12)[:64].tolist()
+    f, ref = _pair(policy, assoc)
+    loop = Fvc(f.config)            # fed the same runs one by one
+    for c in colors[:6]:
+        n = int(rng.integers(1, 5))
+        for x in (f, ref, loop):
+            x.observe_run(c, n)
+    mask = f.config.num_sets - 1
+    fill = [c for s in f._sets for c in s]
+    free = [f._ways - len(s) for s in f._sets]
+    for c in colors[6:]:            # fill every set, overflow none
+        if c not in fill and free[c & mask]:
+            fill.append(c)
+            free[c & mask] -= 1
+    frame = Frame(np.array(fill, dtype=np.uint32)[rng.integers(0, len(fill), size=(4, 16))])
+    assert _RunCounter(f).took_fast_path(f, frame)
+    ref.observe_frame(frame)
+    flat = frame.pixels.reshape(-1).tolist()
+    starts = [0, *(i for i in range(1, len(flat)) if flat[i] != flat[i - 1])]
+    for a, b in zip(starts, [*starts[1:], len(flat)]):
+        loop.observe_run(flat[a], b - a)
+    _assert_same(f, ref)
+    _assert_same(loop, ref)
+    assert [list(s.items()) for s in f._sets] == [list(s.items()) for s in loop._sets]
+    assert f._victims == loop._victims
+    for _ in range(300):
+        color = colors[rng.integers(0, len(colors))]
+        count = int(rng.integers(1, 4))
+        f.observe_run(color, count)
+        ref.observe_run(color, count)
+        _assert_same(f, ref)
+
+
+def test_2lfc_one_way_evicts_sole_entry():
+    f = fvc(4, policy="2LFC", ways=1)
+    f.observe_run(0b100, 5)
+    f.observe(0b1000)                   # same set: the only entry goes
+    assert f.ranked_values() == [(0b1000, 1)]
+    g = fvc(1, policy="2LFC")
+    g.observe_run(7, 9)
+    g.observe(8)
+    assert g.ranked_values() == [(8, 1)]
+
+
+def test_random_one_way_draws_once_per_miss():
+    f = fvc(4, policy="RANDOM", ways=1, rng_seed=9)
+    ref = ReferenceFvc(f.config)
+    evictions = 0
+    for color in (0, 4, 4, 8, 1, 5, 5, 0, 2, 3):
+        s = f._sets[color & 3]
+        evictions += color not in s and len(s) == 1
+        f.observe(color)
+        ref.observe(color)
+    expected = SplitMix64(9)
+    for _ in range(evictions):
+        expected.next_u64()
+    assert evictions == 4
+    assert f._rng._state == expected._state == ref._rng._state
+    assert f.ranked_values() == ref.ranked_values()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_fast_path_takes_frames_that_exactly_fill(policy):
+    # 16 entries, 4 ways: set index is the low 2 bits. Color 0x10 is resident
+    # in set 0, so a frame holding it plus 3 new set-0 colors and 4 new
+    # colors in each other set fills every set exactly.
+    def collector():
+        f = fvc(16, ways=4, policy=policy)
+        f.observe_run(0x10, 2)
+        return f
+
+    full = [0x10 | 0, 0x20, 0x30, 0x40] + [(k << 4) | s for s in (1, 2, 3) for k in range(4)]
+    f = collector()
+    assert _RunCounter(f).took_fast_path(f, Frame(np.array([full], dtype=np.uint32)))
+    assert len(f) == 16
+    for extra_set in range(4):
+        f = collector()
+        frame = Frame(np.array([full + [(9 << 4) | extra_set]], dtype=np.uint32))
+        assert not _RunCounter(f).took_fast_path(f, frame)
