@@ -20,11 +20,6 @@ class BitWriter:
         self._acc = (self._acc << nbits) | value
         self._nbits += nbits
 
-    def write_unary(self, q: int) -> None:
-        """q one-bits followed by a terminating zero."""
-        self.write((1 << q) - 1, q)
-        self.write(0, 1)
-
     def align_byte(self) -> None:
         pad = -self._nbits % 8
         if pad:
@@ -74,14 +69,14 @@ class BitReader:
         self._pos = end
         return (self._window >> (self._window_end - end)) & ((1 << nbits) - 1)
 
-    def read_unary(self, cap: int = 4096) -> int:
-        """Count of leading one-bits before a zero; `cap` guards corrupt data."""
-        q = 0
-        while self.read(1):
-            q += 1
-            if q > cap:
-                raise CorruptStreamError("unary run exceeds cap")
-        return q
+    def peek(self, nbits: int) -> int:
+        """The next `nbits` bits, left unread."""
+        value = self.read(nbits)
+        self._pos -= nbits
+        return value
+
+    def remaining(self) -> int:
+        return self._total - self._pos
 
     def align_byte(self) -> None:
         pad = -self._pos % 8

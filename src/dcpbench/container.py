@@ -14,10 +14,11 @@ Layout (integers little-endian unless they live in the bit streams):
           RAS/RED store one 2-bit entry per block in block raster order
   payload per-block bit streams in block raster order, each byte-aligned
 
-The container knows no block format. Every codec returns one
-`CompressedBlock`: its status entries go into the status grid and its
-payload is appended as is; on the way back `dcp_codecs.read_block` decodes
-each block in place from the payload stream given its entries.
+The container knows no block format. The frame's blocks go through the
+codec family in one call (`dcp_codecs.batch_codec`), which returns one
+`CompressedBlock` per block: its status entries go into the status grid and
+its payload is appended as is; on the way back `dcp_codecs.read_block`
+decodes each block in place from the payload stream given its entries.
 
 Likewise the palettes serialize themselves: the container places their
 bytes and knows neither layout. A palette is passed as the one object
@@ -35,11 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 from .bitio import BitReader, CorruptStreamError
-from .dcp_codecs import block_codec, read_block
+from .dcp_codecs import batch_codec, read_block
 from .huffman import HuffmanTable
 from .palette import Ccd, Rccd
 from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES
-from .surface import BLOCK, Frame, block_grid, block_refs, iter_blocks
+from .surface import BLOCK, Frame, block_grid, block_refs, block_stack
 
 MAGIC = b"FBC1"
 HEADER_BYTES = 13              # magic, scheme, width, height
@@ -53,8 +54,9 @@ def compress_frame(frame: Frame, scheme: str,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
-    compress = block_codec(s.codec, "compress")
-    blocks = [compress(block, palette) for _, _, block, _ in iter_blocks(frame)]
+    padded, _ = frame.padded()
+    blocks = batch_codec(s.codec, "compress")(block_stack(padded).reshape(-1, BLOCK, BLOCK),
+                                              palette)
 
     out = bytearray()
     out += MAGIC
@@ -87,6 +89,8 @@ def decompress_frame(data: bytes) -> Frame:
         raise CorruptStreamError(f"unknown scheme tag {data[4]}")
     width = int.from_bytes(data[5:9], "little")
     height = int.from_bytes(data[9:13], "little")
+    if width == 0 or height == 0:
+        raise CorruptStreamError(f"frame of {width}x{height} pixels")
     pos = HEADER_BYTES
     palette = Rccd.from_bytes(data[pos:])
     pos += palette.byte_size

@@ -141,6 +141,25 @@ def block_codec(codec: str, op: str):
     return getattr(_codec_module(codec), f"{codec}_{op}_block")
 
 
+def batch_codec(codec: str, op: str):
+    """`<codec>_<op>_blocks` over a stack of blocks, or one call of
+    `<codec>_<op>_block` per block where the family has no batch entry;
+    looked up on its module when called, like `block_codec`.
+
+    Compress takes an (n, 8, 8) stack and a palette and returns a list of
+    `CompressedBlock`; decompress takes that list and the palette and
+    returns an (n, 8, 8) stack.
+    """
+    batch = getattr(_codec_module(codec), f"{codec}_{op}_blocks", None)
+    if batch is not None:
+        return batch
+    one = block_codec(codec, op)
+    if op == "compress":
+        return lambda blocks, palette=None: [one(block, palette) for block in blocks]
+    return lambda comps, palette=None: np.array(
+        [one(comp, palette) for comp in comps], dtype=np.uint32).reshape(-1, 8, 8)
+
+
 def read_block(codec: str, reader: BitReader, csb, palette=None) -> np.ndarray:
     """Decode one block in place from `reader`, given its status entries.
 

@@ -14,7 +14,6 @@ the table in `schemes.py`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,9 +28,12 @@ from .schemes import SCHEMES, Scheme
 from .surface import (
     BLOCK,
     SurfaceTrace,
+    block_stack,
     block_valid_counts,
     sub_block_valid_counts,
 )
+
+BAND_PIXELS = 1 << 15          # pixels per frame-cost band; bounds the temporaries
 
 
 class ConfigError(ValueError):
@@ -52,7 +54,7 @@ class ExperimentConfig:
     accounting: str = "full"
     seed: int = 0
     verify_fraction: float = 0.01        # 1.0 verifies every block
-    jobs: int = 1
+    jobs: int = 1                        # accepted and validated; see _banded
     track_relative_coverage: bool = False
 
     def validate(self) -> None:
@@ -180,7 +182,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     for m in replay(trace, cfg):
         replayed.append(m)
         padded, _ = trace.frames[m.index].padded()
-        bits, vdcp_wins = _frame_cost(scheme, m, padded, valid, sb_real, block_real, cfg.jobs)
+        bits, vdcp_wins = _frame_cost(scheme, m, padded, valid, sb_real, block_real)
         v_blocks = r_blocks = 0
         if vdcp_wins is not None:
             v_blocks = int(vdcp_wins.sum())
@@ -227,7 +229,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     return RunResult(workload, frames_out, blocks_verified, mean_rel, replayed)
 
 
-def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_real, jobs):
+def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_real):
     """Per-block accounting bits for one frame, plus HDCP's VDCP-won mask.
 
     Engines are looked up on their modules when called, so a patched engine
@@ -242,29 +244,31 @@ def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_re
         # (bits, VDCP-won mask); HDCP bursts follow from the bits like any other's.
         "hybrid": lambda p, v, s, b: reference_codecs.hybrid_frame_cost(p, s, b, m.palette)[::2],
     }[scheme.codec]
-    out = _banded(engine, padded, valid, sb_real, block_real, jobs)
+    out = _banded(engine, padded, valid, sb_real, block_real)
     return out if isinstance(out, tuple) else (out, None)
 
 
-def _banded(fn, padded, valid, sb_real, block_real, jobs):
-    """Run a frame-cost engine over horizontal bands of block rows.
+def _banded(fn, padded, valid, sb_real, block_real):
+    """Run a frame-cost engine over bands of block rows, on the calling thread.
 
     Blocks are self-contained in every scheme, so splitting on block-row
-    boundaries is exact; results concatenate in order, which keeps
-    multi-worker runs bit-identical to sequential ones. An engine may
-    return one array or a tuple of arrays.
+    boundaries is exact and the results concatenate in order. A band holds
+    about BAND_PIXELS pixels, so an engine's temporaries stay small and are
+    reused from the heap rather than mapped afresh for every frame. An
+    engine may return one array or a tuple of arrays.
+
+    `jobs` starts no threads. On a shared 2-vCPU VM a second band thread
+    changed a 720p run's speed by -7% to +25%, with the load on the other
+    vCPU, so one run's time did not repeat; on one thread it repeats to
+    within a few percent.
     """
-    nby = padded.shape[0] // BLOCK
-    if jobs <= 1 or nby < 2:
-        return fn(padded, valid, sb_real, block_real)
-    bounds = np.linspace(0, nby, min(jobs, nby) + 1, dtype=int)
-    tasks = [
-        (padded[lo * BLOCK:hi * BLOCK], valid[lo * BLOCK:hi * BLOCK],
-         sb_real[lo * 4:hi * 4], block_real[lo:hi])
-        for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi
+    nby, nbx = block_real.shape
+    rows = max(1, BAND_PIXELS // (BLOCK * BLOCK * nbx))
+    results = [
+        fn(padded[lo * BLOCK:(lo + rows) * BLOCK], valid[lo * BLOCK:(lo + rows) * BLOCK],
+           sb_real[lo * 4:(lo + rows) * 4], block_real[lo:lo + rows])
+        for lo in range(0, nby, rows)
     ]
-    with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-        results = list(pool.map(lambda args: fn(*args), tasks))
     if isinstance(results[0], tuple):
         return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
     return np.concatenate(results, axis=0)
@@ -274,25 +278,30 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
                   engine_bits, rng) -> int:
     """Round-trip a sample of distinct blocks through the exact codecs.
 
-    Fully live blocks must also reproduce the vectorized engine's
-    accounting bits exactly; edge blocks are checked for losslessness only.
+    The sample goes through the family's codec pair as one stack, one
+    palette both encoding and decoding (the reference codecs ignore it);
+    the pair is looked up on its module when called. Fully live blocks must
+    also reproduce the vectorized engine's accounting bits exactly; edge
+    blocks are checked for losslessness only.
     """
     nby, nbx = block_real.shape
     nblocks = nby * nbx
     indices = _sample(rng, nblocks, max(1, round(cfg.verify_fraction * nblocks)))
+    rows, cols = np.divmod(np.array(indices, dtype=np.int64), nbx)
+    blocks = block_stack(padded)[rows, cols]
+    comps = dcp_codecs.batch_codec(scheme.codec, "compress")(blocks, m.palette)
+    decoded = dcp_codecs.batch_codec(scheme.codec, "decompress")(comps, m.palette)
     flat_real = block_real.reshape(-1)
     flat_bits = engine_bits.reshape(-1)
-    for idx in indices:
+    for idx, block, out, comp in zip(indices, blocks, decoded, comps):
         by, bx = divmod(idx, nbx)
-        block = padded[by * BLOCK:(by + 1) * BLOCK, bx * BLOCK:(bx + 1) * BLOCK]
-        out, stream_bits = _block_round_trip(scheme, block, m.palette)
         if not np.array_equal(out, block):
             raise VerificationError(
                 f"{scheme.name} round-trip mismatch at frame {m.index} block ({bx},{by})")
-        if flat_real[idx] == 64 and stream_bits != int(flat_bits[idx]):
+        if flat_real[idx] == 64 and comp.cost_bits != int(flat_bits[idx]):
             raise VerificationError(
                 f"{scheme.name} cost mismatch at frame {m.index} block ({bx},{by}): "
-                f"stream {stream_bits} bits vs engine {int(flat_bits[idx])}")
+                f"stream {comp.cost_bits} bits vs engine {int(flat_bits[idx])}")
     return len(indices)
 
 
@@ -303,14 +312,3 @@ def _sample(rng: SplitMix64, n: int, k: int) -> list[int]:
         pick = rng.next_below(j + 1)
         chosen.add(j if pick in chosen else pick)
     return sorted(chosen)
-
-
-def _block_round_trip(scheme: Scheme, block, palette):
-    """(decoded block, the stream's accounting bits).
-
-    The one palette both encodes and decodes; the reference codecs ignore
-    it. The codec pair is looked up on its module when called.
-    """
-    comp = dcp_codecs.block_codec(scheme.codec, "compress")(block, palette)
-    decoded = dcp_codecs.block_codec(scheme.codec, "decompress")(comp, palette)
-    return decoded, comp.cost_bits

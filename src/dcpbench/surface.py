@@ -136,11 +136,12 @@ def block_refs(width: int, height: int) -> list[tuple[int, int]]:
     return [(bx * BLOCK, by * BLOCK) for by in range(rows) for bx in range(cols)]
 
 
-def iter_blocks(frame: Frame):
-    """Yield (x0, y0, pixels 8x8, valid 8x8) in raster order."""
-    padded, valid = frame.padded()
-    for x0, y0 in block_refs(frame.width, frame.height):
-        yield x0, y0, padded[y0:y0 + BLOCK, x0:x0 + BLOCK], valid[y0:y0 + BLOCK, x0:x0 + BLOCK]
+def block_stack(pixels: np.ndarray) -> np.ndarray:
+    """A padded frame, or its valid mask, as an (nby, nbx, 8, 8) view of its
+    blocks: `[by, bx]` is one block, and `.reshape(-1, 8, 8)` lists them in
+    raster order."""
+    h, w = pixels.shape
+    return pixels.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(1, 2)
 
 
 def sub_block_pixels(block: np.ndarray) -> np.ndarray:

@@ -365,5 +365,5 @@ def test_c10_end_to_end_determinism(tmp_path):
         texts.append(out.read_bytes())
     ok = texts[0] == texts[1] == texts[2]
     report(10, ok,
-           "byte-identical per-frame CSV across repeated runs, including "
-           "block-parallel execution")
+           "byte-identical per-frame CSV across repeated runs and "
+           "--jobs values")

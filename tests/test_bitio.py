@@ -41,3 +41,16 @@ def test_declared_length_stops_reads_inside_padding():
         r.read(1)
     with pytest.raises(ValueError):
         BitReader(b"\x00", 9)
+
+
+def test_peek_leaves_the_bits_unread():
+    w = BitWriter()
+    w.write(0b1011, 4)
+    w.write(0x1234, 16)
+    r = BitReader(w.to_bytes(), w.bit_length)
+    assert r.remaining() == 20
+    assert r.peek(4) == 0b1011 and r.tell() == 0
+    assert r.read(4) == 0b1011
+    assert r.peek(16) == 0x1234 and r.remaining() == 16
+    with pytest.raises(CorruptStreamError):
+        r.peek(17)

@@ -179,6 +179,20 @@ def test_damaged_containers_raise_only_corrupt_stream_error(scheme):
             pass
 
 
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("field", ["width", "height"])
+def test_container_rejects_zero_dimension(scheme, field):
+    frame = _frame(2, width=24, height=16)
+    ccd = ccd_from_blocks(block_pool(6, seed=2), 8)
+    palette = build_table([(int(c), 9 - i) for i, c in enumerate(ccd.colors)]) \
+        if SCHEMES[scheme].palette == HUFFMAN else ccd
+    data = bytearray(compress_frame(frame, scheme, palette))
+    offset = {"width": 5, "height": 9}[field]
+    data[offset:offset + 4] = bytes(4)
+    with pytest.raises(CorruptStreamError):
+        decompress_frame(bytes(data))
+
+
 def test_container_rejects_header_only_blob():
     data = compress_frame(_frame(1, width=16, height=8), "DCP")
     for n in (0, 4, 5, 12):

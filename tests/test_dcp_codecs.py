@@ -8,6 +8,8 @@ from conftest import block_pool, ccd_from_blocks
 from dcpbench.dcp_codecs import (
     adcp_optimal_ccd_size,
     advance_frame,
+    batch_codec,
+    block_codec,
     dcp_compress_block,
     dcp_decompress_block,
     dcp_frame_cost,
@@ -249,3 +251,15 @@ def test_collects_on_schedule(monkeypatch):
     replayed([np.full((8, 8), t) for t in range(7)], "DCP", frame_sampling=3)
     assert [t in observed for t in range(7)] == [
         True, False, False, True, False, False, True]
+
+
+@pytest.mark.parametrize("codec", ["dcp", "vdcp", "huffdcp", "ras", "red", "hybrid"])
+def test_batch_codec_matches_block_codec(codec):
+    blocks = np.stack(block_pool(12, seed=8))
+    ccd = ccd_from_blocks(list(blocks), 16)
+    palette = build_table([(int(c), 40 - i) for i, c in enumerate(ccd.colors)]) \
+        if codec == "huffdcp" else ccd
+    comps = batch_codec(codec, "compress")(blocks, palette)
+    assert comps == [block_codec(codec, "compress")(block, palette) for block in blocks]
+    decoded = batch_codec(codec, "decompress")(comps, palette)
+    assert decoded.shape == (12, 8, 8) and np.array_equal(decoded, blocks)

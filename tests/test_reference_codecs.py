@@ -1,35 +1,46 @@
 import numpy as np
 import pytest
 
+import ras_oracle as oracle
 from conftest import block_pool, ccd_from_blocks, make_block
+from ras_oracle import (
+    golomb_rice_decode,
+    golomb_rice_encode,
+    golomb_rice_length,
+    med_predict,
+    unzigzag,
+    zigzag,
+)
 
 from dcpbench.bitio import BitReader, BitWriter, CorruptStreamError
+from dcpbench.dcp_codecs import CompressedBlock, read_block, vdcp_frame_cost
+from dcpbench.palette import Ccd
 from dcpbench.reference_codecs import (
+    GR_K_RAW,
     HDCP_RAS_BASE,
     RED_C4,
     RED_C8,
     RED_RAW,
-    golomb_rice_decode,
-    golomb_rice_encode,
-    golomb_rice_length,
     hybrid_compress_block,
+    hybrid_compress_blocks,
     hybrid_decompress_block,
+    hybrid_decompress_blocks,
     hybrid_frame_cost,
-    med_predict,
-    med_residuals,
+    med_zigzag,
     ras_compress_block,
+    ras_compress_blocks,
     ras_decompress_block,
+    ras_decompress_blocks,
     ras_frame_cost,
     red_classify_block,
     red_compress_block,
     red_decompress_block,
     red_frame_cost,
-    unzigzag,
-    zigzag,
 )
-from dcpbench.dcp_codecs import vdcp_frame_cost
-from dcpbench.palette import Ccd
-from dcpbench.surface import Frame, block_valid_counts, sub_block_valid_counts
+from dcpbench.surface import Frame, block_stack, block_valid_counts, sub_block_valid_counts
+from dcpbench.synth import SyntheticSpec, generate
+
+GENERATORS = ("ui-like", "2d-like", "gradient", "noise")
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +90,21 @@ def test_med_predictor_cases():
 
 
 def test_med_residuals_match_scalar(rng):
-    plane = rng.integers(0, 256, size=(16, 16)).astype(np.uint32)
-    zz = med_residuals(plane)
-    p = plane.astype(int)
-    for y in range(16):
-        for x in range(16):
-            a = p[y][x - 1] if x % 8 else 128
-            b = p[y - 1][x] if y % 8 else 128
-            c = p[y - 1][x - 1] if (x % 8 and y % 8) else 128
-            assert zz[y, x] == zigzag(p[y][x] - med_predict(a, b, c))
+    # 0 and 255 next to each other push a + b - c to both ends, -255..510.
+    plane = rng.choice(np.array([0, 255, 1, 254, 128]), size=(16, 24))
+    plane[::3] = rng.integers(0, 256, size=(6, 24))
+    plane[1, 1:3], plane[2, 1:3] = (255, 0), (0, 0)      # c=255 above-left of a, b = 0
+    plane[9, 9:11], plane[10, 9:11] = (0, 255), (255, 0)  # c=0, a=b=255: a+b-c = 510
+    plane[12, 12:14], plane[13, 12:14] = (0, 0), (0, 255)  # residual +255 -> 510
+    plane[4, 4:6], plane[5, 4:6] = (255, 255), (255, 0)    # residual -255 -> 509
+    zz = med_zigzag(plane.astype(np.int16))
+    assert zz.dtype == np.uint16
+    assert zz.tolist() == oracle.med_zigzag_plane(plane)
+    assert (int(zz[13, 13]), int(zz[5, 5])) == (510, 509)
+    # Leading axes are independent planes.
+    stack = np.stack([plane, 255 - plane]).astype(np.int16)
+    assert np.array_equal(med_zigzag(stack)[0], zz)
+    assert med_zigzag(stack)[1].tolist() == oracle.med_zigzag_plane(255 - plane)
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +260,163 @@ def test_hybrid_cost_is_min_of_both(rng):
     rbursts = (rcharged + 127) // 128
     assert np.array_equal(bursts, np.minimum(vbursts, rbursts))
     assert np.array_equal(wins, vbursts <= rbursts)
+
+
+# ---------------------------------------------------------------------------
+# Batched RAS/HDCP codecs against the scalar oracle
+
+def _forced_raw_blocks():
+    """A block with one raw channel (k=7) and one raw block (class 3)."""
+    local = np.random.default_rng(21)
+    noise = local.integers(0, 256, size=(8, 8), dtype=np.uint32)
+    raw_channel = noise | np.uint32(0x40302000)             # R is noise, G/B/A flat
+    raw_block = local.integers(0, 1 << 32, size=(8, 8), dtype=np.uint64).astype(np.uint32)
+    return np.stack([raw_channel, raw_block])
+
+
+def _frame_blocks(gen: str, width=44, height=36, seed=7):
+    """A seeded frame whose size is no multiple of 8, as (padded, block
+    stack, fully-live mask), plus the two forced-raw blocks."""
+    trace = generate(SyntheticSpec(generator=gen, width=width, height=height, frames=2,
+                                   seed=seed))
+    padded, valid = trace.frames[1].padded()
+    blocks = block_stack(padded).reshape(-1, 8, 8)
+    live = block_valid_counts(valid).reshape(-1) == 64
+    return padded, valid, np.concatenate([blocks, _forced_raw_blocks()]), live
+
+
+def _first_k(comp: CompressedBlock) -> int:
+    return comp.payload[0] >> 5
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_ras_batch_matches_oracle(gen):
+    padded, valid, blocks, live = _frame_blocks(gen)
+    assert not live.all()                                    # partially live edge blocks
+    comps = ras_compress_blocks(blocks)
+    expected = [oracle.ras_compress_block(block) for block in blocks]
+    assert comps == expected                                 # csb, payload, both bit counts
+    raw_channel, raw_block = comps[-2:]
+    assert _first_k(raw_channel) == GR_K_RAW and raw_channel.csb[0] < 3
+    assert raw_block.csb == (3,) and raw_block.payload_bits == 2048
+
+    decoded = ras_decompress_blocks(comps)
+    assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
+    assert np.array_equal(decoded, [oracle.ras_decompress_block(c) for c in expected])
+    for i in range(0, len(blocks), 5):                       # n=1 equals the block in a batch
+        assert ras_compress_block(blocks[i]) == comps[i]
+        assert np.array_equal(ras_decompress_block(comps[i]), decoded[i])
+        reader = BitReader(comps[i].payload, comps[i].payload_bits)
+        assert np.array_equal(read_block("ras", reader, comps[i].csb), decoded[i])
+        assert reader.tell() == comps[i].payload_bits
+
+    block_real = block_valid_counts(valid)
+    charged, true_bits, classes = ras_frame_cost(padded, block_real)
+    for i in np.flatnonzero(live):
+        by, bx = divmod(int(i), block_real.shape[1])
+        assert classes[by, bx] == expected[i].csb[0]
+        assert true_bits[by, bx] == expected[i].payload_bits
+        assert charged[by, bx] == expected[i].cost_bits
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_hybrid_batch_matches_oracle(gen):
+    _, _, blocks, _ = _frame_blocks(gen, seed=3)
+    ccd = ccd_from_blocks(list(blocks), 16)
+    comps = hybrid_compress_blocks(blocks, ccd)
+    expected = [oracle.hybrid_compress_block(block, ccd) for block in blocks]
+    assert comps == expected
+    decoded = hybrid_decompress_blocks(comps, ccd)
+    assert np.array_equal(decoded, blocks)
+    assert np.array_equal(decoded, [oracle.hybrid_decompress_block(c, ccd) for c in expected])
+    for i in range(0, len(blocks), 5):
+        assert hybrid_compress_block(blocks[i], ccd) == comps[i]
+        assert np.array_equal(hybrid_decompress_block(comps[i], ccd), decoded[i])
+
+
+def test_batch_entries_take_empty_and_chunked_stacks():
+    assert ras_compress_blocks(np.empty((0, 8, 8), dtype=np.uint32)) == []
+    assert ras_decompress_blocks([]).shape == (0, 8, 8)
+    # More blocks than one internal chunk.
+    blocks = np.concatenate([_frame_blocks(gen, 96, 88)[2] for gen in GENERATORS])
+    assert len(blocks) > 256
+    comps = ras_compress_blocks(blocks)
+    assert comps[250:262] == [oracle.ras_compress_block(b) for b in blocks[250:262]]
+    assert np.array_equal(ras_decompress_blocks(comps), blocks)
+
+
+def test_ras_decoder_rejects_declared_bits_past_payload():
+    comp = ras_compress_block(np.full((8, 8), 0x80808080, dtype=np.uint32))
+    with pytest.raises(CorruptStreamError):
+        ras_decompress_blocks([CompressedBlock(comp.csb, comp.payload[:-1],
+                                               comp.payload_bits, comp.cost_bits)])
+
+
+# ---------------------------------------------------------------------------
+# Corruption parity: damaged streams fail exactly where the oracle fails
+
+def _damaged_streams(comp: CompressedBlock, rng, cuts: int, flips: int):
+    """Seeded truncations (to a bit length, the bytes cut to match),
+    single- and double-bit flips of one block's stream, and the stream under
+    each other RAS size class."""
+    ras_class = comp.csb[0] - HDCP_RAS_BASE if len(comp.csb) == 16 else comp.csb[0]
+    if ras_class >= 0:
+        base = HDCP_RAS_BASE if len(comp.csb) == 16 else 0
+        for other in {0, 1, 2, 3} - {ras_class}:
+            yield CompressedBlock((base + other,) * len(comp.csb), comp.payload,
+                                  comp.payload_bits, comp.cost_bits)
+    for nbits in rng.integers(0, comp.payload_bits, size=cuts).tolist():
+        yield CompressedBlock(comp.csb, comp.payload[:(nbits + 7) // 8], nbits, comp.cost_bits)
+    for _ in range(flips):
+        blob = bytearray(comp.payload)
+        for bit in rng.integers(0, comp.payload_bits, size=int(rng.integers(1, 3))).tolist():
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+        yield CompressedBlock(comp.csb, bytes(blob), comp.payload_bits, comp.cost_bits)
+
+
+def _outcome(decode, *args):
+    """The decoded block, or CorruptStreamError; any other exception fails."""
+    try:
+        return decode(*args)
+    except CorruptStreamError:
+        return CorruptStreamError
+
+
+def _same(a, b) -> bool:
+    if a is CorruptStreamError or b is CorruptStreamError:
+        return a is b
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("codec", ["ras", "hybrid"])
+def test_damaged_block_streams_fail_like_the_oracle(codec):
+    rng = np.random.default_rng(99)
+    blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5)[2] for gen in GENERATORS])
+    ccd = ccd_from_blocks(list(blocks), 16)
+    if codec == "ras":
+        comps = ras_compress_blocks(blocks)
+        decode_one = oracle.ras_decompress_block
+        decode_batch = ras_decompress_blocks
+    else:
+        comps = hybrid_compress_blocks(blocks, ccd)
+        decode_one = oracle.hybrid_decompress_block
+        decode_batch = hybrid_decompress_blocks
+    damaged = [d for comp in comps for d in _damaged_streams(comp, rng, cuts=6, flips=12)]
+    outcomes = {"raise": 0, "decode": 0}
+    expected = []
+    for comp in damaged:
+        want = _outcome(decode_one, comp, ccd)
+        expected.append(want)
+        outcomes["raise" if want is CorruptStreamError else "decode"] += 1
+        assert _same(_outcome(lambda c: decode_batch([c], ccd)[0], comp), want)
+        reader = BitReader(comp.payload, comp.payload_bits)
+        assert _same(_outcome(read_block, codec, reader, comp.csb, ccd), want)
+    assert min(outcomes.values()) > 20, outcomes
+    # A batch fails when any of its streams does, and is the oracle's otherwise.
+    for lo in range(0, len(damaged), 7):
+        want = expected[lo:lo + 7]
+        got = _outcome(decode_batch, damaged[lo:lo + 7], ccd)
+        if any(w is CorruptStreamError for w in want):
+            assert got is CorruptStreamError
+        else:
+            assert np.array_equal(got, want)

@@ -5,6 +5,7 @@ import pytest
 
 import dcpbench.dcp_codecs
 import dcpbench.reference_codecs
+import dcpbench.runner
 from dcpbench.fvc import FvcConfig
 from dcpbench.runner import (
     ConfigError,
@@ -138,6 +139,29 @@ def test_determinism_across_runs_and_jobs():
         assert repr(a.frames) == repr(b.frames) == repr(c.frames)
 
 
+@pytest.mark.parametrize("scheme", ["DCP", "ADCP", "VDCP", "HUFFDCP", "RAS", "RED", "HDCP"])
+def test_bands_split_frames_exactly(monkeypatch, scheme):
+    # 100x60 pads to 13x8 blocks; 3-row bands leave a 2-row band at the end.
+    trace = generate(SyntheticSpec(generator="ui-like", width=100, height=60, frames=3, seed=4))
+    cfg = ExperimentConfig(scheme=scheme, seed=4)
+    whole = run_experiment(trace, cfg)
+    calls = []
+    for owner in (dcpbench.dcp_codecs, dcpbench.reference_codecs):
+        for name in ("dcp_frame_cost", "vdcp_frame_cost", "huffdcp_frame_cost",
+                     "ras_frame_cost", "red_frame_cost", "hybrid_frame_cost"):
+            engine = getattr(owner, name, None)
+            if engine is not None:
+                def spy(*args, _engine=engine):
+                    calls.append(args[0].shape)
+                    return _engine(*args)
+                monkeypatch.setattr(owner, name, spy)
+    monkeypatch.setattr(dcpbench.runner, "BAND_PIXELS", 3 * 64 * 13)
+    banded = run_experiment(trace, cfg)
+    assert repr(banded.frames) == repr(whole.frames)
+    assert banded.blocks_verified == whole.blocks_verified
+    assert set(calls) == {(24, 104), (16, 104)}
+
+
 def test_hybrid_shares_are_reported():
     trace = generate(SyntheticSpec(generator="2d-like", width=64, height=48, frames=4, seed=9))
     res = run_experiment(trace, ExperimentConfig(scheme="HDCP"))
@@ -242,7 +266,9 @@ def test_vdcp_palette_clamped_to_64():
 
 
 # Every frame-cost engine and block codec a scheme uses, named at the module
-# attribute where callers (and the benchmark's tracer) look it up.
+# attribute where callers (and the benchmark's tracer) look it up. RAS and
+# HDCP verify through their batch entries; `ras_frame_cost` stays the engine
+# both call.
 _DCP, _REF = "dcpbench.dcp_codecs", "dcpbench.reference_codecs"
 SCHEME_FUNCTIONS = {
     "DCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_block"),
@@ -253,12 +279,12 @@ SCHEME_FUNCTIONS = {
              (_DCP, "vdcp_decompress_block")],
     "HUFFDCP": [(_DCP, "huffdcp_frame_cost"), (_DCP, "huffdcp_compress_block"),
                 (_DCP, "huffdcp_decompress_block")],
-    "RAS": [(_REF, "ras_frame_cost"), (_REF, "ras_compress_block"),
-            (_REF, "ras_decompress_block")],
+    "RAS": [(_REF, "ras_frame_cost"), (_REF, "ras_compress_blocks"),
+            (_REF, "ras_decompress_blocks")],
     "RED": [(_REF, "red_frame_cost"), (_REF, "red_compress_block"),
             (_REF, "red_decompress_block")],
     "HDCP": [(_REF, "hybrid_frame_cost"), (_REF, "vdcp_frame_cost"), (_REF, "ras_frame_cost"),
-             (_REF, "hybrid_compress_block"), (_REF, "hybrid_decompress_block")],
+             (_REF, "hybrid_compress_blocks"), (_REF, "hybrid_decompress_blocks")],
 }
 
 

@@ -13,8 +13,8 @@ from dcpbench.surface import (
     TooFewFramesError,
     block_grid,
     block_refs,
+    block_stack,
     frames_equal,
-    iter_blocks,
     load_trace,
     pack_rgba,
     sub_block_pixels,
@@ -58,8 +58,10 @@ def test_padding_flags_9x8():
     padded, valid = frame.padded()
     assert padded.shape == (8, 16)
     assert len(block_refs(9, 8)) == 2
-    blocks = list(iter_blocks(frame))
-    assert blocks[1][3].sum() == 8  # one real column left in the second block
+    blocks = block_stack(valid)
+    assert blocks.shape == (1, 2, 8, 8)
+    assert blocks[0, 1].sum() == 8  # one real column left in the second block
+    assert np.array_equal(block_stack(padded)[0, 1], padded[:, 8:16])
     assert (~valid).sum() == 7 * 8
     # replicated content equals the last real column
     assert (padded[:, 9:] == padded[:, 8:9]).all()
@@ -85,8 +87,9 @@ def test_tiling_partition():
     rng = np.random.default_rng(0)
     frame = Frame(rng.integers(0, 1 << 32, size=(13, 21), dtype=np.uint64).astype(np.uint32))
     seen = np.zeros((13, 21), dtype=int)
-    for x0, y0, _, valid in iter_blocks(frame):
-        ys, xs = np.nonzero(valid)
+    _, valid = frame.padded()
+    for (x0, y0), block_valid in zip(block_refs(21, 13), block_stack(valid).reshape(-1, 8, 8)):
+        ys, xs = np.nonzero(block_valid)
         for y, x in zip(ys + y0, xs + x0):
             seen[y, x] += 1
     assert (seen == 1).all()
