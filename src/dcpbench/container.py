@@ -15,10 +15,14 @@ Layout (integers little-endian unless they live in the bit streams):
   payload per-block bit streams in block raster order, each byte-aligned
 
 The container knows no block format. The frame's blocks go through the
-codec family in one call (`dcp_codecs.batch_codec`), which returns one
-`CompressedBlock` per block: its status entries go into the status grid and
-its payload is appended as is; on the way back `dcp_codecs.read_block`
-decodes each block in place from the payload stream given its entries.
+codec family's batch entries (`dcp_codecs.codec_entry`). Compressing, one
+call returns one `CompressedBlock` per block: its status entries go into
+the status grid and its payload is appended as is. Decoding, the family's
+`stream_bits` finds where each block's stream ends from the status grid
+(DCP, VDCP and RED from the entries alone, HUFFDCP by chasing code
+lengths, RAS and HDCP by the Golomb-Rice next-zero parse), the payload is
+cut into `CompressedBlock`s, and one `decompress_blocks` call decodes the
+frame. Payload bytes left over after the last block are damage too.
 
 Likewise the palettes serialize themselves: the container places their
 bytes and knows neither layout. A palette is passed as the one object
@@ -35,12 +39,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitio import BitReader, CorruptStreamError
-from .dcp_codecs import batch_codec, read_block
+from .bitio import CorruptStreamError
+from .dcp_codecs import CompressedBlock, codec_entry
 from .huffman import HuffmanTable
 from .palette import Ccd, Rccd
-from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES
-from .surface import BLOCK, Frame, block_grid, block_refs, block_stack
+from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme
+from .surface import BLOCK, Frame, block_grid, block_stack
 
 MAGIC = b"FBC1"
 HEADER_BYTES = 13              # magic, scheme, width, height
@@ -55,8 +59,8 @@ def compress_frame(frame: Frame, scheme: str,
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
     padded, _ = frame.padded()
-    blocks = batch_codec(s.codec, "compress")(block_stack(padded).reshape(-1, BLOCK, BLOCK),
-                                              palette)
+    blocks = codec_entry(s.codec, "compress_blocks")(
+        block_stack(padded).reshape(-1, BLOCK, BLOCK), palette)
 
     out = bytearray()
     out += MAGIC
@@ -80,6 +84,31 @@ def compress_frame(frame: Frame, scheme: str,
 
 
 def decompress_frame(data: bytes) -> Frame:
+    s, width, height, palette, grid, payload = parse(data)
+    bits = np.asarray(codec_entry(s.codec, "stream_bits")(grid, payload, palette),
+                      dtype=np.int64)
+    nbytes = (bits + 7) // 8
+    ends = np.cumsum(nbytes)
+    if ends[-1] > len(payload):
+        raise CorruptStreamError("bit stream exhausted")
+    if ends[-1] < len(payload):
+        raise CorruptStreamError(f"{len(payload) - ends[-1]} payload bytes left unread")
+    comps = [CompressedBlock(tuple(csb), payload[end - n:end], b, b)
+             for csb, end, n, b in zip(grid.tolist(), ends.tolist(), nbytes.tolist(),
+                                       bits.tolist())]
+    blocks = codec_entry(s.codec, "decompress_blocks")(comps, palette)
+    nbx, nby = block_grid(width, height)
+    padded = blocks.reshape(nby, nbx, BLOCK, BLOCK).swapaxes(1, 2).reshape(nby * BLOCK, -1)
+    return Frame(padded[:height, :width].copy())
+
+
+def parse(data: bytes) -> tuple[Scheme, int, int, Rccd | HuffmanTable, np.ndarray, bytes]:
+    """(scheme, width, height, palette, status grid, payload) of a container.
+
+    The grid has one row per block in raster order, holding its status
+    entries as the codec returned them. Raises CorruptStreamError on a
+    damaged header, palette or status buffer.
+    """
     if len(data) < HEADER_BYTES:
         raise CorruptStreamError("truncated container header")
     if data[:4] != MAGIC:
@@ -109,10 +138,4 @@ def decompress_frame(data: bytes) -> Frame:
     bits = np.unpackbits(packed)[:cells * s.status_bits].reshape(cells, s.status_bits)
     values = bits.dot(1 << np.arange(s.status_bits - 1, -1, -1))
     grid = values.reshape(nby, k, nbx, k).transpose(0, 2, 1, 3).reshape(nby * nbx, k * k)
-
-    reader = BitReader(data[pos:])
-    padded = np.zeros((nby * BLOCK, nbx * BLOCK), dtype=np.uint32)
-    for (x0, y0), entries in zip(block_refs(width, height), grid.tolist()):
-        padded[y0:y0 + BLOCK, x0:x0 + BLOCK] = read_block(s.codec, reader, entries, palette)
-        reader.align_byte()
-    return Frame(padded[:height, :width].copy())
+    return s, width, height, palette, grid, data[pos:]

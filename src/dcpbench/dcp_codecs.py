@@ -11,20 +11,29 @@ raw 32-bit pixels are stored. They differ in how codes are sized:
            2**v palette entries (7 marks a raw sub-block)
   HuffDCP  canonical prefix codes built from the frequencies, 1-bit status
 
-Each scheme has a per-block bitstream codec (exact, used for round-trip
-verification and the frame container) and a vectorized whole-frame cost
-engine used by the benchmark runner; tests pin the two against each other.
-`advance_frame` builds the next palette from the collector's ranking; the
-handoff around it (schedule, coverage gate, reset) is `runner.replay`.
+Each scheme has an exact bitstream codec over stacks of blocks (used for
+round-trip verification and the frame container) and a vectorized
+whole-frame cost engine used by the benchmark runner; tests pin the two
+against each other. `advance_frame` builds the next palette from the
+collector's ranking; the handoff around it (schedule, coverage gate, reset)
+is `runner.replay`.
 
-Every block codec, here and in `reference_codecs`, returns one
-`CompressedBlock`, and `read_block` decodes any of them in place from a
-`BitReader` given its status entries. The codec modules are the only owners
-of the block bitstream formats: the container stores status entries and
-payloads without knowing what is in them.
+Every codec family, here and in `reference_codecs`, has three batch
+entries reached through `codec_entry`: compress a stack to one
+`CompressedBlock` per block, decompress such blocks to a stack, and find
+each block's stream length in a frame's payload. The codec modules are the
+only owners of the block bitstream formats: the container stores status
+entries and payloads without knowing what is in them.
 
+The palette codecs run on one skeleton over a chunk of blocks at a time:
+`lookup` over the (n, 16, 4) sub-block view, an all-hit mask per
+sub-block, a field width per pixel, then one `bitio.pack_fields` call.
+Decoding reads every field with one gather from offsets that follow from
+the status entries (DCP, VDCP); HUFFDCP finds one code per block per step.
 Payload bits are packed most-significant-bit first, sub-blocks in raster
-order; raw sub-blocks store their four packed pixels the same way.
+order; raw sub-blocks store their four packed pixels the same way. The
+scalar codecs these replaced live on in `tests/palette_oracle.py` as the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -34,12 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter
+from .bitio import CorruptStreamError, join_streams, pack_fields, read_fields
 from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
 from .palette import Ccd, Rccd, build_ccd
 from .schemes import HUFFMAN, SCHEMES, Scheme
-from .surface import assemble_sub_blocks, sub_block_pixels
 
 VDCP_RAW = 7                  # 3-bit status value marking a raw sub-block
 VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 entries
@@ -67,144 +75,288 @@ class CompressedBlock:
 
 
 # ---------------------------------------------------------------------------
-# Per-block bitstream codecs
+# Codec entries
 #
-# One skeleton serves the three code families. A family fixes the status of
-# a raw sub-block and how a coded sub-block's codes are sized and read:
-#
-#   size(codes, palette)          -> (status, [(value, width), ...]) to write
-#   read(status, reader, palette) -> the color of the next code in the stream
+# Every family has a batch entry per direction, `<codec>_compress_blocks`
+# and `<codec>_decompress_blocks`, and `<codec>_stream_bits`, which finds
+# each block's stream length in a frame's payload from its status entries.
+# The per-block names are the batch entries on one block.
 
-def _fixed_size(codes, ccd: Ccd):
-    return 1, [(c, ccd.bits_per_code) for c in codes]
-
-
-def _fixed_read(status, reader: BitReader, rccd: Rccd) -> int:
-    return rccd.decode(reader.read(rccd.bits_per_code))
-
-
-def _variable_size(codes, ccd: Ccd):
-    v = max(codes).bit_length()
-    return v, [(c, v) for c in codes]
-
-
-def _variable_read(status, reader: BitReader, rccd: Rccd) -> int:
-    return rccd.decode(reader.read(status))
-
-
-def _prefix_size(codes, table: HuffmanTable):
-    return 1, codes                  # table.encode already gives (code, length)
-
-
-def _prefix_read(status, reader: BitReader, table: HuffmanTable) -> int:
-    return table.decode_symbol(reader)
-
-
-# codec -> (raw status, size, read)
-_FAMILIES = {
-    "dcp": (0, _fixed_size, _fixed_read),
-    "vdcp": (VDCP_RAW, _variable_size, _variable_read),
-    "huffdcp": (0, _prefix_size, _prefix_read),
-}
-
-
-def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
-    raw_status, size, _ = _FAMILIES[codec]
-    usable = palette is not None and len(palette) > 0
-    w = BitWriter()
-    csb = []
-    for group in sub_block_pixels(block).tolist():
-        codes = [palette.encode(p) for p in group] if usable else [None]
-        if None in codes:
-            csb.append(raw_status)
-            for p in group:
-                w.write(p, 32)
-        else:
-            status, fields = size(codes, palette)
-            csb.append(status)
-            for value, width in fields:
-                w.write(value, width)
-    return CompressedBlock(tuple(csb), w.to_bytes(), w.bit_length, w.bit_length)
+BATCH_BLOCKS = 64              # blocks per encode/decode chunk; bounds the temporaries
 
 
 def _codec_module(codec: str):
     """The module that owns a codec family's bitstream format."""
-    if codec in _FAMILIES:
+    if codec in ("dcp", "vdcp", "huffdcp"):
         return sys.modules[__name__]
     from . import reference_codecs   # it imports this module, so it is found when called
     return reference_codecs
 
 
-def block_codec(codec: str, op: str):
-    """`<codec>_<op>_block` for op "compress" or "decompress", looked up on
-    its module when called, so that a patched codec is the one that runs."""
-    return getattr(_codec_module(codec), f"{codec}_{op}_block")
-
-
-def batch_codec(codec: str, op: str):
-    """`<codec>_<op>_blocks` over a stack of blocks, or one call of
-    `<codec>_<op>_block` per block where the family has no batch entry;
-    looked up on its module when called, like `block_codec`.
+def codec_entry(codec: str, name: str):
+    """`<codec>_<name>` ("compress_blocks", "decompress_blocks" or
+    "stream_bits"), looked up on its module when called, so that a patched
+    entry is the one that runs.
 
     Compress takes an (n, 8, 8) stack and a palette and returns a list of
-    `CompressedBlock`; decompress takes that list and the palette and
-    returns an (n, 8, 8) stack.
+    `CompressedBlock`; decompress takes such a list and the palette and
+    returns an (n, 8, 8) stack; stream bits takes an (n, k) array of status
+    entries, the payload of byte-aligned streams and the palette, and
+    returns each stream's bits.
     """
-    batch = getattr(_codec_module(codec), f"{codec}_{op}_blocks", None)
-    if batch is not None:
-        return batch
-    one = block_codec(codec, op)
-    if op == "compress":
-        return lambda blocks, palette=None: [one(block, palette) for block in blocks]
-    return lambda comps, palette=None: np.array(
-        [one(comp, palette) for comp in comps], dtype=np.uint32).reshape(-1, 8, 8)
+    return getattr(_codec_module(codec), f"{codec}_{name}")
 
 
-def read_block(codec: str, reader: BitReader, csb, palette=None) -> np.ndarray:
-    """Decode one block in place from `reader`, given its status entries.
+def sub_blocks(blocks: np.ndarray) -> np.ndarray:
+    """(n, 8, 8) blocks -> (n, 16, 4): the 2x2 sub-blocks in raster order,
+    each sub-block's pixels in raster order. This is the stream order."""
+    return blocks.reshape(-1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 16, 4)
 
-    `palette` is the reverse palette for "dcp", "vdcp" and "hybrid", the
-    Huffman table for "huffdcp", and unused by "ras" and "red". The reader is
-    left just past the block's stream; a status no encoder writes raises
-    CorruptStreamError.
+
+# _TO_RASTER[i]: the stream position of raster pixel i of a block.
+_TO_RASTER = sub_blocks(np.arange(64).reshape(1, 8, 8)).reshape(64).argsort()
+
+
+def compressed_blocks(csb: np.ndarray, payloads, nbits: np.ndarray) -> list[CompressedBlock]:
+    """`CompressedBlock`s from an (n, k) status array, payloads and bit
+    lengths, each charged its stream bits."""
+    return [CompressedBlock(tuple(c), p, b, b)
+            for c, p, b in zip(csb.tolist(), payloads, nbits.tolist())]
+
+
+def stream_rows(comps, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(status entries (n, k), joined buffer, first bit, bits) of a list of
+    `CompressedBlock`; raises CorruptStreamError on a block that does not
+    carry k entries or declares more bits than it holds."""
+    if any(len(c.csb) != k for c in comps):
+        raise CorruptStreamError(f"a block needs {k} status entries")
+    csb = np.array([c.csb for c in comps], dtype=np.int64).reshape(len(comps), k)
+    nbits = np.array([c.payload_bits for c in comps], dtype=np.int64)
+    buf, base = join_streams([c.payload for c in comps], nbits)
+    return csb, buf, base, nbits
+
+
+# ---------------------------------------------------------------------------
+# The palette skeleton
+#
+# One skeleton serves DCP, VDCP and HUFFDCP. A sub-block is coded when all
+# four of its pixels are in the palette, else its four pixels are stored
+# raw as 32-bit fields. The families differ only in the width of a code:
+# `bits_per_code` (DCP), the sub-block's v (VDCP), or the code's length
+# (HUFFDCP, whose codes may span several 32-bit fields).
+
+_RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW, "huffdcp": 0}
+
+
+def _palette_compress(codec: str, blocks: np.ndarray, palette) -> list[CompressedBlock]:
+    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
+    out: list[CompressedBlock] = []
+    for lo in range(0, len(blocks), BATCH_BLOCKS):
+        out += _palette_encode(codec, blocks[lo:lo + BATCH_BLOCKS], palette)
+    return out
+
+
+def _palette_encode(codec: str, blocks: np.ndarray, palette) -> list[CompressedBlock]:
+    pixels = sub_blocks(blocks)                              # (n, 16, 4)
+    if palette is None:
+        entries, hit = np.full(pixels.shape, -1), np.zeros(pixels.shape, dtype=bool)
+    else:
+        entries, hit = palette.lookup(pixels)
+    coded = hit.all(axis=2)
+    if not coded.any():                                      # also no or an empty palette
+        width = value = np.zeros((*pixels.shape, 1), dtype=np.int64)
+        status = np.full(coded.shape, _RAW_STATUS[codec])
+    elif codec == "huffdcp":
+        width, value = (f[entries] for f in palette.code_fields)     # (n, 16, 4, C)
+        status = coded.astype(np.int64)
+    elif codec == "dcp":
+        value = entries[..., None]
+        width = np.full(value.shape, palette.bits_per_code)
+        status = coded.astype(np.int64)
+    else:
+        value = entries[..., None]
+        v = _VDCP_WIDTH[np.clip(entries.max(axis=2), 0, VDCP_MAX_CCD - 1)]
+        width = np.repeat(v[:, :, None, None], 4, axis=2)
+        status = np.where(coded, v, VDCP_RAW)
+    # A raw pixel is one 32-bit field, then zero-width fields.
+    first = np.arange(width.shape[-1]) == 0
+    keep = coded[:, :, None, None]
+    widths = np.where(keep, width, np.where(first, 32, 0))
+    values = np.where(keep, value, np.where(first, pixels[..., None], 0))
+    n = len(blocks)
+    payloads, nbits = pack_fields(widths.reshape(n, -1), values.reshape(n, -1))
+    return compressed_blocks(status, payloads, nbits)
+
+
+def _palette_widths(codec: str, csb: np.ndarray, palette) -> tuple[np.ndarray, np.ndarray]:
+    """(code width, raw mask) per sub-block of DCP or VDCP status entries;
+    a status no encoder writes raises CorruptStreamError."""
+    raw = csb == _RAW_STATUS[codec]
+    if codec == "dcp":
+        return np.where(raw, 32, palette.bits_per_code if palette is not None else 0), raw
+    if csb.size and (csb.min() < 0 or csb.max() > VDCP_RAW):
+        raise CorruptStreamError("VDCP status outside 0..7")
+    return np.where(raw, 32, csb), raw
+
+
+def _palette_decompress(codec: str, comps, palette) -> np.ndarray:
+    comps = list(comps)
+    out = np.empty((len(comps), 8, 8), dtype=np.uint32)
+    for lo in range(0, len(comps), BATCH_BLOCKS):
+        chunk = comps[lo:lo + BATCH_BLOCKS]
+        out[lo:lo + len(chunk)] = _palette_decode(codec, *stream_rows(chunk, 16), palette)
+    return out
+
+
+def _palette_decode(codec, csb, buf, base, nbits, palette) -> np.ndarray:
+    if codec == "huffdcp":
+        values, coded = _prefix_decode(csb, buf, base, nbits, palette)
+    else:
+        width, raw = _palette_widths(codec, csb, palette)
+        widths = np.repeat(width, 4, axis=1)                 # (n, 64), stream order
+        ends = np.cumsum(widths, axis=1)
+        if np.any(ends[:, -1] > nbits):
+            raise CorruptStreamError("bit stream exhausted")
+        values = read_fields(buf, base[:, None] + ends - widths, widths).astype(np.int64)
+        coded = ~np.repeat(raw, 4, axis=1)
+    colors = palette.colors if palette is not None else np.empty(0, dtype=np.uint32)
+    if np.any(values[coded] >= colors.size):
+        raise CorruptStreamError(f"palette index out of range 0..{colors.size - 1}")
+    pixels = np.where(coded, colors[np.where(coded, values, 0)] if colors.size else 0, values)
+    return pixels[:, _TO_RASTER].reshape(-1, 8, 8)
+
+
+def _prefix_decode(csb, buf, base, nbits, table) -> tuple[np.ndarray, np.ndarray]:
+    """HUFFDCP fields as (raw pixel or table entry, coded) per pixel."""
+    at, entry = fields = [], []
+    _prefix_walk(table, buf, (csb != 0).tolist(), base.tolist(), (base + nbits).tolist(), fields)
+    at = np.array(at, dtype=np.int64).reshape(-1, 64)
+    entry = np.array(entry, dtype=np.int64).reshape(-1, 64)
+    coded = entry >= 0
+    return np.where(coded, entry, read_fields(buf, at, 32).astype(np.int64)), coded
+
+
+_WALK_WINDOW = 4096            # stream offsets whose codes are found at once
+
+
+def _prefix_walk(table, buf, coded_rows, starts, ends, fields=None) -> list[int]:
+    """Chase HUFFDCP streams field by field; returns each block's bits.
+
+    Block i starts at bit `starts[i]`, or where `starts` is None on the byte
+    after block i-1 ends, and may not pass bit `ends[i]`; `coded_rows[i]`
+    says which of its sub-blocks are coded. With `fields`, appends each
+    field's offset to `fields[0]` and its table entry (-1 for a raw pixel)
+    to `fields[1]`, in stream order. The code at every offset of a window
+    of the buffer is found with one `HuffmanTable.decode_at` call; the
+    chase itself runs on Python ints.
     """
-    if codec not in _FAMILIES:
-        return _codec_module(codec).READERS[codec](reader, csb, palette)
-    raw_status, _, read = _FAMILIES[codec]
-    groups = []
-    for status in csb:
-        if status == raw_status:
-            groups.append([reader.read(32) for _ in range(4)])
-        else:
-            groups.append([read(status, reader, palette) for _ in range(4)])
-    return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
+    offsets, entries = fields if fields is not None else ([], [])
+    used = []
+    limit = max(ends, default=0)
+    lo = span = 0
+    lens: list[int] = []
+    ents: list[int] = []
+    start = 0
+    for row, end in zip(coded_rows, ends):
+        if starts is not None:
+            start = starts[len(used)]
+        at = start
+        for coded in row:
+            if not coded:
+                if fields is not None:
+                    offsets += (at, at + 32, at + 64, at + 96)
+                    entries += (-1, -1, -1, -1)
+                at += 128
+                continue
+            if table is None:
+                raise CorruptStreamError("coded sub-block without a Huffman table")
+            for _ in range(4):
+                i = at - lo
+                if not 0 <= i < span:
+                    if at >= end:
+                        raise CorruptStreamError("bit stream exhausted")
+                    lo, span, i = at, min(_WALK_WINDOW, limit - at), 0
+                    length, entry = table.decode_at(buf, np.arange(lo, lo + span))
+                    lens, ents = length.tolist(), entry.tolist()
+                if ents[i] < 0:
+                    raise CorruptStreamError("no prefix code matches the stream")
+                if fields is not None:
+                    offsets.append(at)
+                    entries.append(ents[i])
+                at += lens[i]
+        if at > end:
+            raise CorruptStreamError("bit stream exhausted")
+        used.append(at - start)
+        start += -(-(at - start) // 8) * 8
+    return used
+
+
+def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
+    return _palette_compress("dcp", blocks, ccd)
+
+
+def dcp_decompress_blocks(comps, palette: Rccd | None = None) -> np.ndarray:
+    return _palette_decompress("dcp", comps, palette)
+
+
+def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
+    if ccd is not None and len(ccd) > VDCP_MAX_CCD:
+        raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
+    return _palette_compress("vdcp", blocks, ccd)
+
+
+def vdcp_decompress_blocks(comps, palette: Rccd | None = None) -> np.ndarray:
+    return _palette_decompress("vdcp", comps, palette)
+
+
+def huffdcp_compress_blocks(blocks: np.ndarray,
+                            table: HuffmanTable | None) -> list[CompressedBlock]:
+    return _palette_compress("huffdcp", blocks, table)
+
+
+def huffdcp_decompress_blocks(comps, palette: HuffmanTable | None = None) -> np.ndarray:
+    return _palette_decompress("huffdcp", comps, palette)
+
+
+def dcp_stream_bits(csb: np.ndarray, payload: bytes, palette: Rccd | None) -> np.ndarray:
+    return 4 * _palette_widths("dcp", csb, palette)[0].sum(axis=1)
+
+
+def vdcp_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
+    return 4 * _palette_widths("vdcp", csb, palette)[0].sum(axis=1)
+
+
+def huffdcp_stream_bits(csb: np.ndarray, payload: bytes,
+                        table: HuffmanTable | None) -> list[int]:
+    """Each block's stream bits, by chasing code lengths from block to
+    block; raw sub-blocks skip 128 bits."""
+    buf, _ = join_streams([payload], [0])
+    return _prefix_walk(table, buf, (csb != 0).tolist(), None, [8 * len(payload)] * len(csb))
 
 
 def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
-    return _compress_block("dcp", block, ccd)
+    return dcp_compress_blocks(block[None], ccd)[0]
 
 
 def dcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return read_block("dcp", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
+    return dcp_decompress_blocks([comp], palette)[0]
 
 
 def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
-    if ccd is not None and len(ccd) > VDCP_MAX_CCD:
-        raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
-    return _compress_block("vdcp", block, ccd)
+    return vdcp_compress_blocks(block[None], ccd)[0]
 
 
 def vdcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return read_block("vdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
+    return vdcp_decompress_blocks([comp], palette)[0]
 
 
 def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlock:
-    return _compress_block("huffdcp", block, table)
+    return huffdcp_compress_blocks(block[None], table)[0]
 
 
 def huffdcp_decompress_block(comp: CompressedBlock,
                              palette: HuffmanTable | None = None) -> np.ndarray:
-    return read_block("huffdcp", BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
+    return huffdcp_decompress_blocks([comp], palette)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +449,9 @@ def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarra
                        table: HuffmanTable | None) -> np.ndarray:
     if table is None or len(table) == 0:
         return _block_sum(32 * sb_real)
-    lens, hit = table.lookup(padded)
+    entries, hit = table.lookup(padded)
     compressible = _sub_block_all(hit)
-    code_bits = _sub_block_sum(np.where(valid, lens, 0))
+    code_bits = _sub_block_sum(np.where(valid & hit, table.lengths[entries], 0))
     bits = np.where(compressible, code_bits, 32 * sb_real)
     return _block_sum(bits)
 

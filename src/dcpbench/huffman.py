@@ -1,7 +1,8 @@
 """Canonical prefix codes over ranked color frequencies.
 
-A `HuffmanTable` is HUFFDCP's palette: it encodes and decodes the codes and
-serializes itself for the frame container. Only the color and the code
+A `HuffmanTable` is HUFFDCP's palette: it splits its codes into bit fields
+for the encoder, finds the code at any offset of a stream for the decoder,
+and serializes itself for the frame container. Only the color and the code
 length of each entry are stored; the codes follow from the lengths by the
 canonical assignment.
 """
@@ -9,10 +10,12 @@ canonical assignment.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 import numpy as np
 
-from .bitio import BitReader, CorruptStreamError
+from .bitio import FIELD_MAX_BITS, CorruptStreamError, read_fields
+from .palette import sorted_colors, sorted_lookup
 
 
 def code_lengths(freqs: list[int]) -> list[int]:
@@ -72,7 +75,12 @@ _ENTRY = np.dtype([("color", "<u4"), ("length", "u1")])
 
 
 class HuffmanTable:
-    """Prefix-code table over ranked colors, canonical assignment."""
+    """Prefix-code table over ranked colors, canonical assignment.
+
+    Codes are handled as fields of at most 32 bits (`FIELD_MAX_BITS`), so a
+    code of any stored length, up to 255 bits, is coded exactly and no code
+    value is ever held in a machine word wider than its field.
+    """
 
     def __init__(self, colors: list[int], lengths: list[int]):
         if len(colors) != len(lengths):
@@ -80,14 +88,7 @@ class HuffmanTable:
         self.colors = np.asarray(colors, dtype=np.uint32)
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.codes = canonical_codes(list(lengths))
-        self._enc = {int(c): (self.codes[i], int(lengths[i]))
-                     for i, c in enumerate(colors)}
-        self._dec = {(int(lengths[i]), self.codes[i]): int(c)
-                     for i, c in enumerate(colors)}
-        self.max_length = int(self.lengths.max()) if len(lengths) else 0
-        order = np.argsort(self.colors, kind="stable")
-        self._sorted_colors = self.colors[order]
-        self._sorted_lengths = self.lengths[order]
+        self._sorted = sorted_colors(self.colors)
 
     def __len__(self) -> int:
         return int(self.colors.size)
@@ -114,30 +115,96 @@ class HuffmanTable:
     def byte_size(self) -> int:
         return 2 + _ENTRY.itemsize * len(self)
 
-    def encode(self, color: int) -> tuple[int, int] | None:
-        return self._enc.get(int(color))
-
     def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized: (code length per pixel, hit mask). Length 0 on miss."""
-        if len(self) == 0:
-            return np.zeros(pixels.shape, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
-        pos = np.searchsorted(self._sorted_colors, pixels)
-        pos = np.minimum(pos, len(self) - 1)
-        hit = self._sorted_colors[pos] == pixels
-        lens = np.where(hit, self._sorted_lengths[pos], 0)
-        return lens, hit
+        """Vectorized: (entry index per pixel, hit mask); -1 on a miss."""
+        return sorted_lookup(self._sorted, pixels)
 
-    def decode_symbol(self, reader: BitReader) -> int:
-        code = 0
-        length = 0
-        while True:
-            code = (code << 1) | reader.read(1)
-            length += 1
-            sym = self._dec.get((length, code))
-            if sym is not None:
-                return sym
-            if length > self.max_length:
-                raise CorruptStreamError("no prefix code matches the stream")
+    @cached_property
+    def code_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """(widths, values), each (entries, C): every code split MSB first
+        into C fields of at most 32 bits, C fixed by the longest code."""
+        chunks = max(1, -(-int(self.lengths.max(initial=0)) // FIELD_MAX_BITS))
+        widths = np.zeros((len(self), chunks), dtype=np.int64)
+        values = np.zeros((len(self), chunks), dtype=np.uint64)
+        for i, (code, length) in enumerate(zip(self.codes, self.lengths.tolist())):
+            for j in range(-(-length // FIELD_MAX_BITS)):
+                w = min(length - FIELD_MAX_BITS * j, FIELD_MAX_BITS)
+                widths[i, j] = w
+                values[i, j] = (code >> (length - FIELD_MAX_BITS * j - w)) & ((1 << w) - 1)
+        return widths, values
+
+    @cached_property
+    def _decoder(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Search keys over the codes a stream can reach, one key array per
+        32-bit digit of a code left-justified to D digits, plus each code's
+        length and entry.
+
+        Canonical codes, taken in order, left-justified, tile the line from
+        0: each starts where the one before ends. A code is reachable while
+        it fits its length and is at least 1 bit long; once one does not,
+        none after it does. The code containing a window of stream bits is
+        the last whose start is not above it. Past the last reachable code
+        a sentinel with entry -1 marks the rest of the line as no code.
+
+        A digit key is (index of the first code sharing the earlier digits)
+        << 32 | digit, so each key array is sorted and one search per digit
+        narrows to the codes that share the window's digits so far.
+        """
+        order = sorted(range(len(self)), key=lambda i: (int(self.lengths[i]), i))
+        reach = []
+        for i in order:
+            code, length = self.codes[i], int(self.lengths[i])
+            if length < 1 or code >> length:
+                break
+            reach.append((code, length, i))
+        digits = max(1, -(-max((r[1] for r in reach), default=0) // FIELD_MAX_BITS))
+        span = FIELD_MAX_BITS * digits
+        starts = [code << (span - length) for code, length, _ in reach]
+        lengths = [length for _, length, _ in reach]
+        entries = [i for _, _, i in reach]
+        end = starts[-1] + (1 << (span - lengths[-1])) if reach else 0
+        if end < 1 << span:
+            starts.append(end)
+            lengths.append(0)
+            entries.append(-1)
+        keys = []
+        run = [0] * len(starts)
+        for j in range(digits):
+            digit = [(s >> FIELD_MAX_BITS * (digits - 1 - j)) & 0xFFFFFFFF for s in starts]
+            keys.append(np.array([(r << 32) | d for r, d in zip(run, digit)], dtype=np.uint64))
+            nxt: list[int] = []
+            for i in range(len(starts)):
+                same = i and run[i - 1] == run[i] and digit[i - 1] == digit[i]
+                nxt.append(nxt[-1] if same else i)
+            run = nxt
+        return keys, np.array(lengths, dtype=np.int64), np.array(entries, dtype=np.int64)
+
+    def decode_at(self, buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(code length, entry) of the code starting at each bit offset
+        `at` of a `bitio.join_streams` buffer; entry -1 where the bits
+        begin no code. A code may reach past the caller's stream end, which
+        the caller checks against the length.
+        """
+        keys, lengths, entries = self._decoder
+        at = np.asarray(at, dtype=np.int64)
+        lo = np.zeros(at.shape, dtype=np.int64)
+        found = np.empty(at.shape, dtype=np.int64)
+        open_ = np.ones(at.shape, dtype=bool)
+        for j, key in enumerate(keys):
+            q = (lo.astype(np.uint64) << np.uint64(32)) | read_fields(buf, at + 32 * j, 32)
+            k = np.searchsorted(key, q, side="right") - 1
+            if j == len(keys) - 1:
+                found[open_] = k[open_]
+                break
+            # The window's digit equals code k's: look among the codes that
+            # share it. Otherwise code k (or the one before the run) is it.
+            same = (k >= lo) & (key[np.maximum(k, 0)] == q)
+            found[open_ & ~same] = k[open_ & ~same]
+            open_ &= same
+            if not open_.any():
+                break
+            lo = np.where(same, np.searchsorted(key, q, side="left"), lo)
+        return lengths[found], entries[found]
 
 
 def build_table(ranked: list[tuple[int, int]]) -> HuffmanTable:

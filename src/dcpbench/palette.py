@@ -27,11 +27,6 @@ class Rccd:
     def __len__(self) -> int:
         return int(self.colors.size)
 
-    def decode(self, index: int) -> int:
-        if index < 0 or index >= len(self):
-            raise CorruptStreamError(f"palette index {index} out of range 0..{len(self) - 1}")
-        return int(self.colors[index])
-
     def to_bytes(self) -> bytes:
         """Serialized layout: u16 entry count then count little-endian u32."""
         count = len(self)
@@ -69,23 +64,30 @@ class Ccd(Rccd):
             raise ValueError("palette colors must be a flat sequence")
         if len(np.unique(arr)) != arr.size:
             raise ValueError("palette colors must be unique")
-        self._index = {int(c): i for i, c in enumerate(arr.tolist())}
-        order = np.argsort(arr, kind="stable")
-        self._sorted_colors = arr[order]
-        self._sorted_to_code = order.astype(np.int64)
-
-    def encode(self, color: int) -> int | None:
-        return self._index.get(int(color))
+        self._sorted = sorted_colors(arr)
 
     def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized encode: (codes, hit). codes is -1 where hit is False."""
-        if len(self) == 0:
-            return np.full(pixels.shape, -1, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
-        pos = np.searchsorted(self._sorted_colors, pixels)
-        pos = np.minimum(pos, len(self) - 1)
-        hit = self._sorted_colors[pos] == pixels
-        codes = np.where(hit, self._sorted_to_code[pos], -1)
-        return codes, hit
+        return sorted_lookup(self._sorted, pixels)
+
+
+def sorted_colors(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`colors` sorted, and the index of each sorted color in `colors`."""
+    order = np.argsort(colors, kind="stable").astype(np.int64)
+    return colors[order], order
+
+
+def sorted_lookup(sorted_index: tuple[np.ndarray, np.ndarray],
+                  pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, hit) for every pixel, by binary search over a palette's
+    `sorted_colors`; the index is -1 where hit is False. Of equal colors the
+    first is found."""
+    colors, order = sorted_index
+    if colors.size == 0:
+        return np.full(pixels.shape, -1, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(colors, pixels), colors.size - 1)
+    hit = colors[pos] == pixels
+    return np.where(hit, order[pos], -1), hit
 
 
 def build_ccd(ranked: list[tuple[int, int]], size: int) -> Ccd:

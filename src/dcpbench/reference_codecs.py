@@ -10,10 +10,14 @@ block.
 This module owns the RAS, RED and HDCP block formats. Their compressors
 return the same `CompressedBlock` as the palette codecs, with one status
 entry per block for RAS (its size class) and RED (its class) and 16 for
-HDCP; `READERS` decodes each in place from a `BitReader`, and
-`dcp_codecs.read_block` is the one entry point to them.
+HDCP. Like the palette families, each has batch entries over stacks of
+blocks (`<codec>_compress_blocks`, `<codec>_decompress_blocks`) and
+`<codec>_stream_bits`, which finds each block's stream length in a frame's
+payload; `dcp_codecs.codec_entry` reaches them by name.
 
-RAS runs on whole arrays, never one sample at a time:
+RED stores its class's colors as 32-bit words and rebuilds a stack with one
+gather. RAS runs on whole arrays, never one
+sample at a time:
 
 - `med_zigzag` is the one MED kernel. It maps the 8-bit samples of any
   `(..., 8a, 8b)` int16 array (a padded frame's four channels, or a stack
@@ -23,14 +27,16 @@ RAS runs on whole arrays, never one sample at a time:
 - `ras_compress_blocks` encodes a stack of blocks with one `packbits`.
   `ras_decompress_blocks` parses each stream from a next-zero table and
   rebuilds all channels of all blocks at once, one anti-diagonal of the
-  8x8 grid per step. `_read_ras`, the in-place reader, is the same parser
-  and wavefront on one block.
-- `hybrid_compress_blocks`/`hybrid_decompress_blocks` batch the RAS half
-  of HDCP; the VDCP half stays per block.
+  8x8 grid per step. `ras_stream_bits` runs the same next-zero parse over
+  a frame's payload to find where each stream ends, so a whole frame's
+  blocks reach the wavefront in one call.
+- `hybrid_compress_blocks`/`hybrid_decompress_blocks` run the VDCP and
+  RAS batch entries once each over the stack.
 
 The per-block names (`ras_compress_block`, ...) are the batch entries on
-one block. The scalar bit-at-a-time codec these replaced lives on in
-`tests/ras_oracle.py` as the differential oracle.
+one block. The scalar bit-at-a-time codecs these replaced live on in
+`tests/ras_oracle.py` and `tests/palette_oracle.py` as the differential
+oracle.
 """
 
 from __future__ import annotations
@@ -38,13 +44,17 @@ from __future__ import annotations
 import numpy as np
 
 from .bandwidth import charged_bursts
-from .bitio import BitReader, CorruptStreamError
+from .bitio import CorruptStreamError, join_streams, read_fields
 from .dcp_codecs import (
+    BATCH_BLOCKS,
     VDCP_RAW,
     CompressedBlock,
-    read_block,
-    vdcp_compress_block,
+    compressed_blocks,
+    stream_rows,
+    vdcp_compress_blocks,
+    vdcp_decompress_blocks,
     vdcp_frame_cost,
+    vdcp_stream_bits,
 )
 from .palette import Ccd, Rccd
 
@@ -53,13 +63,6 @@ GR_K_RAW = 7                   # "special mode": channel stored raw
 GR_UNARY_CAP = 4096            # longest unary run a reader accepts
 RAW_CHANNEL_BITS = 512         # 64 samples x 8 bits
 RAW_BLOCK_BITS = 2048
-_BATCH = 64                    # blocks per encode/decode chunk; bounds the temporaries
-
-
-def _read_pixels(reader: BitReader, count: int) -> np.ndarray:
-    """`count` raw 32-bit pixels, read as one field."""
-    data = reader.read(32 * count).to_bytes(4 * count, "big")
-    return np.frombuffer(data, dtype=">u4").astype(np.uint32)
 
 
 # ---------------------------------------------------------------------------
@@ -129,52 +132,78 @@ RED_C8, RED_C4, RED_RAW = 0, 1, 2
 RED_CHARGED_BITS = {RED_C8: 256, RED_C4: 512, RED_RAW: 2048}
 
 
-def _red_regions8(block: np.ndarray) -> np.ndarray:
-    # Eight 4-wide x 2-tall regions: (region_row, row, region_col, col).
-    return block.reshape(4, 2, 2, 4)
+# Field j of a class's stream holds raster pixel _RED_FIELD_PIXEL[class][j]:
+# the top-left pixel of each 4-wide x 2-tall region (C8), of each 2x2
+# sub-block (C4), or every pixel (raw). _RED_PIXEL_FIELD[class][i] is the
+# field raster pixel i is rebuilt from.
+_RED_FIELDS = np.array([8, 16, 64])
+_y, _x = np.divmod(np.arange(64), 8)
+_RED_PIXEL_FIELD = np.stack([(_y // 2) * 2 + _x // 4, (_y // 2) * 4 + _x // 2, np.arange(64)])
+_RED_FIELD_PIXEL = np.stack([np.pad(np.unique(f, return_index=True)[1], (0, 64 - f.max() - 1))
+                             for f in _RED_PIXEL_FIELD])
 
 
-def _red_regions4(block: np.ndarray) -> np.ndarray:
-    return block.reshape(4, 2, 4, 2)
+def _red_classes(blocks: np.ndarray) -> np.ndarray:
+    """The class of each block of an (n, 8, 8) stack."""
+    r8 = blocks.reshape(-1, 4, 2, 2, 4)
+    c8 = (r8 == r8[:, :, :1, :, :1]).all(axis=(1, 2, 3, 4))
+    r4 = blocks.reshape(-1, 4, 2, 4, 2)
+    c4 = (r4 == r4[:, :, :1, :, :1]).all(axis=(1, 2, 3, 4))
+    return np.where(c8, RED_C8, np.where(c4, RED_C4, RED_RAW))
 
 
 def red_classify_block(block: np.ndarray) -> tuple[int, int]:
     """(class, charged bits). C8 compresses 1:8, C4 1:4, else raw."""
-    r8 = _red_regions8(block)
-    if bool((r8 == r8[:, :1, :, :1]).all()):
-        return RED_C8, RED_CHARGED_BITS[RED_C8]
-    r4 = _red_regions4(block)
-    if bool((r4 == r4[:, :1, :, :1]).all()):
-        return RED_C4, RED_CHARGED_BITS[RED_C4]
-    return RED_RAW, RED_CHARGED_BITS[RED_RAW]
+    cls = int(_red_classes(np.asarray(block)[None])[0])
+    return cls, RED_CHARGED_BITS[cls]
+
+
+def red_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBlock]:
+    """Each block's class colors as big-endian 32-bit words; `palette` is
+    unused."""
+    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 64)
+    out: list[CompressedBlock] = []
+    for lo in range(0, len(blocks), BATCH_BLOCKS):
+        chunk = blocks[lo:lo + BATCH_BLOCKS]
+        cls = _red_classes(chunk)
+        words = np.take_along_axis(chunk, _RED_FIELD_PIXEL[cls], axis=1).astype(">u4")
+        count = _RED_FIELDS[cls]
+        out += compressed_blocks(cls[:, None],
+                                 [row[:n].tobytes() for row, n in zip(words, count.tolist())],
+                                 32 * count)
+    return out
+
+
+def red_decompress_blocks(comps, palette=None) -> np.ndarray:
+    comps = list(comps)
+    out = np.empty((len(comps), 8, 8), dtype=np.uint32)
+    for lo in range(0, len(comps), BATCH_BLOCKS):
+        csb, buf, base, nbits = stream_rows(comps[lo:lo + BATCH_BLOCKS], 1)
+        if np.any(red_stream_bits(csb, b"") > nbits):
+            raise CorruptStreamError("bit stream exhausted")
+        cls = csb[:, 0]
+        at = base[:, None] + 32 * np.minimum(np.arange(64), _RED_FIELDS[cls][:, None] - 1)
+        fields = read_fields(buf, at, 32)
+        pixels = np.take_along_axis(fields, _RED_PIXEL_FIELD[cls], axis=1)
+        out[lo:lo + len(cls)] = pixels.reshape(-1, 8, 8)
+    return out
+
+
+def red_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
+    """Each block's stream bits, from its class alone."""
+    cls = csb[:, 0]
+    bad = (cls < RED_C8) | (cls > RED_RAW)
+    if bad.any():
+        raise CorruptStreamError(f"RED status {int(cls[bad][0])} is not a class")
+    return 32 * _RED_FIELDS[cls]
 
 
 def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
-    """The class's region colors as 32-bit words; `palette` is unused."""
-    cls, bits = red_classify_block(block)
-    if cls == RED_C8:
-        colors = _red_regions8(block)[:, 0, :, 0]
-    elif cls == RED_C4:
-        colors = _red_regions4(block)[:, 0, :, 0]
-    else:
-        colors = block
-    return CompressedBlock((cls,), colors.astype(">u4").tobytes(), bits, bits)
+    return red_compress_blocks(block[None])[0]
 
 
 def red_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return read_block("red", BitReader(comp.payload, comp.payload_bits), comp.csb)
-
-
-def _read_red(reader: BitReader, csb, palette=None) -> np.ndarray:
-    bits = RED_CHARGED_BITS.get(csb[0])
-    if bits is None:
-        raise CorruptStreamError(f"RED status {csb[0]} is not a class")
-    colors = _read_pixels(reader, bits // 32)
-    if csb[0] == RED_C8:
-        return np.repeat(np.repeat(colors.reshape(4, 2), 2, axis=0), 4, axis=1)
-    if csb[0] == RED_C4:
-        return np.repeat(np.repeat(colors.reshape(4, 4), 2, axis=0), 2, axis=1)
-    return colors.reshape(8, 8)
+    return red_decompress_blocks([comp])[0]
 
 
 def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
@@ -222,8 +251,8 @@ def ras_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBloc
     """
     blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
     out: list[CompressedBlock] = []
-    for lo in range(0, len(blocks), _BATCH):
-        out += _ras_encode(blocks[lo:lo + _BATCH])
+    for lo in range(0, len(blocks), BATCH_BLOCKS):
+        out += _ras_encode(blocks[lo:lo + BATCH_BLOCKS])
     return out
 
 
@@ -293,13 +322,13 @@ def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
 def ras_decompress_blocks(comps, palette=None) -> np.ndarray:
     """Decode RAS blocks to an (n, 8, 8) stack; `palette` is unused.
 
-    Raises CorruptStreamError where `_read_ras` would on each block's own
-    stream, and also when a block declares more bits than it carries.
+    Raises CorruptStreamError where the scalar reader would on each block's
+    own stream, and also when a block declares more bits than it carries.
     """
     comps = list(comps)
     out = np.empty((len(comps), 8, 8), dtype=np.uint32)
-    for lo in range(0, len(comps), _BATCH):
-        chunk = comps[lo:lo + _BATCH]
+    for lo in range(0, len(comps), BATCH_BLOCKS):
+        chunk = comps[lo:lo + BATCH_BLOCKS]
         coded, data, starts, avail, classes = [], [], [], [], []
         offset = 0
         for i, comp in enumerate(chunk, lo):
@@ -317,21 +346,42 @@ def ras_decompress_blocks(comps, palette=None) -> np.ndarray:
             classes.append(comp.csb[0])
             offset += len(comp.payload)
         if coded:
-            out[coded] = _ras_decode(b"".join(data), starts, avail, classes)[0]
+            out[coded] = _ras_decode(b"".join(data), starts, avail, classes)
     return out
 
 
-def _read_ras(r: BitReader, csb, palette=None) -> np.ndarray:
-    """One block in place. A coded stream is at most its size class's bits,
-    so that window is all the parser is given."""
-    size_class = csb[0]
-    if size_class == RAS_RAW_CLASS:
-        return _read_pixels(r, 64).reshape(8, 8)
-    nbits = max(0, min((size_class + 1) * 512, r.remaining()))
-    data = (r.peek(nbits) << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
-    blocks, used = _ras_decode(data, [0], [nbits], [size_class])
-    r.read(used[0])
-    return blocks[0]
+def ras_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> list[int]:
+    return _ras_walk(payload, [None] * len(csb), csb[:, 0].tolist())
+
+
+_WALK_WINDOW = 1 << 13         # payload bytes given one next-zero table
+
+
+def _ras_walk(payload: bytes, known, classes) -> list[int]:
+    """Each block's stream bits in a payload of byte-aligned streams. A
+    block's bits are `known`, or None for a RAS block of size class
+    `classes[i]`, whose stream is parsed up to its end. The next-zero
+    table covers a window of the payload at a time."""
+    total = 8 * len(payload)
+    out = []
+    start = 0
+    first, last, buf, nz = 0, -1, None, None    # the window's bits first..last
+    for nbits, size_class in zip(known, classes):
+        if nbits is None and size_class == RAS_RAW_CLASS:
+            nbits = RAW_BLOCK_BITS
+        if nbits is None:
+            end = start + max(0, min((size_class + 1) * 512, total - start))
+            if end > last:
+                chunk = payload[start // 8:start // 8 + _WALK_WINDOW]
+                first, last = start, start + 8 * len(chunk)
+                buf, nz = _next_zero(chunk)
+                nz = memoryview(nz)
+            nbits = _ras_parse(buf, nz, start - first, end - first, size_class)
+        elif start + nbits > total:
+            raise CorruptStreamError("bit stream exhausted")
+        out.append(nbits)
+        start += -(-nbits // 8) * 8
+    return out
 
 
 # Anti-diagonal y + x = d of the 8x8 grid, as strided slices: its samples
@@ -341,10 +391,66 @@ _DIAGONALS = [(slice(8 * y0 + d + 10, 8 * y1 + d + 11, 8), slice(7 * y0 + d, 7 *
               for d in range(15) for y0, y1 in [(max(0, d - 7), min(d, 7))]]
 
 
-def _ras_decode(data: bytes, starts, avail, classes) -> tuple[np.ndarray, list[int]]:
+def _next_zero(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """`data` as a `bitio.join_streams` buffer, and for each of its bits the
+    position of the first zero bit at or after it. The buffer's zero slack
+    bounds every next-zero lookup and every field read near the end."""
+    buf, _ = join_streams([data], [0])
+    bits = np.unpackbits(buf)
+    zero_at = np.where(bits == 0, np.arange(bits.size, dtype=np.int32), np.int32(bits.size))
+    return buf, np.minimum.accumulate(zero_at[::-1])[::-1]
+
+
+def _ras_parse(buf: np.ndarray, nz: memoryview, start: int, end: int, size_class: int,
+               fields: tuple[list, list, list, list] | None = None) -> int:
+    """Parse the coded stream at bits start..end of `buf`, given the
+    next-zero table `nz` of its bits. Returns the bits used.
+
+    With `fields`, appends each Golomb-Rice channel's k to `fields[0]`, its
+    64 code offsets to `fields[1]`, each raw channel's first sample offset
+    to `fields[2]` and whether each channel is raw to `fields[3]`.
+
+    A stream may not read past `end`, and the bits used must fit the size
+    class. The next-zero chase runs on Python ints; a chase that leaves
+    `end` is caught once its channel is done, since offsets only grow.
+    """
+    p = start
+    try:
+        for _ in range(4):
+            if p + 3 > end:
+                raise CorruptStreamError("bit stream exhausted")
+            k = (int(buf[p >> 3]) << 8 | int(buf[(p >> 3) + 1])) >> (13 - (p & 7)) & 7
+            p += 3
+            if k == GR_K_RAW:
+                if fields is not None:
+                    fields[2].append(p)
+                    fields[3].append(True)
+                p += RAW_CHANNEL_BITS
+            elif fields is None:
+                step = k + 1                    # past the zero and the remainder
+                for _ in range(64):
+                    p = nz[p] + step
+            else:
+                fields[0].append(k)
+                fields[3].append(False)
+                codes = fields[1]
+                step = k + 1
+                for _ in range(64):
+                    codes.append(p)
+                    p = nz[p] + step
+            if p > end:
+                raise CorruptStreamError("bit stream exhausted")
+    except IndexError:                          # a chase past the buffer
+        raise CorruptStreamError("bit stream exhausted") from None
+    if not size_class * 512 < p - start:
+        raise CorruptStreamError(
+            f"RAS stream of {p - start} bits does not fit size class {size_class}")
+    return p - start
+
+
+def _ras_decode(data: bytes, starts, avail, classes) -> np.ndarray:
     """Decode the coded (class 0..2) RAS streams that start at bit `starts`
-    of `data` and have `avail` bits each; returns the (n, 8, 8) blocks and
-    the bits each stream used.
+    of `data` and have `avail` bits each, to (n, 8, 8) blocks.
 
     Every check of the scalar reader holds: a stream may not read past its
     bits, a unary run may not pass GR_UNARY_CAP, the bits used must fit the
@@ -353,67 +459,31 @@ def _ras_decode(data: bytes, starts, avail, classes) -> tuple[np.ndarray, list[i
     streams share one buffer; a code that crosses its stream's end is an
     error, so no stream decodes another's bits.
     """
-    # Two zero bytes appended bound every next-zero lookup and every field
-    # read near a stream's end.
-    buf = data + bytes(2)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
-    zero_at = np.where(bits == 0, np.arange(bits.size), bits.size)
-    nz = np.minimum.accumulate(zero_at[::-1])[::-1]      # nz[p]: first zero bit at or after p
-
-    gr_k, gr_codes, raw_at, is_raw, used = [], [], [], [], []
+    buf, nz = _next_zero(data)
+    table = memoryview(nz)
+    fields: tuple[list, list, list, list] = ([], [], [], [])
     for start, n_avail, size_class in zip(starts, avail, classes):
         end = start + max(0, min(n_avail, (size_class + 1) * 512))
-        nzl = nz[start:end + 1].tolist()                 # the chase runs on Python ints
-        p = start
-        for _ in range(4):
-            if p + 3 > end:
-                raise CorruptStreamError("bit stream exhausted")
-            k = (int.from_bytes(buf[p >> 3:(p >> 3) + 2], "big") >> (13 - (p & 7))) & 7
-            p += 3
-            if k == GR_K_RAW:
-                raw_at.append(p)
-                is_raw.append(True)
-                p += RAW_CHANNEL_BITS
-                if p > end:
-                    raise CorruptStreamError("bit stream exhausted")
-                continue
-            gr_k.append(k)                      # 3 bits: 0..6, or 7 for raw
-            is_raw.append(False)
-            step = k + 1
-            for _ in range(64):
-                gr_codes.append(p)
-                p = nzl[p - start] + step       # past the zero and the remainder
-                if p > end:
-                    raise CorruptStreamError("bit stream exhausted")
-        if not size_class * 512 < p - start:
-            raise CorruptStreamError(
-                f"RAS stream of {p - start} bits does not fit size class {size_class}")
-        used.append(p - start)
+        _ras_parse(buf, table, start, end, size_class, fields)
+    gr_k, gr_codes, raw_at, is_raw = fields
 
-    samples = np.empty((len(is_raw), 64), dtype=np.int32)
+    samples = np.empty((len(is_raw), 64), dtype=np.int64)
     is_raw = np.array(is_raw, dtype=bool)
     if raw_at:
-        at = np.array(raw_at)[:, None] + 8 * np.arange(64)
-        samples[is_raw] = _fields(bits, at, 8)
+        samples[is_raw] = read_fields(buf, np.array(raw_at)[:, None] + 8 * np.arange(64), 8)
     if gr_k:
         at = np.array(gr_codes).reshape(-1, 64)
         k = np.array(gr_k)[:, None]
         q = nz[at] - at
         if q.max() > GR_UNARY_CAP:
             raise CorruptStreamError("unary run exceeds cap")
-        z = (q << k) | _fields(bits, nz[at] + 1, k)
+        z = (q << k) | read_fields(buf, nz[at] + 1, k).astype(np.int64)
         samples[~is_raw] = _med_rebuild((z >> 1) ^ -(z & 1))
     if samples.min() < 0 or samples.max() > 255:
         raise CorruptStreamError("RAS sample outside 0..255")
     planes = samples.astype(np.uint8).reshape(-1, 4, 8, 8)
     pixels = np.ascontiguousarray(np.moveaxis(planes, 1, -1)).view("<u4")
-    return pixels.reshape(-1, 8, 8).astype(np.uint32), used
-
-
-def _fields(bits: np.ndarray, at: np.ndarray, width) -> np.ndarray:
-    """The `width`-bit (at most 8) MSB-first values starting at bits `at`."""
-    octet = np.packbits(bits[at[..., None] + np.arange(8)], axis=-1)[..., 0]
-    return octet.astype(np.int64) >> (8 - width)
+    return pixels.reshape(-1, 8, 8).astype(np.uint32)
 
 
 def _med_rebuild(residuals: np.ndarray) -> np.ndarray:
@@ -474,51 +544,58 @@ HDCP_RAS_BASE = 8              # 5-bit status values 8..11 carry the RAS class
 def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
     """Compress each block with both codecs, keep the one needing fewer bursts.
 
-    VDCP runs per block, RAS once over the stack. Ties go to VDCP. The RAS
-    outcome replicates its size class into all 16 status slots (values
-    8..11); VDCP outcomes reuse its 0..7 codes.
+    Each codec runs once over the stack. Ties go to VDCP. The RAS outcome
+    replicates its size class into all 16 status slots (values 8..11); VDCP
+    outcomes reuse its 0..7 codes.
     """
     blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
-    out = []
-    for block, rb in zip(blocks, ras_compress_blocks(blocks)):
-        vb = vdcp_compress_block(block, ccd)
-        if charged_bursts(vb.cost_bits) <= charged_bursts(rb.cost_bits):
-            out.append(vb)
-        else:
-            out.append(CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
-                                       rb.payload_bits, rb.cost_bits))
-    return out
+    vdcp = vdcp_compress_blocks(blocks, ccd)
+    ras = ras_compress_blocks(blocks)
+    v_cost = np.array([b.cost_bits for b in vdcp], dtype=np.int64)
+    r_cost = np.array([b.cost_bits for b in ras], dtype=np.int64)
+    vdcp_wins = (charged_bursts(v_cost) <= charged_bursts(r_cost)).tolist()
+    return [vb if win else CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
+                                           rb.payload_bits, rb.cost_bits)
+            for vb, rb, win in zip(vdcp, ras, vdcp_wins)]
 
 
 def hybrid_decompress_blocks(comps, palette: Rccd | None = None) -> np.ndarray:
-    """VDCP-coded blocks decode one by one, RAS-coded ones as one batch."""
+    """VDCP-coded and RAS-coded blocks each decode as one batch."""
     comps = list(comps)
     out = np.empty((len(comps), 8, 8), dtype=np.uint32)
-    ras_at, ras = [], []
-    for i, comp in enumerate(comps):
-        if max(comp.csb) <= VDCP_RAW:
-            reader = BitReader(comp.payload, comp.payload_bits)
-            out[i] = read_block("vdcp", reader, comp.csb, palette)
-        else:
-            ras_at.append(i)
-            ras.append(CompressedBlock((_hdcp_ras_class(comp.csb),), comp.payload,
-                                       comp.payload_bits, comp.cost_bits))
-    if ras:
-        out[ras_at] = ras_decompress_blocks(ras)
+    if not comps:
+        return out
+    csb = np.array([c.csb for c in comps], dtype=np.int64).reshape(len(comps), -1)
+    size_class = _hdcp_ras_classes(csb)
+    vdcp = np.flatnonzero(size_class < 0)
+    ras = np.flatnonzero(size_class >= 0)
+    if vdcp.size:
+        out[vdcp] = vdcp_decompress_blocks([comps[i] for i in vdcp], palette)
+    if ras.size:
+        out[ras] = ras_decompress_blocks([
+            CompressedBlock((c,), comps[i].payload, comps[i].payload_bits, comps[i].cost_bits)
+            for i, c in zip(ras.tolist(), size_class[ras].tolist())])
     return out
 
 
-def _hdcp_ras_class(csb) -> int:
-    size_class = csb[0] - HDCP_RAS_BASE
-    if not 0 <= size_class <= RAS_RAW_CLASS or any(e != csb[0] for e in csb):
-        raise CorruptStreamError(f"HDCP status {list(csb)} is neither VDCP codes nor a RAS class")
-    return size_class
+def _hdcp_ras_classes(csb: np.ndarray) -> np.ndarray:
+    """The RAS size class of each block of HDCP status entries, or -1 for
+    VDCP codes; entries that are neither raise CorruptStreamError."""
+    is_vdcp = csb.max(axis=1) <= VDCP_RAW
+    size_class = csb[:, 0] - HDCP_RAS_BASE
+    ok = is_vdcp | ((csb == csb[:, :1]).all(axis=1)
+                    & (size_class >= 0) & (size_class <= RAS_RAW_CLASS))
+    if not ok.all():
+        bad = csb[np.flatnonzero(~ok)[0]].tolist()
+        raise CorruptStreamError(f"HDCP status {bad} is neither VDCP codes nor a RAS class")
+    return np.where(is_vdcp, -1, size_class)
 
 
-def _read_hybrid(reader: BitReader, csb, rccd: Rccd | None) -> np.ndarray:
-    if max(csb) <= VDCP_RAW:
-        return read_block("vdcp", reader, csb, rccd)
-    return _read_ras(reader, (_hdcp_ras_class(csb),))
+def hybrid_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> list[int]:
+    size_class = _hdcp_ras_classes(csb)
+    vbits = vdcp_stream_bits(np.where(size_class[:, None] < 0, csb, 0), payload)
+    known = [int(b) if c < 0 else None for b, c in zip(vbits.tolist(), size_class.tolist())]
+    return _ras_walk(payload, known, size_class.tolist())
 
 
 def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
@@ -527,11 +604,6 @@ def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock
 
 def hybrid_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
     return hybrid_decompress_blocks([comp], palette)[0]
-
-
-# Block format -> in-place reader(reader, status entries, palette); reached
-# through dcp_codecs.read_block.
-READERS = {"ras": _read_ras, "red": _read_red, "hybrid": _read_hybrid}
 
 
 def hybrid_frame_cost(padded: np.ndarray, sb_real: np.ndarray, block_real: np.ndarray,

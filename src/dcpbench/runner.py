@@ -289,8 +289,8 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     indices = _sample(rng, nblocks, max(1, round(cfg.verify_fraction * nblocks)))
     rows, cols = np.divmod(np.array(indices, dtype=np.int64), nbx)
     blocks = block_stack(padded)[rows, cols]
-    comps = dcp_codecs.batch_codec(scheme.codec, "compress")(blocks, m.palette)
-    decoded = dcp_codecs.batch_codec(scheme.codec, "decompress")(comps, m.palette)
+    comps = dcp_codecs.codec_entry(scheme.codec, "compress_blocks")(blocks, m.palette)
+    decoded = dcp_codecs.codec_entry(scheme.codec, "decompress_blocks")(comps, m.palette)
     flat_real = block_real.reshape(-1)
     flat_bits = engine_bits.reshape(-1)
     for idx, block, out, comp in zip(indices, blocks, decoded, comps):

@@ -39,15 +39,6 @@ class FormatError(TraceError):
     """Malformed manifest or unsupported frame file format."""
 
 
-def pack_rgba(r: int, g: int, b: int, a: int = 255) -> int:
-    return (int(r) & 0xFF) | (int(g) & 0xFF) << 8 | (int(b) & 0xFF) << 16 | (int(a) & 0xFF) << 24
-
-
-def unpack_rgba(value: int) -> tuple[int, int, int, int]:
-    v = int(value)
-    return v & 0xFF, (v >> 8) & 0xFF, (v >> 16) & 0xFF, (v >> 24) & 0xFF
-
-
 class Frame:
     """A width x height grid of packed RGBA pixels, row-major."""
 
@@ -90,10 +81,6 @@ class Frame:
         return self.pixels.astype("<u4").tobytes()
 
 
-def frames_equal(a: Frame, b: Frame) -> bool:
-    return a.pixels.shape == b.pixels.shape and bool(np.array_equal(a.pixels, b.pixels))
-
-
 class SurfaceTrace:
     """An ordered sequence of same-sized frames with workload metadata."""
 
@@ -130,32 +117,12 @@ def block_grid(width: int, height: int) -> tuple[int, int]:
     return (-(-width // BLOCK), -(-height // BLOCK))
 
 
-def block_refs(width: int, height: int) -> list[tuple[int, int]]:
-    """Block origins (x0, y0) in raster order."""
-    cols, rows = block_grid(width, height)
-    return [(bx * BLOCK, by * BLOCK) for by in range(rows) for bx in range(cols)]
-
-
 def block_stack(pixels: np.ndarray) -> np.ndarray:
     """A padded frame, or its valid mask, as an (nby, nbx, 8, 8) view of its
     blocks: `[by, bx]` is one block, and `.reshape(-1, 8, 8)` lists them in
     raster order."""
     h, w = pixels.shape
     return pixels.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(1, 2)
-
-
-def sub_block_pixels(block: np.ndarray) -> np.ndarray:
-    """The 16 2x2 sub-blocks of an 8x8 block, raster order on both levels.
-
-    Returns a (16, 4) array; each row is one sub-block's pixels in raster
-    order (top-left, top-right, bottom-left, bottom-right).
-    """
-    return block.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4)
-
-
-def assemble_sub_blocks(groups: np.ndarray) -> np.ndarray:
-    """Inverse of sub_block_pixels: (16, 4) -> (8, 8)."""
-    return np.asarray(groups).reshape(4, 4, 2, 2).transpose(0, 2, 1, 3).reshape(8, 8)
 
 
 def sub_block_valid_counts(valid: np.ndarray) -> np.ndarray:

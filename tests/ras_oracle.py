@@ -4,7 +4,7 @@ This is the bit-at-a-time implementation the batched codecs in
 `dcpbench.reference_codecs` replaced. It writes and reads one Golomb-Rice
 code at a time through `BitWriter`/`BitReader` and predicts one sample at a
 time with the median edge detector, so it is slow and easy to check by eye.
-Tests pin the batched codecs, the frame-cost engine and the in-place reader
+Tests pin the batched codecs, the frame-cost engine and the frame decoder
 to it: same status entries, payload bytes, payload and cost bits, same
 decoded blocks, and `CorruptStreamError` on exactly the same damaged
 streams.
@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from palette_oracle import BitReader, BitWriter, read_block, vdcp_compress_block
+
 from dcpbench.bandwidth import charged_bursts
-from dcpbench.bitio import BitReader, BitWriter, CorruptStreamError
-from dcpbench.dcp_codecs import VDCP_RAW, CompressedBlock, read_block, vdcp_compress_block
+from dcpbench.bitio import CorruptStreamError
+from dcpbench.dcp_codecs import VDCP_RAW, CompressedBlock
 from dcpbench.reference_codecs import (
     GR_K_MAX,
     GR_K_RAW,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from palette_oracle import BitReader, BitWriter
 
-from dcpbench.bitio import BitReader, BitWriter, CorruptStreamError
+from dcpbench.bitio import CorruptStreamError, join_streams, pack_fields, read_fields
 
 
 def test_reads_across_window_edges_match_writer():
@@ -54,3 +55,44 @@ def test_peek_leaves_the_bits_unread():
     assert r.peek(16) == 0x1234 and r.remaining() == 16
     with pytest.raises(CorruptStreamError):
         r.peek(17)
+
+
+# ---------------------------------------------------------------------------
+# The field packer and reader against the scalar writer
+
+def _rows(rng, n, fields):
+    widths = rng.integers(0, 33, size=(n, fields))
+    widths[rng.random(widths.shape) < 0.2] = 0
+    widths[:, :2] = 32                                   # full-width fields at a row start
+    widths[3] = 0                                        # an empty row
+    widths[4] = 1                                        # a row ending mid-byte
+    values = (rng.integers(0, 1 << 32, size=widths.shape, dtype=np.uint64)
+              & ((np.uint64(1) << widths.astype(np.uint64)) - np.uint64(1)))
+    return widths, values
+
+
+def test_pack_fields_matches_writer():
+    rng = np.random.default_rng(11)
+    widths, values = _rows(rng, 40, 70)
+    payloads, nbits = pack_fields(widths, values)
+    for row_w, row_v, payload, n in zip(widths, values, payloads, nbits.tolist()):
+        w = BitWriter()
+        for width, value in zip(row_w.tolist(), row_v.tolist()):
+            w.write(value, width)
+        assert (payload, n) == (w.to_bytes(), w.bit_length)
+
+
+def test_read_fields_reads_what_was_packed():
+    rng = np.random.default_rng(12)
+    widths, values = _rows(rng, 30, 50)
+    payloads, nbits = pack_fields(widths, values)
+    buf, base = join_streams(payloads, nbits)
+    at = base[:, None] + np.cumsum(widths, axis=1) - widths
+    assert np.array_equal(read_fields(buf, at, widths), values)
+    # A field may end in the zero slack past the last byte.
+    assert read_fields(buf, [8 * len(b"".join(payloads))], 32).tolist() == [0]
+
+
+def test_join_streams_rejects_bits_past_the_bytes():
+    with pytest.raises(CorruptStreamError):
+        join_streams([b"\x00", b"\x00\x00"], [8, 17])

@@ -1,18 +1,30 @@
 import numpy as np
 import pytest
 
+import palette_oracle as oracle
 from conftest import block_pool, ccd_from_blocks
 
-from dcpbench.bitio import BitReader, CorruptStreamError
+from dcpbench.bitio import CorruptStreamError
 from dcpbench.container import compress_frame, decompress_frame
-from dcpbench.dcp_codecs import block_codec, read_block
+from dcpbench.dcp_codecs import CompressedBlock, codec_entry
 from dcpbench.huffman import build_table
 from dcpbench.palette import Rccd
-from dcpbench.reference_codecs import HDCP_RAS_BASE, RED_C4, RED_C8, RED_RAW
+from dcpbench.reference_codecs import (
+    HDCP_RAS_BASE,
+    RED_C4,
+    RED_C8,
+    RED_RAW,
+    hybrid_decompress_blocks,
+    ras_decompress_blocks,
+)
 from dcpbench.runner import ExperimentConfig, replay
 from dcpbench.schemes import HUFFMAN, SCHEMES
-from dcpbench.surface import Frame, frames_equal
+from dcpbench.surface import Frame
 from dcpbench.synth import SyntheticSpec, generate
+
+
+def frames_equal(a: Frame, b: Frame) -> bool:
+    return a.pixels.shape == b.pixels.shape and bool(np.array_equal(a.pixels, b.pixels))
 
 
 def _frame(seed, width=40, height=24):
@@ -94,12 +106,18 @@ def _stream_cases():
 
 
 def test_every_decoder_stops_where_its_stream_ends():
+    # Each family's stream_bits finds a block's end in a payload that goes
+    # on past it, and so does the oracle's in-place reader.
     sentinel = b"\xa5\x5a"
     seen = {}
     for codec, block, palette in _stream_cases():
-        comp = block_codec(codec, "compress")(block, palette)
-        reader = BitReader(comp.payload + sentinel)
-        decoded = read_block(codec, reader, comp.csb, palette)
+        (comp,) = codec_entry(codec, "compress_blocks")(block[None], palette)
+        payload = comp.payload + sentinel
+        csb = np.array([comp.csb])
+        assert list(codec_entry(codec, "stream_bits")(csb, payload, palette)) == \
+            [comp.payload_bits], (codec, comp.csb)
+        reader = oracle.BitReader(payload)
+        decoded = oracle.read_block(codec, reader, comp.csb, palette)
         assert np.array_equal(decoded, block), codec
         assert reader.tell() == comp.payload_bits, (codec, comp.csb)
         reader.align_byte()
@@ -133,25 +151,32 @@ def test_container_rejects_hdcp_status_past_ras_classes(status):
 
 def test_hdcp_reader_rejects_mixed_status_entries():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    comp = block_codec("hybrid", "compress")(block, None)
+    (comp,) = codec_entry("hybrid", "compress_blocks")(block[None], None)
     assert comp.csb == (HDCP_RAS_BASE,) * 16
     for csb in ((HDCP_RAS_BASE,) * 15 + (HDCP_RAS_BASE + 1,), (0,) * 15 + (HDCP_RAS_BASE,)):
         with pytest.raises(CorruptStreamError):
-            read_block("hybrid", BitReader(comp.payload), csb, Rccd([]))
+            hybrid_decompress_blocks([CompressedBlock(csb, comp.payload, comp.payload_bits,
+                                                      comp.cost_bits)], Rccd([]))
+        with pytest.raises(CorruptStreamError):
+            codec_entry("hybrid", "stream_bits")(np.array([csb]), comp.payload, Rccd([]))
 
 
 def test_ras_reader_rejects_wrong_size_class():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    comp = block_codec("ras", "compress")(block)
+    (comp,) = codec_entry("ras", "compress_blocks")(block[None], None)
     assert comp.csb == (0,)
     with pytest.raises(CorruptStreamError):
-        read_block("ras", BitReader(comp.payload), (1,))
+        ras_decompress_blocks([CompressedBlock((1,), comp.payload, comp.payload_bits,
+                                               comp.cost_bits)])
+    with pytest.raises(CorruptStreamError):
+        codec_entry("ras", "stream_bits")(np.array([[1]]), comp.payload)
 
 
-def _damaged(data: bytes, rng, flips: int, cuts: int):
+def _damaged(data: bytes, rng, flips: int, cuts: int, header: int = 0):
     """Truncations of `data` at every length under 256 bytes and at `cuts`
     seeded longer lengths, then `flips` seeded single-bit flips past the
-    header."""
+    header, then `header` seeded new values of one of header bytes 5..12
+    (the width and height)."""
     lengths = list(range(min(len(data), 256)))
     if len(data) > 256:
         lengths += rng.integers(256, len(data), size=cuts).tolist()
@@ -161,22 +186,56 @@ def _damaged(data: bytes, rng, flips: int, cuts: int):
         blob = bytearray(data)
         blob[bit // 8] ^= 0x80 >> (bit % 8)
         yield bytes(blob)
+    for at, value in zip(rng.integers(5, 13, size=header).tolist(),
+                         rng.integers(0, 256, size=header).tolist()):
+        blob = bytearray(data)
+        blob[at] = value
+        yield bytes(blob)
+
+
+def _decoded(decode, blob):
+    """The decoded frame, or CorruptStreamError; any other exception fails."""
+    try:
+        return decode(blob)
+    except CorruptStreamError:
+        return CorruptStreamError
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_damaged_containers_raise_only_corrupt_stream_error(scheme):
     # A wrong frame decoded without an error is still allowed: FBC1 has no
-    # integrity check.
+    # integrity check. Whatever happens, the frame decode does what a
+    # block-by-block decode of the same blob does.
     trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=0))
     (m,) = replay(trace, ExperimentConfig(scheme=scheme))
     data = compress_frame(trace.frames[1], scheme, m.palette)
     assert frames_equal(decompress_frame(data), trace.frames[1])
     rng = np.random.default_rng(SCHEMES[scheme].tag)
-    for blob in _damaged(data, rng, flips=200, cuts=100):
-        try:
-            decompress_frame(blob)
-        except CorruptStreamError:
-            pass
+    raised = 0
+    for blob in _damaged(data, rng, flips=200, cuts=100, header=200):
+        got = _decoded(decompress_frame, blob)
+        want = _decoded(oracle.decompress_frame, blob)
+        if got is CorruptStreamError or want is CorruptStreamError:
+            assert got is want, blob
+            raised += 1
+        else:
+            assert frames_equal(got, want)
+    assert raised > 300
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_narrowed_width_leaves_payload_unread(scheme):
+    # One block column fewer. The status buffer shrinks and the payload
+    # starts early, yet on all schemes but RAS every block still decodes:
+    # only the payload bytes left over show the damage.
+    trace = generate(SyntheticSpec(generator="ui-like", width=40, height=16, frames=2, seed=4))
+    (m,) = replay(trace, ExperimentConfig(scheme=scheme))
+    data = bytearray(compress_frame(trace.frames[1], scheme, m.palette))
+    data[5:9] = (32).to_bytes(4, "little")
+    with pytest.raises(CorruptStreamError):
+        decompress_frame(bytes(data))
+    with pytest.raises(CorruptStreamError):
+        oracle.decompress_frame(bytes(data))
 
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))

@@ -3,29 +3,37 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import palette_oracle as oracle
 from conftest import block_pool, ccd_from_blocks
 
+from dcpbench import dcp_codecs, reference_codecs
+from dcpbench.bitio import CorruptStreamError
 from dcpbench.dcp_codecs import (
+    BATCH_BLOCKS,
+    CompressedBlock,
     adcp_optimal_ccd_size,
     advance_frame,
-    batch_codec,
-    block_codec,
+    codec_entry,
     dcp_compress_block,
     dcp_decompress_block,
     dcp_frame_cost,
     huffdcp_compress_block,
     huffdcp_decompress_block,
+    huffdcp_decompress_blocks,
     huffdcp_frame_cost,
     vdcp_compress_block,
     vdcp_decompress_block,
     vdcp_frame_cost,
 )
 from dcpbench.fvc import Fvc, FvcConfig
-from dcpbench.huffman import build_table
-from dcpbench.palette import Ccd
+from dcpbench.huffman import HuffmanTable, build_table
+from dcpbench.palette import Ccd, Rccd
 from dcpbench.runner import ExperimentConfig, replay
 from dcpbench.schemes import SCHEMES
-from dcpbench.surface import Frame, SurfaceTrace, sub_block_valid_counts
+from dcpbench.surface import Frame, SurfaceTrace, block_stack, sub_block_valid_counts
+from dcpbench.synth import SyntheticSpec, generate
+
+GENERATORS = ("ui-like", "2d-like", "gradient", "noise")
 
 
 def test_dcp_uniform_block_384_bits():
@@ -259,7 +267,200 @@ def test_batch_codec_matches_block_codec(codec):
     ccd = ccd_from_blocks(list(blocks), 16)
     palette = build_table([(int(c), 40 - i) for i, c in enumerate(ccd.colors)]) \
         if codec == "huffdcp" else ccd
-    comps = batch_codec(codec, "compress")(blocks, palette)
-    assert comps == [block_codec(codec, "compress")(block, palette) for block in blocks]
-    decoded = batch_codec(codec, "decompress")(comps, palette)
+    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    assert comps == [oracle.compress_block(codec, block, palette) for block in blocks]
+    module = dcp_codecs if codec in PALETTE_CODECS else reference_codecs
+    one = getattr(module, f"{codec}_compress_block"), getattr(module, f"{codec}_decompress_block")
+    assert comps == [one[0](block, palette) for block in blocks]
+    decoded = codec_entry(codec, "decompress_blocks")(comps, palette)
     assert decoded.shape == (12, 8, 8) and np.array_equal(decoded, blocks)
+    assert all(np.array_equal(one[1](c, palette), b) for c, b in zip(comps, blocks))
+
+
+# ---------------------------------------------------------------------------
+# Batch entries against the scalar oracle
+
+PALETTE_CODECS = ("dcp", "vdcp", "huffdcp")
+
+
+def _frame_blocks(gen: str, width=44, height=36, seed=7) -> np.ndarray:
+    """The blocks of a seeded frame whose size is no multiple of 8."""
+    trace = generate(SyntheticSpec(generator=gen, width=width, height=height, frames=2,
+                                   seed=seed))
+    padded, _ = trace.frames[1].padded()
+    return block_stack(padded).reshape(-1, 8, 8)
+
+
+def _palette_for(codec: str, blocks: np.ndarray, size=16):
+    ccd = ccd_from_blocks(list(blocks), size)
+    if codec == "huffdcp":
+        return build_table([(int(c), 3 * len(ccd) - i) for i, c in enumerate(ccd.colors)])
+    return ccd
+
+
+def _fibonacci_table(count: int) -> HuffmanTable:
+    """A table whose code lengths run 1..count-1: the deepest possible tree."""
+    freqs = [1, 1]
+    while len(freqs) < count:
+        freqs.append(freqs[-1] + freqs[-2])
+    colors = (0xFF000000 + np.arange(count)).tolist()
+    return build_table(list(zip(colors, freqs[::-1])))
+
+
+def _assert_matches_oracle(codec: str, blocks: np.ndarray, palette):
+    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    expected = [oracle.compress_block(codec, block, palette) for block in blocks]
+    assert comps == expected                 # csb, payload bytes, both bit counts
+    decoded = codec_entry(codec, "decompress_blocks")(comps, palette)
+    assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
+    assert np.array_equal(decoded, [oracle.decompress_block(codec, c, palette)
+                                    for c in expected])
+    return comps, decoded
+
+
+@pytest.mark.parametrize("codec", PALETTE_CODECS)
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_palette_batch_matches_oracle(codec, gen):
+    blocks = _frame_blocks(gen)
+    (m,) = replay(generate(SyntheticSpec(generator=gen, width=44, height=36, frames=2,
+                                         seed=7)),
+                  ExperimentConfig(scheme={"dcp": "DCP", "vdcp": "VDCP",
+                                           "huffdcp": "HUFFDCP"}[codec]))
+    for palette in (m.palette, _palette_for(codec, blocks)):
+        comps, decoded = _assert_matches_oracle(codec, blocks, palette)
+        for i in range(0, len(blocks), 5):       # n=1 equals the block in a batch
+            one = codec_entry(codec, "compress_blocks")(blocks[i:i + 1], palette)
+            assert one == comps[i:i + 1]
+            assert np.array_equal(codec_entry(codec, "decompress_blocks")(one, palette)[0],
+                                  decoded[i])
+
+
+@pytest.mark.parametrize("codec", PALETTE_CODECS)
+def test_palette_batch_edge_palettes(codec):
+    blocks = np.concatenate([_frame_blocks(gen, 24, 16) for gen in GENERATORS])
+    palettes = [None, Ccd([]) if codec != "huffdcp" else HuffmanTable([], [])]
+    one = _palette_for(codec, blocks, size=1)                 # 0-bit codes (1 bit for Huffman)
+    palettes.append(one)
+    palettes.append(_palette_for(codec, blocks, size=64))     # 6-bit codes, VDCP's limit
+    assert [len(p) for p in palettes[2:]] == [1, 64]
+    for palette in palettes:
+        comps, _ = _assert_matches_oracle(codec, blocks, palette)
+        if palette is None or len(palette) == 0:
+            assert all(c.payload_bits == 2048 for c in comps)
+    if codec == "dcp":
+        uniform = np.full((1, 8, 8), one.colors[0], dtype=np.uint32)
+        assert _assert_matches_oracle(codec, uniform, one)[0][0].payload_bits == 0
+
+
+def test_huffdcp_codes_wider_than_a_machine_word():
+    table = _fibonacci_table(72)
+    assert int(table.lengths.max()) > 64
+    colors = table.colors
+    rng = np.random.default_rng(4)
+    # Every color, the deepest ones in every sub-block position, plus misses.
+    deep = colors[-8:]
+    blocks = np.concatenate([
+        colors[:64].reshape(1, 8, 8),
+        rng.choice(deep, size=(6, 8, 8)),
+        rng.choice(colors, size=(40, 8, 8)),
+    ]).astype(np.uint32)
+    blocks[10, 0, 0] = 7                                     # one raw sub-block
+    comps, _ = _assert_matches_oracle("huffdcp", blocks, table)
+    assert max(c.payload_bits for c in comps) > 64 * 64
+    # The container finds the same stream ends.
+    payload = b"".join(c.payload for c in comps)
+    csb = np.array([c.csb for c in comps])
+    assert codec_entry("huffdcp", "stream_bits")(csb, payload, table) == \
+        [c.payload_bits for c in comps]
+    rng = np.random.default_rng(6)
+    for comp in comps[:12]:
+        for bad in _damaged("huffdcp", comp, rng):
+            want = _outcome(oracle.decompress_block, "huffdcp", bad, table)
+            assert _same(_outcome(lambda c: huffdcp_decompress_blocks([c], table)[0], bad),
+                         want)
+
+
+@pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
+def test_batch_entries_take_empty_and_chunked_stacks(codec):
+    assert codec_entry(codec, "compress_blocks")(np.empty((0, 8, 8), np.uint32), None) == []
+    assert codec_entry(codec, "decompress_blocks")([], None).shape == (0, 8, 8)
+    blocks = np.concatenate([_frame_blocks(gen, 96, 88) for gen in GENERATORS])
+    assert len(blocks) > 4 * BATCH_BLOCKS
+    palette = _palette_for(codec, blocks) if codec != "red" else None
+    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    picked = slice(BATCH_BLOCKS - 6, BATCH_BLOCKS + 6)      # across a chunk boundary
+    assert comps[picked] == [oracle.compress_block(codec, b, palette) for b in blocks[picked]]
+    assert np.array_equal(codec_entry(codec, "decompress_blocks")(comps, palette), blocks)
+
+
+# ---------------------------------------------------------------------------
+# Corruption parity: damaged streams fail exactly where the oracle fails
+
+def _damaged(codec: str, comp: CompressedBlock, rng, cuts=4, flips=8):
+    """Seeded truncations (to a bit length, the bytes cut to match), single
+    and double bit flips, and relabelled status entries of one stream."""
+    for nbits in rng.integers(0, max(comp.payload_bits, 1), size=cuts).tolist():
+        yield CompressedBlock(comp.csb, comp.payload[:(nbits + 7) // 8], nbits, comp.cost_bits)
+    for _ in range(flips):
+        if not comp.payload_bits:
+            break
+        blob = bytearray(comp.payload)
+        for bit in rng.integers(0, comp.payload_bits, size=int(rng.integers(1, 3))).tolist():
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+        yield CompressedBlock(comp.csb, bytes(blob), comp.payload_bits, comp.cost_bits)
+    levels = {"dcp": 2, "vdcp": 8, "huffdcp": 2, "red": 4}[codec]
+    for _ in range(2):
+        csb = np.array(comp.csb)
+        at = rng.integers(0, len(csb), size=int(rng.integers(1, 3)))
+        csb[at] = rng.integers(0, levels, size=at.size)
+        yield CompressedBlock(tuple(csb.tolist()), comp.payload, comp.payload_bits,
+                              comp.cost_bits)
+
+
+def _outcome(decode, *args):
+    """The decoded blocks, or CorruptStreamError; any other exception fails."""
+    try:
+        return decode(*args)
+    except CorruptStreamError:
+        return CorruptStreamError
+
+
+def _same(a, b) -> bool:
+    if a is CorruptStreamError or b is CorruptStreamError:
+        return a is b
+    return np.array_equal(a, b)
+
+
+def _narrowed(codec: str, palette):
+    """A palette that decodes the same streams with entries missing: the
+    first 12 of 16 colors, or a Huffman table without its last entries."""
+    if codec == "huffdcp":
+        return HuffmanTable(palette.colors[:-3].tolist(), palette.lengths[:-3].tolist())
+    return Rccd(palette.colors[:12]) if palette is not None else None
+
+
+@pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
+def test_damaged_block_streams_fail_like_the_oracle(codec):
+    rng = np.random.default_rng(17)
+    blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5) for gen in GENERATORS])
+    palette = _palette_for(codec, blocks) if codec != "red" else None
+    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    decode = codec_entry(codec, "decompress_blocks")
+    cases = [(d, palette) for comp in comps for d in _damaged(codec, comp, rng)]
+    if codec != "red":
+        cases += [(comp, _narrowed(codec, palette)) for comp in comps]
+    outcomes = {"raise": 0, "decode": 0}
+    for comp, pal in cases:
+        want = _outcome(oracle.decompress_block, codec, comp, pal)
+        outcomes["raise" if want is CorruptStreamError else "decode"] += 1
+        assert _same(_outcome(lambda c: decode([c], pal)[0], comp), want), comp
+    assert min(outcomes.values()) > 20, outcomes
+    # A batch fails when any of its streams does, and is the oracle's otherwise.
+    for lo in range(0, len(cases), 7):
+        group = [c for c, pal in cases[lo:lo + 7] if pal is palette]
+        want = [_outcome(oracle.decompress_block, codec, c, palette) for c in group]
+        got = _outcome(decode, group, palette)
+        if any(w is CorruptStreamError for w in want):
+            assert got is CorruptStreamError
+        else:
+            assert np.array_equal(got, np.array(want).reshape(-1, 8, 8))

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from palette_oracle import (
+    BitReader,
+    BitWriter,
+    ccd_encode,
+    huffman_decode_symbol,
+    huffman_encode,
+    rccd_decode,
+)
+
 from dcpbench.bitio import CorruptStreamError
+from dcpbench.dcp_codecs import CompressedBlock, dcp_decompress_blocks
 from dcpbench.huffman import HuffmanTable, build_table, canonical_codes, code_lengths
 from dcpbench.palette import Ccd, Rccd, build_ccd, largest_pow2_le
-from dcpbench.bitio import BitReader, BitWriter
 
 
 def ranked(*pairs):
@@ -14,7 +23,8 @@ def ranked(*pairs):
 def test_build_ccd_keeps_rank_order():
     ccd = build_ccd(ranked((7, 80), (3, 18), (1, 1), (9, 1)), 2)
     assert ccd.colors.tolist() == [7, 3]
-    assert ccd.encode(7) == 0 and ccd.encode(3) == 1 and ccd.encode(1) is None
+    codes, hit = ccd.lookup(np.array([7, 3, 1], dtype=np.uint32))
+    assert codes.tolist() == [0, 1, -1] and hit.tolist() == [True, True, False]
 
 
 def test_build_ccd_degrades_to_available():
@@ -40,18 +50,21 @@ def test_encode_decode_identity(rng):
     colors = np.unique(rng.integers(0, 1 << 32, size=64, dtype=np.uint64).astype(np.uint32))
     ccd = Ccd(colors)
     for c in colors.tolist():
-        assert ccd.decode(ccd.encode(c)) == c
+        assert rccd_decode(ccd, ccd_encode(ccd, c)) == c
     # A forward palette serializes as its reverse palette.
     assert ccd.to_bytes() == Rccd(colors).to_bytes()
     assert ccd.byte_size == Rccd(colors).byte_size
 
 
 def test_decode_out_of_range():
-    rccd = Rccd([1, 2])
+    # 64 2-bit codes, the first 3: a 3-entry palette has no color for it.
+    codes = bytes([0b11_00_00_00]) + bytes(15)
+    comp = CompressedBlock((1,) * 16, codes, 128, 128)
+    assert dcp_decompress_blocks([comp], Ccd([1, 2, 3, 4]))[0, 0, 0] == 4
     with pytest.raises(CorruptStreamError):
-        rccd.decode(2)
+        dcp_decompress_blocks([comp], Rccd([1, 2, 3]))
     with pytest.raises(CorruptStreamError):
-        rccd.decode(-1)
+        rccd_decode(Rccd([1, 2]), -1)
 
 
 def test_rccd_serialization_round_trip(rng):
@@ -74,7 +87,7 @@ def test_vector_lookup_matches_scalar(rng):
     codes, hit = ccd.lookup(pixels)
     for y in range(8):
         for x in range(8):
-            want = ccd.encode(int(pixels[y, x]))
+            want = ccd_encode(ccd, int(pixels[y, x]))
             if want is None:
                 assert not hit[y, x]
             else:
@@ -140,20 +153,27 @@ def test_table_stream_round_trip(rng):
     symbols = rng.choice(colors, size=100).tolist()
     w = BitWriter()
     for s in symbols:
-        code, length = table.encode(s)
+        code, length = huffman_encode(table, s)
         w.write(code, length)
     r = BitReader(w.to_bytes(), w.bit_length)
-    assert [table.decode_symbol(r) for _ in symbols] == symbols
+    assert [huffman_decode_symbol(table, r) for _ in symbols] == symbols
+    # The table finds the same codes at the same offsets.
+    buf = np.frombuffer(w.to_bytes() + bytes(8), dtype=np.uint8)
+    at = np.cumsum([0] + [huffman_encode(table, s)[1] for s in symbols])[:-1]
+    lengths, entries = table.decode_at(buf, at)
+    assert table.colors[entries].tolist() == symbols
+    assert lengths.tolist() == [huffman_encode(table, s)[1] for s in symbols]
 
 
 def test_table_lookup_matches_encode(rng):
     colors = [10, 20, 30]
     table = build_table([(10, 5), (20, 3), (30, 1)])
     pixels = np.array([[10, 20], [30, 99]], dtype=np.uint32)
-    lens, hit = table.lookup(pixels)
-    assert hit.tolist() == [[True, True], [True, False]]
-    for value, l in ((10, lens[0, 0]), (20, lens[0, 1]), (30, lens[1, 0])):
-        assert table.encode(value)[1] == l
+    entries, hit = table.lookup(pixels)
+    assert hit.tolist() == [[True, True], [True, False]] and entries[1, 1] == -1
+    for value, e in ((10, entries[0, 0]), (20, entries[0, 1]), (30, entries[1, 0])):
+        assert huffman_encode(table, value)[1] == table.lengths[e]
+        assert table.colors[e] == value
 
 
 def test_table_serialization_round_trip(rng):

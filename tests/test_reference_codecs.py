@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import palette_oracle
 import ras_oracle as oracle
 from conftest import block_pool, ccd_from_blocks, make_block
+from palette_oracle import BitReader, BitWriter
 from ras_oracle import (
     golomb_rice_decode,
     golomb_rice_encode,
@@ -12,8 +14,8 @@ from ras_oracle import (
     zigzag,
 )
 
-from dcpbench.bitio import BitReader, BitWriter, CorruptStreamError
-from dcpbench.dcp_codecs import CompressedBlock, read_block, vdcp_frame_cost
+from dcpbench.bitio import CorruptStreamError
+from dcpbench.dcp_codecs import CompressedBlock, vdcp_frame_cost
 from dcpbench.palette import Ccd
 from dcpbench.reference_codecs import (
     GR_K_RAW,
@@ -32,9 +34,12 @@ from dcpbench.reference_codecs import (
     ras_decompress_block,
     ras_decompress_blocks,
     ras_frame_cost,
+    ras_stream_bits,
     red_classify_block,
     red_compress_block,
+    red_compress_blocks,
     red_decompress_block,
+    red_decompress_blocks,
     red_frame_cost,
 )
 from dcpbench.surface import Frame, block_stack, block_valid_counts, sub_block_valid_counts
@@ -146,6 +151,26 @@ def test_red_class_ordering_invariant(rng):
         if cls == RED_C8:   # C8 implies C4
             r4 = block.reshape(4, 2, 4, 2)
             assert bool((r4 == r4[:, :1, :, :1]).all())
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_red_batch_matches_oracle(gen):
+    _, _, blocks, _ = _frame_blocks(gen)
+    quads = np.indices((4, 4)).sum(axis=0) % 2
+    forced = np.stack([np.full((8, 8), 9, dtype=np.uint32),                  # C8
+                       np.kron(quads, np.ones((2, 2), dtype=np.uint32)) + 7,  # C4
+                       np.arange(64, dtype=np.uint32).reshape(8, 8)])        # raw
+    blocks = np.concatenate([blocks, forced])
+    comps = red_compress_blocks(blocks)
+    expected = [palette_oracle.red_compress_block(block) for block in blocks]
+    assert comps == expected
+    assert [c.csb for c in comps[-3:]] == [(RED_C8,), (RED_C4,), (RED_RAW,)]
+    decoded = red_decompress_blocks(comps)
+    assert np.array_equal(decoded, blocks)
+    assert np.array_equal(decoded, [palette_oracle.decompress_block("red", c) for c in comps])
+    for i in range(0, len(blocks), 5):
+        assert red_compress_block(blocks[i]) == comps[i]
+        assert np.array_equal(red_decompress_block(comps[i]), decoded[i])
 
 
 def test_red_frame_cost_matches_blocks(rng):
@@ -306,9 +331,10 @@ def test_ras_batch_matches_oracle(gen):
     for i in range(0, len(blocks), 5):                       # n=1 equals the block in a batch
         assert ras_compress_block(blocks[i]) == comps[i]
         assert np.array_equal(ras_decompress_block(comps[i]), decoded[i])
-        reader = BitReader(comps[i].payload, comps[i].payload_bits)
-        assert np.array_equal(read_block("ras", reader, comps[i].csb), decoded[i])
-        assert reader.tell() == comps[i].payload_bits
+    # The container's parse finds every stream's end.
+    csb = np.array([c.csb for c in comps])
+    assert ras_stream_bits(csb, b"".join(c.payload for c in comps)) == \
+        [c.payload_bits for c in comps]
 
     block_real = block_valid_counts(valid)
     charged, true_bits, classes = ras_frame_cost(padded, block_real)
@@ -409,8 +435,6 @@ def test_damaged_block_streams_fail_like_the_oracle(codec):
         expected.append(want)
         outcomes["raise" if want is CorruptStreamError else "decode"] += 1
         assert _same(_outcome(lambda c: decode_batch([c], ccd)[0], comp), want)
-        reader = BitReader(comp.payload, comp.payload_bits)
-        assert _same(_outcome(read_block, codec, reader, comp.csb, ccd), want)
     assert min(outcomes.values()) > 20, outcomes
     # A batch fails when any of its streams does, and is the oracle's otherwise.
     for lo in range(0, len(damaged), 7):

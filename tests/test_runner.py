@@ -174,15 +174,14 @@ def test_hybrid_shares_are_reported():
 def test_verification_catches_corruption(monkeypatch):
     trace = generate(SyntheticSpec(generator="ui-like", width=64, height=48, frames=3, seed=1))
 
-    real = dcpbench.dcp_codecs.dcp_decompress_block
+    real = dcpbench.dcp_codecs.dcp_decompress_blocks
 
-    def corrupt(comp, rccd):
-        out = real(comp, rccd)
-        out = out.copy()
-        out[0, 0] ^= 1
+    def corrupt(comps, rccd):
+        out = real(comps, rccd)
+        out[0, 0, 0] ^= 1
         return out
 
-    monkeypatch.setattr("dcpbench.runner.dcp_codecs.dcp_decompress_block", corrupt)
+    monkeypatch.setattr("dcpbench.runner.dcp_codecs.dcp_decompress_blocks", corrupt)
     with pytest.raises(VerificationError, match=r"at frame 1 block \(0,0\)"):
         run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=1.0))
 
@@ -199,13 +198,13 @@ def test_verify_fraction_checks_distinct_blocks(fraction, monkeypatch):
     # 160x128 is 320 blocks a frame; each sampled block is verified once.
     trace = generate(SyntheticSpec(generator="ui-like", width=160, height=128, frames=3, seed=1))
     seen = []
-    real = dcpbench.dcp_codecs.dcp_compress_block
+    real = dcpbench.dcp_codecs.dcp_compress_blocks
 
-    def recording(block, palette):
-        seen.append(block.tobytes())
-        return real(block, palette)
+    def recording(blocks, palette):
+        seen.extend(block.tobytes() for block in blocks)
+        return real(blocks, palette)
 
-    monkeypatch.setattr("dcpbench.dcp_codecs.dcp_compress_block", recording)
+    monkeypatch.setattr("dcpbench.dcp_codecs.dcp_compress_blocks", recording)
     res = run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=fraction))
     per_frame = round(fraction * 320)
     assert res.blocks_verified == per_frame * res.workload.frames_measured == len(seen)
@@ -265,26 +264,27 @@ def test_vdcp_palette_clamped_to_64():
     assert all(f.ccd_size <= 64 for f in res.frames)
 
 
-# Every frame-cost engine and block codec a scheme uses, named at the module
-# attribute where callers (and the benchmark's tracer) look it up. RAS and
-# HDCP verify through their batch entries; `ras_frame_cost` stays the engine
-# both call.
+# Every frame-cost engine and batch codec entry a scheme uses, named at the
+# module attribute where callers look it up. Verification calls the batch
+# entries; HDCP's run the VDCP and RAS encoders, and `ras_frame_cost` stays
+# the engine both RAS and HDCP call.
 _DCP, _REF = "dcpbench.dcp_codecs", "dcpbench.reference_codecs"
 SCHEME_FUNCTIONS = {
-    "DCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_block"),
-            (_DCP, "dcp_decompress_block")],
-    "ADCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_block"),
-             (_DCP, "dcp_decompress_block")],
-    "VDCP": [(_DCP, "vdcp_frame_cost"), (_DCP, "vdcp_compress_block"),
-             (_DCP, "vdcp_decompress_block")],
-    "HUFFDCP": [(_DCP, "huffdcp_frame_cost"), (_DCP, "huffdcp_compress_block"),
-                (_DCP, "huffdcp_decompress_block")],
+    "DCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_blocks"),
+            (_DCP, "dcp_decompress_blocks")],
+    "ADCP": [(_DCP, "dcp_frame_cost"), (_DCP, "dcp_compress_blocks"),
+             (_DCP, "dcp_decompress_blocks")],
+    "VDCP": [(_DCP, "vdcp_frame_cost"), (_DCP, "vdcp_compress_blocks"),
+             (_DCP, "vdcp_decompress_blocks")],
+    "HUFFDCP": [(_DCP, "huffdcp_frame_cost"), (_DCP, "huffdcp_compress_blocks"),
+                (_DCP, "huffdcp_decompress_blocks")],
     "RAS": [(_REF, "ras_frame_cost"), (_REF, "ras_compress_blocks"),
             (_REF, "ras_decompress_blocks")],
-    "RED": [(_REF, "red_frame_cost"), (_REF, "red_compress_block"),
-            (_REF, "red_decompress_block")],
+    "RED": [(_REF, "red_frame_cost"), (_REF, "red_compress_blocks"),
+            (_REF, "red_decompress_blocks")],
     "HDCP": [(_REF, "hybrid_frame_cost"), (_REF, "vdcp_frame_cost"), (_REF, "ras_frame_cost"),
-             (_REF, "hybrid_compress_blocks"), (_REF, "hybrid_decompress_blocks")],
+             (_REF, "hybrid_compress_blocks"), (_REF, "hybrid_decompress_blocks"),
+             (_REF, "vdcp_compress_blocks"), (_REF, "ras_compress_blocks")],
 }
 
 

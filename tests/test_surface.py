@@ -12,24 +12,27 @@ from dcpbench.surface import (
     SurfaceTrace,
     TooFewFramesError,
     block_grid,
-    block_refs,
     block_stack,
-    frames_equal,
     load_trace,
-    pack_rgba,
-    sub_block_pixels,
-    assemble_sub_blocks,
     sub_block_valid_counts,
-    unpack_rgba,
     write_trace,
 )
+from dcpbench.dcp_codecs import sub_blocks
 from dcpbench.synth import SyntheticSpec, generate
+from palette_oracle import assemble_sub_blocks, sub_block_pixels
+
+OPAQUE_123 = 0xFF030201          # R=1, G=2, B=3, A=255 in the packed word
 
 
-def test_pack_unpack_round_trip():
-    assert pack_rgba(1, 2, 3, 4) == 0x04030201
-    assert unpack_rgba(0x04030201) == (1, 2, 3, 4)
-    assert pack_rgba(255, 255, 255, 255) == 0xFFFFFFFF
+def test_pack_unpack_round_trip(tmp_path):
+    # R is the low byte of the packed word: raw frame bytes are R, G, B, A.
+    frame = Frame(np.array([[0x04030201, 0xFFFFFFFF]], dtype=np.uint32))
+    assert frame.to_raw_bytes() == bytes([1, 2, 3, 4, 255, 255, 255, 255])
+    # A PPM carries R, G, B and reads back opaque.
+    opaque = Frame(np.full((8, 8), OPAQUE_123, dtype=np.uint32))
+    write_trace(SurfaceTrace([opaque, opaque]), tmp_path / "p", fmt="ppm")
+    assert (tmp_path / "p" / "frame_00000.ppm").read_bytes().endswith(bytes([1, 2, 3]))
+    assert np.array_equal(load_trace(tmp_path / "p").frames[0].pixels, opaque.pixels)
 
 
 def test_splitmix_vector_matches_scalar():
@@ -49,15 +52,15 @@ def test_frame_validation():
 
 def test_block_grid_counts():
     assert block_grid(720, 1280) == (90, 160)
-    assert len(block_refs(720, 1280)) == 14400
-    assert block_refs(8, 8) == [(0, 0)]
+    assert block_grid(8, 8) == (1, 1)
+    assert block_stack(np.zeros((1280, 720), dtype=np.uint32)).reshape(-1, 8, 8).shape[0] == 14400
 
 
 def test_padding_flags_9x8():
     frame = Frame(np.arange(72, dtype=np.uint32).reshape(8, 9))
     padded, valid = frame.padded()
     assert padded.shape == (8, 16)
-    assert len(block_refs(9, 8)) == 2
+    assert block_grid(9, 8) == (2, 1)
     blocks = block_stack(valid)
     assert blocks.shape == (1, 2, 8, 8)
     assert blocks[0, 1].sum() == 8  # one real column left in the second block
@@ -69,17 +72,18 @@ def test_padding_flags_9x8():
 
 def test_sub_block_order():
     block = np.arange(64, dtype=np.uint32).reshape(8, 8)
-    groups = sub_block_pixels(block)
+    groups = sub_blocks(block[None])[0]
     assert groups.shape == (16, 4)
     assert groups[0].tolist() == [0, 1, 8, 9]
     assert groups[1].tolist() == [2, 3, 10, 11]
     assert groups[4].tolist() == [16, 17, 24, 25]
+    assert np.array_equal(groups, sub_block_pixels(block))
     assert np.array_equal(assemble_sub_blocks(groups), block)
 
 
 def test_sub_blocks_uniform():
     block = np.full((8, 8), 7, dtype=np.uint32)
-    groups = sub_block_pixels(block)
+    groups = sub_blocks(block[None])[0]
     assert all(len(set(g.tolist())) == 1 for g in groups)
 
 
@@ -88,7 +92,9 @@ def test_tiling_partition():
     frame = Frame(rng.integers(0, 1 << 32, size=(13, 21), dtype=np.uint64).astype(np.uint32))
     seen = np.zeros((13, 21), dtype=int)
     _, valid = frame.padded()
-    for (x0, y0), block_valid in zip(block_refs(21, 13), block_stack(valid).reshape(-1, 8, 8)):
+    nbx, _ = block_grid(21, 13)
+    for i, block_valid in enumerate(block_stack(valid).reshape(-1, 8, 8)):
+        y0, x0 = 8 * (i // nbx), 8 * (i % nbx)
         ys, xs = np.nonzero(block_valid)
         for y, x in zip(ys + y0, xs + x0):
             seen[y, x] += 1
@@ -110,7 +116,7 @@ def test_write_load_raw_round_trip(tmp_path):
     write_trace(trace, tmp_path / "t")
     back = load_trace(tmp_path / "t")
     assert back.name == trace.name and back.category == "synthetic"
-    assert all(frames_equal(a, b) for a, b in zip(trace.frames, back.frames))
+    assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(trace.frames, back.frames))
 
 
 def test_write_load_720x1280_bit_identical(tmp_path):
@@ -125,11 +131,11 @@ def test_ppm_round_trip(tmp_path):
     trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=2))
     write_trace(trace, tmp_path / "p", fmt="ppm")
     back = load_trace(tmp_path / "p")
-    assert all(frames_equal(a, b) for a, b in zip(trace.frames, back.frames))
+    assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(trace.frames, back.frames))
 
 
 def test_ppm_rejects_translucent_frames(tmp_path):
-    frame = Frame(np.full((8, 8), pack_rgba(1, 2, 3, 128), dtype=np.uint32))
+    frame = Frame(np.full((8, 8), 0x80030201, dtype=np.uint32))     # alpha 128
     trace = SurfaceTrace([frame, frame], category="synthetic")
     with pytest.raises(FormatError):
         write_trace(trace, tmp_path / "p", fmt="ppm")
@@ -140,7 +146,7 @@ def test_png_round_trip(tmp_path):
     trace = generate(SyntheticSpec(generator="2d-like", width=32, height=24, frames=2, seed=3))
     write_trace(trace, tmp_path / "png", fmt="png")
     back = load_trace(tmp_path / "png")
-    assert all(frames_equal(a, b) for a, b in zip(trace.frames, back.frames))
+    assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(trace.frames, back.frames))
 
 
 def test_missing_manifest(tmp_path):
