@@ -25,6 +25,10 @@ MAX_PIXEL_SAMPLING = 16384
 # collector's memory; a direct-mapped 2**30-entry collector would build 2**30
 # of each.
 MAX_ENTRY_COUNT = 512
+# Colors are packed 32-bit pixels; a heap key is `frequency << 32 | color`.
+_COLOR_MASK = (1 << 32) - 1
+# RANDOM draws victims ahead in blocks of at most this many outputs.
+_DRAW_CHUNK = 4096
 
 
 class UndefinedCoverageError(ValueError):
@@ -68,24 +72,33 @@ class FvcConfig:
 class Fvc:
     """Bounded color -> frequency tracker with eviction.
 
-    Set index for associative configurations is the low log2(num_sets) bits
-    of the packed 32-bit value. Capacity is at most MAX_ENTRY_COUNT (512)
-    entries. Each set is a dict color -> frequency, and each policy keeps
-    one structure per set that finds its victim without scanning the set:
+    Colors are packed 32-bit pixel values, 0..2**32-1; observe_run() rejects
+    anything else. Set index for associative configurations is the low
+    log2(num_sets) bits of the color. Capacity is at most MAX_ENTRY_COUNT
+    (512) entries. Each set is a dict color -> frequency, and each policy
+    keeps one structure per set that finds its victim without scanning the
+    set:
 
-    - LFC/2LFC: a min-heap of (frequency, color) with one entry per resident
-      color. A hit only bumps the dict, so an entry's frequency may lag; an
-      eviction refreshes lagging entries at the top until the top is exact.
-      O(log ways) per eviction, amortized over the hits.
+    - LFC/2LFC: a min-heap of packed keys `frequency << 32 | color`, one per
+      resident color. Colors fit in 32 bits, so the int order is the
+      (frequency, color) order. A hit only bumps the dict, so a key's
+      frequency may lag; an eviction refreshes lagging keys at the top until
+      the top is exact. O(log ways) per eviction, amortized over the hits.
     - LRU: the dict's own order. A hit moves the color to the end, so the
       victim is the first key. O(1).
     - RANDOM: the set's colors as a sorted list; the victim is the entry at a
-      drawn index. One draw per eviction and a memmove of at most `ways` keys.
+      drawn index, and a memmove of at most `ways` keys removes it. A full
+      set holds exactly `ways` colors, so victims are drawn ahead in blocks
+      of splitmix64 outputs reduced `% ways`; the RNG then advances by the
+      draws used, exactly as one next_below() per eviction would.
 
-    observe_frame() skips the per-run loop when no set can overflow: every
-    set's resident colors plus the frame's new distinct colors fit in `ways`.
-    It then applies the frame's counts in one vectorized pass and leaves the
-    collector exactly as the run loop would, with no RNG draw.
+    Every run of a color goes through one loop per policy, `_runs_<policy>`,
+    picked once in __init__. observe_frame() skips it when no set can
+    overflow: every set's resident colors plus the frame's new distinct
+    colors fit in `ways`. It then enters the new colors through the loop
+    (no eviction can happen) and applies the frame's counts in one
+    vectorized pass, leaving the collector exactly as the loop would, with
+    no RNG draw.
     """
 
     def __init__(self, config: FvcConfig | None = None):
@@ -95,12 +108,17 @@ class Fvc:
         self._ways = self.config.ways_effective
         self._rng = SplitMix64(self.config.rng_seed)
         self._sets: list[dict[int, int]] = [{} for _ in range(nsets)]
-        # Per-set victim structure: the (freq, color) heap for LFC/2LFC, the
+        # Per-set victim structure: the packed-key heap for LFC/2LFC, the
         # sorted color list for RANDOM; unused by LRU.
-        self._victims: list[list] = [[] for _ in range(nsets)]
+        self._victims: list[list[int]] = [[] for _ in range(nsets)]
         self._lru = self.config.policy == "LRU"
-        self._miss = {"LFC": self._miss_lfc, "2LFC": self._miss_2lfc,
-                      "LRU": self._miss_lru, "RANDOM": self._miss_random}[self.config.policy]
+        policy = self.config.policy
+        if self._ways == 1 and policy != "RANDOM":
+            # A one-entry set evicts its only entry under LFC, 2LFC and LRU
+            # alike, with no victim structure; RANDOM still draws.
+            policy = "LRU"
+        self._runs = {"LFC": self._runs_lfc, "2LFC": self._runs_2lfc,
+                      "LRU": self._runs_lru, "RANDOM": self._runs_random}[policy]
         self._samples = 0
 
     @property
@@ -125,78 +143,106 @@ class Fvc:
             v.clear()
         self._samples = 0
 
-    def observe(self, color: int) -> None:
-        self.observe_run(color, 1)
-
     def observe_run(self, color: int, count: int) -> None:
         """Observe `count` consecutive occurrences of one color.
 
-        Equivalent to count calls to observe(): after the first occurrence
-        the color is resident, so the remainder are guaranteed hits.
+        Equivalent to count one-sample runs: after the first occurrence the
+        color is resident, so the remainder are guaranteed hits.
         """
+        color = int(color)
+        if not 0 <= color <= _COLOR_MASK:
+            raise ValueError(f"color {color} is outside 0..2**32-1")
         if count <= 0:
             return
-        color = int(color)
         self._samples += count
-        index = color & self._set_mask
-        s = self._sets[index]
-        freq = s.get(color)
-        if freq is None:
-            self._miss(s, self._victims[index], color, count)
-        elif self._lru:
-            del s[color]
-            s[color] = freq + count
-        else:
-            s[color] = freq + count
+        self._runs((color,), (count,))
 
-    # Each _miss_* inserts a color that is not resident, evicting first when
-    # its set is full. Frequency ties break on ascending color.
+    # Each _runs_* applies runs colors x counts (counts >= 1) in order.
+    # A run of a resident color is a hit; any other run is a miss that
+    # inserts its color, evicting first when the set is full. Frequency ties
+    # break on ascending color.
 
-    def _miss_lfc(self, s, heap, color, count):
-        if len(s) >= self._ways:
-            del s[_exact_top(heap, s)]
-            heapq.heapreplace(heap, (count, color))
-        else:
-            heapq.heappush(heap, (count, color))
-        s[color] = count
+    def _runs_lfc(self, colors, counts):
+        sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
+        push, replace = heapq.heappush, heapq.heapreplace
+        for color, count in zip(colors, counts):
+            s = sets[color & mask]
+            if color in s:
+                s[color] += count
+                continue
+            heap = heaps[color & mask]
+            if len(s) >= ways:
+                del s[_exact_top(heap, s)]
+                replace(heap, count << 32 | color)
+            else:
+                push(heap, count << 32 | color)
+            s[color] = count
 
-    def _miss_2lfc(self, s, heap, color, count):
+    def _runs_2lfc(self, colors, counts):
         # The second-least-frequent entry goes; the least frequent survives
-        # so a freshly inserted color is not immediately thrashed out. A
-        # one-entry set evicts its only entry.
-        if len(s) >= self._ways:
-            if len(heap) == 1:
-                del s[heap[0][1]]
-                heap[0] = (count, color)
+        # so a freshly inserted color is not immediately thrashed out. Sets
+        # have at least two ways here (see __init__).
+        sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
+        push, pop = heapq.heappush, heapq.heappop
+        for color, count in zip(colors, counts):
+            s = sets[color & mask]
+            if color in s:
+                s[color] += count
+                continue
+            heap = heaps[color & mask]
+            if len(s) < ways:
+                push(heap, count << 32 | color)
             else:
                 _exact_top(heap, s)
-                least = heapq.heappop(heap)
+                least = pop(heap)
                 del s[_exact_top(heap, s)]
-                heapq.heapreplace(heap, (count, color))
-                heapq.heappush(heap, least)
-        else:
-            heapq.heappush(heap, (count, color))
-        s[color] = count
+                # `least` is no greater than any key left, so it can take
+                # the victim's place at the top without a sift.
+                heap[0] = least
+                push(heap, count << 32 | color)
+            s[color] = count
 
-    def _miss_lru(self, s, _, color, count):
-        if len(s) >= self._ways:
-            del s[next(iter(s))]
-        s[color] = count
+    def _runs_lru(self, colors, counts):
+        sets, mask, ways = self._sets, self._set_mask, self._ways
+        for color, count in zip(colors, counts):
+            s = sets[color & mask]
+            if color in s:
+                s[color] = s.pop(color) + count
+                continue
+            if len(s) >= ways:
+                del s[next(iter(s))]
+            s[color] = count
 
-    def _miss_random(self, s, keys, color, count):
+    def _runs_random(self, colors, counts):
         # Uniform over the set's entries in ascending color order.
-        if len(s) >= self._ways:
-            del s[keys.pop(self._rng.next_below(len(keys)))]
-        bisect.insort(keys, color)
-        s[color] = count
+        sets, keys_of, mask, ways = self._sets, self._victims, self._set_mask, self._ways
+        insort, rng = bisect.insort, self._rng
+        chunk = min(_DRAW_CHUNK, len(colors))
+        draws, used = [], 0
+        for color, count in zip(colors, counts):
+            s = sets[color & mask]
+            if color in s:
+                s[color] += count
+                continue
+            keys = keys_of[color & mask]
+            if len(s) >= ways:
+                if used == len(draws):
+                    rng.advance(used)
+                    draws, used = (rng.peek_block(chunk) % np.uint64(ways)).tolist(), 0
+                del s[keys.pop(draws[used])]
+                used += 1
+            insort(keys, color)
+            s[color] = count
+        rng.advance(used)
 
     def observe_frame(self, frame: Frame) -> None:
         """Feed a frame through pixel sampling in canonical raster order.
 
         Position p of the non-padded raster stream is sampled when
         p % pixel_sampling == 0. Runs of equal sampled values collapse into
-        observe_run calls, which is exact for every policy; a frame that
-        cannot overflow any set makes no observe_run call at all.
+        (color, count) runs, which is exact for every policy. A frame that
+        can overflow a set goes through the policy's run loop in one call;
+        any other frame takes the vectorized no-overflow path.
         """
         flat = frame.pixels.reshape(-1)
         n = self.config.pixel_sampling
@@ -210,8 +256,8 @@ class Fvc:
         values, lengths = flat[starts], ends - starts
         if self._observe_without_eviction(values, lengths):
             return
-        for value, count in zip(values.tolist(), lengths.tolist()):
-            self.observe_run(value, count)
+        self._samples += flat.size
+        self._runs(values.tolist(), lengths.tolist())
 
     def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray) -> bool:
         """Apply runs `values` x `lengths` at once if no set can overflow.
@@ -226,7 +272,7 @@ class Fvc:
         colors, first, inverse = np.unique(values, return_index=True, return_inverse=True)
         if colors.size > self.config.entry_count:
             return False
-        sets, victims, mask = self._sets, self._victims, self._set_mask
+        sets, mask = self._sets, self._set_mask
         color_list = colors.tolist()
         new = [i for i, c in enumerate(color_list) if c not in sets[c & mask]]
         if new:
@@ -236,12 +282,11 @@ class Fvc:
         # Float weights are exact: a frame holds far fewer than 2**53 samples.
         counts = np.bincount(inverse, weights=lengths).astype(np.int64)
         first_run = lengths[first]
-        # New colors enter as in the run loop: by first occurrence, with their
-        # first run's length, through the policy's miss path, which cannot
-        # evict here. Then every color gets the rest of its frame count.
-        for i in sorted(new, key=first.__getitem__):
-            c = color_list[i]
-            self._miss(sets[c & mask], victims[c & mask], c, int(first_run[i]))
+        # New colors enter as in the run loop, and through it: by first
+        # occurrence, with their first run's length, which cannot evict here.
+        # Then every color gets the rest of its frame count.
+        new.sort(key=first.__getitem__)
+        self._runs([color_list[i] for i in new], [int(first_run[i]) for i in new])
         counts[new] -= first_run[new]
         for c, n in zip(color_list, counts.tolist()):
             sets[c & mask][c] += n
@@ -269,16 +314,17 @@ class Fvc:
         return items
 
 
-def _exact_top(heap: list[tuple[int, int]], s: dict[int, int]) -> int:
-    """Refresh lagging entries at the heap top until it holds its color's
-    true frequency; that entry is then the set's true (freq, color) minimum,
+def _exact_top(heap: list[int], s: dict[int, int]) -> int:
+    """Refresh lagging keys at the heap top until it holds its color's true
+    frequency; that key is then the set's true (freq, color) minimum,
     because stored frequencies never exceed true ones. Returns its color."""
     while True:
-        freq, color = heap[0]
-        true = s[color]
-        if freq == true:
+        key = heap[0]
+        color = key & _COLOR_MASK
+        true = s[color] << 32 | color
+        if key == true:
             return color
-        heapq.heapreplace(heap, (true, color))
+        heapq.heapreplace(heap, true)
 
 
 def relative_coverage(ranked: list[tuple[int, int]], frame: Frame,

@@ -37,6 +37,14 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
+    def peek_block(self, count: int) -> np.ndarray:
+        """The next `count` outputs as a uint64 array, without advancing."""
+        return splitmix64_array(self._state, count)
+
+    def advance(self, count: int) -> None:
+        """Skip `count` outputs, as `count` next_u64() calls would."""
+        self._state = (self._state + count * _GAMMA) & _MASK
+
 
 def splitmix64_array(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64(seed) as a uint64 array.

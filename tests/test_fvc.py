@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcpbench.fvc import (
+    _DRAW_CHUNK,
     MAX_ENTRY_COUNT,
     POLICIES,
     Fvc,
@@ -13,6 +14,7 @@ from dcpbench.fvc import (
 )
 from dcpbench.rng import SplitMix64
 from dcpbench.surface import Frame
+from dcpbench.synth import SyntheticSpec, generate
 
 
 def fvc(entries=64, **kw):
@@ -43,9 +45,6 @@ class ReferenceFvc:
             s.clear()
         self.samples_observed = 0
         self._tick = 0
-
-    def observe(self, color):
-        self.observe_run(color, 1)
 
     def observe_run(self, color, count):
         if count <= 0:
@@ -97,7 +96,7 @@ class ReferenceFvc:
 def test_basic_counting():
     f = fvc(2)
     for c in (10, 10, 20):
-        f.observe(c)
+        f.observe_run(c, 1)
     assert f.ranked_values() == [(10, 2), (20, 1)]
     assert f.samples_observed == 3
 
@@ -105,9 +104,9 @@ def test_basic_counting():
 def test_lfc_evicts_minimum():
     f = fvc(2)
     for _ in range(5):
-        f.observe(0xA)
-    f.observe(0xB)
-    f.observe(0xC)
+        f.observe_run(0xA, 1)
+    f.observe_run(0xB, 1)
+    f.observe_run(0xC, 1)
     assert f.ranked_values() == [(0xA, 5), (0xC, 1)]
 
 
@@ -144,8 +143,8 @@ def test_eviction_replay_oracle_65_colors():
     f = fvc(64)
     ref = ReferenceFvc(FvcConfig(entry_count=64))
     for c in stream.tolist():
-        f.observe(c)
-        ref.observe(c)
+        f.observe_run(c, 1)
+        ref.observe_run(c, 1)
     assert f.coverage() == ref.coverage()
     assert f.ranked_values() == ref.ranked_values()
 
@@ -153,7 +152,7 @@ def test_eviction_replay_oracle_65_colors():
 def test_ranked_tie_breaks_on_color():
     f = fvc(4)
     for c in (5, 5, 5, 3, 3, 3):
-        f.observe(c)
+        f.observe_run(c, 1)
     assert f.ranked_values() == [(3, 3), (5, 3)]
 
 
@@ -165,7 +164,7 @@ def test_observe_run_equivalent_to_loop(policy, rng):
     for color, count in runs:
         a.observe_run(color, count)
         for _ in range(count):
-            b.observe(color)
+            b.observe_run(color, 1)
     assert a.ranked_values() == b.ranked_values()
     assert a.samples_observed == b.samples_observed
 
@@ -183,7 +182,7 @@ def test_2lfc_spares_smallest():
     f = fvc(4, policy="2LFC")
     for color, count in ((0xA, 5), (0xB, 1), (0xC, 3), (0xD, 4)):
         f.observe_run(color, count)
-    f.observe(0xE)
+    f.observe_run(0xE, 1)
     held = dict(f.ranked_values())
     assert 0xB in held          # the most vulnerable entry survives
     assert 0xC not in held      # the second-least-frequent went
@@ -193,9 +192,9 @@ def test_2lfc_spares_smallest():
 def test_lru_evicts_stalest():
     f = fvc(4, policy="LRU")
     for c in (1, 2, 3, 4):
-        f.observe(c)
-    f.observe(1)   # refresh color 1
-    f.observe(5)
+        f.observe_run(c, 1)
+    f.observe_run(1, 1)   # refresh color 1
+    f.observe_run(5, 1)
     held = dict(f.ranked_values())
     assert 2 not in held and 1 in held
 
@@ -204,7 +203,7 @@ def test_random_policy_deterministic():
     def run(seed):
         f = fvc(4, policy="RANDOM", rng_seed=seed)
         for c in range(32):
-            f.observe(c % 9)
+            f.observe_run(c % 9, 1)
         return f.ranked_values()
 
     assert run(3) == run(3)
@@ -215,11 +214,11 @@ def test_random_policy_deterministic():
 def test_direct_mapped_sets():
     # Direct-mapped: set index is the low 2 bits with 4 single-entry sets.
     f = fvc(4, ways=1)
-    f.observe(0b100)   # set 0
-    f.observe(0b1000)  # set 0, evicts regardless of frequency
+    f.observe_run(0b100, 1)   # set 0
+    f.observe_run(0b1000, 1)  # set 0, evicts regardless of frequency
     held = dict(f.ranked_values())
     assert held == {0b1000: 1}
-    f.observe(0b101)   # set 1 unaffected by set 0 traffic
+    f.observe_run(0b101, 1)   # set 1 unaffected by set 0 traffic
     assert dict(f.ranked_values()) == {0b1000: 1, 0b101: 1}
 
 
@@ -229,14 +228,14 @@ def test_capacity_and_mass_invariants(rng):
         f = fvc(entries, policy=str(rng.choice(["LFC", "2LFC", "LRU", "RANDOM"])))
         stream = rng.integers(0, 10, size=400).astype(np.uint32)
         for c in stream.tolist():
-            f.observe(c)
+            f.observe_run(c, 1)
         assert len(f) <= entries
         assert sum(n for _, n in f.ranked_values()) <= f.samples_observed
 
 
 def test_reset_clears_state():
     f = fvc(4)
-    f.observe(1)
+    f.observe_run(1, 1)
     f.reset()
     assert len(f) == 0 and f.samples_observed == 0
 
@@ -260,7 +259,7 @@ def test_relative_coverage_adversarial_burst():
     f.observe_frame(frame)
     ref = ReferenceFvc(FvcConfig(entry_count=2))
     for c in pixels.tolist():
-        ref.observe(c)
+        ref.observe_run(c, 1)
     ranked = f.ranked_values()
     assert ranked == ref.ranked_values()
     rc = relative_coverage(ranked, frame, top_n=2)
@@ -268,6 +267,20 @@ def test_relative_coverage_adversarial_burst():
     true_top = np.sort(counts)[::-1][:2].sum()
     got = sum(int(counts[np.where(colors == c)[0][0]]) for c, _ in ranked)
     assert rc == got / true_top < 1.0
+
+
+@pytest.mark.parametrize("color", [1 << 32, -1])
+def test_observe_run_rejects_colors_outside_pixel_domain(color):
+    f = fvc(4)
+    with pytest.raises(ValueError):
+        f.observe_run(color, 3)
+    with pytest.raises(ValueError):
+        f.observe_run(color, 0)
+    assert len(f) == 0 and f.samples_observed == 0
+    top = (1 << 32) - 1
+    f.observe_run(top, 3)
+    frame = Frame(np.full((2, 2), top, dtype=np.uint32))
+    assert relative_coverage(f.ranked_values(), frame) == 1.0
 
 
 def test_config_validation():
@@ -315,24 +328,26 @@ def _run_frame(rng, pool, shape=(8, 16), max_run=9):
     return Frame(np.repeat(values, lengths)[:size].reshape(shape))
 
 
-class _RunCounter:
-    """Counts observe_run calls on one collector, i.e. frames that missed
-    the no-overflow path."""
+class _PathProbe:
+    """Records whether each observe_frame on one collector took the
+    no-overflow path, from _observe_without_eviction's return value."""
 
     def __init__(self, f):
-        self.calls = 0
-        real = f.observe_run
+        self.took = []
+        real = f._observe_without_eviction
 
-        def counting(color, count):
-            self.calls += 1
-            real(color, count)
+        def probing(values, lengths):
+            took = real(values, lengths)
+            self.took.append(took)
+            return took
 
-        f.observe_run = counting
+        f._observe_without_eviction = probing
 
     def took_fast_path(self, f, frame):
-        before = self.calls
+        before = len(self.took)
         f.observe_frame(frame)
-        return self.calls == before
+        assert len(self.took) == before + 1
+        return self.took[-1]
 
 
 @pytest.mark.parametrize("sampling", [1, 4])
@@ -342,12 +357,12 @@ def test_frames_match_reference(policy, assoc, sampling):
     rng = np.random.default_rng(101)
     pool = rng.integers(0, 1 << 32, size=48, dtype=np.uint64).astype(np.uint32)
     f, ref = _pair(policy, assoc, sampling)
-    counter = _RunCounter(f)
+    probe = _PathProbe(f)
     paths = set()
     for _ in range(40):
         sub = pool[:int(rng.choice([1, 2, 3, 6, 12, 48]))]
         frame = _run_frame(rng, sub)
-        paths.add(counter.took_fast_path(f, frame))
+        paths.add(probe.took_fast_path(f, frame))
         ref.observe_frame(frame)
         _assert_same(f, ref)
     assert paths == {True, False}
@@ -399,7 +414,7 @@ def test_fast_path_then_overflow(policy, assoc):
             fill.append(c)
             free[c & mask] -= 1
     frame = Frame(np.array(fill, dtype=np.uint32)[rng.integers(0, len(fill), size=(4, 16))])
-    assert _RunCounter(f).took_fast_path(f, frame)
+    assert _PathProbe(f).took_fast_path(f, frame)
     ref.observe_frame(frame)
     flat = frame.pixels.reshape(-1).tolist()
     starts = [0, *(i for i in range(1, len(flat)) if flat[i] != flat[i - 1])]
@@ -417,14 +432,51 @@ def test_fast_path_then_overflow(policy, assoc):
         _assert_same(f, ref)
 
 
+@pytest.fixture(scope="module")
+def synthetic_traces():
+    return {g: generate(SyntheticSpec(g, 64, 48, 3, seed=7)) for g in ("2d-like", "noise")}
+
+
+@pytest.mark.parametrize("sampling", [1, 4])
+@pytest.mark.parametrize("assoc", list(ASSOCS))
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("generator", ["2d-like", "noise"])
+def test_synthetic_frames_match_reference(synthetic_traces, generator, policy, assoc, sampling):
+    # Palette-hostile content overflows the sets, so every frame runs the
+    # policy's run loop; the oracle is checked after each frame.
+    f, ref = _pair(policy, assoc, sampling, entries=64)
+    probe = _PathProbe(f)
+    for frame in synthetic_traces[generator].frames:
+        assert not probe.took_fast_path(f, frame)
+        ref.observe_frame(frame)
+        _assert_same(f, ref)
+
+
+@pytest.mark.parametrize("assoc", ["full", "4-way"])
+def test_random_run_loop_longer_than_one_draw_chunk(assoc):
+    # Every run is a new color, so each one past the first 16 evicts: the
+    # victims span three draw blocks, and the RNG must end one draw per
+    # eviction past its start.
+    n = 2 * _DRAW_CHUNK + 100
+    colors = (np.arange(n, dtype=np.uint64) * 2654435761 % (1 << 32)).astype(np.uint32)
+    f, ref = _pair("RANDOM", assoc, seed=23)
+    f.observe_frame(Frame(colors.reshape(1, n)))
+    ref.observe_frame(Frame(colors.reshape(1, n)))
+    _assert_same(f, ref)
+    expected = SplitMix64(23)
+    for _ in range(n - 16):
+        expected.next_u64()
+    assert f._rng._state == expected._state
+
+
 def test_2lfc_one_way_evicts_sole_entry():
     f = fvc(4, policy="2LFC", ways=1)
     f.observe_run(0b100, 5)
-    f.observe(0b1000)                   # same set: the only entry goes
+    f.observe_run(0b1000, 1)                   # same set: the only entry goes
     assert f.ranked_values() == [(0b1000, 1)]
     g = fvc(1, policy="2LFC")
     g.observe_run(7, 9)
-    g.observe(8)
+    g.observe_run(8, 1)
     assert g.ranked_values() == [(8, 1)]
 
 
@@ -435,8 +487,8 @@ def test_random_one_way_draws_once_per_miss():
     for color in (0, 4, 4, 8, 1, 5, 5, 0, 2, 3):
         s = f._sets[color & 3]
         evictions += color not in s and len(s) == 1
-        f.observe(color)
-        ref.observe(color)
+        f.observe_run(color, 1)
+        ref.observe_run(color, 1)
     expected = SplitMix64(9)
     for _ in range(evictions):
         expected.next_u64()
@@ -457,9 +509,9 @@ def test_fast_path_takes_frames_that_exactly_fill(policy):
 
     full = [0x10 | 0, 0x20, 0x30, 0x40] + [(k << 4) | s for s in (1, 2, 3) for k in range(4)]
     f = collector()
-    assert _RunCounter(f).took_fast_path(f, Frame(np.array([full], dtype=np.uint32)))
+    assert _PathProbe(f).took_fast_path(f, Frame(np.array([full], dtype=np.uint32)))
     assert len(f) == 16
     for extra_set in range(4):
         f = collector()
         frame = Frame(np.array([full + [(9 << 4) | extra_set]], dtype=np.uint32))
-        assert not _RunCounter(f).took_fast_path(f, frame)
+        assert not _PathProbe(f).took_fast_path(f, frame)

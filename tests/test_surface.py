@@ -43,6 +43,15 @@ def test_splitmix_vector_matches_scalar():
     assert mix64(1) not in (0, 1)
 
 
+def test_splitmix_block_equals_scalar_draws():
+    block, scalar = SplitMix64(77), SplitMix64(77)
+    for k in (0, 1, 5, 4099):
+        draws = block.peek_block(k).tolist()
+        block.advance(k)
+        assert draws == [scalar.next_u64() for _ in range(k)]
+        assert block.next_u64() == scalar.next_u64()
+
+
 def test_frame_validation():
     with pytest.raises(ValueError):
         Frame(np.zeros((0, 4), dtype=np.uint32))
