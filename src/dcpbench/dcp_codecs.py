@@ -48,12 +48,13 @@ from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
 from .palette import Ccd, Rccd, build_ccd
 from .schemes import HUFFMAN, SCHEMES, Scheme
+from .surface import pool
 
 VDCP_RAW = 7                  # 3-bit status value marking a raw sub-block
 VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 entries
 
 # v for a zero-based max palette index m: the smallest v with 2**v > m.
-_VDCP_WIDTH = np.array([m.bit_length() for m in range(VDCP_MAX_CCD)], dtype=np.int64)
+_VDCP_WIDTH = np.array([m.bit_length() for m in range(VDCP_MAX_CCD)], dtype=np.int16)
 
 
 @dataclass
@@ -405,55 +406,49 @@ def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
 # (nblocks_y, nblocks_x) int64 array. Padded pixels never count: a
 # compressed sub-block with r live pixels charges bits_per_pixel * r and a
 # raw one charges 32 * r. For fully live frames this equals the exact
-# bitstream length of the per-block codecs.
+# bitstream length of the per-block codecs. Every tile is reduced with
+# `surface.pool`. A block charges DCP and VDCP at most 16 * 128 bits, so
+# their bits stay int16; HUFFDCP's codes have no fixed bound and sum in
+# int32. Only the per-block result is widened to int64.
 
-def _sub_block_all(mask: np.ndarray) -> np.ndarray:
-    h, w = mask.shape
-    return mask.reshape(h // 2, 2, w // 2, 2).all(axis=(1, 3))
-
-
-def _sub_block_sum(values: np.ndarray) -> np.ndarray:
-    h, w = values.shape
-    return values.reshape(h // 2, 2, w // 2, 2).sum(axis=(1, 3), dtype=np.int64)
+_RAW_BITS = np.int16(32)
 
 
-def _block_sum(sb_values: np.ndarray) -> np.ndarray:
-    h, w = sb_values.shape
-    return sb_values.reshape(h // 4, 4, w // 4, 4).sum(axis=(1, 3), dtype=np.int64)
+def _block_bits(sb_bits: np.ndarray) -> np.ndarray:
+    """Per-block sums of per-sub-block bits, as int64."""
+    return pool(sb_bits, np.add, 4, 4).astype(np.int64)
 
 
 def dcp_frame_cost(padded: np.ndarray, sb_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
     if ccd is None or len(ccd) == 0:
-        return _block_sum(32 * sb_real)
+        return _block_bits(_RAW_BITS * sb_real)
     _, hit = ccd.lookup(padded)
-    compressible = _sub_block_all(hit)
-    bits = np.where(compressible, ccd.bits_per_code * sb_real, 32 * sb_real)
-    return _block_sum(bits)
+    compressible = pool(hit, np.logical_and, 2, 2)
+    return _block_bits(np.where(compressible, np.int16(ccd.bits_per_code), _RAW_BITS) * sb_real)
 
 
 def vdcp_frame_cost(padded: np.ndarray, sb_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
     if ccd is None or len(ccd) == 0:
-        return _block_sum(32 * sb_real)
+        return _block_bits(_RAW_BITS * sb_real)
     if len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
     codes, hit = ccd.lookup(padded)
-    compressible = _sub_block_all(hit)
-    h, w = codes.shape
-    m = codes.reshape(h // 2, 2, w // 2, 2).max(axis=(1, 3))
-    v = _VDCP_WIDTH[np.clip(m, 0, VDCP_MAX_CCD - 1)]
-    bits = np.where(compressible, v * sb_real, 32 * sb_real)
-    return _block_sum(bits)
+    compressible = pool(hit, np.logical_and, 2, 2)
+    # Codes are -1..63. A -1 maximum (no pixel hit) indexes the last width,
+    # which `compressible` then discards.
+    v = _VDCP_WIDTH[pool(codes, np.maximum, 2, 2, dtype=np.int8)]
+    return _block_bits(np.where(compressible, v, _RAW_BITS) * sb_real)
 
 
 def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
                        table: HuffmanTable | None) -> np.ndarray:
     if table is None or len(table) == 0:
-        return _block_sum(32 * sb_real)
+        return _block_bits(_RAW_BITS * sb_real)
     entries, hit = table.lookup(padded)
-    compressible = _sub_block_all(hit)
-    code_bits = _sub_block_sum(np.where(valid & hit, table.lengths[entries], 0))
-    bits = np.where(compressible, code_bits, 32 * sb_real)
-    return _block_sum(bits)
+    compressible = pool(hit, np.logical_and, 2, 2)
+    lengths = table.lengths.astype(np.int32)[entries]
+    code_bits = pool(np.where(valid & hit, lengths, np.int32(0)), np.add, 2, 2)
+    return _block_bits(np.where(compressible, code_bits, _RAW_BITS * sb_real))
 
 
 # ---------------------------------------------------------------------------

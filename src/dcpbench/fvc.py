@@ -263,13 +263,15 @@ class Fvc:
         """Apply runs `values` x `lengths` at once if no set can overflow.
 
         Returns False, changing nothing, when some set's resident colors
-        plus the runs' new distinct colors exceed `ways`. Otherwise no
-        eviction can happen, and the collector ends exactly as the run loop
-        leaves it: the same frequencies, new colors entered in order of first
+        plus the runs' new distinct colors exceed `ways`; that test needs
+        only the distinct colors, from one sort. Otherwise no eviction can
+        happen, and the collector ends exactly as the run loop leaves it:
+        the same frequencies, new colors entered in order of first
         occurrence (dict, heap and key list alike), and under LRU every
         observed color moved to the end in order of its last run.
         """
-        colors, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        ordered = np.sort(values)
+        colors = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         if colors.size > self.config.entry_count:
             return False
         sets, mask = self._sets, self._set_mask
@@ -279,6 +281,10 @@ class Fvc:
             new_per_set = np.bincount(colors[new] & mask, minlength=len(sets))
             if any(len(s) + k > self._ways for s, k in zip(sets, new_per_set.tolist())):
                 return False
+        # The frame fits: now each run's color index and each color's first run.
+        inverse = np.searchsorted(colors, values)
+        first = np.full(colors.size, values.size)
+        np.minimum.at(first, inverse, np.arange(values.size))
         # Float weights are exact: a frame holds far fewer than 2**53 samples.
         counts = np.bincount(inverse, weights=lengths).astype(np.int64)
         first_run = lengths[first]

@@ -57,6 +57,7 @@ from .dcp_codecs import (
     vdcp_stream_bits,
 )
 from .palette import Ccd, Rccd
+from .surface import pool
 
 GR_K_MAX = 6
 GR_K_RAW = 7                   # "special mode": channel stored raw
@@ -80,8 +81,8 @@ def med_zigzag(x: np.ndarray) -> np.ndarray:
 
     `x` is any (..., 8a, 8b) array; neighbors are taken inside each 8x8
     block of the last two axes, with 128 on block borders. The median of
-    left a, above b and above-left c is `clip(a + b - c, min(a, b),
-    max(a, b))`, and a + b - c spans -255..510, so int16 holds every step.
+    left a, above b and above-left c is a + b - c clipped to min(a, b)..
+    max(a, b), and a + b - c spans -255..510, so int16 holds every step.
     """
     a = np.empty_like(x)
     a[..., 1:] = x[..., :-1]
@@ -95,7 +96,8 @@ def med_zigzag(x: np.ndarray) -> np.ndarray:
     b[..., 1:] = b[..., :-1]
     b[..., ::8] = 128                       # above-left
     a -= b
-    np.clip(a, lo, hi, out=a)
+    np.maximum(a, lo, out=a)                # clip to lo..hi; lo <= hi
+    np.minimum(a, hi, out=a)
     np.subtract(x, a, out=a)                # residual, -255..255
     np.right_shift(a, 15, out=b)
     a <<= 1
@@ -117,10 +119,9 @@ def _gr_bits(zz: np.ndarray) -> np.ndarray:
             shifted = zz >> 1
         elif k > 1:
             shifted >>= 1
-        # Rows first, then columns: much faster than one two-axis sum.
-        columns = np.add.reduce(shifted.reshape(*lead, h // 8, 8, w), axis=-2, dtype=np.uint16)
-        np.add.reduce(columns.reshape(*lead, h // 8, w // 8, 8), axis=-1, out=out[k])
-        out[k] += 64 * (1 + k)
+        # Each block's 8 rows in one reduce, then its 8 columns pairwise.
+        rows = np.add.reduce(shifted.reshape(*lead, h // 8, 8, w), axis=-2, dtype=np.uint16)
+        np.add(pool(rows, np.add, 1, 8), 64 * (1 + k), out=out[k])
     return out
 
 
@@ -143,12 +144,24 @@ _RED_FIELD_PIXEL = np.stack([np.pad(np.unique(f, return_index=True)[1], (0, 64 -
                              for f in _RED_PIXEL_FIELD])
 
 
+def _red_uniform(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u4, u8) of the last two axes of `pixels`: whether each 2x2 cell, and
+    each 2-tall x 4-wide region, holds one color. A cell is uniform when its
+    vertical pairs are equal and so is its top pair; a region, when its two
+    cells are uniform and their top-left pixels equal."""
+    top, bottom = pixels[..., 0::2, :], pixels[..., 1::2, :]
+    pairs = top == bottom
+    corner = top[..., 0::2]
+    u4 = pairs[..., 0::2] & pairs[..., 1::2] & (corner == top[..., 1::2])
+    u8 = u4[..., 0::2] & u4[..., 1::2] & (corner[..., 0::2] == corner[..., 1::2])
+    return u4, u8
+
+
 def _red_classes(blocks: np.ndarray) -> np.ndarray:
-    """The class of each block of an (n, 8, 8) stack."""
-    r8 = blocks.reshape(-1, 4, 2, 2, 4)
-    c8 = (r8 == r8[:, :, :1, :, :1]).all(axis=(1, 2, 3, 4))
-    r4 = blocks.reshape(-1, 4, 2, 4, 2)
-    c4 = (r4 == r4[:, :, :1, :, :1]).all(axis=(1, 2, 3, 4))
+    """The class of each block of an (n, 8, 8) or (n, 64) stack."""
+    u4, u8 = _red_uniform(blocks.reshape(-1, 8, 8))
+    c8 = pool(u8, np.logical_and, 4, 2)[:, 0, 0]
+    c4 = pool(u4, np.logical_and, 4, 4)[:, 0, 0]
     return np.where(c8, RED_C8, np.where(c4, RED_C4, RED_RAW))
 
 
@@ -208,20 +221,18 @@ def red_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
 
 def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
                    block_real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(accounting bits per block, class per block)."""
-    h, w = padded.shape
-    nby, nbx = h // 8, w // 8
-    r8 = padded.reshape(h // 2, 2, w // 4, 4)
-    u8 = (r8 == r8[:, :1, :, :1]).all(axis=(1, 3))
-    c8_ok = u8.reshape(nby, 4, nbx, 2).all(axis=(1, 3))
-    r4 = padded.reshape(h // 2, 2, w // 2, 2)
-    u4 = (r4 == r4[:, :1, :, :1]).all(axis=(1, 3))
-    c4_ok = u4.reshape(nby, 4, nbx, 4).all(axis=(1, 3))
-    live8 = valid.reshape(h // 2, 2, w // 4, 4).any(axis=(1, 3))
-    real_r8 = live8.reshape(nby, 4, nbx, 2).sum(axis=(1, 3), dtype=np.int64)
-    real_r4 = (sb_real > 0).reshape(nby, 4, nbx, 4).sum(axis=(1, 3), dtype=np.int64)
-    bits = np.where(c8_ok, 32 * real_r8,
-                    np.where(c4_ok, 32 * real_r4, 32 * block_real))
+    """(accounting bits per block, class per block).
+
+    A C8 block charges 32 bits per region and a C4 block per 2x2 cell that
+    holds a live pixel; a raw block charges its live pixels.
+    """
+    u4, u8 = _red_uniform(padded)
+    c8_ok = pool(u8, np.logical_and, 4, 2)
+    c4_ok = pool(u4, np.logical_and, 4, 4)
+    live4 = sb_real > 0
+    real_r8 = pool(pool(live4, np.logical_or, 1, 2), np.add, 4, 2, dtype=np.int8)
+    real_r4 = pool(live4, np.add, 4, 4, dtype=np.int8)
+    bits = 32 * np.where(c8_ok, real_r8, np.where(c4_ok, real_r4, block_real))
     classes = np.where(c8_ok, RED_C8, np.where(c4_ok, RED_C4, RED_RAW))
     return bits, classes
 

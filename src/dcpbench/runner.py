@@ -282,26 +282,32 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     palette both encoding and decoding (the reference codecs ignore it);
     the pair is looked up on its module when called. Fully live blocks must
     also reproduce the vectorized engine's accounting bits exactly; edge
-    blocks are checked for losslessness only.
+    blocks are checked for losslessness only. The first failing block in
+    index order raises, naming the frame and the block; a block that fails
+    both checks is reported as a round-trip mismatch.
     """
     nby, nbx = block_real.shape
     nblocks = nby * nbx
     indices = _sample(rng, nblocks, max(1, round(cfg.verify_fraction * nblocks)))
-    rows, cols = np.divmod(np.array(indices, dtype=np.int64), nbx)
+    idx = np.array(indices, dtype=np.int64)
+    rows, cols = np.divmod(idx, nbx)
     blocks = block_stack(padded)[rows, cols]
     comps = dcp_codecs.codec_entry(scheme.codec, "compress_blocks")(blocks, m.palette)
     decoded = dcp_codecs.codec_entry(scheme.codec, "decompress_blocks")(comps, m.palette)
-    flat_real = block_real.reshape(-1)
-    flat_bits = engine_bits.reshape(-1)
-    for idx, block, out, comp in zip(indices, blocks, decoded, comps):
-        by, bx = divmod(idx, nbx)
-        if not np.array_equal(out, block):
+    lossy = (decoded.reshape(len(idx), 64) != blocks.reshape(len(idx), 64)).any(axis=1)
+    stream = np.array([c.cost_bits for c in comps], dtype=np.int64)
+    engine = engine_bits.reshape(-1)[idx]
+    costly = (block_real.reshape(-1)[idx] == 64) & (stream != engine)
+    bad = np.flatnonzero(lossy | costly)
+    if bad.size:
+        i = int(bad[0])
+        by, bx = divmod(indices[i], nbx)
+        if lossy[i]:
             raise VerificationError(
                 f"{scheme.name} round-trip mismatch at frame {m.index} block ({bx},{by})")
-        if flat_real[idx] == 64 and comp.cost_bits != int(flat_bits[idx]):
-            raise VerificationError(
-                f"{scheme.name} cost mismatch at frame {m.index} block ({bx},{by}): "
-                f"stream {comp.cost_bits} bits vs engine {int(flat_bits[idx])}")
+        raise VerificationError(
+            f"{scheme.name} cost mismatch at frame {m.index} block ({bx},{by}): "
+            f"stream {int(stream[i])} bits vs engine {int(engine[i])}")
     return len(indices)
 
 

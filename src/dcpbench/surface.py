@@ -125,16 +125,35 @@ def block_stack(pixels: np.ndarray) -> np.ndarray:
     return pixels.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(1, 2)
 
 
+def pool(x: np.ndarray, op: np.ufunc, fy: int, fx: int, dtype=None) -> np.ndarray:
+    """`op` applied over each fy x fx tile of the last two axes of `x`.
+
+    fy and fx are powers of two that divide those axes, and `op` is an
+    associative, commutative binary ufunc (`logical_and`, `logical_or`,
+    `add`, `maximum`). Each step halves one axis by applying `op` to its
+    even and odd strided halves, rows first, then columns. numpy reduces
+    over the 2- and 4-wide axes of a reshaped view about 20x slower. Every
+    step's result has `dtype` (default: what `op` gives on `x`); the caller
+    picks one that holds a whole tile's result. This is the one tile
+    reduction of the package.
+    """
+    while fy > 1:
+        x = op(x[..., 0::2, :], x[..., 1::2, :], dtype=dtype)
+        fy //= 2
+    while fx > 1:
+        x = op(x[..., 0::2], x[..., 1::2], dtype=dtype)
+        fx //= 2
+    return x
+
+
 def sub_block_valid_counts(valid: np.ndarray) -> np.ndarray:
-    """Non-padded pixel count per 2x2 cell over a padded-size mask."""
-    h, w = valid.shape
-    return valid.reshape(h // SUB, SUB, w // SUB, SUB).sum(axis=(1, 3), dtype=np.int64)
+    """Non-padded pixel count per 2x2 cell over a padded-size mask, as int8."""
+    return pool(valid, np.add, SUB, SUB, dtype=np.int8)
 
 
 def block_valid_counts(valid: np.ndarray) -> np.ndarray:
     """Non-padded pixel count per 8x8 block over a padded-size mask."""
-    h, w = valid.shape
-    return valid.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).sum(axis=(1, 3), dtype=np.int64)
+    return pool(valid, np.add, BLOCK, BLOCK, dtype=np.int8).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +223,12 @@ def _read_frame_file(path: Path, width: int, height: int) -> Frame:
     if not path.is_file():
         raise FrameSizeError(f"missing frame file {path.name}")
     if suffix in (".raw", ".bin"):
-        data = path.read_bytes()
+        size = path.stat().st_size
         expected = width * height * 4
-        if len(data) != expected:
+        if size != expected:
             raise FrameSizeError(
-                f"{path.name}: {len(data)} bytes, expected {expected} for {width}x{height}")
-        return Frame(np.frombuffer(data, dtype="<u4").reshape(height, width).copy())
+                f"{path.name}: {size} bytes, expected {expected} for {width}x{height}")
+        return Frame(np.fromfile(path, dtype="<u4").reshape(height, width))
     if suffix == ".ppm":
         return _read_ppm(path, width, height)
     if suffix == ".png":

@@ -25,6 +25,7 @@ from .surface import Frame, SurfaceTrace
 GENERATORS = ("ui-like", "2d-like", "noise", "gradient")
 
 _DEFAULT_PALETTE = {"ui-like": 24, "2d-like": 40, "noise": 4096, "gradient": 0}
+_STRIP_BOUNDS = np.array([5, 3, 5], dtype=np.uint64)   # next_below bounds: run, gap, inked
 
 
 @dataclass
@@ -83,16 +84,24 @@ def _gen_ui_like(spec: SyntheticSpec) -> list[np.ndarray]:
         y = rng.next_below(max(h - rh, 1))
         base[y:y + rh, x:x + rw] = pal[2 + rng.next_below(len(pal) - 2)]
 
-    # Text-like strips: 2-pixel-tall ink runs on the background.
-    strip_rows = range(4, h - 4, 12)
-    for y in strip_rows:
-        x = 2
-        while x < w - 6:
-            run = 2 + rng.next_below(5)
-            gap = 1 + rng.next_below(3)
-            if rng.next_below(5):   # some gaps read as word spaces
-                base[y:y + 2, x:x + run] = pal[1]
-            x += run + gap
+    # Text-like strips: 2-pixel-tall ink runs on the background. From x = 2
+    # while x < w - 6, each step draws a run of 2..6, a gap of 1..3 and
+    # whether the run is inked (some gaps read as word spaces), one
+    # next_below each. A step moves x by at least 3, so a row takes at most
+    # `steps` of them, and its draws are read as one block of the stream.
+    steps = w // 3 + 1
+    for y in range(4, h - 4, 12):
+        draws = (rng.peek_block(3 * steps).reshape(steps, 3) % _STRIP_BOUNDS).astype(np.int64)
+        run = 2 + draws[:, 0]
+        advance = run + 1 + draws[:, 1]
+        x = 2 + np.cumsum(advance) - advance
+        n = int(np.searchsorted(x, w - 6))
+        rng.advance(3 * n)
+        inked = draws[:n, 2] != 0
+        starts, lengths = x[:n][inked], run[:n][inked]
+        first = np.cumsum(lengths) - lengths          # each run's first index in cols
+        cols = np.repeat(starts - first, lengths) + np.arange(lengths.sum())
+        base[y:y + 2, cols[cols < w]] = pal[1]
 
     # Scroll band: the middle half of the screen moves `scroll` rows/frame.
     y0, y1 = h // 4, h - h // 4

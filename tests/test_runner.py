@@ -186,6 +186,35 @@ def test_verification_catches_corruption(monkeypatch):
         run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=1.0))
 
 
+@pytest.mark.parametrize("lossy_block,message", [
+    (5, r"cost mismatch at frame 1 block \(2,0\): stream \d+ bits vs engine \d+"),
+    (2, r"round-trip mismatch at frame 1 block \(2,0\)"),
+    (1, r"round-trip mismatch at frame 1 block \(1,0\)"),
+])
+def test_verification_catches_cost_mismatch(monkeypatch, lossy_block, message):
+    # Block (2,0) costs one bit more in the engine than in its stream; a
+    # round-trip fault is put on another block, or on the same one. The
+    # first failing block in index order is reported, its round trip first.
+    trace = generate(SyntheticSpec(generator="ui-like", width=64, height=48, frames=3, seed=1))
+    real_cost = dcpbench.dcp_codecs.dcp_frame_cost
+    real_decode = dcpbench.dcp_codecs.dcp_decompress_blocks
+
+    def costly(padded, sb_real, ccd):
+        bits = real_cost(padded, sb_real, ccd)
+        bits[0, 2] += 1
+        return bits
+
+    def corrupt(comps, rccd):
+        out = real_decode(comps, rccd)
+        out[lossy_block, 0, 0] ^= 1
+        return out
+
+    monkeypatch.setattr("dcpbench.dcp_codecs.dcp_frame_cost", costly)
+    monkeypatch.setattr("dcpbench.dcp_codecs.dcp_decompress_blocks", corrupt)
+    with pytest.raises(VerificationError, match=message):
+        run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=1.0))
+
+
 def test_verify_full_checks_every_block():
     trace = static_trace(frames=3, width=64, height=48)
     res = run_experiment(trace, ExperimentConfig(scheme="DCP", verify_fraction=1.0))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dcpbench.metrics import color_change, pixel_change, unique_colors
+from dcpbench.rng import SplitMix64
 from dcpbench.surface import load_trace, write_trace
-from dcpbench.synth import GENERATORS, SyntheticSpec, generate
+from dcpbench.synth import GENERATORS, SyntheticSpec, _palette, generate
 
 
 def test_generation_is_deterministic():
@@ -49,6 +50,59 @@ def test_ui_like_moves_without_changing_colors():
         assert pc > cc
         assert pc > 0.02          # the scroll band really moves
         assert cc < 0.05          # the histogram barely shifts
+
+
+def scalar_ui_like(spec):
+    """The ui-like generator with one next_below call per draw: the oracle
+    for the block-drawn text strips."""
+    w, h = spec.width, spec.height
+    rng = SplitMix64(spec.seed)
+    pal = _palette(rng, max(spec.palette_size, 4))
+    pal[0] = 0xFFF6F4F2
+    pal[1] = 0xFF141210
+    base = np.full((h, w), pal[0], dtype=np.uint32)
+    for _ in range(6):
+        rw = 8 + rng.next_below(max(w // 3, 9))
+        rh = 8 + rng.next_below(max(h // 4, 9))
+        x = rng.next_below(max(w - rw, 1))
+        y = rng.next_below(max(h - rh, 1))
+        base[y:y + rh, x:x + rw] = pal[2 + rng.next_below(len(pal) - 2)]
+    for y in range(4, h - 4, 12):
+        x = 2
+        while x < w - 6:
+            run = 2 + rng.next_below(5)
+            gap = 1 + rng.next_below(3)
+            if rng.next_below(5):
+                base[y:y + 2, x:x + run] = pal[1]
+            x += run + gap
+    y0, y1 = h // 4, h - h // 4
+    frames = []
+    for t in range(spec.frames):
+        fr = base.copy()
+        fr[y0:y1] = np.roll(base[y0:y1], -spec.scroll * t, axis=0)
+        cx = (8 + 6 * t) % max(w - 8, 1)
+        fr[2:6, cx:cx + 4] = pal[2 + (t % (len(pal) - 2))]
+        frames.append(fr)
+    return frames, rng.next_u64()
+
+
+@pytest.mark.parametrize("width,height", [(8, 8), (9, 17), (14, 20), (61, 45), (100, 60),
+                                          (640, 480)])
+@pytest.mark.parametrize("seed", [0, 1, 43])
+def test_ui_like_matches_scalar_draws(width, height, seed, monkeypatch):
+    spec = SyntheticSpec(generator="ui-like", width=width, height=height, frames=3, seed=seed)
+    want, next_draw = scalar_ui_like(spec)
+    rngs = []
+    real_init = SplitMix64.__init__
+
+    def recording(self, seed):
+        real_init(self, seed)
+        rngs.append(self)
+
+    monkeypatch.setattr(SplitMix64, "__init__", recording)
+    got = generate(spec).frames
+    assert all(np.array_equal(a.pixels, b) for a, b in zip(got, want))
+    assert rngs[0].next_u64() == next_draw          # the stream advanced by the draws used
 
 
 def test_noise_statistics():
