@@ -1,4 +1,4 @@
-"""DRAM-burst accounting and compression-rate aggregation.
+"""DRAM-burst accounting and compression rates.
 
 DRAM moves data in fixed 128-bit bursts, so a block compressed to S2 bits
 actually occupies ceil(S2 / 128) bursts; the effective compression rate of a
@@ -95,54 +95,17 @@ class WorkloadStats:
     rate: float = 0.0
 
 
-def frame_rate(fs: FrameStats, mode: str) -> float:
-    return _rate(fs.uncompressed_bits, fs.payload_bits, fs.csb_bits,
-                 fs.uncompressed_bursts, fs.payload_bursts, fs.csb_bursts, mode)
-
-
-def workload_rate(frames: list[FrameStats], mode: str) -> float:
-    return _rate(sum(f.uncompressed_bits for f in frames),
-                 sum(f.payload_bits for f in frames),
-                 sum(f.csb_bits for f in frames),
-                 sum(f.uncompressed_bursts for f in frames),
-                 sum(f.payload_bursts for f in frames),
-                 sum(f.csb_bursts for f in frames), mode)
-
-
-def _rate(ubits, pbits, cbits, ubursts, pbursts, cbursts, mode) -> float:
+def rate(stats: FrameStats | WorkloadStats, mode: str) -> float:
+    """The compression rate of a frame's or a workload's six totals under
+    an accounting mode; inf when nothing is charged."""
     if mode == "payload":
-        num, den = ubits, pbits
+        num, den = stats.uncompressed_bits, stats.payload_bits
     elif mode == "payload+csb":
-        num, den = ubits, pbits + cbits
+        num, den = stats.uncompressed_bits, stats.payload_bits + stats.csb_bits
     elif mode == "full":
-        num, den = ubursts, pbursts + cbursts
+        num, den = stats.uncompressed_bursts, stats.payload_bursts + stats.csb_bursts
     else:
         raise ValueError(f"accounting mode must be one of {ACCOUNTING_MODES}, got {mode!r}")
     if den == 0:
         return float("inf")
     return num / den
-
-
-def harmonic_mean(values) -> float:
-    vals = list(values)
-    if not vals:
-        raise ValueError("harmonic mean of an empty sequence")
-    if any(v <= 0 for v in vals):
-        raise ValueError("harmonic mean needs positive values")
-    return len(vals) / sum(1.0 / v for v in vals)
-
-
-def aggregate(workloads: list[WorkloadStats]) -> dict[str, dict]:
-    """Per-category summaries: harmonic mean of workload rates."""
-    if not workloads:
-        raise ValueError("no workloads to aggregate")
-    by_cat: dict[str, list[WorkloadStats]] = {}
-    for w in workloads:
-        by_cat.setdefault(w.category, []).append(w)
-    out = {}
-    for cat, group in sorted(by_cat.items()):
-        out[cat] = {
-            "workloads": len(group),
-            "harmonic_mean_rate": harmonic_mean(w.rate for w in group),
-        }
-    return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -402,12 +403,14 @@ def _summary_json(trace: SurfaceTrace, cfg: ExperimentConfig, result: RunResult)
             "csb_bursts": w.csb_bursts,
             "rccd_bytes": w.rccd_bytes,
         },
-        "rate": w.rate,
+        # RFC 8259 has no Infinity: a rate with nothing charged is null here
+        # (the CSV keeps inf).
+        "rate": w.rate if math.isfinite(w.rate) else None,
         "hybrid_blocks": {"vdcp": w.vdcp_blocks, "ras": w.ras_blocks},
         "blocks_verified": result.blocks_verified,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _dump_containers(directory: str, trace: SurfaceTrace, cfg: ExperimentConfig,

@@ -15,9 +15,10 @@ Layout (integers little-endian unless they live in the bit streams):
   payload per-block bit streams in block raster order, each byte-aligned
 
 The container knows no block format. The frame's blocks go through the
-codec family's batch entries (`dcp_codecs.codec_entry`). Compressing, one
-call returns one `CompressedBlock` per block: its status entries go into
-the status grid and its payload is appended as is. Decoding, the family's
+codec family's batch entries, which `schemes.resolve` looks up on the
+family's module when called. Compressing, one call returns one
+`CompressedBlock` per block: its status entries go into the status grid
+and its payload is appended as is. Decoding, the family's
 `stream_bits` finds where each block's stream ends from the status grid
 (DCP, VDCP and RED from the entries alone, HUFFDCP by chasing code
 lengths, RAS and HDCP by the Golomb-Rice next-zero parse), the payload is
@@ -40,10 +41,10 @@ from __future__ import annotations
 import numpy as np
 
 from .bitio import CorruptStreamError
-from .dcp_codecs import CompressedBlock, codec_entry
+from .dcp_codecs import CompressedBlock
 from .huffman import HuffmanTable
 from .palette import Ccd, Rccd
-from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme
+from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme, resolve
 from .surface import BLOCK, Frame, block_grid, block_stack
 
 MAGIC = b"FBC1"
@@ -59,7 +60,7 @@ def compress_frame(frame: Frame, scheme: str,
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
     padded, _ = frame.padded()
-    blocks = codec_entry(s.codec, "compress_blocks")(
+    blocks = resolve(s.codec, "compress_blocks")(
         block_stack(padded).reshape(-1, BLOCK, BLOCK), palette)
 
     out = bytearray()
@@ -85,8 +86,7 @@ def compress_frame(frame: Frame, scheme: str,
 
 def decompress_frame(data: bytes) -> Frame:
     s, width, height, palette, grid, payload = parse(data)
-    bits = np.asarray(codec_entry(s.codec, "stream_bits")(grid, payload, palette),
-                      dtype=np.int64)
+    bits = np.asarray(resolve(s.codec, "stream_bits")(grid, payload, palette), dtype=np.int64)
     nbytes = (bits + 7) // 8
     ends = np.cumsum(nbytes)
     if ends[-1] > len(payload):
@@ -96,7 +96,7 @@ def decompress_frame(data: bytes) -> Frame:
     comps = [CompressedBlock(tuple(csb), payload[end - n:end], b, b)
              for csb, end, n, b in zip(grid.tolist(), ends.tolist(), nbytes.tolist(),
                                        bits.tolist())]
-    blocks = codec_entry(s.codec, "decompress_blocks")(comps, palette)
+    blocks = resolve(s.codec, "decompress_blocks")(comps, palette)
     nbx, nby = block_grid(width, height)
     padded = blocks.reshape(nby, nbx, BLOCK, BLOCK).swapaxes(1, 2).reshape(nby * BLOCK, -1)
     return Frame(padded[:height, :width].copy())

@@ -14,16 +14,18 @@ raw 32-bit pixels are stored. They differ in how codes are sized:
 Each scheme has an exact bitstream codec over stacks of blocks (used for
 round-trip verification and the frame container) and a vectorized
 whole-frame cost engine used by the benchmark runner; tests pin the two
-against each other. `advance_frame` builds the next palette from the
-collector's ranking; the handoff around it (schedule, coverage gate, reset)
-is `runner.replay`.
+against each other. The engines return the per-block bits array alone,
+not a `(bits, classes)` tuple like the reference engines, since wrappers
+around them read array attributes off the result. `advance_frame` builds
+the next palette from the collector's ranking; the handoff around it
+(schedule, coverage gate, reset) is `runner.replay`.
 
-Every codec family, here and in `reference_codecs`, has three batch
-entries reached through `codec_entry`: compress a stack to one
-`CompressedBlock` per block, decompress such blocks to a stack, and find
-each block's stream length in a frame's payload. The codec modules are the
-only owners of the block bitstream formats: the container stores status
-entries and payloads without knowing what is in them.
+Every codec family, here and in `reference_codecs`, has the four entries
+that `schemes.resolve` reaches by name: the frame cost, compress a stack
+to one `CompressedBlock` per block, decompress such blocks to a stack, and
+find each block's stream length in a frame's payload. The codec modules
+are the only owners of the block bitstream formats: the container stores
+status entries and payloads without knowing what is in them.
 
 The palette codecs run on one skeleton over a chunk of blocks at a time:
 `lookup` over the (n, 16, 4) sub-block view, an all-hit mask per
@@ -38,7 +40,6 @@ differential oracle.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,32 +81,11 @@ class CompressedBlock:
 #
 # Every family has a batch entry per direction, `<codec>_compress_blocks`
 # and `<codec>_decompress_blocks`, and `<codec>_stream_bits`, which finds
-# each block's stream length in a frame's payload from its status entries.
-# The per-block names are the batch entries on one block.
+# each block's stream length in a frame's payload from its status entries;
+# `schemes.resolve` states their contract. The per-block names are the
+# batch entries on one block.
 
 BATCH_BLOCKS = 64              # blocks per encode/decode chunk; bounds the temporaries
-
-
-def _codec_module(codec: str):
-    """The module that owns a codec family's bitstream format."""
-    if codec in ("dcp", "vdcp", "huffdcp"):
-        return sys.modules[__name__]
-    from . import reference_codecs   # it imports this module, so it is found when called
-    return reference_codecs
-
-
-def codec_entry(codec: str, name: str):
-    """`<codec>_<name>` ("compress_blocks", "decompress_blocks" or
-    "stream_bits"), looked up on its module when called, so that a patched
-    entry is the one that runs.
-
-    Compress takes an (n, 8, 8) stack and a palette and returns a list of
-    `CompressedBlock`; decompress takes such a list and the palette and
-    returns an (n, 8, 8) stack; stream bits takes an (n, k) array of status
-    entries, the payload of byte-aligned streams and the palette, and
-    returns each stream's bits.
-    """
-    return getattr(_codec_module(codec), f"{codec}_{name}")
 
 
 def sub_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -402,8 +382,8 @@ def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
 # ---------------------------------------------------------------------------
 # Vectorized whole-frame costs
 #
-# All engines return per-block *accounting* payload bits as an
-# (nblocks_y, nblocks_x) int64 array. Padded pixels never count: a
+# All engines take `schemes.resolve`'s five arguments and return per-block
+# *accounting* payload bits as an (nblocks_y, nblocks_x) int64 array. Padded pixels never count: a
 # compressed sub-block with r live pixels charges bits_per_pixel * r and a
 # raw one charges 32 * r. For fully live frames this equals the exact
 # bitstream length of the per-block codecs. Every tile is reduced with
@@ -419,7 +399,8 @@ def _block_bits(sb_bits: np.ndarray) -> np.ndarray:
     return pool(sb_bits, np.add, 4, 4).astype(np.int64)
 
 
-def dcp_frame_cost(padded: np.ndarray, sb_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
+def dcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
+                   block_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
     if ccd is None or len(ccd) == 0:
         return _block_bits(_RAW_BITS * sb_real)
     _, hit = ccd.lookup(padded)
@@ -427,7 +408,8 @@ def dcp_frame_cost(padded: np.ndarray, sb_real: np.ndarray, ccd: Ccd | None) -> 
     return _block_bits(np.where(compressible, np.int16(ccd.bits_per_code), _RAW_BITS) * sb_real)
 
 
-def vdcp_frame_cost(padded: np.ndarray, sb_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
+def vdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
+                    block_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
     if ccd is None or len(ccd) == 0:
         return _block_bits(_RAW_BITS * sb_real)
     if len(ccd) > VDCP_MAX_CCD:
@@ -441,7 +423,7 @@ def vdcp_frame_cost(padded: np.ndarray, sb_real: np.ndarray, ccd: Ccd | None) ->
 
 
 def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
-                       table: HuffmanTable | None) -> np.ndarray:
+                       block_real: np.ndarray, table: HuffmanTable | None) -> np.ndarray:
     if table is None or len(table) == 0:
         return _block_bits(_RAW_BITS * sb_real)
     entries, hit = table.lookup(padded)

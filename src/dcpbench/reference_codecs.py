@@ -10,10 +10,15 @@ block.
 This module owns the RAS, RED and HDCP block formats. Their compressors
 return the same `CompressedBlock` as the palette codecs, with one status
 entry per block for RAS (its size class) and RED (its class) and 16 for
-HDCP. Like the palette families, each has batch entries over stacks of
-blocks (`<codec>_compress_blocks`, `<codec>_decompress_blocks`) and
+HDCP. Like the palette families, each has the four entries that
+`schemes.resolve` reaches by name: batch entries over stacks of blocks
+(`<codec>_compress_blocks`, `<codec>_decompress_blocks`),
 `<codec>_stream_bits`, which finds each block's stream length in a frame's
-payload; `dcp_codecs.codec_entry` reaches them by name.
+payload, and `<codec>_frame_cost`, which takes the palette engines' five
+arguments and returns `(bits, classes)` per block: the RAS size class, the
+RED class, or HDCP's VDCP-won mask. HDCP's engine calls `vdcp_frame_cost`
+and `ras_frame_cost` through this module's names, so a patch on either
+here is the one that runs.
 
 RED stores its class's colors as 32-bit words and rebuilds a stack with one
 gather. RAS runs on whole arrays, never one
@@ -220,7 +225,7 @@ def red_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
 
 
 def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
-                   block_real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   block_real: np.ndarray, palette=None) -> tuple[np.ndarray, np.ndarray]:
     """(accounting bits per block, class per block).
 
     A C8 block charges 32 bits per region and a C4 block per 2x2 cell that
@@ -527,9 +532,9 @@ def ras_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
     return ras_decompress_blocks([comp])[0]
 
 
-def ras_frame_cost(padded: np.ndarray, block_real: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(charged bits, true stream bits, size class) per block, vectorized.
+def ras_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
+                   block_real: np.ndarray, palette=None) -> tuple[np.ndarray, np.ndarray]:
+    """(charged bits, size class) per block, vectorized.
 
     Matches ras_compress_blocks exactly on fully live blocks. Edge blocks
     cap their charge at the burst-rounded raw size of their live pixels so
@@ -537,13 +542,10 @@ def ras_frame_cost(padded: np.ndarray, block_real: np.ndarray
     """
     gr = _gr_bits(med_zigzag(_channels(padded))).min(axis=0)
     total = 12 + np.minimum(gr, RAW_CHANNEL_BITS).sum(axis=0, dtype=np.int64)
-    raw = total > 1536
-    true_bits = np.where(raw, RAW_BLOCK_BITS, total)
-    charged = np.where(raw, RAW_BLOCK_BITS, _quantize_512(total))
+    charged = np.where(total > 1536, RAW_BLOCK_BITS, _quantize_512(total))
     classes = charged // 512 - 1
     raw_cap = ((32 * block_real + 127) // 128) * 128
-    charged = np.minimum(charged, raw_cap)
-    return charged, true_bits, classes
+    return np.minimum(charged, raw_cap), classes
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +619,12 @@ def hybrid_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) 
     return hybrid_decompress_blocks([comp], palette)[0]
 
 
-def hybrid_frame_cost(padded: np.ndarray, sb_real: np.ndarray, block_real: np.ndarray,
-                      ccd: Ccd | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(accounting bits, charged bursts, vdcp-won mask) per block."""
-    vbits = vdcp_frame_cost(padded, sb_real, ccd)
-    v_bursts = charged_bursts(vbits, 32 * block_real)
-    r_charged, _, _ = ras_frame_cost(padded, block_real)
-    r_bursts = charged_bursts(r_charged, 32 * block_real)
-    vdcp_wins = v_bursts <= r_bursts
-    bits = np.where(vdcp_wins, vbits, r_charged)
-    bursts = np.where(vdcp_wins, v_bursts, r_bursts)
-    return bits, bursts, vdcp_wins
+def hybrid_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
+                      block_real: np.ndarray, ccd: Ccd | None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(accounting bits, vdcp-won mask) per block; ties go to VDCP."""
+    vbits = vdcp_frame_cost(padded, valid, sb_real, block_real, ccd)
+    r_charged, _ = ras_frame_cost(padded, valid, sb_real, block_real)
+    raw_bits = 32 * block_real
+    vdcp_wins = charged_bursts(vbits, raw_bits) <= charged_bursts(r_charged, raw_bits)
+    return np.where(vdcp_wins, vbits, r_charged), vdcp_wins

@@ -6,10 +6,12 @@ yielded with the palette built from the most recent collection frame, one
 object that encodes, decodes and serializes itself; `run_experiment`
 charges the frame through the burst model and keeps what was yielded, from
 which `--dump-frames` writes containers. Block costs come from the
-vectorized frame engines; a seeded sample of distinct blocks additionally
-runs through the exact per-block codecs, checking both losslessness and
-that the two cost paths agree. What differs between schemes is read from
-the table in `schemes.py`.
+scheme's vectorized frame engine; a seeded sample of distinct blocks
+additionally runs through its exact batch codecs, checking both
+losslessness and that the two cost paths agree. What differs between
+schemes is read from the table in `schemes.py`, and every engine and codec
+is reached through `schemes.resolve`: all engines take the same five
+arguments, so one banded call prices any scheme's frame.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bandwidth, dcp_codecs, reference_codecs
+from . import bandwidth, dcp_codecs
 from .bandwidth import ACCOUNTING_MODES, FrameStats, WorkloadStats
 from .fvc import Fvc, FvcConfig, is_pow2, relative_coverage
 from .huffman import HuffmanTable
 from .palette import Ccd
 from .rng import SplitMix64, mix64
-from .schemes import SCHEMES, Scheme
+from .schemes import SCHEMES, Scheme, resolve
 from .surface import (
     BLOCK,
     SurfaceTrace,
@@ -182,11 +184,12 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     for m in replay(trace, cfg):
         replayed.append(m)
         padded, _ = trace.frames[m.index].padded()
-        bits, vdcp_wins = _frame_cost(scheme, m, padded, valid, sb_real, block_real)
+        bits, classes = _banded(resolve(scheme.codec, "frame_cost"), m.palette,
+                                padded, valid, sb_real, block_real)
         v_blocks = r_blocks = 0
-        if vdcp_wins is not None:
-            v_blocks = int(vdcp_wins.sum())
-            r_blocks = int(vdcp_wins.size) - v_blocks
+        if scheme.codec == "hybrid":         # HDCP's classes: the VDCP-won mask
+            v_blocks = int(classes.sum())
+            r_blocks = int(classes.size) - v_blocks
         fs = FrameStats(
             frame=m.index,
             uncompressed_bits=uncompressed_bits,
@@ -203,7 +206,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
             vdcp_blocks=v_blocks,
             ras_blocks=r_blocks,
         )
-        fs.rate = bandwidth.frame_rate(fs, cfg.accounting)
+        fs.rate = bandwidth.rate(fs, cfg.accounting)
         frames_out.append(fs)
         rel_covs += m.relative_coverages
         blocks_verified += _verify_frame(cfg, scheme, m, padded, block_real, bits, verify_rng)
@@ -224,38 +227,20 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
         vdcp_blocks=sum(f.vdcp_blocks for f in frames_out),
         ras_blocks=sum(f.ras_blocks for f in frames_out),
     )
-    workload.rate = bandwidth.workload_rate(frames_out, cfg.accounting)
+    workload.rate = bandwidth.rate(workload, cfg.accounting)
     mean_rel = float(np.mean(rel_covs)) if rel_covs else float("nan")
     return RunResult(workload, frames_out, blocks_verified, mean_rel, replayed)
 
 
-def _frame_cost(scheme: Scheme, m: ReplayFrame, padded, valid, sb_real, block_real):
-    """Per-block accounting bits for one frame, plus HDCP's VDCP-won mask.
-
-    Engines are looked up on their modules when called, so a patched engine
-    is the one that runs.
-    """
-    engine = {
-        "dcp": lambda p, v, s, b: dcp_codecs.dcp_frame_cost(p, s, m.palette),
-        "vdcp": lambda p, v, s, b: dcp_codecs.vdcp_frame_cost(p, s, m.palette),
-        "huffdcp": lambda p, v, s, b: dcp_codecs.huffdcp_frame_cost(p, v, s, m.palette),
-        "ras": lambda p, v, s, b: reference_codecs.ras_frame_cost(p, b)[0],
-        "red": lambda p, v, s, b: reference_codecs.red_frame_cost(p, v, s, b)[0],
-        # (bits, VDCP-won mask); HDCP bursts follow from the bits like any other's.
-        "hybrid": lambda p, v, s, b: reference_codecs.hybrid_frame_cost(p, s, b, m.palette)[::2],
-    }[scheme.codec]
-    out = _banded(engine, padded, valid, sb_real, block_real)
-    return out if isinstance(out, tuple) else (out, None)
-
-
-def _banded(fn, padded, valid, sb_real, block_real):
-    """Run a frame-cost engine over bands of block rows, on the calling thread.
+def _banded(engine, palette, padded, valid, sb_real, block_real):
+    """(bits, classes) per block of a frame-cost engine run over bands of
+    block rows, on the calling thread; classes is None for an engine that
+    returns its bits alone.
 
     Blocks are self-contained in every scheme, so splitting on block-row
     boundaries is exact and the results concatenate in order. A band holds
     about BAND_PIXELS pixels, so an engine's temporaries stay small and are
-    reused from the heap rather than mapped afresh for every frame. An
-    engine may return one array or a tuple of arrays.
+    reused from the heap rather than mapped afresh for every frame.
 
     `jobs` starts no threads. On a shared 2-vCPU VM a second band thread
     changed a 720p run's speed by -7% to +25%, with the load on the other
@@ -265,13 +250,13 @@ def _banded(fn, padded, valid, sb_real, block_real):
     nby, nbx = block_real.shape
     rows = max(1, BAND_PIXELS // (BLOCK * BLOCK * nbx))
     results = [
-        fn(padded[lo * BLOCK:(lo + rows) * BLOCK], valid[lo * BLOCK:(lo + rows) * BLOCK],
-           sb_real[lo * 4:(lo + rows) * 4], block_real[lo:lo + rows])
+        engine(padded[lo * BLOCK:(lo + rows) * BLOCK], valid[lo * BLOCK:(lo + rows) * BLOCK],
+               sb_real[lo * 4:(lo + rows) * 4], block_real[lo:lo + rows], palette)
         for lo in range(0, nby, rows)
     ]
     if isinstance(results[0], tuple):
         return tuple(np.concatenate(parts, axis=0) for parts in zip(*results))
-    return np.concatenate(results, axis=0)
+    return np.concatenate(results, axis=0), None
 
 
 def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
@@ -280,11 +265,11 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
 
     The sample goes through the family's codec pair as one stack, one
     palette both encoding and decoding (the reference codecs ignore it);
-    the pair is looked up on its module when called. Fully live blocks must
-    also reproduce the vectorized engine's accounting bits exactly; edge
-    blocks are checked for losslessness only. The first failing block in
-    index order raises, naming the frame and the block; a block that fails
-    both checks is reported as a round-trip mismatch.
+    `schemes.resolve` looks the pair up on its module when called. Fully
+    live blocks must also reproduce the vectorized engine's accounting bits
+    exactly; edge blocks are checked for losslessness only. The first
+    failing block in index order raises, naming the frame and the block; a
+    block that fails both checks is reported as a round-trip mismatch.
     """
     nby, nbx = block_real.shape
     nblocks = nby * nbx
@@ -292,8 +277,8 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     idx = np.array(indices, dtype=np.int64)
     rows, cols = np.divmod(idx, nbx)
     blocks = block_stack(padded)[rows, cols]
-    comps = dcp_codecs.codec_entry(scheme.codec, "compress_blocks")(blocks, m.palette)
-    decoded = dcp_codecs.codec_entry(scheme.codec, "decompress_blocks")(comps, m.palette)
+    comps = resolve(scheme.codec, "compress_blocks")(blocks, m.palette)
+    decoded = resolve(scheme.codec, "decompress_blocks")(comps, m.palette)
     lossy = (decoded.reshape(len(idx), 64) != blocks.reshape(len(idx), 64)).any(axis=1)
     stream = np.array([c.cost_bits for c in comps], dtype=np.int64)
     engine = engine_bits.reshape(-1)[idx]

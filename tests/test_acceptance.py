@@ -334,11 +334,12 @@ def test_c09_scheme_ordering_on_synthetic_corpora():
             raw_bursts = (32 * block_real + 127) // 128
             for m in replay(tr, ExperimentConfig(scheme="HDCP")):
                 padded, _ = tr.frames[m.index].padded()
-                vbits = vdcp_frame_cost(padded, sb_real, m.palette)
+                vbits = vdcp_frame_cost(padded, valid, sb_real, block_real, m.palette)
                 vbursts = np.minimum((vbits + 127) // 128, raw_bursts)
-                rcharged, _, _ = ras_frame_cost(padded, block_real)
+                rcharged, _ = ras_frame_cost(padded, valid, sb_real, block_real)
                 rbursts = (rcharged + 127) // 128
-                _, hbursts, _ = hybrid_frame_cost(padded, sb_real, block_real, m.palette)
+                hbits, _ = hybrid_frame_cost(padded, valid, sb_real, block_real, m.palette)
+                hbursts = charged_bursts(hbits, 32 * block_real)
                 floor = np.minimum(vbursts, rbursts)
                 total_blocks += hbursts.size
                 dominated += int((hbursts <= floor).sum())

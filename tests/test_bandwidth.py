@@ -4,13 +4,10 @@ import pytest
 from dcpbench.bandwidth import (
     FrameStats,
     WorkloadStats,
-    aggregate,
     charged_bursts,
     csb_frame_bits,
     csb_overhead,
-    frame_rate,
-    harmonic_mean,
-    workload_rate,
+    rate,
 )
 
 
@@ -60,14 +57,6 @@ def test_csb_counts_live_cells_only():
     assert csb_frame_bits(9, 8, "VDCP") == 60
 
 
-def test_harmonic_mean():
-    assert harmonic_mean([2, 4]) == pytest.approx(8 / 3)
-    with pytest.raises(ValueError):
-        harmonic_mean([])
-    with pytest.raises(ValueError):
-        harmonic_mean([1.0, 0.0])
-
-
 def _stats(ubits=2048, pbits=1024, cbits=16, ubursts=16, pbursts=8, cbursts=1):
     return FrameStats(frame=1, uncompressed_bits=ubits, payload_bits=pbits,
                       csb_bits=cbits, uncompressed_bursts=ubursts,
@@ -76,34 +65,27 @@ def _stats(ubits=2048, pbits=1024, cbits=16, ubursts=16, pbursts=8, cbursts=1):
 
 def test_rate_modes():
     fs = _stats()
-    assert frame_rate(fs, "payload") == 2.0
-    assert frame_rate(fs, "payload+csb") == pytest.approx(2048 / 1040)
-    assert frame_rate(fs, "full") == pytest.approx(16 / 9)
+    assert rate(fs, "payload") == 2.0
+    assert rate(fs, "payload+csb") == pytest.approx(2048 / 1040)
+    assert rate(fs, "full") == pytest.approx(16 / 9)
     with pytest.raises(ValueError):
-        frame_rate(fs, "bogus")
+        rate(fs, "bogus")
+    assert rate(_stats(pbits=0), "payload") == float("inf")   # nothing charged
 
 
 def test_full_rate_never_beats_payload_rate():
     for pbits in (0, 1, 128, 500, 2048):
         fs = _stats(pbits=pbits, pbursts=int(charged_bursts(pbits)))
-        assert frame_rate(fs, "full") <= frame_rate(fs, "payload")
-        assert frame_rate(fs, "payload+csb") <= frame_rate(fs, "payload")
+        assert rate(fs, "full") <= rate(fs, "payload")
+        assert rate(fs, "payload+csb") <= rate(fs, "payload")
 
 
 def test_workload_rate_sums_frames():
+    # A workload's rate is that of its frames' summed totals, not a mean of
+    # the frame rates (2.0 and 1.0 here).
     frames = [_stats(), _stats(pbits=2048, pbursts=16)]
-    assert workload_rate(frames, "payload") == pytest.approx(4096 / 3072)
-
-
-def test_aggregate_by_category():
-    ws = [
-        WorkloadStats("a", "UI", "VDCP", "full", rate=2.0),
-        WorkloadStats("b", "UI", "VDCP", "full", rate=4.0),
-        WorkloadStats("c", "3D", "VDCP", "full", rate=1.5),
-    ]
-    out = aggregate(ws)
-    assert out["UI"]["harmonic_mean_rate"] == pytest.approx(8 / 3)
-    assert out["UI"]["workloads"] == 2
-    assert out["3D"]["harmonic_mean_rate"] == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        aggregate([])
+    totals = {name: sum(getattr(f, name) for f in frames)
+              for name in ("uncompressed_bits", "payload_bits", "csb_bits",
+                           "uncompressed_bursts", "payload_bursts", "csb_bursts")}
+    workload = WorkloadStats("w", "UI", "DCP", "payload", **totals)
+    assert rate(workload, "payload") == pytest.approx(4096 / 3072)

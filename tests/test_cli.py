@@ -5,6 +5,7 @@ import pytest
 
 from dcpbench.cli import build_config, build_parser, main
 from dcpbench.runner import VerificationError
+from dcpbench.surface import Frame, SurfaceTrace, write_trace
 
 
 @pytest.fixture
@@ -27,6 +28,26 @@ def test_gen_deterministic(tmp_path):
                      "--frames", "2", "--seed", "7", "--out", str(out)]) == 0
     for name in sorted(p.name for p in a.iterdir()):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summary_without_a_finite_rate_is_json(tmp_path):
+    # A flat frame is one palette color: DCP codes it in 0 payload bits, so
+    # the payload rate is infinite. The summary writes null, the CSV inf.
+    flat = np.full((16, 16), 0xFF204060, dtype=np.uint32)
+    write_trace(SurfaceTrace([Frame(flat.copy()) for _ in range(3)], name="flat"),
+                tmp_path / "flat")
+    out = tmp_path / "run.csv"
+    assert main(["compress", str(tmp_path / "flat"), "--scheme", "DCP",
+                 "--accounting", "payload", "--out", str(out)]) == 0
+    summary = json.loads(out.with_suffix(".json").read_text(), parse_constant=_no_constant)
+    assert summary["rate"] is None
+    assert summary["totals"]["payload_bits"] == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(row.split(",")[7] == "inf" for row in rows)
 
 
 def test_compress_writes_csv_and_summary(ui_trace, tmp_path):

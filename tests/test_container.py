@@ -6,7 +6,7 @@ from conftest import block_pool, ccd_from_blocks
 
 from dcpbench.bitio import CorruptStreamError
 from dcpbench.container import compress_frame, decompress_frame
-from dcpbench.dcp_codecs import CompressedBlock, codec_entry
+from dcpbench.dcp_codecs import CompressedBlock
 from dcpbench.huffman import build_table
 from dcpbench.palette import Rccd
 from dcpbench.reference_codecs import (
@@ -18,7 +18,7 @@ from dcpbench.reference_codecs import (
     ras_decompress_blocks,
 )
 from dcpbench.runner import ExperimentConfig, replay
-from dcpbench.schemes import HUFFMAN, SCHEMES
+from dcpbench.schemes import HUFFMAN, SCHEMES, resolve
 from dcpbench.surface import Frame
 from dcpbench.synth import SyntheticSpec, generate
 
@@ -111,10 +111,10 @@ def test_every_decoder_stops_where_its_stream_ends():
     sentinel = b"\xa5\x5a"
     seen = {}
     for codec, block, palette in _stream_cases():
-        (comp,) = codec_entry(codec, "compress_blocks")(block[None], palette)
+        (comp,) = resolve(codec, "compress_blocks")(block[None], palette)
         payload = comp.payload + sentinel
         csb = np.array([comp.csb])
-        assert list(codec_entry(codec, "stream_bits")(csb, payload, palette)) == \
+        assert list(resolve(codec, "stream_bits")(csb, payload, palette)) == \
             [comp.payload_bits], (codec, comp.csb)
         reader = oracle.BitReader(payload)
         decoded = oracle.read_block(codec, reader, comp.csb, palette)
@@ -151,25 +151,25 @@ def test_container_rejects_hdcp_status_past_ras_classes(status):
 
 def test_hdcp_reader_rejects_mixed_status_entries():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    (comp,) = codec_entry("hybrid", "compress_blocks")(block[None], None)
+    (comp,) = resolve("hybrid", "compress_blocks")(block[None], None)
     assert comp.csb == (HDCP_RAS_BASE,) * 16
     for csb in ((HDCP_RAS_BASE,) * 15 + (HDCP_RAS_BASE + 1,), (0,) * 15 + (HDCP_RAS_BASE,)):
         with pytest.raises(CorruptStreamError):
             hybrid_decompress_blocks([CompressedBlock(csb, comp.payload, comp.payload_bits,
                                                       comp.cost_bits)], Rccd([]))
         with pytest.raises(CorruptStreamError):
-            codec_entry("hybrid", "stream_bits")(np.array([csb]), comp.payload, Rccd([]))
+            resolve("hybrid", "stream_bits")(np.array([csb]), comp.payload, Rccd([]))
 
 
 def test_ras_reader_rejects_wrong_size_class():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    (comp,) = codec_entry("ras", "compress_blocks")(block[None], None)
+    (comp,) = resolve("ras", "compress_blocks")(block[None], None)
     assert comp.csb == (0,)
     with pytest.raises(CorruptStreamError):
         ras_decompress_blocks([CompressedBlock((1,), comp.payload, comp.payload_bits,
                                                comp.cost_bits)])
     with pytest.raises(CorruptStreamError):
-        codec_entry("ras", "stream_bits")(np.array([[1]]), comp.payload)
+        resolve("ras", "stream_bits")(np.array([[1]]), comp.payload)
 
 
 def _damaged(data: bytes, rng, flips: int, cuts: int, header: int = 0):

@@ -13,7 +13,6 @@ from dcpbench.dcp_codecs import (
     CompressedBlock,
     adcp_optimal_ccd_size,
     advance_frame,
-    codec_entry,
     dcp_compress_block,
     dcp_decompress_block,
     dcp_frame_cost,
@@ -29,8 +28,14 @@ from dcpbench.fvc import Fvc, FvcConfig
 from dcpbench.huffman import HuffmanTable, build_table
 from dcpbench.palette import Ccd, Rccd
 from dcpbench.runner import ExperimentConfig, replay
-from dcpbench.schemes import SCHEMES
-from dcpbench.surface import Frame, SurfaceTrace, block_stack, sub_block_valid_counts
+from dcpbench.schemes import SCHEMES, resolve
+from dcpbench.surface import (
+    Frame,
+    SurfaceTrace,
+    block_stack,
+    block_valid_counts,
+    sub_block_valid_counts,
+)
 from dcpbench.synth import SyntheticSpec, generate
 
 GENERATORS = ("ui-like", "2d-like", "gradient", "noise")
@@ -175,9 +180,10 @@ def test_frame_cost_matches_block_codecs(rng):
     table = build_table(
         [(int(c), 100 - i) for i, c in enumerate(ccd.colors)])
 
-    dcp_bits = dcp_frame_cost(padded, sb_real, ccd)
-    vdcp_bits = vdcp_frame_cost(padded, sb_real, ccd)
-    huff_bits = huffdcp_frame_cost(padded, valid, sb_real, table)
+    block_real = block_valid_counts(valid)
+    dcp_bits = dcp_frame_cost(padded, valid, sb_real, block_real, ccd)
+    vdcp_bits = vdcp_frame_cost(padded, valid, sb_real, block_real, ccd)
+    huff_bits = huffdcp_frame_cost(padded, valid, sb_real, block_real, table)
     nby, nbx = dcp_bits.shape
     for by in range(nby):
         for bx in range(nbx):
@@ -193,7 +199,7 @@ def test_frame_cost_excludes_padding():
     frame = Frame(np.arange(96, dtype=np.uint32).reshape(8, 12))
     padded, valid = frame.padded()
     sb_real = sub_block_valid_counts(valid)
-    bits = dcp_frame_cost(padded, sb_real, Ccd([]))
+    bits = dcp_frame_cost(padded, valid, sb_real, block_valid_counts(valid), Ccd([]))
     assert bits[0, 0] == 2048
     assert bits[0, 1] == 32 * 32
     assert int(bits.sum()) == 32 * 96
@@ -267,12 +273,12 @@ def test_batch_codec_matches_block_codec(codec):
     ccd = ccd_from_blocks(list(blocks), 16)
     palette = build_table([(int(c), 40 - i) for i, c in enumerate(ccd.colors)]) \
         if codec == "huffdcp" else ccd
-    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    comps = resolve(codec, "compress_blocks")(blocks, palette)
     assert comps == [oracle.compress_block(codec, block, palette) for block in blocks]
     module = dcp_codecs if codec in PALETTE_CODECS else reference_codecs
     one = getattr(module, f"{codec}_compress_block"), getattr(module, f"{codec}_decompress_block")
     assert comps == [one[0](block, palette) for block in blocks]
-    decoded = codec_entry(codec, "decompress_blocks")(comps, palette)
+    decoded = resolve(codec, "decompress_blocks")(comps, palette)
     assert decoded.shape == (12, 8, 8) and np.array_equal(decoded, blocks)
     assert all(np.array_equal(one[1](c, palette), b) for c, b in zip(comps, blocks))
 
@@ -308,10 +314,10 @@ def _fibonacci_table(count: int) -> HuffmanTable:
 
 
 def _assert_matches_oracle(codec: str, blocks: np.ndarray, palette):
-    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    comps = resolve(codec, "compress_blocks")(blocks, palette)
     expected = [oracle.compress_block(codec, block, palette) for block in blocks]
     assert comps == expected                 # csb, payload bytes, both bit counts
-    decoded = codec_entry(codec, "decompress_blocks")(comps, palette)
+    decoded = resolve(codec, "decompress_blocks")(comps, palette)
     assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
     assert np.array_equal(decoded, [oracle.decompress_block(codec, c, palette)
                                     for c in expected])
@@ -329,9 +335,9 @@ def test_palette_batch_matches_oracle(codec, gen):
     for palette in (m.palette, _palette_for(codec, blocks)):
         comps, decoded = _assert_matches_oracle(codec, blocks, palette)
         for i in range(0, len(blocks), 5):       # n=1 equals the block in a batch
-            one = codec_entry(codec, "compress_blocks")(blocks[i:i + 1], palette)
+            one = resolve(codec, "compress_blocks")(blocks[i:i + 1], palette)
             assert one == comps[i:i + 1]
-            assert np.array_equal(codec_entry(codec, "decompress_blocks")(one, palette)[0],
+            assert np.array_equal(resolve(codec, "decompress_blocks")(one, palette)[0],
                                   decoded[i])
 
 
@@ -370,7 +376,7 @@ def test_huffdcp_codes_wider_than_a_machine_word():
     # The container finds the same stream ends.
     payload = b"".join(c.payload for c in comps)
     csb = np.array([c.csb for c in comps])
-    assert codec_entry("huffdcp", "stream_bits")(csb, payload, table) == \
+    assert resolve("huffdcp", "stream_bits")(csb, payload, table) == \
         [c.payload_bits for c in comps]
     rng = np.random.default_rng(6)
     for comp in comps[:12]:
@@ -382,15 +388,15 @@ def test_huffdcp_codes_wider_than_a_machine_word():
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
 def test_batch_entries_take_empty_and_chunked_stacks(codec):
-    assert codec_entry(codec, "compress_blocks")(np.empty((0, 8, 8), np.uint32), None) == []
-    assert codec_entry(codec, "decompress_blocks")([], None).shape == (0, 8, 8)
+    assert resolve(codec, "compress_blocks")(np.empty((0, 8, 8), np.uint32), None) == []
+    assert resolve(codec, "decompress_blocks")([], None).shape == (0, 8, 8)
     blocks = np.concatenate([_frame_blocks(gen, 96, 88) for gen in GENERATORS])
     assert len(blocks) > 4 * BATCH_BLOCKS
     palette = _palette_for(codec, blocks) if codec != "red" else None
-    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
+    comps = resolve(codec, "compress_blocks")(blocks, palette)
     picked = slice(BATCH_BLOCKS - 6, BATCH_BLOCKS + 6)      # across a chunk boundary
     assert comps[picked] == [oracle.compress_block(codec, b, palette) for b in blocks[picked]]
-    assert np.array_equal(codec_entry(codec, "decompress_blocks")(comps, palette), blocks)
+    assert np.array_equal(resolve(codec, "decompress_blocks")(comps, palette), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +450,8 @@ def test_damaged_block_streams_fail_like_the_oracle(codec):
     rng = np.random.default_rng(17)
     blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5) for gen in GENERATORS])
     palette = _palette_for(codec, blocks) if codec != "red" else None
-    comps = codec_entry(codec, "compress_blocks")(blocks, palette)
-    decode = codec_entry(codec, "decompress_blocks")
+    comps = resolve(codec, "compress_blocks")(blocks, palette)
+    decode = resolve(codec, "decompress_blocks")
     cases = [(d, palette) for comp in comps for d in _damaged(codec, comp, rng)]
     if codec != "red":
         cases += [(comp, _narrowed(codec, palette)) for comp in comps]

@@ -18,6 +18,7 @@ from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bandwidth import charged_bursts
 from dcpbench.huffman import build_table
 from dcpbench.palette import Ccd
+from dcpbench.schemes import CCD, HUFFMAN, SCHEMES, resolve
 from dcpbench.surface import Frame, block_valid_counts, pool, sub_block_valid_counts
 from dcpbench.synth import GENERATORS, SyntheticSpec, generate
 
@@ -141,10 +142,9 @@ def oracle_ras(padded, block_real):
     gr = oracle_gr_bits(zz).min(axis=0)
     total = 12 + np.minimum(gr, reference_codecs.RAW_CHANNEL_BITS).sum(axis=0)
     raw = total > 1536
-    true_bits = np.where(raw, reference_codecs.RAW_BLOCK_BITS, total)
     charged = np.where(raw, reference_codecs.RAW_BLOCK_BITS, ((total + 511) // 512) * 512)
     classes = charged // 512 - 1
-    return np.minimum(charged, ((32 * block_real + 127) // 128) * 128), true_bits, classes
+    return np.minimum(charged, ((32 * block_real + 127) // 128) * 128), classes
 
 
 def oracle_hybrid(padded, sb_real, block_real, ccd):
@@ -153,7 +153,7 @@ def oracle_hybrid(padded, sb_real, block_real, ccd):
     r_charged = oracle_ras(padded, block_real)[0]
     r_bursts = charged_bursts(r_charged, 32 * block_real)
     wins = v_bursts <= r_bursts
-    return np.where(wins, vbits, r_charged), np.where(wins, v_bursts, r_bursts), wins
+    return np.where(wins, vbits, r_charged), wins
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +209,12 @@ def _top_colors(frame, n):
     return [(int(colors[i]), int(counts[i])) for i in order]
 
 
-def _banded(fn, rows, padded, valid, sb_real, block_real):
-    """fn over bands of `rows` block rows, each output concatenated."""
+def _banded(engine, rows, palette, padded, valid, sb_real, block_real):
+    """An engine over bands of `rows` block rows, each output concatenated."""
     nby = block_real.shape[0]
     rows = rows or nby
-    parts = [fn(padded[lo * 8:(lo + rows) * 8], valid[lo * 8:(lo + rows) * 8],
-                sb_real[lo * 4:(lo + rows) * 4], block_real[lo:lo + rows])
+    parts = [engine(padded[lo * 8:(lo + rows) * 8], valid[lo * 8:(lo + rows) * 8],
+                    sb_real[lo * 4:(lo + rows) * 4], block_real[lo:lo + rows], palette)
              for lo in range(0, nby, rows)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
@@ -253,28 +253,27 @@ def test_engines_match_oracle(generator, width, height, rows):
     block_real = block_valid_counts(valid)
     sb_old, block_old = oracle_valid_counts(valid)
     ranked = _top_colors(warm, 64)
-    palettes = [None, Ccd([]), Ccd([c for c, _ in ranked[:1]]), Ccd([c for c, _ in ranked[:16]]),
-                Ccd([c for c, _ in ranked])]
-    tables = [None, build_table(ranked[:1]), build_table(ranked)]
-    cases = []
-    for ccd in palettes:
-        cases += [
-            (lambda p, v, s, b, c=ccd: dcp_codecs.dcp_frame_cost(p, s, c),
-             oracle_dcp(padded, sb_old, ccd)),
-            (lambda p, v, s, b, c=ccd: dcp_codecs.vdcp_frame_cost(p, s, c),
-             oracle_vdcp(padded, sb_old, ccd)),
-            (lambda p, v, s, b, c=ccd: reference_codecs.hybrid_frame_cost(p, s, b, c),
-             oracle_hybrid(padded, sb_old, block_old, ccd)),
-        ]
-    for table in tables:
-        cases.append((lambda p, v, s, b, t=table: dcp_codecs.huffdcp_frame_cost(p, v, s, t),
-                      oracle_huffdcp(padded, valid, sb_old, table)))
-    cases.append((lambda p, v, s, b: reference_codecs.ras_frame_cost(p, b),
-                  oracle_ras(padded, block_old)))
-    cases.append((reference_codecs.red_frame_cost,
-                  oracle_red(padded, valid, sb_old, block_old)))
-    for fn, want in cases:
-        _assert_same(_banded(fn, rows, padded, valid, sb_real, block_real), want)
+    palettes = {
+        CCD: [None, Ccd([]), Ccd([c for c, _ in ranked[:1]]), Ccd([c for c, _ in ranked[:16]]),
+              Ccd([c for c, _ in ranked])],
+        HUFFMAN: [None, build_table(ranked[:1]), build_table(ranked)],
+        None: [None],
+    }
+    oracles = {
+        "dcp": lambda ccd: oracle_dcp(padded, sb_old, ccd),
+        "vdcp": lambda ccd: oracle_vdcp(padded, sb_old, ccd),
+        "hybrid": lambda ccd: oracle_hybrid(padded, sb_old, block_old, ccd),
+        "huffdcp": lambda table: oracle_huffdcp(padded, valid, sb_old, table),
+        "ras": lambda _: oracle_ras(padded, block_old),
+        "red": lambda _: oracle_red(padded, valid, sb_old, block_old),
+    }
+    # One scheme per family (ADCP shares DCP's engine), reached as the
+    # runner reaches it.
+    for scheme in {s.codec: s for s in SCHEMES.values()}.values():
+        engine = resolve(scheme.codec, "frame_cost")
+        for palette in palettes[scheme.palette]:
+            _assert_same(_banded(engine, rows, palette, padded, valid, sb_real, block_real),
+                         oracles[scheme.codec](palette))
 
 
 def test_red_edge_blocks_charge_live_regions_only():

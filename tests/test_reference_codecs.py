@@ -14,6 +14,7 @@ from ras_oracle import (
     zigzag,
 )
 
+from dcpbench.bandwidth import charged_bursts
 from dcpbench.bitio import CorruptStreamError
 from dcpbench.dcp_codecs import CompressedBlock, vdcp_frame_cost
 from dcpbench.palette import Ccd
@@ -237,15 +238,14 @@ def test_ras_frame_cost_matches_blocks(rng):
     pixels = np.vstack([np.hstack(blocks[i * 4:(i + 1) * 4]) for i in range(4)])
     frame = Frame(pixels)
     padded, valid = frame.padded()
-    charged, true_bits, classes = ras_frame_cost(padded, block_valid_counts(valid))
+    charged, classes = ras_frame_cost(padded, valid, sub_block_valid_counts(valid),
+                                      block_valid_counts(valid))
     for by in range(4):
         for bx in range(4):
             block = padded[by * 8:(by + 1) * 8, bx * 8:(bx + 1) * 8]
             rb = ras_compress_block(block)
             assert charged[by, bx] == rb.cost_bits
             assert classes[by, bx] == rb.csb[0]
-            if rb.csb[0] < 3:
-                assert true_bits[by, bx] == rb.payload_bits
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +278,11 @@ def test_hybrid_cost_is_min_of_both(rng):
     sb_real = sub_block_valid_counts(valid)
     block_real = block_valid_counts(valid)
     ccd = ccd_from_blocks(blocks, 16)
-    bits, bursts, wins = hybrid_frame_cost(padded, sb_real, block_real, ccd)
-    vbits = vdcp_frame_cost(padded, sb_real, ccd)
+    bits, wins = hybrid_frame_cost(padded, valid, sb_real, block_real, ccd)
+    bursts = charged_bursts(bits, 32 * block_real)
+    vbits = vdcp_frame_cost(padded, valid, sb_real, block_real, ccd)
     vbursts = np.minimum((vbits + 127) // 128, (32 * block_real + 127) // 128)
-    rcharged, _, _ = ras_frame_cost(padded, block_real)
+    rcharged, _ = ras_frame_cost(padded, valid, sb_real, block_real)
     rbursts = (rcharged + 127) // 128
     assert np.array_equal(bursts, np.minimum(vbursts, rbursts))
     assert np.array_equal(wins, vbursts <= rbursts)
@@ -337,11 +338,10 @@ def test_ras_batch_matches_oracle(gen):
         [c.payload_bits for c in comps]
 
     block_real = block_valid_counts(valid)
-    charged, true_bits, classes = ras_frame_cost(padded, block_real)
+    charged, classes = ras_frame_cost(padded, valid, sub_block_valid_counts(valid), block_real)
     for i in np.flatnonzero(live):
         by, bx = divmod(int(i), block_real.shape[1])
         assert classes[by, bx] == expected[i].csb[0]
-        assert true_bits[by, bx] == expected[i].payload_bits
         assert charged[by, bx] == expected[i].cost_bits
 
 

@@ -199,8 +199,8 @@ def test_verification_catches_cost_mismatch(monkeypatch, lossy_block, message):
     real_cost = dcpbench.dcp_codecs.dcp_frame_cost
     real_decode = dcpbench.dcp_codecs.dcp_decompress_blocks
 
-    def costly(padded, sb_real, ccd):
-        bits = real_cost(padded, sb_real, ccd)
+    def costly(padded, valid, sb_real, block_real, ccd):
+        bits = real_cost(padded, valid, sb_real, block_real, ccd)
         bits[0, 2] += 1
         return bits
 
