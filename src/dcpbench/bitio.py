@@ -44,18 +44,28 @@ def pack_fields(widths: np.ndarray, values: np.ndarray) -> tuple[list[bytes], np
     return [packed[b:b + m] for b, m in zip((base // 8).tolist(), nbytes.tolist())], nbits
 
 
-def join_streams(payloads, nbits) -> tuple[np.ndarray, np.ndarray]:
-    """One buffer of byte-aligned streams, and each stream's first bit.
+def join_streams(payload: bytes) -> np.ndarray:
+    """A payload of joined byte-aligned streams as a `read_fields` buffer:
+    its bytes, then the zero slack that bounds every 8-byte window."""
+    return np.frombuffer(payload + bytes(_SLACK_BYTES), dtype=np.uint8)
 
-    Raises CorruptStreamError when a stream declares more bits than its
-    bytes hold. The buffer ends in zero slack, which `read_fields` needs.
-    """
-    payloads = list(payloads)
-    nbytes = np.array([len(p) for p in payloads], dtype=np.int64)
-    if np.any(np.asarray(nbits, dtype=np.int64) > 8 * nbytes):
-        raise CorruptStreamError("declared bit length exceeds buffer")
-    buf = np.frombuffer(b"".join(payloads) + bytes(_SLACK_BYTES), dtype=np.uint8)
-    return buf, 8 * (np.cumsum(nbytes) - nbytes)
+
+def stream_starts(nbits: np.ndarray, payload: bytes) -> np.ndarray:
+    """The first bit of each byte-aligned stream of `nbits` bits, given that
+    the streams make up `payload` in order; see `check_payload_end`."""
+    nbytes = (np.asarray(nbits, dtype=np.int64) + 7) // 8
+    ends = np.cumsum(nbytes)
+    check_payload_end(int(ends[-1]) if ends.size else 0, payload)
+    return 8 * (ends - nbytes)
+
+
+def check_payload_end(used: int, payload: bytes) -> None:
+    """Raise CorruptStreamError unless streams that take `used` bytes use
+    exactly the payload's: a stream past its end, or bytes left unread."""
+    if used > len(payload):
+        raise CorruptStreamError("bit stream exhausted")
+    if used < len(payload):
+        raise CorruptStreamError(f"{len(payload) - used} payload bytes left unread")
 
 
 def read_fields(buf: np.ndarray, at: np.ndarray, widths) -> np.ndarray:

@@ -147,7 +147,7 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 
-def _parse_assoc(token, entry_count: int) -> int | None:
+def _parse_assoc(token) -> int | None:
     if token is None:
         return None
     text = str(token).lower()
@@ -180,7 +180,7 @@ def build_config(args) -> ExperimentConfig:
         entry_count = int(pick("fvc_size", "fvc_size", 64))
         fvc = FvcConfig(
             entry_count=entry_count,
-            ways=_parse_assoc(pick("assoc", "assoc", None), entry_count),
+            ways=_parse_assoc(pick("assoc", "assoc", None)),
             policy=str(pick("policy", "policy", "LFC")),
             pixel_sampling=int(pick("pixel_sampling", "pixel_sampling", 1)),
             rng_seed=seed,
@@ -333,8 +333,7 @@ def _config_for_value(base: ExperimentConfig, dimension: str, token: str) -> Exp
                 raise ConfigError(f"policy must be one of {POLICIES}")
             cfg = replace(base, fvc=replace(base.fvc, policy=value))
         elif dimension == "associativity":
-            cfg = replace(base, fvc=replace(base.fvc,
-                                            ways=_parse_assoc(value, base.fvc.entry_count)))
+            cfg = replace(base, fvc=replace(base.fvc, ways=_parse_assoc(value)))
         elif dimension == "pixel_sampling":
             if not 1 <= value <= 16384:
                 raise ConfigError("pixel_sampling sweep values must lie in 1..16384")

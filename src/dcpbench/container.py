@@ -18,12 +18,12 @@ The container knows no block format. The frame's blocks go through the
 codec family's batch entries, which `schemes.resolve` looks up on the
 family's module when called. Compressing, one call returns one
 `CompressedBlock` per block: its status entries go into the status grid
-and its payload is appended as is. Decoding, the family's
-`stream_bits` finds where each block's stream ends from the status grid
-(DCP, VDCP and RED from the entries alone, HUFFDCP by chasing code
-lengths, RAS and HDCP by the Golomb-Rice next-zero parse), the payload is
-cut into `CompressedBlock`s, and one `decompress_blocks` call decodes the
-frame. Payload bytes left over after the last block are damage too.
+and its payload is appended as is. Decoding, one `decompress_blocks` call
+takes the status grid and the whole payload: the family parses each
+stream once, in order, finding where it ends as it goes (DCP, VDCP and
+RED from the status entries, HUFFDCP by chasing code lengths, RAS and
+HDCP by the Golomb-Rice next-zero parse). A stream that runs past the
+payload, and payload bytes left over after the last block, are damage.
 
 Likewise the palettes serialize themselves: the container places their
 bytes and knows neither layout. A palette is passed as the one object
@@ -41,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bitio import CorruptStreamError
-from .dcp_codecs import CompressedBlock
 from .huffman import HuffmanTable
 from .palette import Ccd, Rccd
 from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme, resolve
@@ -86,17 +85,7 @@ def compress_frame(frame: Frame, scheme: str,
 
 def decompress_frame(data: bytes) -> Frame:
     s, width, height, palette, grid, payload = parse(data)
-    bits = np.asarray(resolve(s.codec, "stream_bits")(grid, payload, palette), dtype=np.int64)
-    nbytes = (bits + 7) // 8
-    ends = np.cumsum(nbytes)
-    if ends[-1] > len(payload):
-        raise CorruptStreamError("bit stream exhausted")
-    if ends[-1] < len(payload):
-        raise CorruptStreamError(f"{len(payload) - ends[-1]} payload bytes left unread")
-    comps = [CompressedBlock(tuple(csb), payload[end - n:end], b, b)
-             for csb, end, n, b in zip(grid.tolist(), ends.tolist(), nbytes.tolist(),
-                                       bits.tolist())]
-    blocks = resolve(s.codec, "decompress_blocks")(comps, palette)
+    blocks = resolve(s.codec, "decompress_blocks")(grid, payload, palette)
     nbx, nby = block_grid(width, height)
     padded = blocks.reshape(nby, nbx, BLOCK, BLOCK).swapaxes(1, 2).reshape(nby * BLOCK, -1)
     return Frame(padded[:height, :width].copy())

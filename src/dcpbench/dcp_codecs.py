@@ -20,18 +20,20 @@ around them read array attributes off the result. `advance_frame` builds
 the next palette from the collector's ranking; the handoff around it
 (schedule, coverage gate, reset) is `runner.replay`.
 
-Every codec family, here and in `reference_codecs`, has the four entries
+Every codec family, here and in `reference_codecs`, has the three entries
 that `schemes.resolve` reaches by name: the frame cost, compress a stack
-to one `CompressedBlock` per block, decompress such blocks to a stack, and
-find each block's stream length in a frame's payload. The codec modules
-are the only owners of the block bitstream formats: the container stores
-status entries and payloads without knowing what is in them.
+to one `CompressedBlock` per block, and decompress the blocks' status
+entries and joined streams to a stack. The codec modules are the only
+owners of the block bitstream formats: the container stores status
+entries and payloads without knowing what is in them.
 
 The palette codecs run on one skeleton over a chunk of blocks at a time:
 `lookup` over the (n, 16, 4) sub-block view, an all-hit mask per
 sub-block, a field width per pixel, then one `bitio.pack_fields` call.
 Decoding reads every field with one gather from offsets that follow from
-the status entries (DCP, VDCP); HUFFDCP finds one code per block per step.
+the status entries (DCP, VDCP). HUFFDCP's offsets follow from its code
+lengths: one `_prefix_walk` per chunk chases the codes of all the chunk's
+blocks in order and finds where the next chunk starts.
 Payload bits are packed most-significant-bit first, sub-blocks in raster
 order; raw sub-blocks store their four packed pixels the same way. The
 scalar codecs these replaced live on in `tests/palette_oracle.py` as the
@@ -44,7 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import CorruptStreamError, join_streams, pack_fields, read_fields
+from .bitio import (
+    CorruptStreamError,
+    check_payload_end,
+    join_streams,
+    pack_fields,
+    read_fields,
+    stream_starts,
+)
 from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
 from .palette import Ccd, Rccd, build_ccd
@@ -80,10 +89,11 @@ class CompressedBlock:
 # Codec entries
 #
 # Every family has a batch entry per direction, `<codec>_compress_blocks`
-# and `<codec>_decompress_blocks`, and `<codec>_stream_bits`, which finds
-# each block's stream length in a frame's payload from its status entries;
-# `schemes.resolve` states their contract. The per-block names are the
-# batch entries on one block.
+# and `<codec>_decompress_blocks`; `schemes.resolve` states their contract.
+# A decoder takes the (n, k) status rows and the blocks' joined streams,
+# parses each stream once in order and raises CorruptStreamError where a
+# stream runs past the payload or payload bytes are left over. The
+# per-block names are the batch entries on one block.
 
 BATCH_BLOCKS = 64              # blocks per encode/decode chunk; bounds the temporaries
 
@@ -103,18 +113,6 @@ def compressed_blocks(csb: np.ndarray, payloads, nbits: np.ndarray) -> list[Comp
     lengths, each charged its stream bits."""
     return [CompressedBlock(tuple(c), p, b, b)
             for c, p, b in zip(csb.tolist(), payloads, nbits.tolist())]
-
-
-def stream_rows(comps, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(status entries (n, k), joined buffer, first bit, bits) of a list of
-    `CompressedBlock`; raises CorruptStreamError on a block that does not
-    carry k entries or declares more bits than it holds."""
-    if any(len(c.csb) != k for c in comps):
-        raise CorruptStreamError(f"a block needs {k} status entries")
-    csb = np.array([c.csb for c in comps], dtype=np.int64).reshape(len(comps), k)
-    nbits = np.array([c.payload_bits for c in comps], dtype=np.int64)
-    buf, base = join_streams([c.payload for c in comps], nbits)
-    return csb, buf, base, nbits
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def _palette_encode(codec: str, blocks: np.ndarray, palette) -> list[CompressedB
     return compressed_blocks(status, payloads, nbits)
 
 
-def _palette_widths(codec: str, csb: np.ndarray, palette) -> tuple[np.ndarray, np.ndarray]:
+def palette_widths(codec: str, csb: np.ndarray, palette) -> tuple[np.ndarray, np.ndarray]:
     """(code width, raw mask) per sub-block of DCP or VDCP status entries;
     a status no encoder writes raises CorruptStreamError."""
     raw = csb == _RAW_STATUS[codec]
@@ -180,26 +178,42 @@ def _palette_widths(codec: str, csb: np.ndarray, palette) -> tuple[np.ndarray, n
     return np.where(raw, 32, csb), raw
 
 
-def _palette_decompress(codec: str, comps, palette) -> np.ndarray:
-    comps = list(comps)
-    out = np.empty((len(comps), 8, 8), dtype=np.uint32)
-    for lo in range(0, len(comps), BATCH_BLOCKS):
-        chunk = comps[lo:lo + BATCH_BLOCKS]
-        out[lo:lo + len(chunk)] = _palette_decode(codec, *stream_rows(chunk, 16), palette)
+def _palette_decompress(codec: str, csb: np.ndarray, payload: bytes, palette) -> np.ndarray:
+    csb = np.asarray(csb, dtype=np.int64).reshape(-1, 16)
+    buf = join_streams(payload)
+    out = np.empty((len(csb), 8, 8), dtype=np.uint32)
+    if codec == "huffdcp":
+        # The code lengths place every block, so one walk per chunk finds
+        # the chunk's fields and where the next chunk starts.
+        start = 0
+        for lo in range(0, len(csb), BATCH_BLOCKS):
+            chunk = csb[lo:lo + BATCH_BLOCKS]
+            fields = ([], [])
+            start = _prefix_walk(palette, buf, (chunk != 0).tolist(), start, 8 * len(payload),
+                                 fields)
+            out[lo:lo + len(chunk)] = _prefix_decode(buf, fields, palette)
+        check_payload_end(start // 8, payload)
+        return out
+    width, raw = palette_widths(codec, csb, palette)
+    starts = stream_starts(4 * width.sum(axis=1), payload)
+    for lo in range(0, len(csb), BATCH_BLOCKS):
+        hi = lo + BATCH_BLOCKS
+        out[lo:hi] = palette_decode(width[lo:hi], raw[lo:hi], buf, starts[lo:hi], palette)
     return out
 
 
-def _palette_decode(codec, csb, buf, base, nbits, palette) -> np.ndarray:
-    if codec == "huffdcp":
-        values, coded = _prefix_decode(csb, buf, base, nbits, palette)
-    else:
-        width, raw = _palette_widths(codec, csb, palette)
-        widths = np.repeat(width, 4, axis=1)                 # (n, 64), stream order
-        ends = np.cumsum(widths, axis=1)
-        if np.any(ends[:, -1] > nbits):
-            raise CorruptStreamError("bit stream exhausted")
-        values = read_fields(buf, base[:, None] + ends - widths, widths).astype(np.int64)
-        coded = ~np.repeat(raw, 4, axis=1)
+def palette_decode(width, raw, buf, starts, palette) -> np.ndarray:
+    """DCP or VDCP blocks of the given code widths and raw masks per
+    sub-block, whose streams start at bits `starts` of `buf`."""
+    widths = np.repeat(width, 4, axis=1)                     # (n, 64), stream order
+    at = starts[:, None] + np.cumsum(widths, axis=1) - widths
+    values = read_fields(buf, at, widths).astype(np.int64)
+    return _palette_pixels(values, ~np.repeat(raw, 4, axis=1), palette)
+
+
+def _palette_pixels(values, coded, palette) -> np.ndarray:
+    """(n, 8, 8) blocks from (n, 64) fields in stream order: a palette
+    entry where `coded`, else a raw pixel."""
     colors = palette.colors if palette is not None else np.empty(0, dtype=np.uint32)
     if np.any(values[coded] >= colors.size):
         raise CorruptStreamError(f"palette index out of range 0..{colors.size - 1}")
@@ -207,46 +221,42 @@ def _palette_decode(codec, csb, buf, base, nbits, palette) -> np.ndarray:
     return pixels[:, _TO_RASTER].reshape(-1, 8, 8)
 
 
-def _prefix_decode(csb, buf, base, nbits, table) -> tuple[np.ndarray, np.ndarray]:
-    """HUFFDCP fields as (raw pixel or table entry, coded) per pixel."""
-    at, entry = fields = [], []
-    _prefix_walk(table, buf, (csb != 0).tolist(), base.tolist(), (base + nbits).tolist(), fields)
-    at = np.array(at, dtype=np.int64).reshape(-1, 64)
-    entry = np.array(entry, dtype=np.int64).reshape(-1, 64)
+def _prefix_decode(buf, fields, table) -> np.ndarray:
+    """HUFFDCP blocks from the field offsets and entries `_prefix_walk`
+    found: a table entry per code, a 32-bit read per raw pixel."""
+    at = np.array(fields[0], dtype=np.int64).reshape(-1, 64)
+    entry = np.array(fields[1], dtype=np.int64).reshape(-1, 64)
     coded = entry >= 0
-    return np.where(coded, entry, read_fields(buf, at, 32).astype(np.int64)), coded
+    values = np.where(coded, entry, read_fields(buf, at, 32).astype(np.int64))
+    return _palette_pixels(values, coded, table)
 
 
 _WALK_WINDOW = 4096            # stream offsets whose codes are found at once
 
 
-def _prefix_walk(table, buf, coded_rows, starts, ends, fields=None) -> list[int]:
-    """Chase HUFFDCP streams field by field; returns each block's bits.
+def _prefix_walk(table, buf, coded_rows, start: int, end: int, fields) -> int:
+    """Chase HUFFDCP streams field by field; returns the first bit of the
+    byte after the last stream, where a next block would start.
 
-    Block i starts at bit `starts[i]`, or where `starts` is None on the byte
-    after block i-1 ends, and may not pass bit `ends[i]`; `coded_rows[i]`
-    says which of its sub-blocks are coded. With `fields`, appends each
-    field's offset to `fields[0]` and its table entry (-1 for a raw pixel)
-    to `fields[1]`, in stream order. The code at every offset of a window
-    of the buffer is found with one `HuffmanTable.decode_at` call; the
-    chase itself runs on Python ints.
+    The blocks follow each other from bit `start` of `buf`, each starting on
+    the byte after the one before it ends, and no code is looked up at or
+    past bit `end` (a stream that ends past it shows in the bit returned);
+    `coded_rows[i]` says which of block i's sub-blocks are coded. Appends
+    each field's offset to `fields[0]` and its table entry (-1 for a raw
+    pixel) to `fields[1]`, in stream order. The code at every offset of a
+    window of the buffer is found with one `HuffmanTable.decode_at` call;
+    the chase itself runs on Python ints.
     """
-    offsets, entries = fields if fields is not None else ([], [])
-    used = []
-    limit = max(ends, default=0)
+    offsets, entries = fields
     lo = span = 0
     lens: list[int] = []
     ents: list[int] = []
-    start = 0
-    for row, end in zip(coded_rows, ends):
-        if starts is not None:
-            start = starts[len(used)]
+    for row in coded_rows:
         at = start
         for coded in row:
             if not coded:
-                if fields is not None:
-                    offsets += (at, at + 32, at + 64, at + 96)
-                    entries += (-1, -1, -1, -1)
+                offsets += (at, at + 32, at + 64, at + 96)
+                entries += (-1, -1, -1, -1)
                 at += 128
                 continue
             if table is None:
@@ -256,28 +266,25 @@ def _prefix_walk(table, buf, coded_rows, starts, ends, fields=None) -> list[int]
                 if not 0 <= i < span:
                     if at >= end:
                         raise CorruptStreamError("bit stream exhausted")
-                    lo, span, i = at, min(_WALK_WINDOW, limit - at), 0
+                    lo, span, i = at, min(_WALK_WINDOW, end - at), 0
                     length, entry = table.decode_at(buf, np.arange(lo, lo + span))
                     lens, ents = length.tolist(), entry.tolist()
                 if ents[i] < 0:
                     raise CorruptStreamError("no prefix code matches the stream")
-                if fields is not None:
-                    offsets.append(at)
-                    entries.append(ents[i])
+                offsets.append(at)
+                entries.append(ents[i])
                 at += lens[i]
-        if at > end:
-            raise CorruptStreamError("bit stream exhausted")
-        used.append(at - start)
         start += -(-(at - start) // 8) * 8
-    return used
+    return start
 
 
 def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
     return _palette_compress("dcp", blocks, ccd)
 
 
-def dcp_decompress_blocks(comps, palette: Rccd | None = None) -> np.ndarray:
-    return _palette_decompress("dcp", comps, palette)
+def dcp_decompress_blocks(csb: np.ndarray, payload: bytes,
+                          palette: Rccd | None = None) -> np.ndarray:
+    return _palette_decompress("dcp", csb, payload, palette)
 
 
 def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
@@ -286,8 +293,9 @@ def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[Compressed
     return _palette_compress("vdcp", blocks, ccd)
 
 
-def vdcp_decompress_blocks(comps, palette: Rccd | None = None) -> np.ndarray:
-    return _palette_decompress("vdcp", comps, palette)
+def vdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
+                           palette: Rccd | None = None) -> np.ndarray:
+    return _palette_decompress("vdcp", csb, payload, palette)
 
 
 def huffdcp_compress_blocks(blocks: np.ndarray,
@@ -295,24 +303,9 @@ def huffdcp_compress_blocks(blocks: np.ndarray,
     return _palette_compress("huffdcp", blocks, table)
 
 
-def huffdcp_decompress_blocks(comps, palette: HuffmanTable | None = None) -> np.ndarray:
-    return _palette_decompress("huffdcp", comps, palette)
-
-
-def dcp_stream_bits(csb: np.ndarray, payload: bytes, palette: Rccd | None) -> np.ndarray:
-    return 4 * _palette_widths("dcp", csb, palette)[0].sum(axis=1)
-
-
-def vdcp_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
-    return 4 * _palette_widths("vdcp", csb, palette)[0].sum(axis=1)
-
-
-def huffdcp_stream_bits(csb: np.ndarray, payload: bytes,
-                        table: HuffmanTable | None) -> list[int]:
-    """Each block's stream bits, by chasing code lengths from block to
-    block; raw sub-blocks skip 128 bits."""
-    buf, _ = join_streams([payload], [0])
-    return _prefix_walk(table, buf, (csb != 0).tolist(), None, [8 * len(payload)] * len(csb))
+def huffdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
+                              palette: HuffmanTable | None = None) -> np.ndarray:
+    return _palette_decompress("huffdcp", csb, payload, palette)
 
 
 def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
@@ -320,7 +313,7 @@ def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
 
 
 def dcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return dcp_decompress_blocks([comp], palette)[0]
+    return dcp_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
 
 
 def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
@@ -328,7 +321,7 @@ def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
 
 
 def vdcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return vdcp_decompress_blocks([comp], palette)[0]
+    return vdcp_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
 
 
 def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlock:
@@ -337,7 +330,7 @@ def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> Com
 
 def huffdcp_decompress_block(comp: CompressedBlock,
                              palette: HuffmanTable | None = None) -> np.ndarray:
-    return huffdcp_decompress_blocks([comp], palette)[0]
+    return huffdcp_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@ block.
 This module owns the RAS, RED and HDCP block formats. Their compressors
 return the same `CompressedBlock` as the palette codecs, with one status
 entry per block for RAS (its size class) and RED (its class) and 16 for
-HDCP. Like the palette families, each has the four entries that
+HDCP. Like the palette families, each has the three entries that
 `schemes.resolve` reaches by name: batch entries over stacks of blocks
-(`<codec>_compress_blocks`, `<codec>_decompress_blocks`),
-`<codec>_stream_bits`, which finds each block's stream length in a frame's
-payload, and `<codec>_frame_cost`, which takes the palette engines' five
-arguments and returns `(bits, classes)` per block: the RAS size class, the
-RED class, or HDCP's VDCP-won mask. HDCP's engine calls `vdcp_frame_cost`
-and `ras_frame_cost` through this module's names, so a patch on either
-here is the one that runs.
+(`<codec>_compress_blocks`, and `<codec>_decompress_blocks` over the
+blocks' status entries and joined streams) and `<codec>_frame_cost`, which
+takes the palette engines' five arguments and returns `(bits, classes)`
+per block: the RAS size class, the RED class, or HDCP's VDCP-won mask.
+HDCP's engine calls `vdcp_frame_cost` and `ras_frame_cost` through this
+module's names, so a patch on either here is the one that runs.
 
 RED stores its class's colors as 32-bit words and rebuilds a stack with one
 gather. RAS runs on whole arrays, never one
@@ -30,13 +29,14 @@ sample at a time:
   sums them per block and Golomb-Rice parameter by successive shifts in
   uint16. `ras_frame_cost` and the encoder share both.
 - `ras_compress_blocks` encodes a stack of blocks with one `packbits`.
-  `ras_decompress_blocks` parses each stream from a next-zero table and
-  rebuilds all channels of all blocks at once, one anti-diagonal of the
-  8x8 grid per step. `ras_stream_bits` runs the same next-zero parse over
-  a frame's payload to find where each stream ends, so a whole frame's
-  blocks reach the wavefront in one call.
-- `hybrid_compress_blocks`/`hybrid_decompress_blocks` run the VDCP and
-  RAS batch entries once each over the stack.
+  `ras_decompress_blocks` walks the payload a chunk of blocks at a time:
+  one next-zero table per chunk serves the Golomb-Rice parse of each
+  stream, which also finds where the next stream starts, and the fields it
+  collects rebuild all channels of the chunk's blocks at once, one
+  anti-diagonal of the 8x8 grid per step.
+- `hybrid_compress_blocks` runs the VDCP and RAS batch encoders once each
+  over the stack. `hybrid_decompress_blocks` is the same walk as RAS's,
+  with each VDCP block's length taken from its status entries.
 
 The per-block names (`ras_compress_block`, ...) are the batch entries on
 one block. The scalar bit-at-a-time codecs these replaced live on in
@@ -49,24 +49,28 @@ from __future__ import annotations
 import numpy as np
 
 from .bandwidth import charged_bursts
-from .bitio import CorruptStreamError, join_streams, read_fields
+from .bitio import (
+    CorruptStreamError,
+    check_payload_end,
+    join_streams,
+    read_fields,
+    stream_starts,
+)
 from .dcp_codecs import (
     BATCH_BLOCKS,
     VDCP_RAW,
     CompressedBlock,
     compressed_blocks,
-    stream_rows,
+    palette_decode,
+    palette_widths,
     vdcp_compress_blocks,
-    vdcp_decompress_blocks,
     vdcp_frame_cost,
-    vdcp_stream_bits,
 )
 from .palette import Ccd, Rccd
 from .surface import pool
 
 GR_K_MAX = 6
 GR_K_RAW = 7                   # "special mode": channel stored raw
-GR_UNARY_CAP = 4096            # longest unary run a reader accepts
 RAW_CHANNEL_BITS = 512         # 64 samples x 8 bits
 RAW_BLOCK_BITS = 2048
 
@@ -192,28 +196,22 @@ def red_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBloc
     return out
 
 
-def red_decompress_blocks(comps, palette=None) -> np.ndarray:
-    comps = list(comps)
-    out = np.empty((len(comps), 8, 8), dtype=np.uint32)
-    for lo in range(0, len(comps), BATCH_BLOCKS):
-        csb, buf, base, nbits = stream_rows(comps[lo:lo + BATCH_BLOCKS], 1)
-        if np.any(red_stream_bits(csb, b"") > nbits):
-            raise CorruptStreamError("bit stream exhausted")
-        cls = csb[:, 0]
-        at = base[:, None] + 32 * np.minimum(np.arange(64), _RED_FIELDS[cls][:, None] - 1)
-        fields = read_fields(buf, at, 32)
-        pixels = np.take_along_axis(fields, _RED_PIXEL_FIELD[cls], axis=1)
-        out[lo:lo + len(cls)] = pixels.reshape(-1, 8, 8)
-    return out
-
-
-def red_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
-    """Each block's stream bits, from its class alone."""
-    cls = csb[:, 0]
+def red_decompress_blocks(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
+    """Each block's class sets its stream's length; `palette` is unused."""
+    cls = np.asarray(csb, dtype=np.int64).reshape(-1)
     bad = (cls < RED_C8) | (cls > RED_RAW)
     if bad.any():
         raise CorruptStreamError(f"RED status {int(cls[bad][0])} is not a class")
-    return 32 * _RED_FIELDS[cls]
+    starts = stream_starts(32 * _RED_FIELDS[cls], payload)
+    buf = join_streams(payload)
+    out = np.empty((len(cls), 8, 8), dtype=np.uint32)
+    for lo in range(0, len(cls), BATCH_BLOCKS):
+        c = cls[lo:lo + BATCH_BLOCKS]
+        at = starts[lo:lo + BATCH_BLOCKS, None] + 32 * np.minimum(np.arange(64),
+                                                                  _RED_FIELDS[c][:, None] - 1)
+        pixels = np.take_along_axis(read_fields(buf, at, 32), _RED_PIXEL_FIELD[c], axis=1)
+        out[lo:lo + len(c)] = pixels.reshape(-1, 8, 8)
+    return out
 
 
 def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
@@ -221,7 +219,7 @@ def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
 
 
 def red_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return red_decompress_blocks([comp])[0]
+    return red_decompress_blocks(np.array([comp.csb]), comp.payload)[0]
 
 
 def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
@@ -335,68 +333,64 @@ def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
     return [packed[b:b + m] for b, m in zip((base // 8).tolist(), nbytes.tolist())]
 
 
-def ras_decompress_blocks(comps, palette=None) -> np.ndarray:
-    """Decode RAS blocks to an (n, 8, 8) stack; `palette` is unused.
+def ras_decompress_blocks(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
+    """Decode RAS blocks, one status entry each, to an (n, 8, 8) stack;
+    `palette` is unused.
 
-    Raises CorruptStreamError where the scalar reader would on each block's
-    own stream, and also when a block declares more bits than it carries.
+    Raises CorruptStreamError where the scalar reader would, reading the
+    blocks' streams in order from one reader over the payload.
     """
-    comps = list(comps)
-    out = np.empty((len(comps), 8, 8), dtype=np.uint32)
-    for lo in range(0, len(comps), BATCH_BLOCKS):
-        chunk = comps[lo:lo + BATCH_BLOCKS]
-        coded, data, starts, avail, classes = [], [], [], [], []
-        offset = 0
-        for i, comp in enumerate(chunk, lo):
-            if comp.payload_bits > 8 * len(comp.payload):
-                raise CorruptStreamError("declared bit length exceeds buffer")
-            if comp.csb[0] == RAS_RAW_CLASS:
-                if comp.payload_bits < RAW_BLOCK_BITS:
-                    raise CorruptStreamError("bit stream exhausted")
-                out[i] = np.frombuffer(comp.payload, dtype=">u4", count=64).reshape(8, 8)
-                continue
-            coded.append(i)
-            data.append(comp.payload)
-            starts.append(8 * offset)
-            avail.append(comp.payload_bits)
-            classes.append(comp.csb[0])
-            offset += len(comp.payload)
-        if coded:
-            out[coded] = _ras_decode(b"".join(data), starts, avail, classes)
-    return out
+    size_class = np.asarray(csb, dtype=np.int64).reshape(-1)
+    if np.any((size_class < 0) | (size_class > RAS_RAW_CLASS)):
+        raise CorruptStreamError("RAS status outside the size classes 0..3")
+    return _ras_streams(size_class, None, payload, None)
 
 
-def ras_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> list[int]:
-    return _ras_walk(payload, [None] * len(csb), csb[:, 0].tolist())
+def _ras_streams(size_class: np.ndarray, vdcp, payload: bytes, palette) -> np.ndarray:
+    """Decode a payload of RAS blocks of size class `size_class`, and for
+    HDCP of VDCP blocks where the class is -1 and `vdcp` holds their (code
+    width, raw mask) per sub-block.
 
-
-_WALK_WINDOW = 1 << 13         # payload bytes given one next-zero table
-
-
-def _ras_walk(payload: bytes, known, classes) -> list[int]:
-    """Each block's stream bits in a payload of byte-aligned streams. A
-    block's bits are `known`, or None for a RAS block of size class
-    `classes[i]`, whose stream is parsed up to its end. The next-zero
-    table covers a window of the payload at a time."""
-    total = 8 * len(payload)
-    out = []
-    start = 0
-    first, last, buf, nz = 0, -1, None, None    # the window's bits first..last
-    for nbits, size_class in zip(known, classes):
-        if nbits is None and size_class == RAS_RAW_CLASS:
-            nbits = RAW_BLOCK_BITS
-        if nbits is None:
-            end = start + max(0, min((size_class + 1) * 512, total - start))
-            if end > last:
-                chunk = payload[start // 8:start // 8 + _WALK_WINDOW]
-                first, last = start, start + 8 * len(chunk)
-                buf, nz = _next_zero(chunk)
-                nz = memoryview(nz)
-            nbits = _ras_parse(buf, nz, start - first, end - first, size_class)
-        elif start + nbits > total:
-            raise CorruptStreamError("bit stream exhausted")
-        out.append(nbits)
-        start += -(-nbits // 8) * 8
+    The streams are parsed once, in order, a chunk of BATCH_BLOCKS blocks
+    at a time. No block's stream is longer than its class allows (or its
+    VDCP widths set), so a chunk's blocks lie in the sum of those bounds
+    past its first byte, and one next-zero table over that window serves
+    the chunk's Golomb-Rice parse and its decode. The window reads as
+    zeros past the payload's end; a stream that runs into them moves every
+    later stream, so the last ends past the payload, which
+    `check_payload_end` rejects.
+    """
+    bound = np.where(size_class < RAS_RAW_CLASS, 512 * (size_class + 1), RAW_BLOCK_BITS)
+    if vdcp is not None:
+        bound = np.where(size_class < 0, 4 * vdcp[0].sum(axis=1), bound)
+    out = np.empty((len(size_class), 8, 8), dtype=np.uint32)
+    start = 0                                   # the next stream's first bit
+    for lo in range(0, len(size_class), BATCH_BLOCKS):
+        hi = lo + BATCH_BLOCKS
+        first = start // 8
+        buf, nz = _next_zero(payload[first:first + int(((bound[lo:hi] + 7) // 8).sum())])
+        table = memoryview(nz)
+        fields: tuple[list, list, list, list] = ([], [], [], [])
+        at = []                                 # each stream's first bit in buf
+        for c, nbits in zip(size_class[lo:hi].tolist(), bound[lo:hi].tolist()):
+            p = start - 8 * first
+            if 0 <= c < RAS_RAW_CLASS:         # a coded stream's bound becomes its length
+                nbits = _ras_parse(buf, table, p, p + nbits, c, fields)
+            at.append(p)
+            start += -(-nbits // 8) * 8
+        c, at = size_class[lo:hi], np.array(at, dtype=np.int64)
+        vdcp_won = np.flatnonzero(c < 0)
+        if vdcp_won.size:
+            out[lo + vdcp_won] = palette_decode(vdcp[0][lo + vdcp_won], vdcp[1][lo + vdcp_won],
+                                                buf, at[vdcp_won], palette)
+        raw = np.flatnonzero(c == RAS_RAW_CLASS)
+        if raw.size:
+            words = read_fields(buf, at[raw, None] + 32 * np.arange(64), 32)
+            out[lo + raw] = words.reshape(-1, 8, 8)
+        coded = np.flatnonzero((c >= 0) & (c < RAS_RAW_CLASS))
+        if coded.size:
+            out[lo + coded] = _ras_decode(buf, nz, fields)
+    check_payload_end(start // 8, payload)
     return out
 
 
@@ -411,10 +405,12 @@ def _next_zero(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """`data` as a `bitio.join_streams` buffer, and for each of its bits the
     position of the first zero bit at or after it. The buffer's zero slack
     bounds every next-zero lookup and every field read near the end."""
-    buf, _ = join_streams([data], [0])
-    bits = np.unpackbits(buf)
-    zero_at = np.where(bits == 0, np.arange(bits.size, dtype=np.int32), np.int32(bits.size))
-    return buf, np.minimum.accumulate(zero_at[::-1])[::-1]
+    buf = join_streams(data)
+    ones = np.unpackbits(buf).view(bool)
+    nz = np.arange(ones.size, dtype=np.int32)
+    nz[ones] = ones.size
+    np.minimum.accumulate(nz[::-1], out=nz[::-1])      # in place, one table in memory
+    return buf, nz
 
 
 def _ras_parse(buf: np.ndarray, nz: memoryview, start: int, end: int, size_class: int,
@@ -464,25 +460,16 @@ def _ras_parse(buf: np.ndarray, nz: memoryview, start: int, end: int, size_class
     return p - start
 
 
-def _ras_decode(data: bytes, starts, avail, classes) -> np.ndarray:
-    """Decode the coded (class 0..2) RAS streams that start at bit `starts`
-    of `data` and have `avail` bits each, to (n, 8, 8) blocks.
+def _ras_decode(buf: np.ndarray, nz: np.ndarray, fields) -> np.ndarray:
+    """(n, 8, 8) blocks from the fields `_ras_parse` collected from coded
+    (class 0..2) streams in `buf`, given the next-zero table `nz` of its
+    bits.
 
-    Every check of the scalar reader holds: a stream may not read past its
-    bits, a unary run may not pass GR_UNARY_CAP, the bits used must fit the
-    size class, and every sample must be 0..255. A coded stream never uses
-    more than its class's bits, so each is parsed within that window. The
-    streams share one buffer; a code that crosses its stream's end is an
-    error, so no stream decodes another's bits.
+    Every sample must be 0..255. The scalar reader's other checks were the
+    parse's: it keeps each stream within its class's 1536 bits at most, so
+    no unary run comes near the reader's cap of 4096.
     """
-    buf, nz = _next_zero(data)
-    table = memoryview(nz)
-    fields: tuple[list, list, list, list] = ([], [], [], [])
-    for start, n_avail, size_class in zip(starts, avail, classes):
-        end = start + max(0, min(n_avail, (size_class + 1) * 512))
-        _ras_parse(buf, table, start, end, size_class, fields)
     gr_k, gr_codes, raw_at, is_raw = fields
-
     samples = np.empty((len(is_raw), 64), dtype=np.int64)
     is_raw = np.array(is_raw, dtype=bool)
     if raw_at:
@@ -490,10 +477,8 @@ def _ras_decode(data: bytes, starts, avail, classes) -> np.ndarray:
     if gr_k:
         at = np.array(gr_codes).reshape(-1, 64)
         k = np.array(gr_k)[:, None]
-        q = nz[at] - at
-        if q.max() > GR_UNARY_CAP:
-            raise CorruptStreamError("unary run exceeds cap")
-        z = (q << k) | read_fields(buf, nz[at] + 1, k).astype(np.int64)
+        zero = nz[at]
+        z = ((zero - at) << k) | read_fields(buf, zero + 1, k).astype(np.int64)
         samples[~is_raw] = _med_rebuild((z >> 1) ^ -(z & 1))
     if samples.min() < 0 or samples.max() > 255:
         raise CorruptStreamError("RAS sample outside 0..255")
@@ -529,7 +514,7 @@ def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
 
 
 def ras_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return ras_decompress_blocks([comp])[0]
+    return ras_decompress_blocks(np.array([comp.csb]), comp.payload)[0]
 
 
 def ras_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
@@ -572,23 +557,13 @@ def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[Compress
             for vb, rb, win in zip(vdcp, ras, vdcp_wins)]
 
 
-def hybrid_decompress_blocks(comps, palette: Rccd | None = None) -> np.ndarray:
-    """VDCP-coded and RAS-coded blocks each decode as one batch."""
-    comps = list(comps)
-    out = np.empty((len(comps), 8, 8), dtype=np.uint32)
-    if not comps:
-        return out
-    csb = np.array([c.csb for c in comps], dtype=np.int64).reshape(len(comps), -1)
+def hybrid_decompress_blocks(csb: np.ndarray, payload: bytes,
+                             palette: Rccd | None = None) -> np.ndarray:
+    """VDCP-coded and RAS-coded blocks, parsed in one walk of the payload."""
+    csb = np.asarray(csb, dtype=np.int64).reshape(-1, 16)
     size_class = _hdcp_ras_classes(csb)
-    vdcp = np.flatnonzero(size_class < 0)
-    ras = np.flatnonzero(size_class >= 0)
-    if vdcp.size:
-        out[vdcp] = vdcp_decompress_blocks([comps[i] for i in vdcp], palette)
-    if ras.size:
-        out[ras] = ras_decompress_blocks([
-            CompressedBlock((c,), comps[i].payload, comps[i].payload_bits, comps[i].cost_bits)
-            for i, c in zip(ras.tolist(), size_class[ras].tolist())])
-    return out
+    vdcp = palette_widths("vdcp", np.where(size_class[:, None] < 0, csb, 0), palette)
+    return _ras_streams(size_class, vdcp, payload, palette)
 
 
 def _hdcp_ras_classes(csb: np.ndarray) -> np.ndarray:
@@ -604,19 +579,12 @@ def _hdcp_ras_classes(csb: np.ndarray) -> np.ndarray:
     return np.where(is_vdcp, -1, size_class)
 
 
-def hybrid_stream_bits(csb: np.ndarray, payload: bytes, palette=None) -> list[int]:
-    size_class = _hdcp_ras_classes(csb)
-    vbits = vdcp_stream_bits(np.where(size_class[:, None] < 0, csb, 0), payload)
-    known = [int(b) if c < 0 else None for b, c in zip(vbits.tolist(), size_class.tolist())]
-    return _ras_walk(payload, known, size_class.tolist())
-
-
 def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
     return hybrid_compress_blocks(block[None], ccd)[0]
 
 
 def hybrid_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return hybrid_decompress_blocks([comp], palette)[0]
+    return hybrid_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
 
 
 def hybrid_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,

@@ -265,11 +265,13 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
 
     The sample goes through the family's codec pair as one stack, one
     palette both encoding and decoding (the reference codecs ignore it);
-    `schemes.resolve` looks the pair up on its module when called. Fully
-    live blocks must also reproduce the vectorized engine's accounting bits
-    exactly; edge blocks are checked for losslessness only. The first
-    failing block in index order raises, naming the frame and the block; a
-    block that fails both checks is reported as a round-trip mismatch.
+    it decodes from its status rows and joined streams, as a container
+    does. `schemes.resolve` looks the pair up on its module when called.
+    Fully live blocks must also reproduce the vectorized engine's
+    accounting bits exactly; edge blocks are checked for losslessness
+    only. The first failing block in index order raises, naming the frame
+    and the block; a block that fails both checks is reported as a
+    round-trip mismatch.
     """
     nby, nbx = block_real.shape
     nblocks = nby * nbx
@@ -278,7 +280,8 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     rows, cols = np.divmod(idx, nbx)
     blocks = block_stack(padded)[rows, cols]
     comps = resolve(scheme.codec, "compress_blocks")(blocks, m.palette)
-    decoded = resolve(scheme.codec, "decompress_blocks")(comps, m.palette)
+    decoded = resolve(scheme.codec, "decompress_blocks")(
+        np.array([c.csb for c in comps]), b"".join(c.payload for c in comps), m.palette)
     lossy = (decoded.reshape(len(idx), 64) != blocks.reshape(len(idx), 64)).any(axis=1)
     stream = np.array([c.cost_bits for c in comps], dtype=np.int64)
     engine = engine_bits.reshape(-1)[idx]

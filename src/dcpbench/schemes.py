@@ -7,7 +7,7 @@ scheme starts here.
 
 The records hold data only. Every codec family (a `Scheme.codec`) is owned
 by one module, recorded in `CODEC_MODULES`. That module defines the
-family's four entries, all reached through `resolve`:
+family's three entries, all reached through `resolve`:
 
   frame_cost         (padded, valid, sb_real, block_real, palette): the
                      vectorized accounting bits of a padded frame per
@@ -17,8 +17,11 @@ family's four entries, all reached through `resolve`:
                      not a tuple, since wrappers around them read array
                      attributes (`.size`) off the result.
   compress_blocks    (blocks, palette) -> one `CompressedBlock` per block
-  decompress_blocks  (comps, palette) -> an (n, 8, 8) stack
-  stream_bits        (csb, payload, palette) -> each block's stream bits
+  decompress_blocks  (csb, payload, palette) -> an (n, 8, 8) stack, from
+                     the (n, k) status entries and the blocks' joined
+                     byte-aligned streams. Each stream is parsed once, in
+                     order; one that runs past the payload, or payload
+                     bytes left over, raise CorruptStreamError.
 
 The reference families ignore the palette. `resolve` looks the entry up on
 its module when called, which keeps this module free of package imports
@@ -72,6 +75,7 @@ CODEC_MODULES = {
 
 def resolve(codec: str, job: str):
     """`<codec>_<job>` on the family's module, looked up now, so that a
-    patched entry is the one that runs; `job` is "frame_cost",
-    "compress_blocks", "decompress_blocks" or "stream_bits"."""
+    patched entry is the one that runs; `job` is one of the three jobs
+    every family has: "frame_cost", "compress_blocks" or
+    "decompress_blocks"."""
     return getattr(import_module(f"{__package__}.{CODEC_MODULES[codec]}"), f"{codec}_{job}")

@@ -64,6 +64,12 @@ def ccd_from_blocks(blocks, size: int) -> Ccd:
     return Ccd(colors[order][:size])
 
 
+def streams(comps) -> tuple[np.ndarray, bytes]:
+    """The (n, k) status rows and joined payload of `CompressedBlock`s: what
+    a container stores and a `decompress_blocks` entry takes."""
+    return np.array([c.csb for c in comps]), b"".join(c.payload for c in comps)
+
+
 def frame_from_cells(cells: np.ndarray) -> Frame:
     """Blow up an (H/2, W/2) grid of per-sub-block colors into a frame."""
     grid = np.asarray(cells, dtype=np.uint32)

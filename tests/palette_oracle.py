@@ -314,22 +314,24 @@ def compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
     return ras_oracle.hybrid_compress_block(block, palette)
 
 
-def decompress_block(codec: str, comp: CompressedBlock, palette=None) -> np.ndarray:
-    return read_block(codec, BitReader(comp.payload, comp.payload_bits), comp.csb, palette)
-
-
-def decompress_frame(data: bytes) -> Frame:
-    """A container decoded one block at a time from one reader over the
-    payload, each block byte-aligned; payload bytes left over raise."""
-    s, width, height, palette, grid, payload = parse(data)
+def decompress_streams(codec: str, grid, payload: bytes, palette=None) -> np.ndarray:
+    """The blocks of a payload of byte-aligned streams, one status row of
+    `grid` each, decoded one at a time from one reader over the payload;
+    payload bytes left over raise."""
     reader = BitReader(payload)
-    nbx, nby = block_grid(width, height)
-    padded = np.zeros((nby * BLOCK, nbx * BLOCK), dtype=np.uint32)
-    for i, entries in enumerate(grid.tolist()):
-        y0, x0 = divmod(i, nbx)
-        padded[BLOCK * y0:BLOCK * (y0 + 1), BLOCK * x0:BLOCK * (x0 + 1)] = read_block(
-            s.codec, reader, entries, palette)
+    blocks = []
+    for entries in np.asarray(grid).tolist():
+        blocks.append(read_block(codec, reader, entries, palette))
         reader.align_byte()
     if reader.remaining():
         raise CorruptStreamError(f"{reader.remaining() // 8} payload bytes left unread")
+    return np.array(blocks, dtype=np.uint32).reshape(-1, BLOCK, BLOCK)
+
+
+def decompress_frame(data: bytes) -> Frame:
+    """A container decoded block by block with `decompress_streams`."""
+    s, width, height, palette, grid, payload = parse(data)
+    nbx, nby = block_grid(width, height)
+    blocks = decompress_streams(s.codec, grid, payload, palette)
+    padded = blocks.reshape(nby, nbx, BLOCK, BLOCK).swapaxes(1, 2).reshape(nby * BLOCK, -1)
     return Frame(padded[:height, :width].copy())

@@ -184,10 +184,6 @@ def read_ras(r: BitReader, csb, palette=None) -> np.ndarray:
     return (samples << shifts).sum(axis=0).astype(np.uint32)
 
 
-def ras_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return read_ras(BitReader(comp.payload, comp.payload_bits), comp.csb)
-
-
 # ---------------------------------------------------------------------------
 # HDCP
 
@@ -208,7 +204,3 @@ def read_hybrid(reader: BitReader, csb, rccd) -> np.ndarray:
     if not 0 <= size_class <= RAS_RAW_CLASS or any(e != csb[0] for e in csb):
         raise CorruptStreamError(f"HDCP status {list(csb)} is neither VDCP codes nor a RAS class")
     return read_ras(reader, (size_class,))
-
-
-def hybrid_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return read_hybrid(BitReader(comp.payload, comp.payload_bits), comp.csb, palette)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from palette_oracle import BitReader, BitWriter
 
-from dcpbench.bitio import CorruptStreamError, join_streams, pack_fields, read_fields
+from dcpbench.bitio import (
+    CorruptStreamError,
+    check_payload_end,
+    join_streams,
+    pack_fields,
+    read_fields,
+    stream_starts,
+)
 
 
 def test_reads_across_window_edges_match_writer():
@@ -86,13 +93,21 @@ def test_read_fields_reads_what_was_packed():
     rng = np.random.default_rng(12)
     widths, values = _rows(rng, 30, 50)
     payloads, nbits = pack_fields(widths, values)
-    buf, base = join_streams(payloads, nbits)
+    buf = join_streams(b"".join(payloads))
+    base = stream_starts(nbits, b"".join(payloads))
     at = base[:, None] + np.cumsum(widths, axis=1) - widths
     assert np.array_equal(read_fields(buf, at, widths), values)
     # A field may end in the zero slack past the last byte.
     assert read_fields(buf, [8 * len(b"".join(payloads))], 32).tolist() == [0]
 
 
-def test_join_streams_rejects_bits_past_the_bytes():
-    with pytest.raises(CorruptStreamError):
-        join_streams([b"\x00", b"\x00\x00"], [8, 17])
+def test_streams_must_end_where_the_payload_does():
+    assert stream_starts([8, 17, 0, 1], bytes(5)).tolist() == [0, 8, 32, 32]
+    assert stream_starts([], b"").tolist() == []
+    with pytest.raises(CorruptStreamError, match="exhausted"):
+        stream_starts([8, 17], bytes(3))
+    with pytest.raises(CorruptStreamError, match="^1 payload bytes left unread$"):
+        stream_starts([8, 17], bytes(5))
+    check_payload_end(2, bytes(2))
+    with pytest.raises(CorruptStreamError, match="^2 payload bytes left unread$"):
+        check_payload_end(0, bytes(2))

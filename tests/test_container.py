@@ -4,9 +4,10 @@ import pytest
 import palette_oracle as oracle
 from conftest import block_pool, ccd_from_blocks
 
+from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.container import compress_frame, decompress_frame
-from dcpbench.dcp_codecs import CompressedBlock
+from dcpbench.container import compress_frame, decompress_frame, parse
+from dcpbench.dcp_codecs import BATCH_BLOCKS
 from dcpbench.huffman import build_table
 from dcpbench.palette import Rccd
 from dcpbench.reference_codecs import (
@@ -106,16 +107,23 @@ def _stream_cases():
 
 
 def test_every_decoder_stops_where_its_stream_ends():
-    # Each family's stream_bits finds a block's end in a payload that goes
-    # on past it, and so does the oracle's in-place reader.
+    # Each family's decoder finds a block's end in a payload that goes on
+    # past it: another block's stream there decodes as the next block, and
+    # bytes that begin no block are left over. So does the oracle's
+    # in-place reader.
     sentinel = b"\xa5\x5a"
     seen = {}
-    for codec, block, palette in _stream_cases():
-        (comp,) = resolve(codec, "compress_blocks")(block[None], palette)
+    cases = _stream_cases()
+    for i, (codec, block, palette) in enumerate(cases):
+        after = cases[(i + 6) % len(cases)][1]               # the same codec, the next block
+        comp, following = resolve(codec, "compress_blocks")(np.stack([block, after]), palette)
+        decode = resolve(codec, "decompress_blocks")
+        two = decode(np.array([comp.csb, following.csb]), comp.payload + following.payload,
+                     palette)
+        assert np.array_equal(two, [block, after]), (codec, comp.csb)
+        with pytest.raises(CorruptStreamError, match="^2 payload bytes left unread$"):
+            decode(np.array([comp.csb]), comp.payload + sentinel, palette)
         payload = comp.payload + sentinel
-        csb = np.array([comp.csb])
-        assert list(resolve(codec, "stream_bits")(csb, payload, palette)) == \
-            [comp.payload_bits], (codec, comp.csb)
         reader = oracle.BitReader(payload)
         decoded = oracle.read_block(codec, reader, comp.csb, palette)
         assert np.array_equal(decoded, block), codec
@@ -129,6 +137,34 @@ def test_every_decoder_stops_where_its_stream_ends():
     assert any(s < HDCP_RAS_BASE for s in seen["hybrid"])
     assert any(s >= HDCP_RAS_BASE for s in seen["hybrid"])
     assert {0, 1} <= seen["dcp"] and {0, 1} <= seen["huffdcp"]
+
+
+def test_container_decode_parses_each_stream_once(monkeypatch):
+    # The Golomb-Rice parse runs once per coded RAS block, also inside
+    # HDCP, and HUFFDCP's code chase once per chunk of BATCH_BLOCKS blocks.
+    calls = {"_ras_parse": 0, "_prefix_walk": 0}
+    for module, name in ((reference_codecs, "_ras_parse"), (dcp_codecs, "_prefix_walk")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counting)
+    # RAS wins HDCP blocks on 2d-like content, not on ui-like.
+    for scheme, gen, first, last in (("RAS", "ui-like", 0, 2),
+                                     ("HDCP", "2d-like", HDCP_RAS_BASE, HDCP_RAS_BASE + 2),
+                                     ("HUFFDCP", "ui-like", None, None)):
+        trace = generate(SyntheticSpec(generator=gen, width=160, height=128, frames=2, seed=5))
+        (m,) = replay(trace, ExperimentConfig(scheme=scheme))
+        data = compress_frame(trace.frames[1], scheme, m.palette)
+        grid = parse(data)[4]
+        calls.update(_ras_parse=0, _prefix_walk=0)
+        assert frames_equal(decompress_frame(data), trace.frames[1])
+        if scheme == "HUFFDCP":
+            assert len(grid) > BATCH_BLOCKS
+            assert calls == {"_ras_parse": 0, "_prefix_walk": -(-len(grid) // BATCH_BLOCKS)}
+        else:
+            coded = int(((grid[:, 0] >= first) & (grid[:, 0] <= last)).sum())
+            assert coded > 0, scheme
+            assert calls == {"_ras_parse": coded, "_prefix_walk": 0}
 
 
 def test_container_rejects_red_status_3():
@@ -155,10 +191,7 @@ def test_hdcp_reader_rejects_mixed_status_entries():
     assert comp.csb == (HDCP_RAS_BASE,) * 16
     for csb in ((HDCP_RAS_BASE,) * 15 + (HDCP_RAS_BASE + 1,), (0,) * 15 + (HDCP_RAS_BASE,)):
         with pytest.raises(CorruptStreamError):
-            hybrid_decompress_blocks([CompressedBlock(csb, comp.payload, comp.payload_bits,
-                                                      comp.cost_bits)], Rccd([]))
-        with pytest.raises(CorruptStreamError):
-            resolve("hybrid", "stream_bits")(np.array([csb]), comp.payload, Rccd([]))
+            hybrid_decompress_blocks(np.array([csb]), comp.payload, Rccd([]))
 
 
 def test_ras_reader_rejects_wrong_size_class():
@@ -166,10 +199,7 @@ def test_ras_reader_rejects_wrong_size_class():
     (comp,) = resolve("ras", "compress_blocks")(block[None], None)
     assert comp.csb == (0,)
     with pytest.raises(CorruptStreamError):
-        ras_decompress_blocks([CompressedBlock((1,), comp.payload, comp.payload_bits,
-                                               comp.cost_bits)])
-    with pytest.raises(CorruptStreamError):
-        resolve("ras", "stream_bits")(np.array([[1]]), comp.payload)
+        ras_decompress_blocks(np.array([[1]]), comp.payload)
 
 
 def _damaged(data: bytes, rng, flips: int, cuts: int, header: int = 0):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import palette_oracle as oracle
-from conftest import block_pool, ccd_from_blocks
+from conftest import block_pool, ccd_from_blocks, streams
 
 from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bitio import CorruptStreamError
 from dcpbench.dcp_codecs import (
     BATCH_BLOCKS,
-    CompressedBlock,
     adcp_optimal_ccd_size,
     advance_frame,
     dcp_compress_block,
@@ -278,7 +277,7 @@ def test_batch_codec_matches_block_codec(codec):
     module = dcp_codecs if codec in PALETTE_CODECS else reference_codecs
     one = getattr(module, f"{codec}_compress_block"), getattr(module, f"{codec}_decompress_block")
     assert comps == [one[0](block, palette) for block in blocks]
-    decoded = resolve(codec, "decompress_blocks")(comps, palette)
+    decoded = resolve(codec, "decompress_blocks")(*streams(comps), palette)
     assert decoded.shape == (12, 8, 8) and np.array_equal(decoded, blocks)
     assert all(np.array_equal(one[1](c, palette), b) for c, b in zip(comps, blocks))
 
@@ -317,10 +316,9 @@ def _assert_matches_oracle(codec: str, blocks: np.ndarray, palette):
     comps = resolve(codec, "compress_blocks")(blocks, palette)
     expected = [oracle.compress_block(codec, block, palette) for block in blocks]
     assert comps == expected                 # csb, payload bytes, both bit counts
-    decoded = resolve(codec, "decompress_blocks")(comps, palette)
+    decoded = resolve(codec, "decompress_blocks")(*streams(comps), palette)
     assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, [oracle.decompress_block(codec, c, palette)
-                                    for c in expected])
+    assert np.array_equal(decoded, oracle.decompress_streams(codec, *streams(expected), palette))
     return comps, decoded
 
 
@@ -337,7 +335,7 @@ def test_palette_batch_matches_oracle(codec, gen):
         for i in range(0, len(blocks), 5):       # n=1 equals the block in a batch
             one = resolve(codec, "compress_blocks")(blocks[i:i + 1], palette)
             assert one == comps[i:i + 1]
-            assert np.array_equal(resolve(codec, "decompress_blocks")(one, palette)[0],
+            assert np.array_equal(resolve(codec, "decompress_blocks")(*streams(one), palette)[0],
                                   decoded[i])
 
 
@@ -373,54 +371,55 @@ def test_huffdcp_codes_wider_than_a_machine_word():
     blocks[10, 0, 0] = 7                                     # one raw sub-block
     comps, _ = _assert_matches_oracle("huffdcp", blocks, table)
     assert max(c.payload_bits for c in comps) > 64 * 64
-    # The container finds the same stream ends.
-    payload = b"".join(c.payload for c in comps)
-    csb = np.array([c.csb for c in comps])
-    assert resolve("huffdcp", "stream_bits")(csb, payload, table) == \
-        [c.payload_bits for c in comps]
     rng = np.random.default_rng(6)
-    for comp in comps[:12]:
-        for bad in _damaged("huffdcp", comp, rng):
-            want = _outcome(oracle.decompress_block, "huffdcp", bad, table)
-            assert _same(_outcome(lambda c: huffdcp_decompress_blocks([c], table)[0], bad),
-                         want)
+    for lo in range(0, 12, 3):
+        for csb, payload in _damaged("huffdcp", *streams(comps[lo:lo + 3]), rng):
+            want = _outcome(oracle.decompress_streams, "huffdcp", csb, payload, table)
+            assert _same(_outcome(huffdcp_decompress_blocks, csb, payload, table), want)
 
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
 def test_batch_entries_take_empty_and_chunked_stacks(codec):
     assert resolve(codec, "compress_blocks")(np.empty((0, 8, 8), np.uint32), None) == []
-    assert resolve(codec, "decompress_blocks")([], None).shape == (0, 8, 8)
+    none = np.empty((0, 1 if codec == "red" else 16), dtype=np.int64)
+    decode = resolve(codec, "decompress_blocks")
+    assert decode(none, b"", None).shape == (0, 8, 8)
+    with pytest.raises(CorruptStreamError, match="^1 payload bytes left unread$"):
+        decode(none, b"\x00", None)
     blocks = np.concatenate([_frame_blocks(gen, 96, 88) for gen in GENERATORS])
     assert len(blocks) > 4 * BATCH_BLOCKS
     palette = _palette_for(codec, blocks) if codec != "red" else None
     comps = resolve(codec, "compress_blocks")(blocks, palette)
     picked = slice(BATCH_BLOCKS - 6, BATCH_BLOCKS + 6)      # across a chunk boundary
     assert comps[picked] == [oracle.compress_block(codec, b, palette) for b in blocks[picked]]
-    assert np.array_equal(resolve(codec, "decompress_blocks")(comps, palette), blocks)
+    csb, payload = streams(comps)
+    assert np.array_equal(decode(csb, payload, palette), blocks)
+    # The last chunk ends where the payload does.
+    for damaged in (payload[:-1], payload + b"\x00"):
+        with pytest.raises(CorruptStreamError):
+            decode(csb, damaged, palette)
 
 
 # ---------------------------------------------------------------------------
 # Corruption parity: damaged streams fail exactly where the oracle fails
 
-def _damaged(codec: str, comp: CompressedBlock, rng, cuts=4, flips=8):
-    """Seeded truncations (to a bit length, the bytes cut to match), single
-    and double bit flips, and relabelled status entries of one stream."""
-    for nbits in rng.integers(0, max(comp.payload_bits, 1), size=cuts).tolist():
-        yield CompressedBlock(comp.csb, comp.payload[:(nbits + 7) // 8], nbits, comp.cost_bits)
-    for _ in range(flips):
-        if not comp.payload_bits:
-            break
-        blob = bytearray(comp.payload)
-        for bit in rng.integers(0, comp.payload_bits, size=int(rng.integers(1, 3))).tolist():
+def _damaged(codec: str, csb: np.ndarray, payload: bytes, rng, cuts=6, flips=12):
+    """Seeded byte truncations, single and double bit flips, and relabelled
+    status entries of a payload of several blocks' streams, as (status
+    rows, payload) pairs. A damaged stream shifts the streams after it."""
+    for n in rng.integers(0, max(len(payload), 1), size=cuts).tolist():
+        yield csb, payload[:n]
+    for _ in range(flips if payload else 0):
+        blob = bytearray(payload)
+        for bit in rng.integers(0, 8 * len(payload), size=int(rng.integers(1, 3))).tolist():
             blob[bit // 8] ^= 0x80 >> (bit % 8)
-        yield CompressedBlock(comp.csb, bytes(blob), comp.payload_bits, comp.cost_bits)
+        yield csb, bytes(blob)
     levels = {"dcp": 2, "vdcp": 8, "huffdcp": 2, "red": 4}[codec]
-    for _ in range(2):
-        csb = np.array(comp.csb)
-        at = rng.integers(0, len(csb), size=int(rng.integers(1, 3)))
-        csb[at] = rng.integers(0, levels, size=at.size)
-        yield CompressedBlock(tuple(csb.tolist()), comp.payload, comp.payload_bits,
-                              comp.cost_bits)
+    for _ in range(3):
+        bad = csb.copy()
+        at = rng.integers(0, bad.shape[1], size=int(rng.integers(1, 3)))
+        bad[rng.integers(0, len(bad)), at] = rng.integers(0, levels, size=at.size)
+        yield bad, payload
 
 
 def _outcome(decode, *args):
@@ -447,26 +446,22 @@ def _narrowed(codec: str, palette):
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
 def test_damaged_block_streams_fail_like_the_oracle(codec):
+    # Payloads of three blocks' streams, so damage to one shifts the next
+    # as it does in a container; the outcome is the oracle's, exactly.
     rng = np.random.default_rng(17)
     blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5) for gen in GENERATORS])
     palette = _palette_for(codec, blocks) if codec != "red" else None
     comps = resolve(codec, "compress_blocks")(blocks, palette)
     decode = resolve(codec, "decompress_blocks")
-    cases = [(d, palette) for comp in comps for d in _damaged(codec, comp, rng)]
-    if codec != "red":
-        cases += [(comp, _narrowed(codec, palette)) for comp in comps]
+    cases = []
+    for lo in range(0, len(comps), 3):
+        csb, payload = streams(comps[lo:lo + 3])
+        cases += [(c, p, palette) for c, p in _damaged(codec, csb, payload, rng)]
+        if codec != "red":
+            cases.append((csb, payload, _narrowed(codec, palette)))
     outcomes = {"raise": 0, "decode": 0}
-    for comp, pal in cases:
-        want = _outcome(oracle.decompress_block, codec, comp, pal)
+    for csb, payload, pal in cases:
+        want = _outcome(oracle.decompress_streams, codec, csb, payload, pal)
         outcomes["raise" if want is CorruptStreamError else "decode"] += 1
-        assert _same(_outcome(lambda c: decode([c], pal)[0], comp), want), comp
+        assert _same(_outcome(decode, csb, payload, pal), want), (csb, payload)
     assert min(outcomes.values()) > 20, outcomes
-    # A batch fails when any of its streams does, and is the oracle's otherwise.
-    for lo in range(0, len(cases), 7):
-        group = [c for c, pal in cases[lo:lo + 7] if pal is palette]
-        want = [_outcome(oracle.decompress_block, codec, c, palette) for c in group]
-        got = _outcome(decode, group, palette)
-        if any(w is CorruptStreamError for w in want):
-            assert got is CorruptStreamError
-        else:
-            assert np.array_equal(got, np.array(want).reshape(-1, 8, 8))

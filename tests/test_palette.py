@@ -11,7 +11,7 @@ from palette_oracle import (
 )
 
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.dcp_codecs import CompressedBlock, dcp_decompress_blocks
+from dcpbench.dcp_codecs import dcp_decompress_blocks
 from dcpbench.huffman import HuffmanTable, build_table, canonical_codes, code_lengths
 from dcpbench.palette import Ccd, Rccd, build_ccd, largest_pow2_le
 
@@ -59,10 +59,10 @@ def test_encode_decode_identity(rng):
 def test_decode_out_of_range():
     # 64 2-bit codes, the first 3: a 3-entry palette has no color for it.
     codes = bytes([0b11_00_00_00]) + bytes(15)
-    comp = CompressedBlock((1,) * 16, codes, 128, 128)
-    assert dcp_decompress_blocks([comp], Ccd([1, 2, 3, 4]))[0, 0, 0] == 4
+    csb = np.ones((1, 16), dtype=np.int64)
+    assert dcp_decompress_blocks(csb, codes, Ccd([1, 2, 3, 4]))[0, 0, 0] == 4
     with pytest.raises(CorruptStreamError):
-        dcp_decompress_blocks([comp], Rccd([1, 2, 3]))
+        dcp_decompress_blocks(csb, codes, Rccd([1, 2, 3]))
     with pytest.raises(CorruptStreamError):
         rccd_decode(Rccd([1, 2]), -1)
 

@@ -3,7 +3,7 @@ import pytest
 
 import palette_oracle
 import ras_oracle as oracle
-from conftest import block_pool, ccd_from_blocks, make_block
+from conftest import block_pool, ccd_from_blocks, make_block, streams
 from palette_oracle import BitReader, BitWriter
 from ras_oracle import (
     golomb_rice_decode,
@@ -35,7 +35,6 @@ from dcpbench.reference_codecs import (
     ras_decompress_block,
     ras_decompress_blocks,
     ras_frame_cost,
-    ras_stream_bits,
     red_classify_block,
     red_compress_block,
     red_compress_blocks,
@@ -166,9 +165,9 @@ def test_red_batch_matches_oracle(gen):
     expected = [palette_oracle.red_compress_block(block) for block in blocks]
     assert comps == expected
     assert [c.csb for c in comps[-3:]] == [(RED_C8,), (RED_C4,), (RED_RAW,)]
-    decoded = red_decompress_blocks(comps)
+    decoded = red_decompress_blocks(*streams(comps))
     assert np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, [palette_oracle.decompress_block("red", c) for c in comps])
+    assert np.array_equal(decoded, palette_oracle.decompress_streams("red", *streams(comps)))
     for i in range(0, len(blocks), 5):
         assert red_compress_block(blocks[i]) == comps[i]
         assert np.array_equal(red_decompress_block(comps[i]), decoded[i])
@@ -326,16 +325,12 @@ def test_ras_batch_matches_oracle(gen):
     assert _first_k(raw_channel) == GR_K_RAW and raw_channel.csb[0] < 3
     assert raw_block.csb == (3,) and raw_block.payload_bits == 2048
 
-    decoded = ras_decompress_blocks(comps)
+    decoded = ras_decompress_blocks(*streams(comps))
     assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, [oracle.ras_decompress_block(c) for c in expected])
+    assert np.array_equal(decoded, palette_oracle.decompress_streams("ras", *streams(expected)))
     for i in range(0, len(blocks), 5):                       # n=1 equals the block in a batch
         assert ras_compress_block(blocks[i]) == comps[i]
         assert np.array_equal(ras_decompress_block(comps[i]), decoded[i])
-    # The container's parse finds every stream's end.
-    csb = np.array([c.csb for c in comps])
-    assert ras_stream_bits(csb, b"".join(c.payload for c in comps)) == \
-        [c.payload_bits for c in comps]
 
     block_real = block_valid_counts(valid)
     charged, classes = ras_frame_cost(padded, valid, sub_block_valid_counts(valid), block_real)
@@ -352,9 +347,10 @@ def test_hybrid_batch_matches_oracle(gen):
     comps = hybrid_compress_blocks(blocks, ccd)
     expected = [oracle.hybrid_compress_block(block, ccd) for block in blocks]
     assert comps == expected
-    decoded = hybrid_decompress_blocks(comps, ccd)
+    decoded = hybrid_decompress_blocks(*streams(comps), ccd)
     assert np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, [oracle.hybrid_decompress_block(c, ccd) for c in expected])
+    assert np.array_equal(decoded,
+                          palette_oracle.decompress_streams("hybrid", *streams(expected), ccd))
     for i in range(0, len(blocks), 5):
         assert hybrid_compress_block(blocks[i], ccd) == comps[i]
         assert np.array_equal(hybrid_decompress_block(comps[i], ccd), decoded[i])
@@ -362,42 +358,47 @@ def test_hybrid_batch_matches_oracle(gen):
 
 def test_batch_entries_take_empty_and_chunked_stacks():
     assert ras_compress_blocks(np.empty((0, 8, 8), dtype=np.uint32)) == []
-    assert ras_decompress_blocks([]).shape == (0, 8, 8)
+    assert ras_decompress_blocks(np.empty((0, 1), dtype=np.int64), b"").shape == (0, 8, 8)
     # More blocks than one internal chunk.
     blocks = np.concatenate([_frame_blocks(gen, 96, 88)[2] for gen in GENERATORS])
     assert len(blocks) > 256
     comps = ras_compress_blocks(blocks)
     assert comps[250:262] == [oracle.ras_compress_block(b) for b in blocks[250:262]]
-    assert np.array_equal(ras_decompress_blocks(comps), blocks)
+    csb, payload = streams(comps)
+    assert np.array_equal(ras_decompress_blocks(csb, payload), blocks)
+    for damaged in (payload[:-1], payload + b"\x00"):
+        with pytest.raises(CorruptStreamError):
+            ras_decompress_blocks(csb, damaged)
 
 
-def test_ras_decoder_rejects_declared_bits_past_payload():
+def test_ras_decoder_rejects_a_payload_cut_short():
     comp = ras_compress_block(np.full((8, 8), 0x80808080, dtype=np.uint32))
-    with pytest.raises(CorruptStreamError):
-        ras_decompress_blocks([CompressedBlock(comp.csb, comp.payload[:-1],
-                                               comp.payload_bits, comp.cost_bits)])
+    with pytest.raises(CorruptStreamError, match="exhausted"):
+        ras_decompress_blocks(np.array([comp.csb]), comp.payload[:-1])
 
 
 # ---------------------------------------------------------------------------
 # Corruption parity: damaged streams fail exactly where the oracle fails
 
-def _damaged_streams(comp: CompressedBlock, rng, cuts: int, flips: int):
-    """Seeded truncations (to a bit length, the bytes cut to match),
-    single- and double-bit flips of one block's stream, and the stream under
-    each other RAS size class."""
-    ras_class = comp.csb[0] - HDCP_RAS_BASE if len(comp.csb) == 16 else comp.csb[0]
-    if ras_class >= 0:
-        base = HDCP_RAS_BASE if len(comp.csb) == 16 else 0
-        for other in {0, 1, 2, 3} - {ras_class}:
-            yield CompressedBlock((base + other,) * len(comp.csb), comp.payload,
-                                  comp.payload_bits, comp.cost_bits)
-    for nbits in rng.integers(0, comp.payload_bits, size=cuts).tolist():
-        yield CompressedBlock(comp.csb, comp.payload[:(nbits + 7) // 8], nbits, comp.cost_bits)
+def _damaged_streams(csb: np.ndarray, payload: bytes, rng, cuts: int, flips: int):
+    """Seeded byte truncations and single- and double-bit flips of a payload
+    of several blocks' streams, and each block under each other RAS size
+    class, as (status rows, payload) pairs."""
+    hdcp = csb.shape[1] == 16
+    for i, row in enumerate(csb.tolist()):
+        ras_class = row[0] - HDCP_RAS_BASE if hdcp else row[0]
+        if ras_class >= 0:
+            for other in {0, 1, 2, 3} - {ras_class}:
+                bad = csb.copy()
+                bad[i] = (HDCP_RAS_BASE if hdcp else 0) + other
+                yield bad, payload
+    for n in rng.integers(0, len(payload), size=cuts).tolist():
+        yield csb, payload[:n]
     for _ in range(flips):
-        blob = bytearray(comp.payload)
-        for bit in rng.integers(0, comp.payload_bits, size=int(rng.integers(1, 3))).tolist():
+        blob = bytearray(payload)
+        for bit in rng.integers(0, 8 * len(payload), size=int(rng.integers(1, 3))).tolist():
             blob[bit // 8] ^= 0x80 >> (bit % 8)
-        yield CompressedBlock(comp.csb, bytes(blob), comp.payload_bits, comp.cost_bits)
+        yield csb, bytes(blob)
 
 
 def _outcome(decode, *args):
@@ -416,31 +417,17 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("codec", ["ras", "hybrid"])
 def test_damaged_block_streams_fail_like_the_oracle(codec):
+    # Payloads of three blocks' streams, so damage to one shifts the next
+    # as it does in a container; the outcome is the oracle's, exactly.
     rng = np.random.default_rng(99)
     blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5)[2] for gen in GENERATORS])
     ccd = ccd_from_blocks(list(blocks), 16)
-    if codec == "ras":
-        comps = ras_compress_blocks(blocks)
-        decode_one = oracle.ras_decompress_block
-        decode_batch = ras_decompress_blocks
-    else:
-        comps = hybrid_compress_blocks(blocks, ccd)
-        decode_one = oracle.hybrid_decompress_block
-        decode_batch = hybrid_decompress_blocks
-    damaged = [d for comp in comps for d in _damaged_streams(comp, rng, cuts=6, flips=12)]
+    comps = ras_compress_blocks(blocks) if codec == "ras" else hybrid_compress_blocks(blocks, ccd)
+    decode = ras_decompress_blocks if codec == "ras" else hybrid_decompress_blocks
     outcomes = {"raise": 0, "decode": 0}
-    expected = []
-    for comp in damaged:
-        want = _outcome(decode_one, comp, ccd)
-        expected.append(want)
-        outcomes["raise" if want is CorruptStreamError else "decode"] += 1
-        assert _same(_outcome(lambda c: decode_batch([c], ccd)[0], comp), want)
+    for lo in range(0, len(comps), 3):
+        for csb, payload in _damaged_streams(*streams(comps[lo:lo + 3]), rng, cuts=12, flips=24):
+            want = _outcome(palette_oracle.decompress_streams, codec, csb, payload, ccd)
+            outcomes["raise" if want is CorruptStreamError else "decode"] += 1
+            assert _same(_outcome(decode, csb, payload, ccd), want), (csb, payload)
     assert min(outcomes.values()) > 20, outcomes
-    # A batch fails when any of its streams does, and is the oracle's otherwise.
-    for lo in range(0, len(damaged), 7):
-        want = expected[lo:lo + 7]
-        got = _outcome(decode_batch, damaged[lo:lo + 7], ccd)
-        if any(w is CorruptStreamError for w in want):
-            assert got is CorruptStreamError
-        else:
-            assert np.array_equal(got, want)

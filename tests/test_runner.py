@@ -176,8 +176,8 @@ def test_verification_catches_corruption(monkeypatch):
 
     real = dcpbench.dcp_codecs.dcp_decompress_blocks
 
-    def corrupt(comps, rccd):
-        out = real(comps, rccd)
+    def corrupt(csb, payload, rccd):
+        out = real(csb, payload, rccd)
         out[0, 0, 0] ^= 1
         return out
 
@@ -204,8 +204,8 @@ def test_verification_catches_cost_mismatch(monkeypatch, lossy_block, message):
         bits[0, 2] += 1
         return bits
 
-    def corrupt(comps, rccd):
-        out = real_decode(comps, rccd)
+    def corrupt(csb, payload, rccd):
+        out = real_decode(csb, payload, rccd)
         out[lossy_block, 0, 0] ^= 1
         return out
 
