@@ -9,6 +9,9 @@ slow and easy to check by eye. Tests pin the batch entries, the frame-cost
 engines and the frame decoder to it: same status entries, payload bytes,
 payload and cost bits, same decoded blocks, and `CorruptStreamError` on
 exactly the same damaged streams.
+
+`sorted_lookup` is the per-pixel binary search that the palette lookup
+keeps only for bands with many runs; tests pin the run-head search to it.
 """
 
 from __future__ import annotations
@@ -129,6 +132,19 @@ def _first_index(palette) -> dict[int, int]:
     for i, color in enumerate(palette.colors.tolist()):
         index.setdefault(color, i)
     return index
+
+
+def sorted_lookup(sorted_index: tuple[np.ndarray, np.ndarray],
+                  pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`dcpbench.palette.sorted_lookup` by one binary search per pixel,
+    whatever the runs: (index, hit), the index -1 where hit is False, the
+    first of equal colors found."""
+    colors, order = sorted_index
+    if colors.size == 0:
+        return np.full(pixels.shape, -1, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(colors, pixels), colors.size - 1)
+    hit = colors[pos] == pixels
+    return np.where(hit, order[pos], -1), hit
 
 
 def ccd_encode(ccd, color: int) -> int | None:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import palette_oracle
+from conftest import make_block, rand_palette
 from palette_oracle import (
     BitReader,
     BitWriter,
@@ -10,10 +12,12 @@ from palette_oracle import (
     rccd_decode,
 )
 
+import dcpbench.palette
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.dcp_codecs import dcp_decompress_blocks
+from dcpbench.dcp_codecs import dcp_decompress_blocks, sub_blocks
+from dcpbench.fvc import MAX_ENTRY_COUNT
 from dcpbench.huffman import HuffmanTable, build_table, canonical_codes, code_lengths
-from dcpbench.palette import Ccd, Rccd, build_ccd, largest_pow2_le
+from dcpbench.palette import RUN_HEAD_SHARE, Ccd, Rccd, build_ccd, largest_pow2_le
 
 
 def ranked(*pairs):
@@ -92,6 +96,165 @@ def test_vector_lookup_matches_scalar(rng):
                 assert not hit[y, x]
             else:
                 assert hit[y, x] and codes[y, x] == want
+
+
+# ---------------------------------------------------------------------------
+# Lookup: run heads or every pixel, pinned to the per-pixel oracle
+
+
+def run_count(pixels: np.ndarray) -> int:
+    flat = np.ravel(pixels)
+    return int(np.count_nonzero(flat[1:] != flat[:-1])) + 1 if flat.size else 0
+
+
+def assert_lookup_matches_oracle(palette, pixels):
+    got = palette.lookup(pixels)
+    want = palette_oracle.sorted_lookup(palette._sorted, pixels)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == pixels.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def run_pixels(rng, colors: np.ndarray, runs: int, mean_length: int) -> np.ndarray:
+    """`runs` raster runs of lengths 1..2*mean_length-1, each a palette color
+    or a color outside it; neighbouring runs always differ."""
+    outside = np.array([0x12345678, 0x00ABCDEF], dtype=np.uint32)
+    outside = outside[~np.isin(outside, colors)]
+    pool = np.concatenate([colors, outside]) if colors.size else outside
+    picks = [int(rng.integers(len(pool)))]
+    while len(picks) < runs:
+        pick = int(rng.integers(len(pool)))
+        if pool[pick] != pool[picks[-1]]:
+            picks.append(pick)
+    lengths = rng.integers(1, 2 * mean_length, size=runs)
+    return np.repeat(pool[picks], lengths).astype(np.uint32)
+
+
+def ccd_of(rng, count: int) -> Ccd:
+    return Ccd(rand_palette(rng, count))
+
+
+def table_of(rng, count: int) -> HuffmanTable:
+    colors = rand_palette(rng, count).tolist()
+    return build_table([(c, int(f)) for c, f in zip(colors, rng.integers(1, 1000, size=count))])
+
+
+@pytest.mark.parametrize("make", [ccd_of, table_of], ids=["ccd", "huffman"])
+@pytest.mark.parametrize("count", [0, 1, 64, MAX_ENTRY_COUNT])
+@pytest.mark.parametrize("mean_length", [1, 4, 32])
+def test_lookup_matches_oracle(rng, make, count, mean_length):
+    palette = make(rng, count)
+    assert len(palette) == count
+    # Rows of 61: runs cross row boundaries wherever they fall.
+    flat = run_pixels(rng, palette.colors, 600, mean_length)
+    rows = flat[:flat.size // 61 * 61].reshape(-1, 61)
+    assert (run_count(rows) * RUN_HEAD_SHARE <= rows.size) == (mean_length == 32)
+    assert_lookup_matches_oracle(palette, rows)
+    assert_lookup_matches_oracle(palette, flat)
+
+
+def test_lookup_bands_match_whole_frame(rng):
+    # A frame looked up in bands of block rows, as the frame-cost engines
+    # are fed: long runs cross every band boundary, and the last bands are
+    # too short of runs to take the run heads.
+    ccd = ccd_of(rng, 64)
+    long_runs = run_pixels(rng, ccd.colors, 100, 400)[:40 * 64].reshape(40, 64)
+    noise = run_pixels(rng, ccd.colors, 24 * 64, 1)[:24 * 64].reshape(24, 64)
+    frame = np.concatenate([long_runs, noise])
+    bands = [frame[lo:lo + 16] for lo in range(0, 64, 16)]
+    assert [run_count(b) * RUN_HEAD_SHARE <= b.size for b in bands] == [True, True, False, False]
+    for band in bands:
+        assert_lookup_matches_oracle(ccd, band)
+    want = palette_oracle.sorted_lookup(ccd._sorted, frame)
+    for part, whole in zip(zip(*(ccd.lookup(b) for b in bands)), want):
+        assert np.array_equal(np.concatenate(part), whole)
+
+
+@pytest.mark.parametrize("front", [False, True], ids=["spread", "front"])
+@pytest.mark.parametrize("extra, searched", [(0, 64), (1, 512)])
+def test_lookup_takes_run_heads_up_to_one_eighth(rng, monkeypatch, extra, searched, front):
+    # 512 pixels: 64 runs are exactly 1/8 and search only the heads; 65
+    # runs search every pixel. The runs are spread evenly, or all but the
+    # last are single pixels, so that the first quarter holds them all.
+    ccd = ccd_of(rng, 16)
+    runs = 512 // RUN_HEAD_SHARE + extra
+    colors = np.resize(np.concatenate([ccd.colors, [0x12345678]]).astype(np.uint32), runs)
+    if front:
+        lengths = np.ones(runs, dtype=np.int64)
+        lengths[-1] = 512 - (runs - 1)
+    else:
+        lengths = np.full(runs, 512 // runs)
+        lengths[:512 - lengths.sum()] += 1
+    pixels = np.repeat(colors, lengths).reshape(16, 32)
+    assert run_count(pixels) == runs
+    sizes = []
+    real = dcpbench.palette._search
+
+    def recording(colors, order, pixels):
+        sizes.append(pixels.size)
+        return real(colors, order, pixels)
+
+    monkeypatch.setattr(dcpbench.palette, "_search", recording)
+    assert_lookup_matches_oracle(ccd, pixels)
+    assert sizes == [searched]
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (1,), (1, 1)])
+@pytest.mark.parametrize("color", [7, 8])
+def test_lookup_tiny_inputs(shape, color):
+    ccd = Ccd([7, 3])
+    assert_lookup_matches_oracle(ccd, np.full(shape, color, dtype=np.uint32))
+    assert_lookup_matches_oracle(Ccd([]), np.full(shape, color, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("kind", ["ui", "uniform", "random"])
+def test_lookup_on_sub_block_stacks(rng, kind):
+    # The exact encoders look up (n, 16, 4) sub-block stacks, and a view
+    # with strides of any order must give the same answer as its copy.
+    colors = rand_palette(rng, 16)
+    ccd = Ccd(colors[:12])
+    pixels = sub_blocks(np.stack([make_block(kind, rng, colors) for _ in range(40)]))
+    assert pixels.shape == (40, 16, 4)
+    strided = np.ascontiguousarray(pixels.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not strided.flags.c_contiguous and np.array_equal(strided, pixels)
+    assert (run_count(pixels) * RUN_HEAD_SHARE <= pixels.size) == (kind == "uniform")
+    assert_lookup_matches_oracle(ccd, pixels)
+    assert_lookup_matches_oracle(ccd, strided)
+    assert_lookup_matches_oracle(ccd, pixels[::2, :, 1:3])
+
+
+def test_lookup_on_views_in_other_memory_orders(rng):
+    # Runs are taken in raster order whatever the memory order: vertical
+    # stripes have few runs both ways, and column order is not raster order.
+    ccd = ccd_of(rng, 8)
+    colors = np.array([ccd.colors[0], 0x12345678, ccd.colors[5], ccd.colors[7]], dtype=np.uint32)
+    stripes = colors[np.arange(64) // 16]
+    pixels = np.repeat(stripes[None, :], 40, axis=0)
+    for view in (np.asfortranarray(pixels), pixels[::-1, ::-1], pixels.T):
+        assert run_count(view) * RUN_HEAD_SHARE <= view.size
+        assert_lookup_matches_oracle(ccd, view)
+
+
+def test_lookup_extreme_colors():
+    ccd = Ccd([0xFFFFFFFF, 0, 5])
+    row = np.array([0, 0xFFFFFFFF, 1, 0xFFFFFFFE, 5], dtype=np.uint32)
+    for length in (1, 40):
+        pixels = np.repeat(row, length)
+        assert_lookup_matches_oracle(ccd, pixels)
+        index, hit = ccd.lookup(pixels)
+        assert index[::length].tolist() == [1, 0, -1, -1, 2]
+        assert hit[::length].tolist() == [True, True, False, False, True]
+
+
+@pytest.mark.parametrize("length", [1, 40])
+def test_lookup_duplicated_color_finds_first(length):
+    # A table may repeat a color; the encoder must code its first entry.
+    table = HuffmanTable([9, 7, 3, 7, 7], [2, 2, 2, 3, 3])
+    pixels = np.repeat(np.array([7, 3, 7, 9, 4], dtype=np.uint32), length)
+    assert_lookup_matches_oracle(table, pixels)
+    index, hit = table.lookup(pixels)
+    assert index[::length].tolist() == [1, 2, 1, 0, -1]
+    assert hit[::length].tolist() == [True, True, True, True, False]
 
 
 def test_bits_per_code():

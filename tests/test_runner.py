@@ -1,9 +1,12 @@
 import dataclasses
 
 import numpy as np
+import palette_oracle
 import pytest
 
 import dcpbench.dcp_codecs
+import dcpbench.huffman
+import dcpbench.palette
 import dcpbench.reference_codecs
 import dcpbench.runner
 from dcpbench.fvc import FvcConfig
@@ -160,6 +163,54 @@ def test_bands_split_frames_exactly(monkeypatch, scheme):
     assert repr(banded.frames) == repr(whole.frames)
     assert banded.blocks_verified == whole.blocks_verified
     assert set(calls) == {(24, 104), (16, 104)}
+
+
+@pytest.mark.parametrize("scheme", ["DCP", "ADCP", "VDCP", "HUFFDCP", "HDCP"])
+def test_lookup_paths_agree_within_a_frame(monkeypatch, scheme):
+    # The top 32 rows are UI runs and take the run-head search; the bottom
+    # 32 are noise over the same colors and search every pixel. Engine bits
+    # band by band, and every block's verified stream, must be the oracle's.
+    ui = generate(SyntheticSpec(generator="ui-like", width=128, height=32, frames=3, seed=6))
+    rng = np.random.default_rng(6)
+    frames = []
+    for f in ui.frames:
+        colors = np.append(np.unique(f.pixels), np.uint32(0x12345678))
+        noise = rng.choice(colors, size=(32, 128))
+        frames.append(Frame(np.concatenate([f.pixels, noise]).astype(np.uint32)))
+    trace = SurfaceTrace(frames, name="ui-over-noise", category="synthetic")
+    monkeypatch.setattr(dcpbench.runner, "BAND_PIXELS", 2 * 64 * 16)      # 16-row bands
+    banded = []
+    real_banded = dcpbench.runner._banded
+
+    def recording(*args):
+        banded.append(real_banded(*args))
+        return banded[-1]
+
+    monkeypatch.setattr(dcpbench.runner, "_banded", recording)
+    band_paths = set()
+    real_lookup = dcpbench.palette.sorted_lookup
+
+    def spy(sorted_index, pixels):
+        if pixels.shape == (16, 128):
+            runs = np.count_nonzero(pixels.ravel()[1:] != pixels.ravel()[:-1]) + 1
+            band_paths.add(runs * dcpbench.palette.RUN_HEAD_SHARE <= pixels.size)
+        return real_lookup(sorted_index, pixels)
+
+    cfg = ExperimentConfig(scheme=scheme, seed=6, verify_fraction=1.0)
+    results = []
+    for lookup in (spy, palette_oracle.sorted_lookup):
+        monkeypatch.setattr(dcpbench.palette, "sorted_lookup", lookup)
+        monkeypatch.setattr(dcpbench.huffman, "sorted_lookup", lookup)
+        res = run_experiment(trace, cfg)
+        results.append((res, banded[:]))
+        banded.clear()
+    (fast, fast_bits), (slow, slow_bits) = results
+    assert band_paths == {True, False}
+    assert fast.blocks_verified == slow.blocks_verified == 2 * 16 * 8
+    assert repr(fast.frames) == repr(slow.frames)
+    assert len(fast_bits) == len(slow_bits) == 2
+    for got, want in zip(fast_bits, slow_bits):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))    # (bits, classes or None)
 
 
 def test_hybrid_shares_are_reported():
