@@ -13,6 +13,8 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import islice
+from operator import length_hint
 
 import numpy as np
 
@@ -29,6 +31,15 @@ MAX_ENTRY_COUNT = 512
 _COLOR_MASK = (1 << 32) - 1
 # RANDOM draws victims ahead in blocks of at most this many outputs.
 _DRAW_CHUNK = 4096
+# The streak bound of a run that ends its streak of guaranteed misses, or is
+# no guaranteed miss. It is the largest uint64, so every floor scan stops
+# there.
+_STREAK_STOP = (1 << 64) - 1
+# The first window of a streak scan; each further window is twice as wide.
+_SCAN_WIDTH = 32
+# An overflowing frame's streaks are marked when its distinct colors are at
+# least this share of its runs.
+STREAK_SHARE = 1 / 16
 
 
 class UndefinedCoverageError(ValueError):
@@ -92,13 +103,38 @@ class Fvc:
       of splitmix64 outputs reduced `% ways`; the RNG then advances by the
       draws used, exactly as one next_below() per eviction would.
 
-    Every run of a color goes through one loop per policy, `_runs_<policy>`,
-    picked once in __init__. observe_frame() skips it when no set can
-    overflow: every set's resident colors plus the frame's new distinct
-    colors fit in `ways`. It then enters the new colors through the loop
-    (no eviction can happen) and applies the frame's counts in one
-    vectorized pass, leaving the collector exactly as the loop would, with
-    no RNG draw.
+    Each policy has one run loop, `_runs_<policy>`, picked once in
+    __init__; observe_run() is a one-run call to it. observe_frame() takes
+    one of two paths:
+
+    - No set can overflow (every set's resident colors plus the frame's new
+      distinct colors fit in `ways`): the loop enters only the new colors,
+      which cannot evict, and the frame's counts are applied in one
+      vectorized pass, leaving the collector exactly as the loop would, with
+      no RNG draw.
+    - Otherwise the frame's runs go through the loop. A run is a guaranteed
+      miss when its color was not resident before the frame and no earlier
+      run holds it; one sort of the run colors finds them. Under LFC, 2LFC
+      and LRU, a miss into a full set takes the rest of its streak of
+      guaranteed misses in one step. The runs are taken set by set (one
+      stable sort by set index), which leaves every set as raster order
+      does. The streak rules:
+      - LFC: the floor is the least key among the entries but the set's
+        least. The set's least is evicted once, each streak key below the
+        floor is evicted by the next miss, and the step's last run holds
+        the churn slot (the slot each new miss evicts and refills).
+      - 2LFC: the floor is the third-least key. The survivor ends as the
+        least of the two least entries and every streak key but the last,
+        and the step's last run holds the churn slot.
+      - LRU: a set of W ways keeps its last max(0, W - L) entries after a
+        streak of L misses, then the streak's last min(L, W) runs.
+      An LFC or 2LFC step ends at the streak's first key at or above the
+      floor, and the next step starts after it with the risen floor. Hits,
+      other misses and fills of a set that is not yet full go through the
+      loop one at a time, as does every run under RANDOM (each of its
+      evictions draws, and the draws' order is part of the result) and of a
+      frame whose distinct colors are under STREAK_SHARE of its runs (too
+      few guaranteed misses to pay for marking them).
     """
 
     def __init__(self, config: FvcConfig | None = None):
@@ -119,6 +155,9 @@ class Fvc:
             policy = "LRU"
         self._runs = {"LFC": self._runs_lfc, "2LFC": self._runs_2lfc,
                       "LRU": self._runs_lru, "RANDOM": self._runs_random}[policy]
+        # RANDOM draws one victim per eviction, in run order, so it takes
+        # every run one at a time; the other loops take streaks in one step.
+        self._streak_rules = policy != "RANDOM"
         self._samples = 0
 
     @property
@@ -161,30 +200,69 @@ class Fvc:
     # A run of a resident color is a hit; any other run is a miss that
     # inserts its color, evicting first when the set is full. Frequency ties
     # break on ascending color.
+    #
+    # LFC, 2LFC and LRU also take `bounds` (see _streak_bounds): a run that
+    # starts or continues a streak of guaranteed misses has its packed key
+    # there, and a run that ends its streak, or is no guaranteed miss, has
+    # _STREAK_STOP. A miss into a full set whose bound is not a stop takes
+    # the streak's rule below in one step: it reads its run's index off the
+    # color iterator's remaining length and skips the runs the step covers,
+    # so the loops keep their `for` over the runs and a hit costs no more
+    # than without streaks. All other runs take the loop body one at a time.
+    #
+    # The rules rest on a set's floor: the least key among the entries the
+    # next miss cannot evict (LFC: all but the least; 2LFC: all but the two
+    # least). Once a set is full, its floor never falls within a frame. An
+    # eviction removes a key below the floor; an inserted key below the
+    # floor leaves it where it is, and one above it can only raise it; a
+    # hit only raises a frequency. So while a streak's keys stay below the
+    # floor, the entries at or above it stay untouched and the streak only
+    # churns the slot(s) below it. A step ends at the first key at or above
+    # the floor, found by one scan; the next step reads the new floor.
 
-    def _runs_lfc(self, colors, counts):
+    def _runs_lfc(self, colors, counts, bounds=None):
+        # Streak rule: evict the least key once; every streak key but the
+        # last is then evicted by the next miss, and the last one stays.
         sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
-        push, replace = heapq.heappush, heapq.heapreplace
-        for color, count in zip(colors, counts):
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        stops = None if bounds is None else memoryview(bounds)
+        color_iter = iter(colors)
+        runs = zip(color_iter, counts)
+        for color, count in runs:
             s = sets[color & mask]
             if color in s:
                 s[color] += count
                 continue
             heap = heaps[color & mask]
-            if len(s) >= ways:
-                del s[_exact_top(heap, s)]
-                replace(heap, count << 32 | color)
-            else:
+            if len(s) < ways:
                 push(heap, count << 32 | color)
+            else:
+                del s[_exact_top(heap, s)]
+                if stops is not None:
+                    i = len(colors) - length_hint(color_iter) - 1
+                if stops is None or stops[i] == _STREAK_STOP:
+                    replace(heap, count << 32 | color)
+                else:
+                    pop(heap)
+                    _exact_top(heap, s)
+                    last = _scan(bounds, i, heap[0])
+                    _skip(runs, last - i)
+                    color, count = colors[last], counts[last]
+                    push(heap, count << 32 | color)
             s[color] = count
 
-    def _runs_2lfc(self, colors, counts):
+    def _runs_2lfc(self, colors, counts, bounds=None):
         # The second-least-frequent entry goes; the least frequent survives
         # so a freshly inserted color is not immediately thrashed out. Sets
-        # have at least two ways here (see __init__).
+        # have at least two ways here (see __init__). Streak rule: the
+        # survivor ends as the least of itself and every streak key but the
+        # last, and the last streak key holds the churn slot.
         sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
         push, pop = heapq.heappush, heapq.heappop
-        for color, count in zip(colors, counts):
+        stops = None if bounds is None else memoryview(bounds)
+        color_iter = iter(colors)
+        runs = zip(color_iter, counts)
+        for color, count in runs:
             s = sets[color & mask]
             if color in s:
                 s[color] += count
@@ -196,21 +274,58 @@ class Fvc:
                 _exact_top(heap, s)
                 least = pop(heap)
                 del s[_exact_top(heap, s)]
-                # `least` is no greater than any key left, so it can take
-                # the victim's place at the top without a sift.
-                heap[0] = least
+                if stops is not None:
+                    i = len(colors) - length_hint(color_iter) - 1
+                if stops is None or stops[i] == _STREAK_STOP:
+                    # `least` is no greater than any key left, so it can take
+                    # the victim's place at the top without a sift.
+                    heap[0] = least
+                else:
+                    pop(heap)
+                    if heap:
+                        _exact_top(heap, s)
+                        last = _scan(bounds, i, heap[0])
+                    else:                   # a two-way set has no third key
+                        last = _scan(bounds, i, _STREAK_STOP)
+                    if last > i:
+                        k = i + int(bounds[i:last].argmin())
+                        if stops[k] < least:
+                            del s[least & _COLOR_MASK]
+                            least = stops[k]
+                            s[colors[k]] = counts[k]
+                        _skip(runs, last - i)
+                        color, count = colors[last], counts[last]
+                    push(heap, least)
                 push(heap, count << 32 | color)
             s[color] = count
 
-    def _runs_lru(self, colors, counts):
+    def _runs_lru(self, colors, counts, bounds=None):
+        # Streak rule: a full set of W ways and a streak of L guaranteed
+        # misses end with the set's last max(0, W - L) entries, in order,
+        # then the streak's last min(L, W) runs.
         sets, mask, ways = self._sets, self._set_mask, self._ways
-        for color, count in zip(colors, counts):
+        stops = None if bounds is None else memoryview(bounds)
+        color_iter = iter(colors)
+        runs = zip(color_iter, counts)
+        for color, count in runs:
             s = sets[color & mask]
             if color in s:
                 s[color] = s.pop(color) + count
                 continue
             if len(s) >= ways:
-                del s[next(iter(s))]
+                if stops is not None:
+                    i = len(colors) - length_hint(color_iter) - 1
+                if stops is None or stops[i] == _STREAK_STOP:
+                    del s[next(iter(s))]
+                else:
+                    end = _scan(bounds, i, _STREAK_STOP) + 1
+                    kept = list(s.items())[end - i:]
+                    s.clear()
+                    s.update(kept)
+                    tail = max(i, end - ways)
+                    s.update(zip(colors[tail:end], counts[tail:end]))
+                    _skip(runs, end - i - 1)
+                    continue
             s[color] = count
 
     def _runs_random(self, colors, counts):
@@ -241,7 +356,8 @@ class Fvc:
         Position p of the non-padded raster stream is sampled when
         p % pixel_sampling == 0. Runs of equal sampled values collapse into
         (color, count) runs, which is exact for every policy. A frame that
-        can overflow a set goes through the policy's run loop in one call;
+        can overflow a set goes through the policy's run loop in one call,
+        with its streaks of guaranteed misses marked for LFC, 2LFC and LRU;
         any other frame takes the vectorized no-overflow path.
         """
         flat = frame.pixels.reshape(-1)
@@ -250,28 +366,78 @@ class Fvc:
             flat = flat[::n]
         if flat.size == 0:
             return
-        change = np.flatnonzero(flat[:-1] != flat[1:]) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [flat.size]))
-        values, lengths = flat[starts], ends - starts
-        if self._observe_without_eviction(values, lengths):
+        starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        values, lengths = flat[starts], np.diff(starts, append=flat.size)
+        del starts
+        ordered = np.sort(values)
+        colors = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        del ordered
+        if self._observe_without_eviction(values, lengths, colors):
             return
         self._samples += flat.size
-        self._runs(values.tolist(), lengths.tolist())
+        # Each streak step skips guaranteed misses, at most one per distinct
+        # color; below STREAK_SHARE of the runs, marking them costs more than
+        # the steps save.
+        if not self._streak_rules or colors.size < STREAK_SHARE * values.size:
+            self._runs(values.tolist(), lengths.tolist())
+            return
+        del colors
+        if self._set_mask:
+            # Sets are independent: taking each set's runs in raster order,
+            # one set after another, leaves every set as raster order does.
+            by_set = np.argsort(values & self._set_mask, kind="stable")
+            values, lengths = values[by_set], lengths[by_set]
+            del by_set
+        bounds = self._streak_bounds(values, lengths)
+        colors, counts = values.tolist(), lengths.tolist()
+        del values, lengths         # the loop needs only the lists and bounds
+        self._runs(colors, counts, bounds)
 
-    def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray) -> bool:
+    def _streak_bounds(self, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Each run's bound for the streak rules of the run loops.
+
+        A run is a guaranteed miss when its color was not resident before
+        the frame and no earlier run holds it; one stable sort of the colors
+        finds each color's first run. A streak is a maximal stretch of
+        guaranteed misses in one set, with `values` grouped by set. Its runs
+        bound at their packed key `count << 32 | color`, except the last,
+        which bounds at _STREAK_STOP, as does every other run.
+        """
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        first = np.ones(values.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        colors = ordered[first]
+        resident = np.fromiter((c for s in self._sets for c in s), dtype=np.int64, count=len(self))
+        resident = np.append(np.sort(resident), 1 << 32)    # 2**32 equals no color
+        go_on = np.zeros(values.size, dtype=bool)
+        go_on[order[first]] = resident[np.searchsorted(resident, colors)] != colors
+        # A guaranteed miss goes on to the next run when that run is one too,
+        # in the same set.
+        go_on[:-1] &= go_on[1:]
+        go_on[-1] = False
+        if self._set_mask:
+            set_of = values & self._set_mask
+            go_on[:-1] &= set_of[1:] == set_of[:-1]
+        # Keys cannot overflow: a frame holds far fewer than 2**32 samples.
+        bounds = lengths.astype(np.uint64)
+        bounds <<= np.uint64(32)
+        bounds |= values
+        bounds[~go_on] = _STREAK_STOP
+        return bounds
+
+    def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray,
+                                  colors: np.ndarray) -> bool:
         """Apply runs `values` x `lengths` at once if no set can overflow.
 
-        Returns False, changing nothing, when some set's resident colors
-        plus the runs' new distinct colors exceed `ways`; that test needs
-        only the distinct colors, from one sort. Otherwise no eviction can
+        `colors` holds the runs' distinct colors, ascending. Returns False,
+        changing nothing, when some set's resident colors plus the runs' new
+        distinct colors exceed `ways`. Otherwise no eviction can
         happen, and the collector ends exactly as the run loop leaves it:
         the same frequencies, new colors entered in order of first
         occurrence (dict, heap and key list alike), and under LRU every
         observed color moved to the end in order of its last run.
         """
-        ordered = np.sort(values)
-        colors = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         if colors.size > self.config.entry_count:
             return False
         sets, mask = self._sets, self._set_mask
@@ -331,6 +497,28 @@ def _exact_top(heap: list[int], s: dict[int, int]) -> int:
         if key == true:
             return color
         heapq.heapreplace(heap, true)
+
+
+def _scan(bounds: np.ndarray, start: int, floor: int) -> int:
+    """The first index at or after `start` whose bound reaches `floor`.
+
+    Windows double from _SCAN_WIDTH, so a scan that covers d runs makes
+    O(log d) numpy calls. Every streak ends with a _STREAK_STOP bound, and
+    `floor` is capped at it, so the scan ends within the streak.
+    """
+    floor, width = min(floor, _STREAK_STOP), _SCAN_WIDTH
+    while True:
+        window = bounds[start:start + width]
+        at = int((window >= floor).argmax())
+        if window[at] >= floor:
+            return start + at
+        start += width
+        width *= 2
+
+
+def _skip(runs, n: int) -> None:
+    """Advance the run iterator past its next `n` runs."""
+    next(islice(runs, n, n), None)
 
 
 def relative_coverage(ranked: list[tuple[int, int]], frame: Frame,

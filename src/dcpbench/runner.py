@@ -135,19 +135,24 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
     fvc = Fvc(replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed))
     palette, coverage, enabled = None, float("nan"), True
     rel_covs: list[float] = []
+    last = len(trace) - 1
     for t, frame in enumerate(trace.frames):
         in_force = palette, coverage, enabled
         if t % cfg.frame_sampling == 0:      # always true on the warm-up frame
-            fvc.observe_frame(frame)
+            # No frame uses a palette built from the last frame, so the last
+            # frame is observed only for its relative coverage.
+            if t < last or cfg.track_relative_coverage:
+                fvc.observe_frame(frame)
             if cfg.track_relative_coverage:
                 rel_covs.append(relative_coverage(fvc.ranked_values(), frame,
                                                   top_n=fvc.entry_count))
-            coverage = fvc.coverage() if fvc.samples_observed else 0.0
-            if cfg.coverage_threshold is not None:
-                enabled = coverage >= cfg.coverage_threshold
-            palette = dcp_codecs.advance_frame(scheme, fvc, trace.width * trace.height,
-                                               cfg.ccd_size)
-            fvc.reset()
+            if t < last:
+                coverage = fvc.coverage() if fvc.samples_observed else 0.0
+                if cfg.coverage_threshold is not None:
+                    enabled = coverage >= cfg.coverage_threshold
+                palette = dcp_codecs.advance_frame(scheme, fvc, trace.width * trace.height,
+                                                   cfg.ccd_size)
+                fvc.reset()
         if t >= 1:
             built, cov, on = in_force
             yield ReplayFrame(

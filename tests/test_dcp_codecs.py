@@ -252,18 +252,30 @@ def test_advance_frame_respects_explicit_size():
     assert len(advance_frame(SCHEMES["DCP"], fvc, 4096, ccd_size=4)) == 4
 
 
-def test_collects_on_schedule(monkeypatch):
-    observed = []
-    real = Fvc.observe_frame
+@pytest.mark.parametrize("track", [True, False])
+def test_collects_on_schedule(monkeypatch, track):
+    # Frame 6 is due for collection but is the last frame: its palette would
+    # serve no frame, so it is observed only for relative coverage.
+    observed, built = [], []
+    real_observe, real_advance = Fvc.observe_frame, dcp_codecs.advance_frame
 
     def observe(fvc, frame):
         observed.append(int(frame.pixels[0, 0]))
-        real(fvc, frame)
+        real_observe(fvc, frame)
+
+    def advance(scheme, fvc, *rest):
+        built.append(observed[-1])
+        return real_advance(scheme, fvc, *rest)
 
     monkeypatch.setattr(Fvc, "observe_frame", observe)
-    replayed([np.full((8, 8), t) for t in range(7)], "DCP", frame_sampling=3)
+    monkeypatch.setattr(dcp_codecs, "advance_frame", advance)
+    frames = replayed([np.full((8, 8), t) for t in range(7)], "DCP", frame_sampling=3,
+                      track_relative_coverage=track)
     assert [t in observed for t in range(7)] == [
-        True, False, False, True, False, False, True]
+        True, False, False, True, False, False, track]
+    assert built == [0, 3]
+    assert [len(m.relative_coverages) for m in frames] == (
+        [1, 0, 1, 0, 0, 1] if track else [0] * 6)
 
 
 @pytest.mark.parametrize("codec", ["dcp", "vdcp", "huffdcp", "ras", "red", "hybrid"])

@@ -3,6 +3,7 @@ import heapq
 import numpy as np
 import pytest
 
+from dcpbench import fvc as fvc_module
 from dcpbench.fvc import (
     _DRAW_CHUNK,
     MAX_ENTRY_COUNT,
@@ -336,8 +337,8 @@ class _PathProbe:
         self.took = []
         real = f._observe_without_eviction
 
-        def probing(values, lengths):
-            took = real(values, lengths)
+        def probing(*args):
+            took = real(*args)
             self.took.append(took)
             return took
 
@@ -515,3 +516,196 @@ def test_fast_path_takes_frames_that_exactly_fill(policy):
         f = collector()
         frame = Frame(np.array([full + [(9 << 4) | extra_set]], dtype=np.uint32))
         assert not _PathProbe(f).took_fast_path(f, frame)
+
+
+# ---------------------------------------------------------------------------
+# Streaks of guaranteed misses, taken in one step under LFC, 2LFC and LRU
+
+def _runs_frame(runs):
+    """A one-row frame holding `runs`, (color, count) pairs in raster order."""
+    colors, counts = zip(*runs)
+    return Frame(np.repeat(np.array(colors, dtype=np.uint32), counts)[None, :])
+
+
+class _ScanCount:
+    """Counts the streak scans, the one step a streak rule takes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = fvc_module._scan
+
+        def scan(*args):
+            self.calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(fvc_module, "_scan", scan)
+
+
+def _streak_case(monkeypatch, policy, before, frames, entries=4, ways=None, sampling=1):
+    """Feed `before` runs through observe_run, then `frames` (run lists)
+    through observe_frame, checking the collector against the oracle after
+    each call. Returns how many streak scans the frames took."""
+    cfg = FvcConfig(entry_count=entries, ways=ways, policy=policy, pixel_sampling=sampling,
+                    rng_seed=3)
+    f, ref = Fvc(cfg), ReferenceFvc(cfg)
+    for color, count in before:
+        f.observe_run(color, count)
+        ref.observe_run(color, count)
+    _assert_same(f, ref)
+    scans, probe = _ScanCount(monkeypatch), _PathProbe(f)
+    for runs in frames:
+        frame = _runs_frame(runs)
+        assert not probe.took_fast_path(f, frame)
+        ref.observe_frame(frame)
+        _assert_same(f, ref)
+    return scans.calls
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_ties_on_frequency(monkeypatch, policy):
+    # Every key has frequency 2, so the order is the color's: streak colors
+    # fall on both sides of each floor's color (20 for LFC, 30 for 2LFC).
+    before = [(10, 2), (20, 2), (30, 2), (40, 2)]
+    runs = [(15, 2), (5, 2), (25, 2), (12, 2), (45, 2), (22, 2), (35, 2), (1, 2), (50, 2),
+            (21, 2), (19, 2), (41, 2), (2, 2)]
+    scans = _streak_case(monkeypatch, policy, before, [runs])
+    assert (scans > 0) == (policy != "RANDOM")
+    # Equal frequencies with lower and higher counts around them.
+    _streak_case(monkeypatch, policy, before, [[(c, 1 + c % 3) for c, _ in runs]])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_hit_on_churn_slot(monkeypatch, policy):
+    # Under LFC and 2LFC, 3 takes the churn slot; a hit on resident 10
+    # leaves it there, and the hit on 3 that follows lifts it over the floor
+    # between two streaks.
+    before = [(10, 9), (20, 5), (30, 5), (40, 5)]
+    frames = [[(1, 1), (2, 1), (3, 1), (10, 1), (3, 9), (4, 1), (5, 1), (6, 1), (7, 1)],
+              [(8, 1), (9, 1), (11, 1), (8, 1), (12, 1), (13, 1), (11, 2), (14, 1), (15, 1)]]
+    assert _streak_case(monkeypatch, policy, before, frames) > 0 or policy == "RANDOM"
+
+
+@pytest.mark.parametrize("ways", [None, 4])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_starts_while_set_not_full(monkeypatch, policy, ways):
+    # Two of eight entries are held; the frame's first new colors fill the
+    # set without evicting, and the rest of the same streak overflows it.
+    before = [(0x100, 3), (0x201, 1)]
+    runs = [((k << 4) | (k % 4), 1 + k % 2) for k in range(1, 40)]
+    scans = _streak_case(monkeypatch, policy, before, [runs], entries=8, ways=ways)
+    assert (scans > 0) == (policy != "RANDOM")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_around_colors_resident_before_the_frame(monkeypatch, policy):
+    # 7 and 9 were observed before the frame, so their runs are no
+    # guaranteed misses: 7 (the least) is evicted by the first streak and
+    # comes back as a miss; 9 is hit inside the frame.
+    before = [(7, 1), (9, 4), (30, 6), (40, 6)]
+    runs = [(1, 1), (2, 1), (7, 2), (3, 1), (9, 1), (4, 1), (5, 1), (7, 1), (6, 1), (8, 1)]
+    scans = _streak_case(monkeypatch, policy, before, [runs, runs[::-1]])
+    assert (scans > 0) == (policy != "RANDOM")
+
+
+@pytest.mark.parametrize("policy", ["2LFC", "LFC", "LRU"])
+def test_streak_in_two_way_sets(monkeypatch, policy):
+    # 2LFC's two-way sets have no third key, so nothing bounds a streak but
+    # its own end: the survivor is the least key seen.
+    rng = np.random.default_rng(77)
+    frames = [[(int(c), int(n)) for c, n in zip(rng.permutation(1 << 10)[:300],
+                                                 rng.integers(1, 4, size=300))]
+              for _ in range(3)]
+    assert _streak_case(monkeypatch, policy, [(5, 2), (9, 1)], frames, entries=8, ways=2) > 0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_in_one_way_sets(monkeypatch, policy):
+    rng = np.random.default_rng(78)
+    frames = [[(int(c), 1 + int(c) % 3) for c in rng.permutation(1 << 9)[:200]],
+              [(1, 1), (17, 2), (33, 1), (1, 1), (49, 4), (2, 1), (18, 1)]]
+    scans = _streak_case(monkeypatch, policy, [(1, 3)], frames, entries=16, ways=1)
+    assert (scans > 0) == (policy != "RANDOM")
+
+
+@pytest.mark.parametrize("ways", [None, 2, 4])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_with_pixel_sampling(monkeypatch, policy, ways):
+    # Sampling one pixel in four merges and splits the written runs.
+    rng = np.random.default_rng(79)
+    frames = [[(int(c), int(n)) for c, n in zip(rng.integers(0, 64, size=400),
+                                                 rng.integers(1, 9, size=400))]
+              for _ in range(3)]
+    scans = _streak_case(monkeypatch, policy, [], frames, entries=8, ways=ways, sampling=4)
+    assert (scans > 0) == (policy != "RANDOM")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_runs_longer_than_two_to_the_sixteen(monkeypatch, policy):
+    long = 1 << 16
+    before = [(10, long + 5), (20, 3), (30, 3), (40, long)]
+    runs = [(1, long + 1), (2, 1), (3, long + 2), (4, 2), (5, long + 1), (6, 1), (7, 3 * long),
+            (8, 1), (9, 1)]
+    scans = _streak_case(monkeypatch, policy, before, [runs, runs[::-1]])
+    assert (scans > 0) == (policy != "RANDOM")
+
+
+@pytest.mark.parametrize("assoc", [None, 4, 2, 1])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_small_alphabet_fuzz_matches_reference(policy, assoc):
+    # 24 colors for 8 entries, and no reset: hits, misses of colors evicted
+    # earlier in the same frame, and streaks all mix.
+    rng = np.random.default_rng(404)
+    alphabet = rng.integers(0, 1 << 32, size=24, dtype=np.uint64).astype(np.uint32)
+    cfg = FvcConfig(entry_count=8, ways=assoc, policy=policy, rng_seed=404)
+    f, ref = Fvc(cfg), ReferenceFvc(cfg)
+    for _ in range(80):
+        if rng.random() < 0.3:
+            for _ in range(int(rng.integers(1, 6))):
+                color, count = int(rng.choice(alphabet)), int(rng.integers(1, 5))
+                f.observe_run(color, count)
+                ref.observe_run(color, count)
+        else:
+            frame = _run_frame(rng, alphabet[:int(rng.integers(4, 25))],
+                               shape=(int(rng.integers(1, 5)), 16), max_run=4)
+            f.observe_frame(frame)
+            ref.observe_frame(frame)
+        _assert_same(f, ref)
+
+
+@pytest.mark.parametrize("policy, share", [("LFC", 0.15), ("2LFC", 0.15), ("LRU", 0.02)])
+def test_streaks_skip_most_runs_on_hostile_content(policy, share):
+    # The 2d-like frame holds 48,183 runs of 48,129 distinct colors. The run
+    # loop may take only a small share of them one at a time, each with one
+    # residency test; streak steps cover the rest.
+    frame = generate(SyntheticSpec("2d-like", 256, 192, 2, seed=5)).frames[0]
+    tested = []
+
+    class CountingSet(dict):
+        def __contains__(self, color):
+            tested.append(color)
+            return super().__contains__(color)
+
+    f = fvc(64, policy=policy)
+    f._sets = [CountingSet() for _ in f._sets]
+    f.observe_frame(frame)
+    flat = frame.pixels.reshape(-1)
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    assert starts.size == 48183
+    assert len(tested) < share * starts.size
+    # The same runs one at a time leave the same collector.
+    loop = fvc(64, policy=policy)
+    for color, count in zip(flat[starts].tolist(), np.diff(starts, append=flat.size).tolist()):
+        loop.observe_run(color, count)
+    assert f.ranked_values() == loop.ranked_values()
+    assert f.samples_observed == loop.samples_observed
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_few_colors_over_many_runs_take_every_run(monkeypatch, policy):
+    # 20 colors in 400 runs overflow 8 entries, but at most 20 runs can be
+    # guaranteed misses, under STREAK_SHARE of the runs: no streak is marked.
+    rng = np.random.default_rng(80)
+    runs = [(int(c), int(n)) for c, n in zip(rng.integers(0, 20, size=400) * 7,
+                                             rng.integers(1, 4, size=400))]
+    assert 20 < fvc_module.STREAK_SHARE * len(runs)
+    assert _streak_case(monkeypatch, policy, [(3, 2)], [runs, runs[::-1]], entries=8) == 0
