@@ -19,13 +19,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
 from .bandwidth import ACCOUNTING_MODES
 from .container import compress_frame
-from .fvc import MAX_ENTRY_COUNT, POLICIES, FvcConfig
+from .fvc import MAX_ENTRY_COUNT, MAX_PIXEL_SAMPLING, POLICIES, FvcConfig
 from .metrics import color_cdf, color_change, entropy, pixel_change, unique_colors
 from .runner import (
     ConfigError,
@@ -42,7 +42,25 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY = 0, 1, 2, 3
 
 CDF_POINTS = (1, 4, 16, 64, 256, 1024)
 
-SWEEP_DIMENSIONS = ("fvc_size", "policy", "associativity", "pixel_sampling", "frame_sampling")
+# Sweep dimension -> (the experiment key it sets, its integer value range or
+# None for words).
+SWEEP_DIMENSIONS = {
+    "fvc_size": ("fvc_size", (16, MAX_ENTRY_COUNT)),
+    "policy": ("policy", None),
+    "associativity": ("assoc", None),
+    "pixel_sampling": ("pixel_sampling", (1, MAX_PIXEL_SAMPLING)),
+    "frame_sampling": ("frame_sampling", (1, 60)),
+}
+
+# Experiment key -> the JSON types it takes. A key is its flag's name with
+# underscores, on the command line, in a config file and in a sweep.
+KEY_TYPES = {
+    "scheme": str, "fvc_size": int, "policy": str, "assoc": (int, str),
+    "pixel_sampling": int, "frame_sampling": int, "ct": (int, float), "ccd_size": int,
+    "accounting": str, "seed": int, "verify_full": bool, "verify_fraction": (int, float),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               (int, float): "a number", (int, str): "an integer or a word"}
 
 FRAME_COLUMNS = (
     "frame", "uncompressed_bits", "payload_bits", "csb_bits",
@@ -98,8 +116,8 @@ def build_parser() -> _Parser:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    # Defaults live in ExperimentConfig; None here means "not set on the
-    # command line" so a config file can fill the gap.
+    # Defaults live in ExperimentConfig and FvcConfig; None here means "not
+    # set on the command line" so a config file can fill the gap.
     p.add_argument("--config", default=None, help="JSON file mirroring these flags")
     p.add_argument("--scheme", choices=tuple(SCHEMES), default=None)
     p.add_argument("--fvc-size", type=int, default=None)
@@ -117,7 +135,8 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--verify-full", action="store_true", default=None)
     p.add_argument("--verify-fraction", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help="accepted for compatibility and ignored")
 
 
 def main(argv=None) -> int:
@@ -147,9 +166,14 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1")
+    return jobs
+
+
 def _parse_assoc(token) -> int | None:
-    if token is None:
-        return None
     text = str(token).lower()
     if text == "full":
         return None
@@ -158,59 +182,54 @@ def _parse_assoc(token) -> int | None:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"--assoc must be 'full', 'direct', or an integer, got {token!r}")
+        raise ConfigError(f"assoc must be 'full', 'direct', or a way count, got {token!r}")
 
 
-def build_config(args) -> ExperimentConfig:
-    """Merge hard defaults, an optional JSON config file, and CLI flags."""
+def build_config(args, **overrides) -> ExperimentConfig:
+    """Each experiment key from an override, else its flag, else the JSON
+    config file; a key set nowhere keeps its dataclass default."""
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text())
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
+        unknown = sorted(file_cfg.keys() - KEY_TYPES.keys())
+        if unknown:
+            raise ConfigError(f"config file keys {unknown} name no experiment flag")
+    given = {}
+    for key, kinds in KEY_TYPES.items():
+        value = overrides.get(key, getattr(args, key, None))
+        if value is None:
+            value = file_cfg.get(key)
+        if value is None:
+            continue
+        if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[kinds]}, got {value!r}")
+        given[key] = value
 
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return file_cfg.get(key, default)
+    def fields(**names):
+        return {name: given[key] for name, key in names.items() if key in given}
 
+    fvc = fields(entry_count="fvc_size", policy="policy", pixel_sampling="pixel_sampling",
+                 rng_seed="seed")
+    if "assoc" in given:
+        fvc["ways"] = _parse_assoc(given["assoc"])
+    exp = fields(scheme="scheme", ccd_size="ccd_size", frame_sampling="frame_sampling",
+                 coverage_threshold="ct", accounting="accounting", seed="seed",
+                 verify_fraction="verify_fraction")
+    # --verify-full (or "verify_full": true in a config file) means fraction 1.
+    if given.get("verify_full"):
+        exp["verify_fraction"] = 1.0
     try:
-        seed = int(pick("seed", "seed", 0))
-        entry_count = int(pick("fvc_size", "fvc_size", 64))
-        fvc = FvcConfig(
-            entry_count=entry_count,
-            ways=_parse_assoc(pick("assoc", "assoc", None)),
-            policy=str(pick("policy", "policy", "LFC")),
-            pixel_sampling=int(pick("pixel_sampling", "pixel_sampling", 1)),
-            rng_seed=seed,
-        )
-        cfg = ExperimentConfig(
-            scheme=str(pick("scheme", "scheme", "DCP")),
-            fvc=fvc,
-            ccd_size=_typed(pick("ccd_size", "ccd_size", None), "ccd_size", int),
-            frame_sampling=int(pick("frame_sampling", "frame_sampling", 1)),
-            coverage_threshold=_typed(pick("ct", "ct", None), "ct", (int, float)),
-            accounting=str(pick("accounting", "accounting", "full")),
-            seed=seed,
-            # --verify-full (or "verify_full" in a config file) means fraction 1.
-            verify_fraction=(1.0 if pick("verify_full", "verify_full", False) else
-                             float(pick("verify_fraction", "verify_fraction", 0.01))),
-            jobs=int(pick("jobs", "jobs", 1)),
-        )
-        cfg.validate()
+        return ExperimentConfig(fvc=FvcConfig(**fvc), **exp)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
-def _typed(value, key: str, kinds):
-    """A value unset or of the given JSON number type; a config file can hold
-    strings or fractions where a typed flag could not."""
-    if value is None or (isinstance(value, kinds) and not isinstance(value, bool)):
-        return value
-    kind = "an integer" if kinds is int else "a number"
-    raise ConfigError(f"{key} must be {kind}, got {value!r}")
+def _check_outputs(args, *paths: Path) -> None:
+    """Refuse, before anything is written, an output that is the config file."""
+    if args.config and Path(args.config).resolve() in {p.resolve() for p in paths}:
+        raise UsageError(f"an output would overwrite the config file {args.config}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +279,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    out = Path(args.out)
+    summary_path = out.with_suffix(".json")
+    _check_outputs(args, out, summary_path)
     cfg = build_config(args)
     trace = load_trace(args.trace)
     result = run_experiment(trace, cfg)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_frame_csv(out, trace, cfg, result)
-    summary_path = out.with_suffix(".json")
     summary_path.write_text(_summary_json(trace, cfg, result))
     if args.dump_frames:
         _dump_containers(args.dump_frames, trace, cfg, result)
@@ -278,16 +298,27 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = build_config(args)
+    out = Path(args.out)
+    _check_outputs(args, out)
+    key, bounds = SWEEP_DIMENSIONS[args.dimension]
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values is empty")
-    configs = [(_coerce_sweep_value(args.dimension, v),
-                _config_for_value(base, args.dimension, v)) for v in values]
+    if bounds is not None:
+        try:
+            values = [int(v) for v in values]
+        except ValueError:
+            raise UsageError(f"{args.dimension} values must be integers, got {args.values!r}")
+        lo, hi = bounds
+        if not all(lo <= v <= hi for v in values):
+            raise ConfigError(f"{args.dimension} sweep values must lie in {lo}..{hi}")
+    # A scheme without a palette never reads track_relative_coverage.
+    configs = [replace(build_config(args, **{key: v}), track_relative_coverage=True)
+               for v in values]
     traces = [load_trace(t) for t in args.traces]
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
+        base = configs[0]
         fh.write(f"# dcpbench sweep dimension={args.dimension} scheme={base.scheme} "
                  f"accounting={base.accounting} seed={base.seed}\n")
         writer = csv.writer(fh)
@@ -295,7 +326,7 @@ def _cmd_sweep(args) -> int:
                          "normalized_rate", "mean_coverage", "mean_relative_coverage"])
         for trace in traces:
             first_rate = None
-            for value, cfg in configs:
+            for value, cfg in zip(values, configs):
                 result = run_experiment(trace, cfg)
                 rate = result.workload.rate
                 if first_rate is None:
@@ -309,46 +340,6 @@ def _cmd_sweep(args) -> int:
                 ])
     print(f"wrote {out}")
     return EXIT_OK
-
-
-def _coerce_sweep_value(dimension: str, token: str):
-    if dimension in ("fvc_size", "pixel_sampling", "frame_sampling"):
-        try:
-            return int(token)
-        except ValueError:
-            raise UsageError(f"{dimension} values must be integers, got {token!r}")
-    return token
-
-
-def _config_for_value(base: ExperimentConfig, dimension: str, token: str) -> ExperimentConfig:
-    from dataclasses import replace
-    value = _coerce_sweep_value(dimension, token)
-    try:
-        if dimension == "fvc_size":
-            if not 16 <= value <= MAX_ENTRY_COUNT:
-                raise ConfigError(f"fvc_size sweep values must lie in 16..{MAX_ENTRY_COUNT}")
-            cfg = replace(base, fvc=replace(base.fvc, entry_count=value))
-        elif dimension == "policy":
-            if value not in POLICIES:
-                raise ConfigError(f"policy must be one of {POLICIES}")
-            cfg = replace(base, fvc=replace(base.fvc, policy=value))
-        elif dimension == "associativity":
-            cfg = replace(base, fvc=replace(base.fvc, ways=_parse_assoc(value)))
-        elif dimension == "pixel_sampling":
-            if not 1 <= value <= 16384:
-                raise ConfigError("pixel_sampling sweep values must lie in 1..16384")
-            cfg = replace(base, fvc=replace(base.fvc, pixel_sampling=value))
-        else:
-            if not 1 <= value <= 60:
-                raise ConfigError("frame_sampling sweep values must lie in 1..60")
-            cfg = replace(base, frame_sampling=value)
-        cfg = replace(cfg, track_relative_coverage=SCHEMES[base.scheme].palette is not None)
-        cfg.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 # ---------------------------------------------------------------------------

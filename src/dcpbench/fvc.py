@@ -50,7 +50,7 @@ def is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FvcConfig:
     entry_count: int = 64
     ways: int | None = None      # None = fully associative, 1 = direct-mapped

@@ -138,11 +138,11 @@ def _gr_bits(zz: np.ndarray) -> np.ndarray:
 # RED: uniform-region classification
 
 RED_C8, RED_C4, RED_RAW = 0, 1, 2
-# 8 region colors, 16 sub-block colors, or 64 raw pixels, 32 bits each.
-RED_CHARGED_BITS = {RED_C8: 256, RED_C4: 512, RED_RAW: 2048}
 
 
-# Field j of a class's stream holds raster pixel _RED_FIELD_PIXEL[class][j]:
+# A class's stream holds _RED_FIELDS[class] colors of 32 bits each: 8 region
+# colors, 16 sub-block colors, or 64 raw pixels. Field j of a class's stream
+# holds raster pixel _RED_FIELD_PIXEL[class][j]:
 # the top-left pixel of each 4-wide x 2-tall region (C8), of each 2x2
 # sub-block (C4), or every pixel (raw). _RED_PIXEL_FIELD[class][i] is the
 # field raster pixel i is rebuilt from.
@@ -172,12 +172,6 @@ def _red_classes(blocks: np.ndarray) -> np.ndarray:
     c8 = pool(u8, np.logical_and, 4, 2)[:, 0, 0]
     c4 = pool(u4, np.logical_and, 4, 4)[:, 0, 0]
     return np.where(c8, RED_C8, np.where(c4, RED_C4, RED_RAW))
-
-
-def red_classify_block(block: np.ndarray) -> tuple[int, int]:
-    """(class, charged bits). C8 compresses 1:8, C4 1:4, else raw."""
-    cls = int(_red_classes(np.asarray(block)[None])[0])
-    return cls, RED_CHARGED_BITS[cls]
 
 
 def red_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBlock]:

@@ -46,8 +46,11 @@ class VerificationError(Exception):
     """A sampled block failed round-trip or cost cross-checking."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings: frozen and checked on construction, so
+    `dataclasses.replace` checks every copy."""
+
     scheme: str = "DCP"
     fvc: FvcConfig = field(default_factory=FvcConfig)
     ccd_size: int | None = None          # explicit palette size where legal
@@ -56,10 +59,9 @@ class ExperimentConfig:
     accounting: str = "full"
     seed: int = 0
     verify_fraction: float = 0.01        # 1.0 verifies every block
-    jobs: int = 1                        # accepted and validated; see _banded
     track_relative_coverage: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         scheme = SCHEMES[self.scheme]
@@ -85,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError("coverage_threshold must lie in [0, 1]")
         if not 0.0 < self.verify_fraction <= 1.0:
             raise ConfigError("verify_fraction must lie in (0, 1]")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
 
 @dataclass
@@ -169,7 +169,6 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
 
 
 def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
-    cfg.validate()
     scheme = SCHEMES[cfg.scheme]
     _, valid = trace.frames[0].padded()
     sb_real = sub_block_valid_counts(valid)
@@ -247,7 +246,7 @@ def _banded(engine, palette, padded, valid, sb_real, block_real):
     about BAND_PIXELS pixels, so an engine's temporaries stay small and are
     reused from the heap rather than mapped afresh for every frame.
 
-    `jobs` starts no threads. On a shared 2-vCPU VM a second band thread
+    Bands run one after another. On a shared 2-vCPU VM a second band thread
     changed a 720p run's speed by -7% to +25%, with the load on the other
     vCPU, so one run's time did not repeat; on one thread it repeats to
     within a few percent.

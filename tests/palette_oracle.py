@@ -25,7 +25,7 @@ from dcpbench.container import parse
 from dcpbench.dcp_codecs import VDCP_MAX_CCD, VDCP_RAW, CompressedBlock
 from dcpbench.huffman import HuffmanTable
 from dcpbench.palette import Rccd
-from dcpbench.reference_codecs import RED_C4, RED_C8, RED_CHARGED_BITS, red_classify_block
+from dcpbench.reference_codecs import RED_C4, RED_C8, RED_RAW
 from dcpbench.surface import BLOCK, Frame, block_grid
 
 
@@ -276,6 +276,35 @@ def huffdcp_compress_block(block: np.ndarray, table) -> CompressedBlock:
 
 # ---------------------------------------------------------------------------
 # RED
+
+# 8 region colors, 16 sub-block colors, or 64 raw pixels, 32 bits each.
+RED_CHARGED_BITS = {RED_C8: 256, RED_C4: 512, RED_RAW: 2048}
+
+
+def _red_tiles_uniform(rows: list[list[int]], height: int, width: int) -> bool:
+    """Whether every `height`-tall x `width`-wide tile of an 8x8 block holds
+    one color, comparing each pixel with its tile's top-left pixel."""
+    for y0 in range(0, 8, height):
+        for x0 in range(0, 8, width):
+            for y in range(y0, y0 + height):
+                for x in range(x0, x0 + width):
+                    if rows[y][x] != rows[y0][x0]:
+                        return False
+    return True
+
+
+def red_classify_block(block: np.ndarray) -> tuple[int, int]:
+    """(class, charged bits): C8 when every 2-tall x 4-wide region is one
+    color, else C4 when every 2x2 cell is, else raw."""
+    rows = np.asarray(block).reshape(8, 8).tolist()
+    if _red_tiles_uniform(rows, 2, 4):
+        cls = RED_C8
+    elif _red_tiles_uniform(rows, 2, 2):
+        cls = RED_C4
+    else:
+        cls = RED_RAW
+    return cls, RED_CHARGED_BITS[cls]
+
 
 def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
     cls, bits = red_classify_block(block)

@@ -187,8 +187,15 @@ def test_exit_code_verification_failure(ui_trace, tmp_path, monkeypatch):
     assert rc == 3
 
 
-@pytest.mark.parametrize("values", [{"ccd_size": "32"}, {"ccd_size": 32.0}, {"ct": "0.5"}],
-                         ids=["ccd-string", "ccd-float", "ct-string"])
+@pytest.mark.parametrize("values", [
+    {"ccd_size": "32"}, {"ccd_size": 32.0}, {"ct": "0.5"},
+    {"fvc_size": 64.9}, {"pixel_sampling": 2.5}, {"seed": "7"}, {"frame_sampling": 1.9},
+    {"seed": True}, {"verify_fraction": "0.5"}, {"verify_full": "no"}, {"assoc": 4.0},
+    {"fvc_sise": 128}, {"sheme": "RAS"}, {"jobs": 2},
+], ids=["ccd-string", "ccd-float", "ct-string",
+        "fvc-float", "pixel-sampling-float", "seed-string", "frame-sampling-float",
+        "seed-bool", "fraction-string", "verify-full-string", "assoc-float",
+        "unknown-fvc-sise", "unknown-sheme", "unknown-jobs"])
 def test_config_file_wrong_type(ui_trace, tmp_path, capsys, values):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(values))
@@ -196,6 +203,29 @@ def test_config_file_wrong_type(ui_trace, tmp_path, capsys, values):
                "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out", [
+    (["compress"], "run.csv"),     # the summary, run.json, is the config file
+    (["compress"], "run.json"),
+    (["sweep", "--dimension", "policy", "--values", "LFC"], "run.json"),
+], ids=["compress-summary", "compress-csv", "sweep-csv"])
+def test_outputs_may_not_overwrite_the_config_file(ui_trace, tmp_path, capsys, command, out):
+    cfg = tmp_path / "run.json"
+    text = json.dumps({"scheme": "VDCP"})
+    cfg.write_text(text)
+    rc = main([*command, str(ui_trace), "--config", str(cfg), "--out", str(tmp_path / out)])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert cfg.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "trace"]
+
+
+def test_jobs_is_checked_and_ignored(ui_trace, tmp_path):
+    assert main(["compress", str(ui_trace), "--jobs", "0", "--out", str(tmp_path / "o.csv")]) == 1
+    args = build_parser().parse_args(["compress", "trace", "--out", "o.csv", "--jobs", "2"])
+    assert build_config(args) == build_config(
+        build_parser().parse_args(["compress", "trace", "--out", "o.csv"]))
 
 
 def test_oversized_collector_is_a_configuration_error(ui_trace, tmp_path, capsys):

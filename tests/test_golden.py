@@ -79,10 +79,11 @@ def compress_digest(trace: Path, flags: list[str], work: Path) -> str:
     return _digest(parts)
 
 
-def sweep_digest(trace: Path, work: Path) -> str:
+def sweep_digest(trace: Path, work: Path, dimension: str = "policy",
+                 values: str = "LFC,2LFC,LRU,RANDOM") -> str:
     out = work / "sweep.csv"
-    assert main(["sweep", str(trace), "--scheme", "VDCP", "--dimension", "policy",
-                 "--values", "LFC,2LFC,LRU,RANDOM", "--out", str(out)]) == 0
+    assert main(["sweep", str(trace), "--scheme", "VDCP", "--dimension", dimension,
+                 "--values", values, "--out", str(out)]) == 0
     return _digest([out.read_bytes()])
 
 
@@ -151,6 +152,15 @@ GOLDEN = {
 }
 SWEEP_GOLDEN = "4581439b5cc2af67"
 
+# The other four sweep dimensions: id -> (trace, dimension, values, digest).
+# Recorded before sweep values went through the config reader.
+DIMENSION_SWEEPS = {
+    "fvc_size": ("2d-like", "fvc_size", "16,64,256", "404a6a231b7c1512"),
+    "associativity": ("2d-like", "associativity", "2,4,direct", "a9b36d811832060a"),
+    "pixel_sampling": ("2d-like", "pixel_sampling", "1,4", "ac1e7fb9022af0b8"),
+    "frame_sampling": ("ui-like-4", "frame_sampling", "1,2", "92153d75dd46830d"),
+}
+
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
@@ -165,3 +175,9 @@ def test_compress_outputs_unchanged(cell, traces, tmp_path):
 
 def test_policy_sweep_unchanged(traces, tmp_path):
     assert sweep_digest(traces["2d-like"], tmp_path) == SWEEP_GOLDEN
+
+
+@pytest.mark.parametrize("sweep", list(DIMENSION_SWEEPS))
+def test_dimension_sweep_unchanged(sweep, traces, tmp_path):
+    trace, dimension, values, digest = DIMENSION_SWEEPS[sweep]
+    assert sweep_digest(traces[trace], tmp_path, dimension, values) == digest

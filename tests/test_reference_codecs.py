@@ -35,7 +35,6 @@ from dcpbench.reference_codecs import (
     ras_decompress_block,
     ras_decompress_blocks,
     ras_frame_cost,
-    red_classify_block,
     red_compress_block,
     red_compress_blocks,
     red_decompress_block,
@@ -115,22 +114,27 @@ def test_med_residuals_match_scalar(rng):
 # ---------------------------------------------------------------------------
 # RED
 
+def _red_class_bits(block):
+    """(class, charged bits) of one block through the batch entry."""
+    (comp,) = red_compress_blocks(block[None])
+    return comp.csb[0], comp.cost_bits
+
+
 def test_red_uniform_block_is_c8():
     block = np.full((8, 8), 0xABCD, dtype=np.uint32)
-    assert red_classify_block(block) == (RED_C8, 256)
+    assert _red_class_bits(block) == palette_oracle.red_classify_block(block) == (RED_C8, 256)
 
 
 def test_red_quad_checkerboard_is_c4():
     # Alternating 2x2 solid quads satisfy 2x2 uniformity but never 4x2.
     quads = np.indices((4, 4)).sum(axis=0) % 2
     block = np.kron(quads, np.ones((2, 2), dtype=int)).astype(np.uint32) + 7
-    cls, bits = red_classify_block(block)
-    assert (cls, bits) == (RED_C4, 512)
+    assert _red_class_bits(block) == palette_oracle.red_classify_block(block) == (RED_C4, 512)
 
 
 def test_red_distinct_colors_raw():
     block = np.arange(64, dtype=np.uint32).reshape(8, 8)
-    assert red_classify_block(block) == (RED_RAW, 2048)
+    assert _red_class_bits(block) == palette_oracle.red_classify_block(block) == (RED_RAW, 2048)
 
 
 def test_red_round_trips():
@@ -146,8 +150,8 @@ def test_red_round_trips():
 def test_red_class_ordering_invariant(rng):
     for _ in range(50):
         block = make_block(str(rng.choice(["uniform", "palette", "gradient"])), rng)
-        cls, bits = red_classify_block(block)
-        assert bits == {RED_C8: 256, RED_C4: 512, RED_RAW: 2048}[cls]
+        cls, bits = _red_class_bits(block)
+        assert (cls, bits) == palette_oracle.red_classify_block(block)
         if cls == RED_C8:   # C8 implies C4
             r4 = block.reshape(4, 2, 4, 2)
             assert bool((r4 == r4[:, :1, :, :1]).all())
@@ -183,7 +187,7 @@ def test_red_frame_cost_matches_blocks(rng):
     for by in range(4):
         for bx in range(4):
             block = padded[by * 8:(by + 1) * 8, bx * 8:(bx + 1) * 8]
-            cls, charged = red_classify_block(block)
+            cls, charged = palette_oracle.red_classify_block(block)
             assert classes[by, bx] == cls
             assert bits[by, bx] == charged
 
