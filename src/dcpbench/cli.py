@@ -227,9 +227,13 @@ def build_config(args, **overrides) -> ExperimentConfig:
 
 
 def _check_outputs(args, *paths: Path) -> None:
-    """Refuse, before anything is written, an output that is the config file."""
-    if args.config and Path(args.config).resolve() in {p.resolve() for p in paths}:
+    """Refuse, before anything is written, an output that is the config file
+    or another output."""
+    resolved = [p.resolve() for p in paths]
+    if args.config and Path(args.config).resolve() in resolved:
         raise UsageError(f"an output would overwrite the config file {args.config}")
+    if len(set(resolved)) < len(resolved):
+        raise UsageError(f"two outputs would be the one file {paths[-1]}")
 
 
 # ---------------------------------------------------------------------------

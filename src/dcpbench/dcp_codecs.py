@@ -32,8 +32,11 @@ The palette codecs run on one skeleton over a chunk of blocks at a time:
 sub-block, a field width per pixel, then one `bitio.pack_fields` call.
 Decoding reads every field with one gather from offsets that follow from
 the status entries (DCP, VDCP). HUFFDCP's offsets follow from its code
-lengths: one `_prefix_walk` per chunk chases the codes of all the chunk's
-blocks in order and finds where the next chunk starts.
+lengths: one `_prefix_walk` per chunk chases the chunk's blocks in order,
+one step per sub-block over a table of four-code steps, and records only
+where each sub-block starts and where the next chunk starts. The codes of
+all the chunk's coded sub-blocks are then found in lockstep, with four
+`HuffmanTable.decode_at` calls (`_prefix_decode`).
 Payload bits are packed most-significant-bit first, sub-blocks in raster
 order; raw sub-blocks store their four packed pixels the same way. The
 scalar codecs these replaced live on in `tests/palette_oracle.py` as the
@@ -184,14 +187,13 @@ def _palette_decompress(codec: str, csb: np.ndarray, payload: bytes, palette) ->
     out = np.empty((len(csb), 8, 8), dtype=np.uint32)
     if codec == "huffdcp":
         # The code lengths place every block, so one walk per chunk finds
-        # the chunk's fields and where the next chunk starts.
+        # the chunk's sub-blocks and where the next chunk starts.
         start = 0
         for lo in range(0, len(csb), BATCH_BLOCKS):
-            chunk = csb[lo:lo + BATCH_BLOCKS]
-            fields = ([], [])
-            start = _prefix_walk(palette, buf, (chunk != 0).tolist(), start, 8 * len(payload),
-                                 fields)
-            out[lo:lo + len(chunk)] = _prefix_decode(buf, fields, palette)
+            coded = csb[lo:lo + BATCH_BLOCKS] != 0
+            starts: list[int] = []
+            start = _prefix_walk(palette, buf, coded.tolist(), start, 8 * len(payload), starts)
+            out[lo:lo + len(coded)] = _prefix_decode(buf, starts, coded, palette)
         check_payload_end(start // 8, payload)
         return out
     width, raw = palette_widths(codec, csb, palette)
@@ -221,61 +223,78 @@ def _palette_pixels(values, coded, palette) -> np.ndarray:
     return pixels[:, _TO_RASTER].reshape(-1, 8, 8)
 
 
-def _prefix_decode(buf, fields, table) -> np.ndarray:
-    """HUFFDCP blocks from the field offsets and entries `_prefix_walk`
-    found: a table entry per code, a 32-bit read per raw pixel."""
-    at = np.array(fields[0], dtype=np.int64).reshape(-1, 64)
-    entry = np.array(fields[1], dtype=np.int64).reshape(-1, 64)
-    coded = entry >= 0
-    values = np.where(coded, entry, read_fields(buf, at, 32).astype(np.int64))
-    return _palette_pixels(values, coded, table)
+def _prefix_decode(buf, starts, coded, table) -> np.ndarray:
+    """HUFFDCP blocks from the sub-block starts `_prefix_walk` found and
+    the (n, 16) coded mask: four 32-bit reads per raw sub-block, and the
+    four codes of every coded one found with four `decode_at` calls, in
+    lockstep over all of them. Bits that begin no code raise."""
+    at = np.array(starts, dtype=np.int64).reshape(coded.shape)
+    values = np.empty((*coded.shape, 4), dtype=np.int64)
+    values[~coded] = read_fields(buf, at[~coded][:, None] + 32 * np.arange(4), 32)
+    if coded.any():
+        at = at[coded]
+        codes = np.empty((at.size, 4), dtype=np.int64)
+        for j in range(4):
+            length, codes[:, j] = table.decode_at(buf, at)
+            at = at + length
+        if codes.min() < 0:
+            raise CorruptStreamError("no prefix code matches the stream")
+        values[coded] = codes
+    return _palette_pixels(values.reshape(-1, 64), np.repeat(coded, 4, axis=1), table)
 
 
-_WALK_WINDOW = 4096            # stream offsets whose codes are found at once
+_WALK_WINDOW = 4096            # stream offsets whose sub-block steps are found at once
 
 
-def _prefix_walk(table, buf, coded_rows, start: int, end: int, fields) -> int:
-    """Chase HUFFDCP streams field by field; returns the first bit of the
-    byte after the last stream, where a next block would start.
+def _prefix_walk(table, buf, coded_rows, start: int, end: int, starts: list[int]) -> int:
+    """Chase HUFFDCP streams sub-block by sub-block; returns the first bit
+    of the byte after the last stream, where a next block would start.
 
     The blocks follow each other from bit `start` of `buf`, each starting on
-    the byte after the one before it ends, and no code is looked up at or
-    past bit `end` (a stream that ends past it shows in the bit returned);
-    `coded_rows[i]` says which of block i's sub-blocks are coded. Appends
-    each field's offset to `fields[0]` and its table entry (-1 for a raw
-    pixel) to `fields[1]`, in stream order. The code at every offset of a
-    window of the buffer is found with one `HuffmanTable.decode_at` call;
-    the chase itself runs on Python ints.
+    the byte after the one before it ends, and no coded sub-block is
+    chased from bit `end` or past it; `coded_rows[i]` says which of block
+    i's sub-blocks are coded. Appends each sub-block's first bit to `starts`, in stream
+    order. A coded sub-block's four codes are crossed in one step, from a
+    table of such steps over a window of the buffer (`_sub_block_steps`);
+    the chase itself runs on Python ints. Codes that run past `end` read
+    the buffer's slack, but their stream then ends past `end` too, which
+    shows in the bit returned.
     """
-    offsets, entries = fields
     lo = span = 0
-    lens: list[int] = []
-    ents: list[int] = []
+    steps: list[int] = []
     for row in coded_rows:
         at = start
         for coded in row:
+            starts.append(at)
             if not coded:
-                offsets += (at, at + 32, at + 64, at + 96)
-                entries += (-1, -1, -1, -1)
                 at += 128
                 continue
-            if table is None:
-                raise CorruptStreamError("coded sub-block without a Huffman table")
-            for _ in range(4):
-                i = at - lo
-                if not 0 <= i < span:
-                    if at >= end:
-                        raise CorruptStreamError("bit stream exhausted")
-                    lo, span, i = at, min(_WALK_WINDOW, end - at), 0
-                    length, entry = table.decode_at(buf, np.arange(lo, lo + span))
-                    lens, ents = length.tolist(), entry.tolist()
-                if ents[i] < 0:
-                    raise CorruptStreamError("no prefix code matches the stream")
-                offsets.append(at)
-                entries.append(ents[i])
-                at += lens[i]
+            i = at - lo
+            if not 0 <= i < span:
+                if table is None:
+                    raise CorruptStreamError("coded sub-block without a Huffman table")
+                if at >= end:
+                    raise CorruptStreamError("bit stream exhausted")
+                lo, span, i = at, min(_WALK_WINDOW, end - at), 0
+                steps = _sub_block_steps(table, buf, lo, span)
+            at += steps[i]
         start += -(-(at - start) // 8) * 8
     return start
+
+
+def _sub_block_steps(table, buf, lo: int, span: int) -> list[int]:
+    """The bits that four codes take from each offset lo..lo+span-1 of
+    `buf`, from the code lengths `HuffmanTable.decode_at` finds there.
+
+    Bits that begin no code have length 0, so the step stays on them and
+    `_prefix_decode` raises there.
+    """
+    reach = 3 * int(table.lengths.max(initial=0))
+    length = table.decode_at(buf, np.arange(lo, lo + span + reach))[0]
+    at = np.arange(span)
+    for _ in range(4):
+        at = at + length[at]                 # past the next code
+    return (at - np.arange(span)).tolist()
 
 
 def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:

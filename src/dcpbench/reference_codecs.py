@@ -24,19 +24,25 @@ gather. RAS runs on whole arrays, never one
 sample at a time:
 
 - `med_zigzag` is the one MED kernel. It maps the 8-bit samples of any
-  `(..., 8a, 8b)` int16 array (a padded frame's four channels, or a stack
+  `(..., 8a, 8b)` int16 array (a padded frame's four channels, or a strip
   of blocks) to zigzag residuals, all in int16 arithmetic, and `_gr_bits`
   sums them per block and Golomb-Rice parameter by successive shifts in
-  uint16. `ras_frame_cost` and the encoder share both.
-- `ras_compress_blocks` encodes a stack of blocks with one `packbits`.
-  `ras_decompress_blocks` walks the payload a chunk of blocks at a time:
-  one next-zero table per chunk serves the Golomb-Rice parse of each
-  stream, which also finds where the next stream starts, and the fields it
-  collects rebuild all channels of the chunk's blocks at once, one
-  anti-diagonal of the 8x8 grid per step.
-- `hybrid_compress_blocks` runs the VDCP and RAS batch encoders once each
-  over the stack. `hybrid_decompress_blocks` is the same walk as RAS's,
-  with each VDCP block's length taken from its status entries.
+  uint16. `ras_frame_cost` and the encoder share both, and `_ras_charge`.
+- `ras_compress_blocks` costs a chunk of n blocks laid side by side as
+  one 8-row strip (`_ras_cost`), so the kernels' row reduce and
+  `surface.pool` run along rows 8n pixels wide, not 8, and writes the
+  coded blocks' streams with one `packbits`. `ras_decompress_blocks`
+  walks the payload a chunk of blocks at a time: one next-zero table per
+  chunk serves the Golomb-Rice parse of each stream, which also finds
+  where the next stream starts, and the fields it collects rebuild all
+  channels of the chunk's blocks at once, one anti-diagonal of the 8x8
+  grid per step.
+- `hybrid_compress_blocks` encodes each block once, with its winner. VDCP
+  encodes the stack; RAS costs every block with its encoder's kernels and
+  charge (not `ras_frame_cost`'s, which caps edge blocks), and
+  `ras_compress_blocks` encodes only the blocks RAS wins, costing them
+  again. `hybrid_decompress_blocks` is the same walk as RAS's, with each
+  VDCP block's length taken from its status entries.
 
 The per-block names (`ras_compress_block`, ...) are the batch entries on
 one block. The scalar bit-at-a-time codecs these replaced live on in
@@ -249,6 +255,12 @@ def _quantize_512(bits: int | np.ndarray):
     return ((bits + 511) // 512) * 512
 
 
+def _ras_charge(total: np.ndarray) -> np.ndarray:
+    """The bits charged for RAS streams of `total` bits: the size class's
+    512-bit multiple, or the raw 2048 above 1536."""
+    return np.where(total > 1536, RAW_BLOCK_BITS, _quantize_512(total))
+
+
 def ras_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBlock]:
     """Encode an (n, 8, 8) stack of blocks; `palette` is unused.
 
@@ -264,30 +276,44 @@ def ras_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBloc
     return out
 
 
-def _ras_encode(blocks: np.ndarray) -> list[CompressedBlock]:
-    samples = _channels(blocks)                          # (n, 4, 8, 8)
+def _ras_cost(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(samples, zz, k, total) of a chunk of n blocks: the channel samples
+    and their zigzag residuals, each (4, 8, n, 8), each channel's k (n, 4)
+    and each block's stream bits (n,).
+
+    The blocks are laid side by side as one 8-row strip, so the MED kernel
+    and the per-block sums run along rows 8n wide, not 8; MED never looks
+    across a block's border, so the residuals are the stack's.
+    """
+    n = len(blocks)
+    samples = _channels(blocks.transpose(1, 0, 2).reshape(8, 8 * n))    # (4, 8, 8n)
     zz = med_zigzag(samples)
-    costs = _gr_bits(zz)[..., 0, 0]                      # (7, n, 4)
-    k = costs.argmin(axis=0)                             # the first minimum
-    gr = costs.min(axis=0).astype(np.int64)
+    costs = _gr_bits(zz)[:, :, 0, :]                     # (7, 4, n)
+    k = costs.argmin(axis=0).T                           # the first minimum
+    gr = costs.min(axis=0).T.astype(np.int64)
     k[gr > RAW_CHANNEL_BITS] = GR_K_RAW
     total = (3 + np.minimum(gr, RAW_CHANNEL_BITS)).sum(axis=1)
+    return samples.reshape(4, 8, n, 8), zz.reshape(4, 8, n, 8), k, total
+
+
+def _ras_encode(blocks: np.ndarray) -> list[CompressedBlock]:
+    samples, zz, k, total = _ras_cost(blocks)
     coded = np.flatnonzero(total <= 1536)
-    payloads = iter(_ras_pack(samples[coded], zz[coded], k[coded], total[coded]))
+    payloads = iter(_ras_pack(samples[:, :, coded], zz[:, :, coded], k[coded], total[coded]))
     out = []
-    for block, bits in zip(blocks, total.tolist()):
+    for block, bits, charged in zip(blocks, total.tolist(), _ras_charge(total).tolist()):
         if bits > 1536:
             out.append(CompressedBlock((RAS_RAW_CLASS,), block.astype(">u4").tobytes(),
                                        RAW_BLOCK_BITS, RAW_BLOCK_BITS))
         else:
-            charged = _quantize_512(bits)
             out.append(CompressedBlock((charged // 512 - 1,), next(payloads), bits, charged))
     return out
 
 
 def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
               total: np.ndarray) -> list[bytes]:
-    """The byte-aligned streams of blocks coded channel by channel.
+    """The byte-aligned streams of blocks coded channel by channel, from
+    their samples and residuals as (4, 8, n, 8) strips.
 
     Every item of a stream (a channel's k, a code, a raw sample) gets its
     start bit from one cumulative sum. The unary runs are set with one
@@ -298,7 +324,7 @@ def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
     n = len(k)
     kk = k[:, :, None]                                   # (n, 4, 1)
     raw = kk == GR_K_RAW
-    z = zz.reshape(n, 4, 64).astype(np.int64)
+    z = zz.transpose(2, 0, 1, 3).reshape(n, 4, 64).astype(np.int64)
     q = np.where(raw, 0, z >> np.minimum(kk, GR_K_MAX))
     lengths = np.empty((n, 4, 65), dtype=np.int64)
     lengths[..., 0] = 3
@@ -315,7 +341,8 @@ def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
          + np.arange(int(runs.sum()))] = 1
 
     width = np.where(raw, 8, kk)
-    value = np.where(raw, samples.reshape(n, 4, 64), z & ((1 << width) - 1))
+    value = np.where(raw, samples.transpose(2, 0, 1, 3).reshape(n, 4, 64),
+                     z & ((1 << width) - 1))
     field_at = np.concatenate([starts[..., 0].reshape(-1),
                                np.where(raw, code_at, code_at + q + 1).reshape(-1)])
     aligned = np.concatenate([(k << 5).reshape(-1),
@@ -520,8 +547,7 @@ def ras_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
     padding never inflates the accounting.
     """
     gr = _gr_bits(med_zigzag(_channels(padded))).min(axis=0)
-    total = 12 + np.minimum(gr, RAW_CHANNEL_BITS).sum(axis=0, dtype=np.int64)
-    charged = np.where(total > 1536, RAW_BLOCK_BITS, _quantize_512(total))
+    charged = _ras_charge(12 + np.minimum(gr, RAW_CHANNEL_BITS).sum(axis=0, dtype=np.int64))
     classes = charged // 512 - 1
     raw_cap = ((32 * block_real + 127) // 128) * 128
     return np.minimum(charged, raw_cap), classes
@@ -534,21 +560,24 @@ HDCP_RAS_BASE = 8              # 5-bit status values 8..11 carry the RAS class
 
 
 def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
-    """Compress each block with both codecs, keep the one needing fewer bursts.
+    """Compress each block with the codec needing fewer bursts; ties go to VDCP.
 
-    Each codec runs once over the stack. Ties go to VDCP. The RAS outcome
-    replicates its size class into all 16 status slots (values 8..11); VDCP
-    outcomes reuse its 0..7 codes.
+    VDCP encodes the whole stack. RAS costs every block with its encoder's
+    kernels and charge, and encodes only the blocks it wins. The RAS
+    outcome replicates its size class into all 16 status slots (values
+    8..11); VDCP outcomes reuse its 0..7 codes.
     """
     blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
-    vdcp = vdcp_compress_blocks(blocks, ccd)
-    ras = ras_compress_blocks(blocks)
-    v_cost = np.array([b.cost_bits for b in vdcp], dtype=np.int64)
-    r_cost = np.array([b.cost_bits for b in ras], dtype=np.int64)
-    vdcp_wins = (charged_bursts(v_cost) <= charged_bursts(r_cost)).tolist()
-    return [vb if win else CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
-                                           rb.payload_bits, rb.cost_bits)
-            for vb, rb, win in zip(vdcp, ras, vdcp_wins)]
+    out = vdcp_compress_blocks(blocks, ccd)
+    v_bursts = charged_bursts(np.array([b.cost_bits for b in out], dtype=np.int64))
+    won: list[int] = []
+    for lo in range(0, len(blocks), BATCH_BLOCKS):
+        r_bursts = charged_bursts(_ras_charge(_ras_cost(blocks[lo:lo + BATCH_BLOCKS])[3]))
+        won += (lo + np.flatnonzero(r_bursts < v_bursts[lo:lo + len(r_bursts)])).tolist()
+    for i, rb in zip(won, ras_compress_blocks(blocks[won])):
+        out[i] = CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
+                                 rb.payload_bits, rb.cost_bits)
+    return out
 
 
 def hybrid_decompress_blocks(csb: np.ndarray, payload: bytes,

@@ -221,6 +221,14 @@ def test_outputs_may_not_overwrite_the_config_file(ui_trace, tmp_path, capsys, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "trace"]
 
 
+def test_compress_summary_may_not_overwrite_the_csv(ui_trace, tmp_path, capsys):
+    # The summary goes to the CSV path with a .json suffix: here, the same file.
+    rc = main(["compress", str(ui_trace), "--out", str(tmp_path / "run.json")])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
+
+
 def test_jobs_is_checked_and_ignored(ui_trace, tmp_path):
     assert main(["compress", str(ui_trace), "--jobs", "0", "--out", str(tmp_path / "o.csv")]) == 1
     args = build_parser().parse_args(["compress", "trace", "--out", "o.csv", "--jobs", "2"])

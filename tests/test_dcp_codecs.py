@@ -382,12 +382,48 @@ def test_huffdcp_codes_wider_than_a_machine_word():
     ]).astype(np.uint32)
     blocks[10, 0, 0] = 7                                     # one raw sub-block
     comps, _ = _assert_matches_oracle("huffdcp", blocks, table)
-    assert max(c.payload_bits for c in comps) > 64 * 64
+    # Blocks longer than a window of the chase: sub-blocks cross its edges.
+    assert max(c.payload_bits for c in comps) > dcp_codecs._WALK_WINDOW
     rng = np.random.default_rng(6)
     for lo in range(0, 12, 3):
         for csb, payload in _damaged("huffdcp", *streams(comps[lo:lo + 3]), rng):
             want = _outcome(oracle.decompress_streams, "huffdcp", csb, payload, table)
             assert _same(_outcome(huffdcp_decompress_blocks, csb, payload, table), want)
+
+
+def _chunk_of_3_bit_codes():
+    """A table that leaves 111 as no code (0, 10, 110), and the streams of
+    two chunks of blocks whose every code is 110: 192 bits a block."""
+    table = HuffmanTable([0xFF000001, 0xFF000002, 0xFF000003], [1, 2, 3])
+    blocks = np.full((2 * BATCH_BLOCKS, 8, 8), 0xFF000003, dtype=np.uint32)
+    comps = dcp_codecs.huffdcp_compress_blocks(blocks, table)
+    assert {c.payload_bits for c in comps} == {192}
+    return table, blocks, comps
+
+
+@pytest.mark.parametrize("code", [0, BATCH_BLOCKS * 32 + 6, BATCH_BLOCKS * 64 - 1],
+                         ids=["first", "middle", "last"])
+def test_huffdcp_bits_that_begin_no_code_raise(code):
+    # The chase stays on such bits; the decode must still raise on them,
+    # wherever in a chunk they fall, as the oracle does.
+    table, _, comps = _chunk_of_3_bit_codes()
+    csb, payload = streams(comps)
+    blob = bytearray(payload)
+    bit = 3 * code + 2                                       # 110 -> 111
+    blob[bit // 8] |= 0x80 >> (bit % 8)
+    with pytest.raises(CorruptStreamError):
+        huffdcp_decompress_blocks(csb, bytes(blob), table)
+    with pytest.raises(CorruptStreamError):
+        oracle.decompress_streams("huffdcp", csb, bytes(blob), table)
+
+
+def test_huffdcp_stream_cut_short_raises():
+    table, blocks, comps = _chunk_of_3_bit_codes()
+    csb, payload = streams(comps)
+    assert np.array_equal(huffdcp_decompress_blocks(csb, payload, table), blocks)
+    for cut in (1, 24 * BATCH_BLOCKS - 5, len(payload) - 1):
+        with pytest.raises(CorruptStreamError, match="exhausted"):
+            huffdcp_decompress_blocks(csb, payload[:cut], table)
 
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))

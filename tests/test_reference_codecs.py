@@ -16,7 +16,8 @@ from ras_oracle import (
 
 from dcpbench.bandwidth import charged_bursts
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.dcp_codecs import CompressedBlock, vdcp_frame_cost
+from dcpbench import reference_codecs
+from dcpbench.dcp_codecs import CompressedBlock, vdcp_compress_blocks, vdcp_frame_cost
 from dcpbench.palette import Ccd
 from dcpbench.reference_codecs import (
     GR_K_RAW,
@@ -344,6 +345,19 @@ def test_ras_batch_matches_oracle(gen):
         assert charged[by, bx] == expected[i].cost_bits
 
 
+def test_ras_stacks_of_any_size_match_oracle():
+    # Each chunk is costed as one strip of blocks side by side: stacks of one
+    # block, of one under, at and over a chunk, and of five chunks, drawn
+    # from scattered frame positions, encode as the oracle does block by block.
+    pool = np.concatenate([_frame_blocks(gen, 96, 88, seed=9)[2] for gen in GENERATORS])
+    rng = np.random.default_rng(12)
+    picked = rng.choice(len(pool), 320, replace=False)
+    expected = {i: oracle.ras_compress_block(pool[i]) for i in picked.tolist()}
+    for n in (1, 63, 64, 65, 320):
+        at = rng.choice(picked, n, replace=False)
+        assert ras_compress_blocks(pool[at]) == [expected[i] for i in at.tolist()]
+
+
 @pytest.mark.parametrize("gen", GENERATORS)
 def test_hybrid_batch_matches_oracle(gen):
     _, _, blocks, _ = _frame_blocks(gen, seed=3)
@@ -358,6 +372,59 @@ def test_hybrid_batch_matches_oracle(gen):
     for i in range(0, len(blocks), 5):
         assert hybrid_compress_block(blocks[i], ccd) == comps[i]
         assert np.array_equal(hybrid_decompress_block(comps[i], ccd), decoded[i])
+
+
+def _tied_block():
+    """A block both codecs charge 4 bursts: VDCP 15 sub-blocks of 6-bit
+    codes and one raw (488 bits), RAS size class 0 (512 bits)."""
+    colors = (0xFF000000 + 1000 * np.arange(64)).astype(np.uint32)
+    colors[40] = 0x80808080
+    block = np.full((8, 8), 0x80808080, dtype=np.uint32)
+    block[2:4, 4:6] = 0x80808081
+    return block, Ccd(colors)
+
+
+def _hybrid_stacks():
+    """(name, blocks, ccd, outcome) stacks, with and without a palette.
+    `outcome` is what the stack's blocks come to: all "vdcp" or "ras" won,
+    all "tie" (equal bursts, so VDCP won), "mixed" for some of each, or
+    "empty"."""
+    for gen in ("ui-like", "2d-like", "noise"):
+        blocks = np.concatenate([_frame_blocks(gen, 96, 88, seed=s)[2] for s in (3, 4)])
+        yield gen, blocks, ccd_from_blocks(list(blocks), 16), "mixed"
+        yield gen + "-no-palette", blocks, None, "mixed"
+    tied, ccd = _tied_block()
+    yield "tied", np.stack([tied] * 3), ccd, "tie"
+    yield "raw-tied", np.stack(block_pool(70, seed=4, kinds=("random",))), None, "tie"
+    palette_blocks = np.stack(block_pool(70, seed=5, kinds=("uniform", "ui")))
+    yield "all-vdcp", palette_blocks, ccd_from_blocks(list(palette_blocks), 64), "vdcp"
+    yield "all-ras", np.stack(block_pool(70, seed=6, kinds=("gradient",))), None, "ras"
+    yield "empty", np.empty((0, 8, 8), dtype=np.uint32), None, "empty"
+
+
+@pytest.mark.parametrize("name, blocks, ccd, outcome", list(_hybrid_stacks()),
+                         ids=[case[0] for case in _hybrid_stacks()])
+def test_hybrid_encodes_each_block_once_with_its_winner(name, blocks, ccd, outcome, monkeypatch):
+    vdcp, ras = vdcp_compress_blocks(blocks, ccd), ras_compress_blocks(blocks)
+    v = charged_bursts(np.array([b.cost_bits for b in vdcp], dtype=np.int64))
+    r = charged_bursts(np.array([b.cost_bits for b in ras], dtype=np.int64))
+    assert {"mixed": 0 < (r < v).sum() < len(blocks), "vdcp": (v < r).all(),
+            "ras": (r < v).all(), "tie": (v == r).all(), "empty": not blocks.size}[outcome]
+    # The rule of encoding every block with both codecs, ties to VDCP.
+    expected = [vb if vdcp_won else CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16,
+                                                    rb.payload, rb.payload_bits, rb.cost_bits)
+                for vb, rb, vdcp_won in zip(vdcp, ras, (v <= r).tolist())]
+    packed = []
+    real = reference_codecs.ras_compress_blocks
+
+    def counting(stack, palette=None):
+        packed.append(np.array(stack))
+        return real(stack, palette)
+
+    monkeypatch.setattr(reference_codecs, "ras_compress_blocks", counting)
+    assert hybrid_compress_blocks(blocks, ccd) == expected     # every field of every block
+    # RAS encodes the blocks it wins, and no others.
+    assert np.array_equal(np.concatenate(packed), blocks[r < v])
 
 
 def test_batch_entries_take_empty_and_chunked_stacks():
