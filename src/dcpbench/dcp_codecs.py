@@ -125,7 +125,7 @@ def compressed_blocks(csb: np.ndarray, payloads, nbits: np.ndarray) -> list[Comp
 # four of its pixels are in the palette, else its four pixels are stored
 # raw as 32-bit fields. The families differ only in the width of a code:
 # `bits_per_code` (DCP), the sub-block's v (VDCP), or the code's length
-# (HUFFDCP, whose codes may span several 32-bit fields).
+# (HUFFDCP, at most 32 bits). Every pixel is one field.
 
 _RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW, "huffdcp": 0}
 
@@ -146,25 +146,23 @@ def _palette_encode(codec: str, blocks: np.ndarray, palette) -> list[CompressedB
         entries, hit = palette.lookup(pixels)
     coded = hit.all(axis=2)
     if not coded.any():                                      # also no or an empty palette
-        width = value = np.zeros((*pixels.shape, 1), dtype=np.int64)
+        width = value = np.zeros(pixels.shape, dtype=np.int64)
         status = np.full(coded.shape, _RAW_STATUS[codec])
     elif codec == "huffdcp":
-        width, value = (f[entries] for f in palette.code_fields)     # (n, 16, 4, C)
+        width, value = (f[entries] for f in palette.code_fields)
         status = coded.astype(np.int64)
     elif codec == "dcp":
-        value = entries[..., None]
+        value = entries
         width = np.full(value.shape, palette.bits_per_code)
         status = coded.astype(np.int64)
     else:
-        value = entries[..., None]
+        value = entries
         v = _VDCP_WIDTH[np.clip(entries.max(axis=2), 0, VDCP_MAX_CCD - 1)]
-        width = np.repeat(v[:, :, None, None], 4, axis=2)
+        width = np.repeat(v[:, :, None], 4, axis=2)
         status = np.where(coded, v, VDCP_RAW)
-    # A raw pixel is one 32-bit field, then zero-width fields.
-    first = np.arange(width.shape[-1]) == 0
-    keep = coded[:, :, None, None]
-    widths = np.where(keep, width, np.where(first, 32, 0))
-    values = np.where(keep, value, np.where(first, pixels[..., None], 0))
+    keep = coded[:, :, None]
+    widths = np.where(keep, width, 32)
+    values = np.where(keep, value, pixels)
     n = len(blocks)
     payloads, nbits = pack_fields(widths.reshape(n, -1), values.reshape(n, -1))
     return compressed_blocks(status, payloads, nbits)
@@ -399,9 +397,9 @@ def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
 # compressed sub-block with r live pixels charges bits_per_pixel * r and a
 # raw one charges 32 * r. For fully live frames this equals the exact
 # bitstream length of the per-block codecs. Every tile is reduced with
-# `surface.pool`. A block charges DCP and VDCP at most 16 * 128 bits, so
-# their bits stay int16; HUFFDCP's codes have no fixed bound and sum in
-# int32. Only the per-block result is widened to int64.
+# `surface.pool`. No code is wider than 32 bits, so a block charges at most
+# 16 * 128 bits and every scheme's bits stay int16. Only the per-block
+# result is widened to int64.
 
 _RAW_BITS = np.int16(32)
 
@@ -440,8 +438,8 @@ def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarra
         return _block_bits(_RAW_BITS * sb_real)
     entries, hit = table.lookup(padded)
     compressible = pool(hit, np.logical_and, 2, 2)
-    lengths = table.lengths.astype(np.int32)[entries]
-    code_bits = pool(np.where(valid & hit, lengths, np.int32(0)), np.add, 2, 2)
+    lengths = table.lengths.astype(np.int16)[entries]
+    code_bits = pool(np.where(valid & hit, lengths, np.int16(0)), np.add, 2, 2)
     return _block_bits(np.where(compressible, code_bits, _RAW_BITS * sb_real))
 
 

@@ -37,9 +37,6 @@ _DRAW_CHUNK = 4096
 _STREAK_STOP = (1 << 64) - 1
 # The first window of a streak scan; each further window is twice as wide.
 _SCAN_WIDTH = 32
-# An overflowing frame's streaks are marked when its distinct colors are at
-# least this share of its runs.
-STREAK_SHARE = 1 / 16
 
 
 class UndefinedCoverageError(ValueError):
@@ -132,9 +129,7 @@ class Fvc:
       floor, and the next step starts after it with the risen floor. Hits,
       other misses and fills of a set that is not yet full go through the
       loop one at a time, as does every run under RANDOM (each of its
-      evictions draws, and the draws' order is part of the result) and of a
-      frame whose distinct colors are under STREAK_SHARE of its runs (too
-      few guaranteed misses to pay for marking them).
+      evictions draws, and the draws' order is part of the result).
     """
 
     def __init__(self, config: FvcConfig | None = None):
@@ -375,13 +370,10 @@ class Fvc:
         if self._observe_without_eviction(values, lengths, colors):
             return
         self._samples += flat.size
-        # Each streak step skips guaranteed misses, at most one per distinct
-        # color; below STREAK_SHARE of the runs, marking them costs more than
-        # the steps save.
-        if not self._streak_rules or colors.size < STREAK_SHARE * values.size:
+        del colors
+        if not self._streak_rules:
             self._runs(values.tolist(), lengths.tolist())
             return
-        del colors
         if self._set_mask:
             # Sets are independent: taking each set's runs in raster order,
             # one set after another, leaves every set as raster order does.

@@ -1,10 +1,12 @@
 """Canonical prefix codes over ranked color frequencies.
 
-A `HuffmanTable` is HUFFDCP's palette: it splits its codes into bit fields
+A `HuffmanTable` is HUFFDCP's palette: it gives each code as one bit field
 for the encoder, finds the code at any offset of a stream for the decoder,
 and serializes itself for the frame container. Only the color and the code
 length of each entry are stored; the codes follow from the lengths by the
-canonical assignment.
+canonical assignment. No code is longer than one `bitio` field, 32 bits:
+`build_table` flattens a deeper tree until it fits, and a stored length
+over 32 is rejected.
 """
 
 from __future__ import annotations
@@ -77,14 +79,15 @@ _ENTRY = np.dtype([("color", "<u4"), ("length", "u1")])
 class HuffmanTable:
     """Prefix-code table over ranked colors, canonical assignment.
 
-    Codes are handled as fields of at most 32 bits (`FIELD_MAX_BITS`), so a
-    code of any stored length, up to 255 bits, is coded exactly and no code
-    value is ever held in a machine word wider than its field.
+    Every code is at most `FIELD_MAX_BITS` (32) bits long, so each is
+    written as one field and read with one 32-bit window.
     """
 
     def __init__(self, colors: list[int], lengths: list[int]):
         if len(colors) != len(lengths):
             raise ValueError("colors and lengths differ in size")
+        if max(lengths, default=0) > FIELD_MAX_BITS:
+            raise ValueError(f"code length over {FIELD_MAX_BITS} bits")
         self.colors = np.asarray(colors, dtype=np.uint32)
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.codes = canonical_codes(list(lengths))
@@ -109,6 +112,8 @@ class HuffmanTable:
         if len(data) < 2 + _ENTRY.itemsize * count:
             raise CorruptStreamError("truncated Huffman table")
         entries = np.frombuffer(data[2:2 + _ENTRY.itemsize * count], dtype=_ENTRY)
+        if entries["length"].max(initial=0) > FIELD_MAX_BITS:
+            raise CorruptStreamError(f"Huffman code length over {FIELD_MAX_BITS} bits")
         return cls(entries["color"].tolist(), entries["length"].tolist())
 
     @property
@@ -121,23 +126,13 @@ class HuffmanTable:
 
     @cached_property
     def code_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """(widths, values), each (entries, C): every code split MSB first
-        into C fields of at most 32 bits, C fixed by the longest code."""
-        chunks = max(1, -(-int(self.lengths.max(initial=0)) // FIELD_MAX_BITS))
-        widths = np.zeros((len(self), chunks), dtype=np.int64)
-        values = np.zeros((len(self), chunks), dtype=np.uint64)
-        for i, (code, length) in enumerate(zip(self.codes, self.lengths.tolist())):
-            for j in range(-(-length // FIELD_MAX_BITS)):
-                w = min(length - FIELD_MAX_BITS * j, FIELD_MAX_BITS)
-                widths[i, j] = w
-                values[i, j] = (code >> (length - FIELD_MAX_BITS * j - w)) & ((1 << w) - 1)
-        return widths, values
+        """(widths, values) per entry: each code as one field."""
+        return self.lengths, np.array(self.codes, dtype=np.uint64)
 
     @cached_property
-    def _decoder(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Search keys over the codes a stream can reach, one key array per
-        32-bit digit of a code left-justified to D digits, plus each code's
-        length and entry.
+    def _decoder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 32-bit left-justified starts of the codes a stream can reach,
+        ascending, with each code's length and entry.
 
         Canonical codes, taken in order, left-justified, tile the line from
         0: each starts where the one before ends. A code is reachable while
@@ -145,39 +140,24 @@ class HuffmanTable:
         none after it does. The code containing a window of stream bits is
         the last whose start is not above it. Past the last reachable code
         a sentinel with entry -1 marks the rest of the line as no code.
-
-        A digit key is (index of the first code sharing the earlier digits)
-        << 32 | digit, so each key array is sorted and one search per digit
-        narrows to the codes that share the window's digits so far.
         """
         order = sorted(range(len(self)), key=lambda i: (int(self.lengths[i]), i))
-        reach = []
+        starts, lengths, entries = [], [], []
+        end = 0
         for i in order:
             code, length = self.codes[i], int(self.lengths[i])
             if length < 1 or code >> length:
                 break
-            reach.append((code, length, i))
-        digits = max(1, -(-max((r[1] for r in reach), default=0) // FIELD_MAX_BITS))
-        span = FIELD_MAX_BITS * digits
-        starts = [code << (span - length) for code, length, _ in reach]
-        lengths = [length for _, length, _ in reach]
-        entries = [i for _, _, i in reach]
-        end = starts[-1] + (1 << (span - lengths[-1])) if reach else 0
-        if end < 1 << span:
+            starts.append(code << (FIELD_MAX_BITS - length))
+            lengths.append(length)
+            entries.append(i)
+            end = starts[-1] + (1 << (FIELD_MAX_BITS - length))
+        if end < 1 << FIELD_MAX_BITS:
             starts.append(end)
             lengths.append(0)
             entries.append(-1)
-        keys = []
-        run = [0] * len(starts)
-        for j in range(digits):
-            digit = [(s >> FIELD_MAX_BITS * (digits - 1 - j)) & 0xFFFFFFFF for s in starts]
-            keys.append(np.array([(r << 32) | d for r, d in zip(run, digit)], dtype=np.uint64))
-            nxt: list[int] = []
-            for i in range(len(starts)):
-                same = i and run[i - 1] == run[i] and digit[i - 1] == digit[i]
-                nxt.append(nxt[-1] if same else i)
-            run = nxt
-        return keys, np.array(lengths, dtype=np.int64), np.array(entries, dtype=np.int64)
+        return (np.array(starts, dtype=np.uint64), np.array(lengths, dtype=np.int64),
+                np.array(entries, dtype=np.int64))
 
     def decode_at(self, buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(code length, entry) of the code starting at each bit offset
@@ -185,30 +165,22 @@ class HuffmanTable:
         begin no code. A code may reach past the caller's stream end, which
         the caller checks against the length.
         """
-        keys, lengths, entries = self._decoder
-        at = np.asarray(at, dtype=np.int64)
-        lo = np.zeros(at.shape, dtype=np.int64)
-        found = np.empty(at.shape, dtype=np.int64)
-        open_ = np.ones(at.shape, dtype=bool)
-        for j, key in enumerate(keys):
-            q = (lo.astype(np.uint64) << np.uint64(32)) | read_fields(buf, at + 32 * j, 32)
-            k = np.searchsorted(key, q, side="right") - 1
-            if j == len(keys) - 1:
-                found[open_] = k[open_]
-                break
-            # The window's digit equals code k's: look among the codes that
-            # share it. Otherwise code k (or the one before the run) is it.
-            same = (k >= lo) & (key[np.maximum(k, 0)] == q)
-            found[open_ & ~same] = k[open_ & ~same]
-            open_ &= same
-            if not open_.any():
-                break
-            lo = np.where(same, np.searchsorted(key, q, side="left"), lo)
-        return lengths[found], entries[found]
+        starts, lengths, entries = self._decoder
+        k = np.searchsorted(starts, read_fields(buf, at, FIELD_MAX_BITS), side="right") - 1
+        return lengths[k], entries[k]
 
 
 def build_table(ranked: list[tuple[int, int]]) -> HuffmanTable:
-    """Huffman table from a ranked (color, frequency) list."""
+    """Huffman table from a ranked (color, frequency) list.
+
+    While the longest code is over 32 bits, the weights are halved, rounding
+    up, and the codes rebuilt: that flattens the tree until every code fits
+    one field. Rankings whose codes already fit keep `code_lengths` exactly.
+    """
     colors = [c for c, _ in ranked]
     freqs = [f for _, f in ranked]
-    return HuffmanTable(colors, code_lengths(freqs))
+    lengths = code_lengths(freqs)
+    while max(lengths, default=0) > FIELD_MAX_BITS:
+        freqs = [(f + 1) // 2 for f in freqs]
+        lengths = code_lengths(freqs)
+    return HuffmanTable(colors, lengths)

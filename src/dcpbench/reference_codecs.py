@@ -435,13 +435,13 @@ def _next_zero(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ras_parse(buf: np.ndarray, nz: memoryview, start: int, end: int, size_class: int,
-               fields: tuple[list, list, list, list] | None = None) -> int:
+               fields: tuple[list, list, list, list]) -> int:
     """Parse the coded stream at bits start..end of `buf`, given the
     next-zero table `nz` of its bits. Returns the bits used.
 
-    With `fields`, appends each Golomb-Rice channel's k to `fields[0]`, its
-    64 code offsets to `fields[1]`, each raw channel's first sample offset
-    to `fields[2]` and whether each channel is raw to `fields[3]`.
+    Appends each Golomb-Rice channel's k to `fields[0]`, its 64 code
+    offsets to `fields[1]`, each raw channel's first sample offset to
+    `fields[2]` and whether each channel is raw to `fields[3]`.
 
     A stream may not read past `end`, and the bits used must fit the size
     class. The next-zero chase runs on Python ints; a chase that leaves
@@ -455,19 +455,14 @@ def _ras_parse(buf: np.ndarray, nz: memoryview, start: int, end: int, size_class
             k = (int(buf[p >> 3]) << 8 | int(buf[(p >> 3) + 1])) >> (13 - (p & 7)) & 7
             p += 3
             if k == GR_K_RAW:
-                if fields is not None:
-                    fields[2].append(p)
-                    fields[3].append(True)
+                fields[2].append(p)
+                fields[3].append(True)
                 p += RAW_CHANNEL_BITS
-            elif fields is None:
-                step = k + 1                    # past the zero and the remainder
-                for _ in range(64):
-                    p = nz[p] + step
             else:
                 fields[0].append(k)
                 fields[3].append(False)
                 codes = fields[1]
-                step = k + 1
+                step = k + 1                    # past the zero and the remainder
                 for _ in range(64):
                     codes.append(p)
                     p = nz[p] + step

@@ -265,6 +265,34 @@ def test_invalid_config_combination(ui_trace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv, config, error", [
+    (["compress", "--assoc", "half"], None, "configuration error: assoc must be"),
+    (["compress"], "[1, 2]", "usage error: config file must hold a JSON object"),
+    (["compress"], '"VDCP"', "usage error: config file must hold a JSON object"),
+    (["sweep", "--dimension", "policy", "--values", " , "], None,
+     "usage error: --values is empty"),
+    (["sweep", "--dimension", "fvc_size", "--values", "16,big"], None,
+     "usage error: fvc_size values must be integers"),
+    (["sweep", "--dimension", "pixel_sampling", "--values", "1.5"], None,
+     "usage error: pixel_sampling values must be integers"),
+    (["compress", "--scheme", "DCP", "--fvc-size", "16", "--ccd-size", "32"], None,
+     "configuration error: ccd_size cannot exceed the FVC entry count"),
+    (["compress", "--verify-fraction", "0"], None, "verify_fraction must lie in (0, 1]"),
+    (["compress", "--verify-fraction", "1.5"], None, "verify_fraction must lie in (0, 1]"),
+    (["compress", "--verify-fraction", "-0.5"], None, "verify_fraction must lie in (0, 1]"),
+], ids=["assoc-word", "config-list", "config-string", "values-empty", "values-word",
+        "values-float", "ccd-over-fvc", "fraction-0", "fraction-1.5", "fraction-negative"])
+def test_bad_input_exits_1_before_writing(ui_trace, tmp_path, capsys, argv, config, error):
+    extra = []
+    if config is not None:
+        (tmp_path / "c.json").write_text(config)
+        extra = ["--config", str(tmp_path / "c.json")]
+    rc = main([*argv, str(ui_trace), *extra, "--out", str(tmp_path / "out" / "o.csv")])
+    assert rc == 1
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dump_frames_round_trip(ui_trace, tmp_path):
     from dcpbench.container import decompress_frame
     from dcpbench.surface import load_trace

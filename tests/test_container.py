@@ -6,7 +6,7 @@ from conftest import block_pool, ccd_from_blocks
 
 from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.container import compress_frame, decompress_frame, parse
+from dcpbench.container import HEADER_BYTES, compress_frame, decompress_frame, parse
 from dcpbench.dcp_codecs import BATCH_BLOCKS
 from dcpbench.huffman import build_table
 from dcpbench.palette import Rccd
@@ -280,6 +280,27 @@ def test_container_rejects_zero_dimension(scheme, field):
     data[offset:offset + 4] = bytes(4)
     with pytest.raises(CorruptStreamError):
         decompress_frame(bytes(data))
+
+
+def test_container_rejects_codes_over_a_field():
+    frame = _frame(6, width=16, height=16)
+    ccd = ccd_from_blocks(block_pool(4, seed=6), 8)
+    table = build_table([(int(c), 9 - i) for i, c in enumerate(ccd.colors)])
+    data = bytearray(compress_frame(frame, "HUFFDCP", table))
+    at = HEADER_BYTES + Rccd([]).byte_size + 2 + 4          # the first entry's length
+    assert data[at] == table.lengths[0]
+    for length in range(33, 256):
+        data[at] = length
+        with pytest.raises(CorruptStreamError, match="over 32 bits"):
+            decompress_frame(bytes(data))
+
+
+def test_container_rejects_unknown_scheme_tag():
+    data = bytearray(compress_frame(_frame(1, width=16, height=8), "DCP"))
+    for tag in [0, *range(8, 256)]:
+        data[4] = tag
+        with pytest.raises(CorruptStreamError, match=f"unknown scheme tag {tag}$"):
+            parse(bytes(data))
 
 
 def test_container_rejects_header_only_blob():

@@ -7,7 +7,7 @@ import palette_oracle as oracle
 from conftest import block_pool, ccd_from_blocks, streams
 
 from dcpbench import dcp_codecs, reference_codecs
-from dcpbench.bitio import CorruptStreamError
+from dcpbench.bitio import FIELD_MAX_BITS, CorruptStreamError
 from dcpbench.dcp_codecs import (
     BATCH_BLOCKS,
     adcp_optimal_ccd_size,
@@ -368,22 +368,34 @@ def test_palette_batch_edge_palettes(codec):
         assert _assert_matches_oracle(codec, uniform, one)[0][0].payload_bits == 0
 
 
-def test_huffdcp_codes_wider_than_a_machine_word():
+def test_huffdcp_codes_as_long_as_a_field(monkeypatch):
+    # 72 Fibonacci weights would give codes of 1..71 bits; the table
+    # flattens them until the longest is one 32-bit field.
     table = _fibonacci_table(72)
-    assert int(table.lengths.max()) > 64
+    lengths = table.lengths.tolist()
+    assert max(lengths) == FIELD_MAX_BITS
+    assert sum(Fraction(1, 2 ** n) for n in lengths) <= 1
+    words = sorted(format(c, f"0{n}b") for c, n in zip(table.codes, lengths))
+    assert not any(b.startswith(a) for a, b in zip(words, words[1:]))
     colors = table.colors
     rng = np.random.default_rng(4)
     # Every color, the deepest ones in every sub-block position, plus misses.
-    deep = colors[-8:]
+    deep = colors[table.lengths == FIELD_MAX_BITS]
     blocks = np.concatenate([
         colors[:64].reshape(1, 8, 8),
         rng.choice(deep, size=(6, 8, 8)),
         rng.choice(colors, size=(40, 8, 8)),
     ]).astype(np.uint32)
     blocks[10, 0, 0] = 7                                     # one raw sub-block
+    windows = []
+    steps = dcp_codecs._sub_block_steps
+    monkeypatch.setattr(dcp_codecs, "_sub_block_steps",
+                        lambda *args: windows.append(args[2]) or steps(*args))
     comps, _ = _assert_matches_oracle("huffdcp", blocks, table)
-    # Blocks longer than a window of the chase: sub-blocks cross its edges.
-    assert max(c.payload_bits for c in comps) > dcp_codecs._WALK_WINDOW
+    # A deep block is 64 codes of 32 bits, half a window of the chase, so
+    # the chase of this one chunk moves its window on every few blocks.
+    assert [c.payload_bits for c in comps[1:7]] == [64 * FIELD_MAX_BITS] * 6
+    assert len(windows) >= sum(c.payload_bits for c in comps) // dcp_codecs._WALK_WINDOW > 6
     rng = np.random.default_rng(6)
     for lo in range(0, 12, 3):
         for csb, payload in _damaged("huffdcp", *streams(comps[lo:lo + 3]), rng):

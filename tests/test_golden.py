@@ -80,10 +80,10 @@ def compress_digest(trace: Path, flags: list[str], work: Path) -> str:
 
 
 def sweep_digest(trace: Path, work: Path, dimension: str = "policy",
-                 values: str = "LFC,2LFC,LRU,RANDOM") -> str:
+                 values: str = "LFC,2LFC,LRU,RANDOM", flags: tuple[str, ...] = ()) -> str:
     out = work / "sweep.csv"
     assert main(["sweep", str(trace), "--scheme", "VDCP", "--dimension", dimension,
-                 "--values", values, "--out", str(out)]) == 0
+                 "--values", values, *flags, "--out", str(out)]) == 0
     return _digest([out.read_bytes()])
 
 
@@ -151,6 +151,10 @@ GOLDEN = {
     "ui-like-HDCP-payload": "c2f395dd19064fc2",
 }
 SWEEP_GOLDEN = "4581439b5cc2af67"
+# ui-like content's 9 colors over a 4-entry collector: frames that overflow
+# with few distinct colors over many runs. Recorded while such frames still
+# skipped the streak rules.
+FEW_COLOR_SWEEP_GOLDEN = "74859b7fe7a5901b"
 
 # The other four sweep dimensions: id -> (trace, dimension, values, digest).
 # Recorded before sweep values went through the config reader.
@@ -175,6 +179,11 @@ def test_compress_outputs_unchanged(cell, traces, tmp_path):
 
 def test_policy_sweep_unchanged(traces, tmp_path):
     assert sweep_digest(traces["2d-like"], tmp_path) == SWEEP_GOLDEN
+
+
+def test_few_color_policy_sweep_unchanged(traces, tmp_path):
+    assert sweep_digest(traces["ui-like"], tmp_path, flags=("--fvc-size", "4")) == \
+        FEW_COLOR_SWEEP_GOLDEN
 
 
 @pytest.mark.parametrize("sweep", list(DIMENSION_SWEEPS))

@@ -13,7 +13,7 @@ from palette_oracle import (
 )
 
 import dcpbench.palette
-from dcpbench.bitio import CorruptStreamError
+from dcpbench.bitio import FIELD_MAX_BITS, CorruptStreamError
 from dcpbench.dcp_codecs import dcp_decompress_blocks, sub_blocks
 from dcpbench.fvc import MAX_ENTRY_COUNT
 from dcpbench.huffman import HuffmanTable, build_table, canonical_codes, code_lengths
@@ -290,6 +290,7 @@ def test_canonical_codes_prefix_free(rng):
         n = int(rng.integers(2, 40))
         freqs = rng.integers(1, 1000, size=n).tolist()
         lengths = code_lengths(freqs)
+        assert build_table([(i, f) for i, f in enumerate(freqs)]).lengths.tolist() == lengths
         codes = canonical_codes(lengths)
         words = sorted(format(c, f"0{l}b") for c, l in zip(codes, lengths))
         for a, b in zip(words, words[1:]):
@@ -304,6 +305,7 @@ def test_average_length_within_entropy_bound(rng):
         p = freqs / total
         entropy = float(-(p * np.log2(p)).sum())
         lengths = np.array(code_lengths(freqs.tolist()), dtype=float)
+        assert build_table(list(enumerate(freqs.tolist()))).lengths.tolist() == lengths.tolist()
         avg = float((p * lengths).sum())
         assert entropy <= avg + 1e-9
         assert avg < entropy + 1
@@ -351,6 +353,34 @@ def test_table_serialization_round_trip(rng):
     assert np.array_equal(back.lengths, table.lengths)
     assert back.codes == table.codes
     assert HuffmanTable.from_bytes(HuffmanTable([], []).to_bytes()).byte_size == 2
+
+
+def test_deep_ranking_halves_its_weights_rounding_up():
+    # 72 Fibonacci weights give codes of up to 71 bits. The table is the
+    # Huffman code of the weights after the fewest halvings, each rounding
+    # up, that bring the longest code to 32 bits: here, eight.
+    freqs = [1, 1]
+    while len(freqs) < 72:
+        freqs.append(freqs[-1] + freqs[-2])
+    halved = [freqs[::-1]]
+    for _ in range(8):
+        halved.append([(f + 1) // 2 for f in halved[-1]])
+    assert [max(code_lengths(f)) for f in halved[-2:]] == [33, FIELD_MAX_BITS]
+    table = build_table(list(enumerate(halved[0])))
+    assert table.lengths.tolist() == code_lengths(halved[-1])
+
+
+def test_table_rejects_codes_over_a_field():
+    with pytest.raises(ValueError, match="over 32 bits"):
+        HuffmanTable([7, 3, 9], [1, 2, 33])
+    blob = bytearray(build_table([(7, 50), (3, 20), (9, 5), (1, 1)]).to_bytes())
+    assert HuffmanTable.from_bytes(bytes(blob)).lengths.max() == 3
+    for length in range(FIELD_MAX_BITS + 1, 256):
+        blob[-1] = length                                    # the last entry's length
+        with pytest.raises(CorruptStreamError, match="over 32 bits"):
+            HuffmanTable.from_bytes(bytes(blob))
+    blob[-1] = FIELD_MAX_BITS
+    assert HuffmanTable.from_bytes(bytes(blob)).lengths.max() == FIELD_MAX_BITS
 
 
 @pytest.mark.parametrize("palette", [
