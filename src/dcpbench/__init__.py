@@ -12,7 +12,7 @@ compression rates.
 __version__ = "0.1.0"
 
 from .bandwidth import FrameStats, WorkloadStats, charged_bursts
-from .dcp_codecs import CompressedBlock
+from .dcp_codecs import CompressedBlocks
 from .fvc import Fvc, FvcConfig, relative_coverage
 from .huffman import HuffmanTable, build_table
 from .metrics import color_cdf, color_change, entropy, pixel_change
@@ -23,7 +23,7 @@ from .surface import Frame, SurfaceTrace, load_trace, write_trace
 from .synth import SyntheticSpec, generate
 
 __all__ = [
-    "SCHEMES", "Ccd", "CompressedBlock", "ExperimentConfig", "Frame",
+    "SCHEMES", "Ccd", "CompressedBlocks", "ExperimentConfig", "Frame",
     "FrameStats", "Fvc", "FvcConfig", "HuffmanTable", "Rccd", "ReplayFrame",
     "RunResult", "Scheme", "SurfaceTrace", "SyntheticSpec", "WorkloadStats",
     "build_ccd", "build_table", "charged_bursts", "color_cdf", "color_change",

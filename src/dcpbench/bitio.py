@@ -2,9 +2,9 @@
 
 Every block codec writes its block as a row of fields, each at most 32 bits
 wide, packed most-significant-bit first and padded to a byte boundary per
-block. `pack_fields` packs all rows of a stack at once and `read_fields`
-reads fields back from any bit offsets of a byte buffer, so no codec ever
-touches one bit or one block at a time.
+block. `pack_fields` packs all rows of a stack at once into their joined
+streams and `read_fields` reads fields back from any bit offsets of a byte
+buffer, so no codec ever touches one bit or one block at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ class CorruptStreamError(Exception):
     """A compressed payload is inconsistent with its metadata."""
 
 
-def pack_fields(widths: np.ndarray, values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+def pack_fields(widths: np.ndarray, values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Pack an (n, F) stack of fields into n byte-aligned streams.
 
     `widths` are 0..32 bits and `values[i, j] < 2 ** widths[i, j]`. Returns
-    each row's bytes and its true bit length. Word-level, after Lemire and
-    Boytsov (SPE 2015): every field is shifted once into the 64-bit pair of
-    32-bit words it falls in, and each word gathers its fields' parts.
+    the rows' streams joined in order and each row's true bit length.
+    Word-level, after Lemire and Boytsov (SPE 2015): every field is shifted
+    once into the 64-bit pair of 32-bit words it falls in, and each word
+    gathers its fields' parts.
     """
     widths = np.asarray(widths, dtype=np.int64)
     nbits = widths.sum(axis=1)
@@ -40,8 +41,7 @@ def pack_fields(widths: np.ndarray, values: np.ndarray) -> tuple[list[bytes], np
     size = (int(nbytes.sum()) + 3) // 4 + 2
     words = np.bincount(q, (pair >> np.uint64(32)).astype(np.float64), size)
     words[1:] += np.bincount(q, (pair & np.uint64(0xFFFFFFFF)).astype(np.float64), size)[:-1]
-    packed = words.astype(">u4").tobytes()
-    return [packed[b:b + m] for b, m in zip((base // 8).tolist(), nbytes.tolist())], nbits
+    return words.astype(">u4").view(np.uint8)[:int(nbytes.sum())].tobytes(), nbits
 
 
 def join_streams(payload: bytes) -> np.ndarray:

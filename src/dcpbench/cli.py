@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .bandwidth import ACCOUNTING_MODES
 from .container import compress_frame
-from .fvc import MAX_ENTRY_COUNT, MAX_PIXEL_SAMPLING, POLICIES, FvcConfig
+from .fvc import POLICIES, FvcConfig
 from .metrics import color_cdf, color_change, entropy, pixel_change, unique_colors
 from .runner import (
     ConfigError,
@@ -42,14 +42,13 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY = 0, 1, 2, 3
 
 CDF_POINTS = (1, 4, 16, 64, 256, 1024)
 
-# Sweep dimension -> (the experiment key it sets, its integer value range or
-# None for words).
+# Sweep dimension -> the experiment key it sets.
 SWEEP_DIMENSIONS = {
-    "fvc_size": ("fvc_size", (16, MAX_ENTRY_COUNT)),
-    "policy": ("policy", None),
-    "associativity": ("assoc", None),
-    "pixel_sampling": ("pixel_sampling", (1, MAX_PIXEL_SAMPLING)),
-    "frame_sampling": ("frame_sampling", (1, 60)),
+    "fvc_size": "fvc_size",
+    "policy": "policy",
+    "associativity": "assoc",
+    "pixel_sampling": "pixel_sampling",
+    "frame_sampling": "frame_sampling",
 }
 
 # Experiment key -> the JSON types it takes. A key is its flag's name with
@@ -227,8 +226,8 @@ def build_config(args, **overrides) -> ExperimentConfig:
 
 
 def _check_outputs(args, *paths: Path) -> None:
-    """Refuse, before anything is written, an output that is the config file
-    or another output."""
+    """Refuse, before anything is written, an output (a file, or the
+    `--dump-frames` directory) that is the config file or another output."""
     resolved = [p.resolve() for p in paths]
     if args.config and Path(args.config).resolve() in resolved:
         raise UsageError(f"an output would overwrite the config file {args.config}")
@@ -285,7 +284,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_compress(args) -> int:
     out = Path(args.out)
     summary_path = out.with_suffix(".json")
-    _check_outputs(args, out, summary_path)
+    dump = [Path(args.dump_frames)] if args.dump_frames else []
+    _check_outputs(args, out, summary_path, *dump)
     cfg = build_config(args)
     trace = load_trace(args.trace)
     result = run_experiment(trace, cfg)
@@ -304,18 +304,17 @@ def _cmd_compress(args) -> int:
 def _cmd_sweep(args) -> int:
     out = Path(args.out)
     _check_outputs(args, out)
-    key, bounds = SWEEP_DIMENSIONS[args.dimension]
+    key = SWEEP_DIMENSIONS[args.dimension]
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values is empty")
-    if bounds is not None:
+    # Each value is read as the dimension's flag would read it; the config
+    # then checks it.
+    if KEY_TYPES[key] is int:
         try:
             values = [int(v) for v in values]
         except ValueError:
             raise UsageError(f"{args.dimension} values must be integers, got {args.values!r}")
-        lo, hi = bounds
-        if not all(lo <= v <= hi for v in values):
-            raise ConfigError(f"{args.dimension} sweep values must lie in {lo}..{hi}")
     # A scheme without a palette never reads track_relative_coverage.
     configs = [replace(build_config(args, **{key: v}), track_relative_coverage=True)
                for v in values]

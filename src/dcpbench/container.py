@@ -17,13 +17,14 @@ Layout (integers little-endian unless they live in the bit streams):
 The container knows no block format. The frame's blocks go through the
 codec family's batch entries, which `schemes.resolve` looks up on the
 family's module when called. Compressing, one call returns one
-`CompressedBlock` per block: its status entries go into the status grid
-and its payload is appended as is. Decoding, one `decompress_blocks` call
-takes the status grid and the whole payload: the family parses each
-stream once, in order, finding where it ends as it goes (DCP, VDCP and
-RED from the status entries, HUFFDCP by chasing code lengths, RAS and
-HDCP by the Golomb-Rice next-zero parse). A stream that runs past the
-payload, and payload bytes left over after the last block, are damage.
+`CompressedBlocks` record: its status rows go into the status grid and
+its payload, the blocks' joined streams, is stored as is. Decoding, one
+`decompress_blocks` call takes the status grid and the whole payload: the
+family parses each stream once, in order, finding where it ends as it
+goes (DCP, VDCP and RED from the status entries, HUFFDCP by chasing code
+lengths, RAS and HDCP by the Golomb-Rice next-zero parse). A stream that
+runs past the payload, and payload bytes left over after the last block,
+are damage.
 
 Likewise the palettes serialize themselves: the container places their
 bytes and knows neither layout. A palette is passed as the one object
@@ -59,7 +60,7 @@ def compress_frame(frame: Frame, scheme: str,
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
     padded, _ = frame.padded()
-    blocks = resolve(s.codec, "compress_blocks")(
+    comp = resolve(s.codec, "compress_blocks")(
         block_stack(padded).reshape(-1, BLOCK, BLOCK), palette)
 
     out = bytearray()
@@ -75,11 +76,9 @@ def compress_frame(frame: Frame, scheme: str,
     # raster-order grid: k = 1 per block, or 4 per 2x2 sub-block.
     nbx, nby = block_grid(frame.width, frame.height)
     k = 1 if s.per_block else 4
-    entries = np.array([blk.csb for blk in blocks], dtype=np.uint8)
-    grid = entries.reshape(nby, nbx, k, k).transpose(0, 2, 1, 3).reshape(-1, 1)
+    grid = comp.csb.astype(np.uint8).reshape(nby, nbx, k, k).transpose(0, 2, 1, 3).reshape(-1, 1)
     out += np.packbits(np.unpackbits(grid, axis=1)[:, 8 - s.status_bits:]).tobytes()
-    # Per-block payloads are byte-aligned already, so they just concatenate.
-    out += b"".join(blk.payload for blk in blocks)
+    out += comp.payload
     return bytes(out)
 
 

@@ -22,14 +22,15 @@ the next palette from the collector's ranking; the handoff around it
 
 Every codec family, here and in `reference_codecs`, has the three entries
 that `schemes.resolve` reaches by name: the frame cost, compress a stack
-to one `CompressedBlock` per block, and decompress the blocks' status
-entries and joined streams to a stack. The codec modules are the only
+to one `CompressedBlocks` record, and decompress a record's status rows
+and joined streams to the stack. The codec modules are the only
 owners of the block bitstream formats: the container stores status
 entries and payloads without knowing what is in them.
 
-The palette codecs run on one skeleton over a chunk of blocks at a time:
-`lookup` over the (n, 16, 4) sub-block view, an all-hit mask per
-sub-block, a field width per pixel, then one `bitio.pack_fields` call.
+Every encoder runs on a chunk of blocks at a time (`encode_chunks`). The
+palette codecs run on one skeleton: `lookup` over the (n, 16, 4) sub-block
+view, an all-hit mask per sub-block, a field width per pixel, then one
+`bitio.pack_fields` call.
 Decoding reads every field with one gather from offsets that follow from
 the status entries (DCP, VDCP). HUFFDCP's offsets follow from its code
 lengths: one `_prefix_walk` per chunk chases the chunk's blocks in order,
@@ -70,22 +71,22 @@ VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 en
 _VDCP_WIDTH = np.array([m.bit_length() for m in range(VDCP_MAX_CCD)], dtype=np.int16)
 
 
-@dataclass
-class CompressedBlock:
-    """One block's output from any block codec.
+@dataclass(eq=False)            # arrays have no one truth value: compare the fields
+class CompressedBlocks:
+    """A stack of n blocks from any block codec, as its decoder and the
+    container take them.
 
-    `csb` holds the status entries as the container stores them: 16 in
-    sub-block raster order for the palette schemes and HDCP, one per block
-    for RAS (its size class) and RED (its class). `payload` is the stream,
-    padded to a byte boundary. `cost_bits` is what the burst model charges
-    and the frame engines must reproduce: the stream bits for the palette
+    `csb` holds the (n, k) status rows: 16 entries in sub-block raster
+    order for the palette schemes and HDCP, one for RAS (its size class)
+    and RED (its class). `cost_bits` is what the burst model charges and
+    the frame engines must reproduce: the stream bits for the palette
     schemes and RED, the size-class bits for RAS, the winner's for HDCP.
     """
 
-    csb: tuple[int, ...]
-    payload: bytes
-    payload_bits: int          # true stream bits before the byte padding
-    cost_bits: int
+    csb: np.ndarray
+    payload: bytes             # the blocks' streams, each byte-padded, joined in order
+    payload_bits: np.ndarray   # (n,) true stream bits before the byte padding
+    cost_bits: np.ndarray      # (n,)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +94,10 @@ class CompressedBlock:
 #
 # Every family has a batch entry per direction, `<codec>_compress_blocks`
 # and `<codec>_decompress_blocks`; `schemes.resolve` states their contract.
-# A decoder takes the (n, k) status rows and the blocks' joined streams,
-# parses each stream once in order and raises CorruptStreamError where a
-# stream runs past the payload or payload bytes are left over. The
-# per-block names are the batch entries on one block.
+# A decoder takes an encoder's status rows and payload as they are, parses
+# each stream once in order and raises CorruptStreamError where a stream
+# runs past the payload or payload bytes are left over. The per-block names
+# are the batch entries on one block.
 
 BATCH_BLOCKS = 64              # blocks per encode/decode chunk; bounds the temporaries
 
@@ -111,11 +112,17 @@ def sub_blocks(blocks: np.ndarray) -> np.ndarray:
 _TO_RASTER = sub_blocks(np.arange(64).reshape(1, 8, 8)).reshape(64).argsort()
 
 
-def compressed_blocks(csb: np.ndarray, payloads, nbits: np.ndarray) -> list[CompressedBlock]:
-    """`CompressedBlock`s from an (n, k) status array, payloads and bit
-    lengths, each charged its stream bits."""
-    return [CompressedBlock(tuple(c), p, b, b)
-            for c, p, b in zip(csb.tolist(), payloads, nbits.tolist())]
+def encode_chunks(encode, blocks: np.ndarray, *args) -> CompressedBlocks:
+    """`encode(chunk, *args)` over an (n, 8, 8) stack a chunk of
+    BATCH_BLOCKS blocks at a time (an empty stack is one empty chunk), its
+    records joined in block order."""
+    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
+    parts = [encode(blocks[lo:lo + BATCH_BLOCKS], *args)
+             for lo in range(0, max(len(blocks), 1), BATCH_BLOCKS)]
+    return CompressedBlocks(np.concatenate([p.csb for p in parts]),
+                            b"".join(p.payload for p in parts),
+                            np.concatenate([p.payload_bits for p in parts]),
+                            np.concatenate([p.cost_bits for p in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +137,7 @@ def compressed_blocks(csb: np.ndarray, payloads, nbits: np.ndarray) -> list[Comp
 _RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW, "huffdcp": 0}
 
 
-def _palette_compress(codec: str, blocks: np.ndarray, palette) -> list[CompressedBlock]:
-    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
-    out: list[CompressedBlock] = []
-    for lo in range(0, len(blocks), BATCH_BLOCKS):
-        out += _palette_encode(codec, blocks[lo:lo + BATCH_BLOCKS], palette)
-    return out
-
-
-def _palette_encode(codec: str, blocks: np.ndarray, palette) -> list[CompressedBlock]:
+def _palette_encode(blocks: np.ndarray, codec: str, palette) -> CompressedBlocks:
     pixels = sub_blocks(blocks)                              # (n, 16, 4)
     if palette is None:
         entries, hit = np.full(pixels.shape, -1), np.zeros(pixels.shape, dtype=bool)
@@ -164,8 +163,8 @@ def _palette_encode(codec: str, blocks: np.ndarray, palette) -> list[CompressedB
     widths = np.where(keep, width, 32)
     values = np.where(keep, value, pixels)
     n = len(blocks)
-    payloads, nbits = pack_fields(widths.reshape(n, -1), values.reshape(n, -1))
-    return compressed_blocks(status, payloads, nbits)
+    payload, nbits = pack_fields(widths.reshape(n, 64), values.reshape(n, 64))
+    return CompressedBlocks(status, payload, nbits, nbits)
 
 
 def palette_widths(codec: str, csb: np.ndarray, palette) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +294,8 @@ def _sub_block_steps(table, buf, lo: int, span: int) -> list[int]:
     return (at - np.arange(span)).tolist()
 
 
-def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
-    return _palette_compress("dcp", blocks, ccd)
+def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+    return encode_chunks(_palette_encode, blocks, "dcp", ccd)
 
 
 def dcp_decompress_blocks(csb: np.ndarray, payload: bytes,
@@ -304,10 +303,10 @@ def dcp_decompress_blocks(csb: np.ndarray, payload: bytes,
     return _palette_decompress("dcp", csb, payload, palette)
 
 
-def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
+def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
     if ccd is not None and len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
-    return _palette_compress("vdcp", blocks, ccd)
+    return encode_chunks(_palette_encode, blocks, "vdcp", ccd)
 
 
 def vdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
@@ -316,8 +315,8 @@ def vdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
 
 
 def huffdcp_compress_blocks(blocks: np.ndarray,
-                            table: HuffmanTable | None) -> list[CompressedBlock]:
-    return _palette_compress("huffdcp", blocks, table)
+                            table: HuffmanTable | None) -> CompressedBlocks:
+    return encode_chunks(_palette_encode, blocks, "huffdcp", table)
 
 
 def huffdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
@@ -325,29 +324,29 @@ def huffdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
     return _palette_decompress("huffdcp", csb, payload, palette)
 
 
-def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
-    return dcp_compress_blocks(block[None], ccd)[0]
+def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+    return dcp_compress_blocks(block[None], ccd)
 
 
-def dcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return dcp_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
+def dcp_decompress_block(comp: CompressedBlocks, palette: Rccd | None = None) -> np.ndarray:
+    return dcp_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
-def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
-    return vdcp_compress_blocks(block[None], ccd)[0]
+def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+    return vdcp_compress_blocks(block[None], ccd)
 
 
-def vdcp_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return vdcp_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
+def vdcp_decompress_block(comp: CompressedBlocks, palette: Rccd | None = None) -> np.ndarray:
+    return vdcp_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
-def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlock:
-    return huffdcp_compress_blocks(block[None], table)[0]
+def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlocks:
+    return huffdcp_compress_blocks(block[None], table)
 
 
-def huffdcp_decompress_block(comp: CompressedBlock,
+def huffdcp_decompress_block(comp: CompressedBlocks,
                              palette: HuffmanTable | None = None) -> np.ndarray:
-    return huffdcp_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
+    return huffdcp_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -93,29 +93,21 @@ def sorted_lookup(sorted_index: tuple[np.ndarray, np.ndarray],
     rows. When they number at most 1/RUN_HEAD_SHARE of the pixels, only each
     run's head is searched and its (index, hit) repeated over the run;
     otherwise every pixel is searched. Both give the same result. Counting
-    the runs takes at most one compare pass over the pixels.
+    the runs takes one compare pass over the pixels.
     """
     colors, order = sorted_index
     if colors.size == 0:
         return np.full(pixels.shape, -1, dtype=np.int64), np.zeros(pixels.shape, dtype=bool)
     flat = pixels.ravel()
-    limit = flat.size // RUN_HEAD_SHARE
     head = np.empty(flat.shape, dtype=bool)
     head[:1] = True
-    # A prefix holds no more runs than the whole: when the first quarter
-    # already holds more than `limit`, the rest is not compared. Content
-    # with a run at more than every other pixel (noise, gradients) stops
-    # there.
-    cut = min(flat.size, 2 * limit + 1)
-    np.not_equal(flat[1:cut], flat[:cut - 1], out=head[1:cut])
-    if np.count_nonzero(head[:cut]) <= limit:
-        np.not_equal(flat[cut:], flat[cut - 1:-1], out=head[cut:])
-        if np.count_nonzero(head) <= limit:
-            starts = np.flatnonzero(head)
-            index, hit = _search(colors, order, flat[starts])
-            lengths = np.diff(starts, append=flat.size)
-            return (np.repeat(index, lengths).reshape(pixels.shape),
-                    np.repeat(hit, lengths).reshape(pixels.shape))
+    np.not_equal(flat[1:], flat[:-1], out=head[1:])
+    if np.count_nonzero(head) <= flat.size // RUN_HEAD_SHARE:
+        starts = np.flatnonzero(head)
+        index, hit = _search(colors, order, flat[starts])
+        lengths = np.diff(starts, append=flat.size)
+        return (np.repeat(index, lengths).reshape(pixels.shape),
+                np.repeat(hit, lengths).reshape(pixels.shape))
     return _search(colors, order, pixels)
 
 

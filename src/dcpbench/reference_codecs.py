@@ -8,20 +8,20 @@ constant 128 where the left / above / above-left neighbor falls outside the
 block.
 
 This module owns the RAS, RED and HDCP block formats. Their compressors
-return the same `CompressedBlock` as the palette codecs, with one status
-entry per block for RAS (its size class) and RED (its class) and 16 for
-HDCP. Like the palette families, each has the three entries that
+return the same `CompressedBlocks` record as the palette codecs, with one
+status entry per block for RAS (its size class) and RED (its class) and 16
+for HDCP. Like the palette families, each has the three entries that
 `schemes.resolve` reaches by name: batch entries over stacks of blocks
-(`<codec>_compress_blocks`, and `<codec>_decompress_blocks` over the
-blocks' status entries and joined streams) and `<codec>_frame_cost`, which
+(`<codec>_compress_blocks`, and `<codec>_decompress_blocks` over a
+record's status rows and joined streams) and `<codec>_frame_cost`, which
 takes the palette engines' five arguments and returns `(bits, classes)`
 per block: the RAS size class, the RED class, or HDCP's VDCP-won mask.
 HDCP's engine calls `vdcp_frame_cost` and `ras_frame_cost` through this
 module's names, so a patch on either here is the one that runs.
 
-RED stores its class's colors as 32-bit words and rebuilds a stack with one
-gather. RAS runs on whole arrays, never one
-sample at a time:
+RED classifies blocks once, in `_red_classes`, for its encoder and its
+engine; it stores its class's colors as 32-bit words and rebuilds a stack
+with one gather. RAS runs on whole arrays, never one sample at a time:
 
 - `med_zigzag` is the one MED kernel. It maps the 8-bit samples of any
   `(..., 8a, 8b)` int16 array (a padded frame's four channels, or a strip
@@ -31,18 +31,18 @@ sample at a time:
 - `ras_compress_blocks` costs a chunk of n blocks laid side by side as
   one 8-row strip (`_ras_cost`), so the kernels' row reduce and
   `surface.pool` run along rows 8n pixels wide, not 8, and writes the
-  coded blocks' streams with one `packbits`. `ras_decompress_blocks`
-  walks the payload a chunk of blocks at a time: one next-zero table per
-  chunk serves the Golomb-Rice parse of each stream, which also finds
-  where the next stream starts, and the fields it collects rebuild all
-  channels of the chunk's blocks at once, one anti-diagonal of the 8x8
-  grid per step.
+  chunk's payload with one `packbits`. `ras_decompress_blocks` walks the
+  payload a chunk of blocks at a time: one next-zero table per chunk
+  serves the Golomb-Rice parse of each stream, which also finds where the
+  next stream starts, and the fields it collects rebuild all channels of
+  the chunk's blocks at once, one anti-diagonal of the 8x8 grid per step.
 - `hybrid_compress_blocks` encodes each block once, with its winner. VDCP
-  encodes the stack; RAS costs every block with its encoder's kernels and
+  encodes a chunk; RAS costs every block with its encoder's kernels and
   charge (not `ras_frame_cost`'s, which caps edge blocks), and
-  `ras_compress_blocks` encodes only the blocks RAS wins, costing them
-  again. `hybrid_decompress_blocks` is the same walk as RAS's, with each
-  VDCP block's length taken from its status entries.
+  `ras_compress_blocks` encodes only the blocks RAS wins; one byte gather
+  puts the streams in block order. `hybrid_decompress_blocks` is the same
+  walk as RAS's, with each VDCP block's length taken from its status
+  entries.
 
 The per-block names (`ras_compress_block`, ...) are the batch entries on
 one block. The scalar bit-at-a-time codecs these replaced live on in
@@ -65,8 +65,8 @@ from .bitio import (
 from .dcp_codecs import (
     BATCH_BLOCKS,
     VDCP_RAW,
-    CompressedBlock,
-    compressed_blocks,
+    CompressedBlocks,
+    encode_chunks,
     palette_decode,
     palette_widths,
     vdcp_compress_blocks,
@@ -172,28 +172,27 @@ def _red_uniform(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u4, u8
 
 
-def _red_classes(blocks: np.ndarray) -> np.ndarray:
-    """The class of each block of an (n, 8, 8) or (n, 64) stack."""
-    u4, u8 = _red_uniform(blocks.reshape(-1, 8, 8))
-    c8 = pool(u8, np.logical_and, 4, 2)[:, 0, 0]
-    c4 = pool(u4, np.logical_and, 4, 4)[:, 0, 0]
+def _red_classes(pixels: np.ndarray) -> np.ndarray:
+    """The class of each 8x8 block of the last two axes of any (..., 8a, 8b)
+    array of pixels."""
+    u4, u8 = _red_uniform(pixels)
+    c8 = pool(u8, np.logical_and, 4, 2)
+    c4 = pool(u4, np.logical_and, 4, 4)
     return np.where(c8, RED_C8, np.where(c4, RED_C4, RED_RAW))
 
 
-def red_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBlock]:
+def red_compress_blocks(blocks: np.ndarray, palette=None) -> CompressedBlocks:
     """Each block's class colors as big-endian 32-bit words; `palette` is
     unused."""
-    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 64)
-    out: list[CompressedBlock] = []
-    for lo in range(0, len(blocks), BATCH_BLOCKS):
-        chunk = blocks[lo:lo + BATCH_BLOCKS]
-        cls = _red_classes(chunk)
-        words = np.take_along_axis(chunk, _RED_FIELD_PIXEL[cls], axis=1).astype(">u4")
-        count = _RED_FIELDS[cls]
-        out += compressed_blocks(cls[:, None],
-                                 [row[:n].tobytes() for row, n in zip(words, count.tolist())],
-                                 32 * count)
-    return out
+    return encode_chunks(_red_encode, blocks)
+
+
+def _red_encode(blocks: np.ndarray) -> CompressedBlocks:
+    cls = _red_classes(blocks).reshape(-1)
+    words = np.take_along_axis(blocks.reshape(-1, 64), _RED_FIELD_PIXEL[cls], axis=1)
+    count = _RED_FIELDS[cls]
+    kept = words[np.arange(64) < count[:, None]]           # each row's fields, in order
+    return CompressedBlocks(cls[:, None], kept.astype(">u4").tobytes(), 32 * count, 32 * count)
 
 
 def red_decompress_blocks(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
@@ -214,12 +213,12 @@ def red_decompress_blocks(csb: np.ndarray, payload: bytes, palette=None) -> np.n
     return out
 
 
-def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
-    return red_compress_blocks(block[None])[0]
+def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlocks:
+    return red_compress_blocks(block[None])
 
 
-def red_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return red_decompress_blocks(np.array([comp.csb]), comp.payload)[0]
+def red_decompress_block(comp: CompressedBlocks, palette=None) -> np.ndarray:
+    return red_decompress_blocks(comp.csb, comp.payload)[0]
 
 
 def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
@@ -229,15 +228,11 @@ def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
     A C8 block charges 32 bits per region and a C4 block per 2x2 cell that
     holds a live pixel; a raw block charges its live pixels.
     """
-    u4, u8 = _red_uniform(padded)
-    c8_ok = pool(u8, np.logical_and, 4, 2)
-    c4_ok = pool(u4, np.logical_and, 4, 4)
+    classes = _red_classes(padded)
     live4 = sb_real > 0
     real_r8 = pool(pool(live4, np.logical_or, 1, 2), np.add, 4, 2, dtype=np.int8)
     real_r4 = pool(live4, np.add, 4, 4, dtype=np.int8)
-    bits = 32 * np.where(c8_ok, real_r8, np.where(c4_ok, real_r4, block_real))
-    classes = np.where(c8_ok, RED_C8, np.where(c4_ok, RED_C4, RED_RAW))
-    return bits, classes
+    return 32 * np.choose(classes, (real_r8, real_r4, block_real)), classes
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ def _ras_charge(total: np.ndarray) -> np.ndarray:
     return np.where(total > 1536, RAW_BLOCK_BITS, _quantize_512(total))
 
 
-def ras_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBlock]:
+def ras_compress_blocks(blocks: np.ndarray, palette=None) -> CompressedBlocks:
     """Encode an (n, 8, 8) stack of blocks; `palette` is unused.
 
     Each channel takes the smallest k in 0..6 that minimizes its Golomb-Rice
@@ -269,11 +264,7 @@ def ras_compress_blocks(blocks: np.ndarray, palette=None) -> list[CompressedBloc
     raw samples under k=7. A block whose channel total exceeds 1536 bits is
     stored as 64 raw pixels and charged the full 2048.
     """
-    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
-    out: list[CompressedBlock] = []
-    for lo in range(0, len(blocks), BATCH_BLOCKS):
-        out += _ras_encode(blocks[lo:lo + BATCH_BLOCKS])
-    return out
+    return encode_chunks(_ras_encode, blocks)
 
 
 def _ras_cost(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -296,43 +287,42 @@ def _ras_cost(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return samples.reshape(4, 8, n, 8), zz.reshape(4, 8, n, 8), k, total
 
 
-def _ras_encode(blocks: np.ndarray) -> list[CompressedBlock]:
+def _ras_encode(blocks: np.ndarray) -> CompressedBlocks:
     samples, zz, k, total = _ras_cost(blocks)
-    coded = np.flatnonzero(total <= 1536)
-    payloads = iter(_ras_pack(samples[:, :, coded], zz[:, :, coded], k[coded], total[coded]))
-    out = []
-    for block, bits, charged in zip(blocks, total.tolist(), _ras_charge(total).tolist()):
-        if bits > 1536:
-            out.append(CompressedBlock((RAS_RAW_CLASS,), block.astype(">u4").tobytes(),
-                                       RAW_BLOCK_BITS, RAW_BLOCK_BITS))
-        else:
-            out.append(CompressedBlock((charged // 512 - 1,), next(payloads), bits, charged))
-    return out
+    charged = _ras_charge(total)
+    nbits = np.where(total > 1536, RAW_BLOCK_BITS, total)
+    payload = _ras_pack(blocks, samples, zz, k, nbits)
+    return CompressedBlocks(charged[:, None] // 512 - 1, payload, nbits, charged)
 
 
-def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
-              total: np.ndarray) -> list[bytes]:
-    """The byte-aligned streams of blocks coded channel by channel, from
-    their samples and residuals as (4, 8, n, 8) strips.
+def _ras_pack(blocks: np.ndarray, samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
+              nbits: np.ndarray) -> bytes:
+    """The joined byte-aligned streams of a chunk of blocks, given their
+    samples and residuals as (4, 8, n, 8) strips, each channel's k and each
+    stream's bits: RAW_BLOCK_BITS for a block stored raw.
 
-    Every item of a stream (a channel's k, a code, a raw sample) gets its
-    start bit from one cumulative sum. The unary runs are set with one
-    `repeat`; every field of at most 8 bits (k, a remainder, a raw sample)
-    is left-aligned in a byte whose one-bits are scattered to their place;
-    the zeros between are already there. One `packbits` makes the bytes.
+    The coded blocks are written channel by channel. Every item of a stream
+    (a channel's k, a code, a raw sample) gets its start bit from one
+    cumulative sum. The unary runs are set with one `repeat`; every field
+    of at most 8 bits (k, a remainder, a raw sample) is left-aligned in a
+    byte whose one-bits are scattered to their place; the zeros between
+    are already there. One `packbits` makes the bytes, and each raw block's
+    256 bytes are then put in its place.
     """
-    n = len(k)
-    kk = k[:, :, None]                                   # (n, 4, 1)
+    nbytes = (nbits + 7) // 8
+    first = np.cumsum(nbytes) - nbytes                   # each stream's first byte
+    raw_block = nbits == RAW_BLOCK_BITS                  # a coded stream is at most 1536
+    coded = np.flatnonzero(~raw_block)
+    n = coded.size
+    kk = k[coded, :, None]                               # (n, 4, 1)
     raw = kk == GR_K_RAW
-    z = zz.transpose(2, 0, 1, 3).reshape(n, 4, 64).astype(np.int64)
+    z = zz[:, :, coded].transpose(2, 0, 1, 3).reshape(n, 4, 64).astype(np.int64)
     q = np.where(raw, 0, z >> np.minimum(kk, GR_K_MAX))
     lengths = np.empty((n, 4, 65), dtype=np.int64)
     lengths[..., 0] = 3
     lengths[..., 1:] = np.where(raw, 8, q + 1 + kk)
-    nbytes = (total + 7) // 8
-    base = 8 * (np.cumsum(nbytes) - nbytes)
     flat = lengths.reshape(n, 4 * 65)
-    starts = (base[:, None] + np.cumsum(flat, axis=1) - flat).reshape(n, 4, 65)
+    starts = (8 * first[coded, None] + np.cumsum(flat, axis=1) - flat).reshape(n, 4, 65)
     code_at = starts[..., 1:]
 
     bits = np.zeros(8 * int(nbytes.sum()), dtype=np.uint8)
@@ -341,17 +331,19 @@ def _ras_pack(samples: np.ndarray, zz: np.ndarray, k: np.ndarray,
          + np.arange(int(runs.sum()))] = 1
 
     width = np.where(raw, 8, kk)
-    value = np.where(raw, samples.transpose(2, 0, 1, 3).reshape(n, 4, 64),
+    value = np.where(raw, samples[:, :, coded].transpose(2, 0, 1, 3).reshape(n, 4, 64),
                      z & ((1 << width) - 1))
     field_at = np.concatenate([starts[..., 0].reshape(-1),
                                np.where(raw, code_at, code_at + q + 1).reshape(-1)])
-    aligned = np.concatenate([(k << 5).reshape(-1),
+    aligned = np.concatenate([(kk << 5).reshape(-1),
                               (value << (8 - width)).reshape(-1)]).astype(np.uint8)
     ones = np.unpackbits(aligned[:, None], axis=1).astype(bool)
     bits[(field_at[:, None] + np.arange(8))[ones]] = 1
 
-    packed = np.packbits(bits).tobytes()
-    return [packed[b:b + m] for b, m in zip((base // 8).tolist(), nbytes.tolist())]
+    packed = np.packbits(bits)
+    packed[first[raw_block, None] + np.arange(256)] = (
+        blocks[raw_block].astype(">u4").view(np.uint8).reshape(-1, 256))
+    return packed.tobytes()
 
 
 def ras_decompress_blocks(csb: np.ndarray, payload: bytes, palette=None) -> np.ndarray:
@@ -525,12 +517,12 @@ def _med_rebuild(residuals: np.ndarray) -> np.ndarray:
     return grid.reshape(9, 9, -1)[1:, 1:].reshape(64, -1).T
 
 
-def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
-    return ras_compress_blocks(block[None])[0]
+def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlocks:
+    return ras_compress_blocks(block[None])
 
 
-def ras_decompress_block(comp: CompressedBlock, palette=None) -> np.ndarray:
-    return ras_decompress_blocks(np.array([comp.csb]), comp.payload)[0]
+def ras_decompress_block(comp: CompressedBlocks, palette=None) -> np.ndarray:
+    return ras_decompress_blocks(comp.csb, comp.payload)[0]
 
 
 def ras_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
@@ -554,25 +546,34 @@ def ras_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 HDCP_RAS_BASE = 8              # 5-bit status values 8..11 carry the RAS class
 
 
-def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> list[CompressedBlock]:
+def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
     """Compress each block with the codec needing fewer bursts; ties go to VDCP.
 
-    VDCP encodes the whole stack. RAS costs every block with its encoder's
-    kernels and charge, and encodes only the blocks it wins. The RAS
-    outcome replicates its size class into all 16 status slots (values
-    8..11); VDCP outcomes reuse its 0..7 codes.
+    A chunk at a time: VDCP encodes the chunk; RAS costs every block with
+    its encoder's kernels and charge, and encodes only the blocks it wins.
+    The RAS outcome replicates its size class into all 16 status slots
+    (values 8..11); VDCP outcomes reuse its 0..7 codes.
     """
-    blocks = np.asarray(blocks, dtype=np.uint32).reshape(-1, 8, 8)
-    out = vdcp_compress_blocks(blocks, ccd)
-    v_bursts = charged_bursts(np.array([b.cost_bits for b in out], dtype=np.int64))
-    won: list[int] = []
-    for lo in range(0, len(blocks), BATCH_BLOCKS):
-        r_bursts = charged_bursts(_ras_charge(_ras_cost(blocks[lo:lo + BATCH_BLOCKS])[3]))
-        won += (lo + np.flatnonzero(r_bursts < v_bursts[lo:lo + len(r_bursts)])).tolist()
-    for i, rb in zip(won, ras_compress_blocks(blocks[won])):
-        out[i] = CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
-                                 rb.payload_bits, rb.cost_bits)
-    return out
+    return encode_chunks(_hybrid_encode, blocks, ccd)
+
+
+def _hybrid_encode(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+    v = vdcp_compress_blocks(blocks, ccd)
+    won = charged_bursts(_ras_charge(_ras_cost(blocks)[3])) < charged_bursts(v.cost_bits)
+    r = ras_compress_blocks(blocks[won])
+    csb, payload_bits, cost_bits = v.csb.copy(), v.payload_bits.copy(), v.cost_bits.copy()
+    csb[won] = HDCP_RAS_BASE + r.csb
+    payload_bits[won] = r.payload_bits
+    cost_bits[won] = r.cost_bits
+    # Each block's stream, in block order, from VDCP's payload or from
+    # RAS's after it: one gather of its bytes.
+    v_bytes, r_bytes = (v.payload_bits + 7) // 8, (r.payload_bits + 7) // 8
+    first = np.cumsum(v_bytes) - v_bytes
+    first[won] = len(v.payload) + np.cumsum(r_bytes) - r_bytes
+    nbytes = (payload_bits + 7) // 8
+    at = np.repeat(first - (np.cumsum(nbytes) - nbytes), nbytes) + np.arange(nbytes.sum())
+    source = np.frombuffer(v.payload + r.payload, dtype=np.uint8)
+    return CompressedBlocks(csb, source[at].tobytes(), payload_bits, cost_bits)
 
 
 def hybrid_decompress_blocks(csb: np.ndarray, payload: bytes,
@@ -597,12 +598,12 @@ def _hdcp_ras_classes(csb: np.ndarray) -> np.ndarray:
     return np.where(is_vdcp, -1, size_class)
 
 
-def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlock:
-    return hybrid_compress_blocks(block[None], ccd)[0]
+def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+    return hybrid_compress_blocks(block[None], ccd)
 
 
-def hybrid_decompress_block(comp: CompressedBlock, palette: Rccd | None = None) -> np.ndarray:
-    return hybrid_decompress_blocks(np.array([comp.csb]), comp.payload, palette)[0]
+def hybrid_decompress_block(comp: CompressedBlocks, palette: Rccd | None = None) -> np.ndarray:
+    return hybrid_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
 def hybrid_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,

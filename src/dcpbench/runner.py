@@ -269,8 +269,8 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
 
     The sample goes through the family's codec pair as one stack, one
     palette both encoding and decoding (the reference codecs ignore it);
-    it decodes from its status rows and joined streams, as a container
-    does. `schemes.resolve` looks the pair up on its module when called.
+    the encoder's record decodes as it is, as a container's would.
+    `schemes.resolve` looks the pair up on its module when called.
     Fully live blocks must also reproduce the vectorized engine's
     accounting bits exactly; edge blocks are checked for losslessness
     only. The first failing block in index order raises, naming the frame
@@ -283,11 +283,10 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     idx = np.array(indices, dtype=np.int64)
     rows, cols = np.divmod(idx, nbx)
     blocks = block_stack(padded)[rows, cols]
-    comps = resolve(scheme.codec, "compress_blocks")(blocks, m.palette)
-    decoded = resolve(scheme.codec, "decompress_blocks")(
-        np.array([c.csb for c in comps]), b"".join(c.payload for c in comps), m.palette)
+    comp = resolve(scheme.codec, "compress_blocks")(blocks, m.palette)
+    decoded = resolve(scheme.codec, "decompress_blocks")(comp.csb, comp.payload, m.palette)
     lossy = (decoded.reshape(len(idx), 64) != blocks.reshape(len(idx), 64)).any(axis=1)
-    stream = np.array([c.cost_bits for c in comps], dtype=np.int64)
+    stream = comp.cost_bits
     engine = engine_bits.reshape(-1)[idx]
     costly = (block_real.reshape(-1)[idx] == 64) & (stream != engine)
     bad = np.flatnonzero(lossy | costly)

@@ -16,12 +16,13 @@ family's three entries, all reached through `resolve`:
                      mask. The palette engines return the bits array alone,
                      not a tuple, since wrappers around them read array
                      attributes (`.size`) off the result.
-  compress_blocks    (blocks, palette) -> one `CompressedBlock` per block
-  decompress_blocks  (csb, payload, palette) -> an (n, 8, 8) stack, from
-                     the (n, k) status entries and the blocks' joined
-                     byte-aligned streams. Each stream is parsed once, in
-                     order; one that runs past the payload, or payload
-                     bytes left over, raise CorruptStreamError.
+  compress_blocks    (blocks, palette) -> one `CompressedBlocks` record:
+                     the (n, k) status rows, the blocks' joined byte-
+                     aligned streams, and their (n,) payload and cost bits
+  decompress_blocks  (csb, payload, palette) -> an (n, 8, 8) stack, from a
+                     record's status rows and payload. Each stream is
+                     parsed once, in order; one that runs past the payload,
+                     or payload bytes left over, raise CorruptStreamError.
 
 The reference families ignore the palette. `resolve` looks the entry up on
 its module when called, which keeps this module free of package imports

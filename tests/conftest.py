@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dcpbench.dcp_codecs import CompressedBlocks
 from dcpbench.palette import Ccd
 from dcpbench.surface import Frame
 
@@ -64,10 +65,21 @@ def ccd_from_blocks(blocks, size: int) -> Ccd:
     return Ccd(colors[order][:size])
 
 
-def streams(comps) -> tuple[np.ndarray, bytes]:
-    """The (n, k) status rows and joined payload of `CompressedBlock`s: what
-    a container stores and a `decompress_blocks` entry takes."""
-    return np.array([c.csb for c in comps]), b"".join(c.payload for c in comps)
+def assert_same_blocks(got, want):
+    """Two `CompressedBlocks` records hold the same status rows, payload and
+    bit counts."""
+    assert np.array_equal(got.csb, want.csb)
+    assert got.payload == want.payload
+    assert np.array_equal(got.payload_bits, want.payload_bits)
+    assert np.array_equal(got.cost_bits, want.cost_bits)
+
+
+def split_blocks(comp) -> list[CompressedBlocks]:
+    """Each block of a `CompressedBlocks` record as a one-block record."""
+    ends = np.cumsum((comp.payload_bits + 7) // 8).tolist()
+    return [CompressedBlocks(comp.csb[i:i + 1], comp.payload[lo:hi],
+                             comp.payload_bits[i:i + 1], comp.cost_bits[i:i + 1])
+            for i, (lo, hi) in enumerate(zip([0] + ends, ends))]
 
 
 def frame_from_cells(cells: np.ndarray) -> Frame:

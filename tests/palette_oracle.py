@@ -5,10 +5,12 @@ This is the bit-at-a-time implementation the batched codecs in
 `dcpbench.dcp_codecs` and `dcpbench.reference_codecs` replaced. It writes
 and reads one field at a time through `BitWriter`/`BitReader` and encodes
 one pixel at a time through dictionaries built from the palette, so it is
-slow and easy to check by eye. Tests pin the batch entries, the frame-cost
-engines and the frame decoder to it: same status entries, payload bytes,
-payload and cost bits, same decoded blocks, and `CorruptStreamError` on
-exactly the same damaged streams.
+slow and easy to check by eye. Each block encodes to a one-block
+`CompressedBlocks` record, and `compress_blocks` joins a stack's records
+into one, as the batch entries return it. Tests pin the batch entries, the
+frame-cost engines and the frame decoder to it: same status entries,
+payload bytes, payload and cost bits, same decoded blocks, and
+`CorruptStreamError` on exactly the same damaged streams.
 
 `sorted_lookup` is the per-pixel binary search that the palette lookup
 keeps only for bands with many runs; tests pin the run-head search to it.
@@ -22,11 +24,32 @@ import numpy as np
 
 from dcpbench.bitio import CorruptStreamError
 from dcpbench.container import parse
-from dcpbench.dcp_codecs import VDCP_MAX_CCD, VDCP_RAW, CompressedBlock
+from dcpbench.dcp_codecs import VDCP_MAX_CCD, VDCP_RAW, CompressedBlocks
 from dcpbench.huffman import HuffmanTable
 from dcpbench.palette import Rccd
 from dcpbench.reference_codecs import RED_C4, RED_C8, RED_RAW
 from dcpbench.surface import BLOCK, Frame, block_grid
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+def record(csb, w: BitWriter, cost_bits: int | None = None) -> CompressedBlocks:
+    """One block's record: its status entries and the stream written to
+    `w`, charged `cost_bits`, by default the stream's bits."""
+    bits = w.bit_length
+    return CompressedBlocks(np.array([csb], dtype=np.int64), w.to_bytes(), np.array([bits]),
+                            np.array([bits if cost_bits is None else cost_bits]))
+
+
+def stack(records: list[CompressedBlocks], k: int) -> CompressedBlocks:
+    """One-block records of k status entries each as one record of the
+    stack, as a batch entry returns it."""
+    return CompressedBlocks(
+        np.concatenate([np.empty((0, k), dtype=np.int64)] + [r.csb for r in records]),
+        b"".join(r.payload for r in records),
+        np.concatenate([np.empty(0, dtype=np.int64)] + [r.payload_bits for r in records]),
+        np.concatenate([np.empty(0, dtype=np.int64)] + [r.cost_bits for r in records]))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +251,7 @@ FAMILIES = {
 }
 
 
-def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
+def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlocks:
     raw_status, encode, size, _ = FAMILIES[codec]
     usable = palette is not None and len(palette) > 0
     w = BitWriter()
@@ -244,7 +267,7 @@ def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
             csb.append(status)
             for value, width in fields:
                 w.write(value, width)
-    return CompressedBlock(tuple(csb), w.to_bytes(), w.bit_length, w.bit_length)
+    return record(csb, w)
 
 
 def _read_palette_block(codec: str, reader: BitReader, csb, palette) -> np.ndarray:
@@ -260,17 +283,17 @@ def _read_palette_block(codec: str, reader: BitReader, csb, palette) -> np.ndarr
     return assemble_sub_blocks(np.array(groups, dtype=np.uint32))
 
 
-def dcp_compress_block(block: np.ndarray, ccd) -> CompressedBlock:
+def dcp_compress_block(block: np.ndarray, ccd) -> CompressedBlocks:
     return _compress_block("dcp", block, ccd)
 
 
-def vdcp_compress_block(block: np.ndarray, ccd) -> CompressedBlock:
+def vdcp_compress_block(block: np.ndarray, ccd) -> CompressedBlocks:
     if ccd is not None and len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
     return _compress_block("vdcp", block, ccd)
 
 
-def huffdcp_compress_block(block: np.ndarray, table) -> CompressedBlock:
+def huffdcp_compress_block(block: np.ndarray, table) -> CompressedBlocks:
     return _compress_block("huffdcp", block, table)
 
 
@@ -306,7 +329,7 @@ def red_classify_block(block: np.ndarray) -> tuple[int, int]:
     return cls, RED_CHARGED_BITS[cls]
 
 
-def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
+def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlocks:
     cls, bits = red_classify_block(block)
     if cls == RED_C8:
         colors = block.reshape(4, 2, 2, 4)[:, 0, :, 0]
@@ -317,7 +340,7 @@ def red_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
     w = BitWriter()
     for c in colors.reshape(-1).tolist():
         w.write(c, 32)
-    return CompressedBlock((cls,), w.to_bytes(), bits, bits)
+    return record([cls], w)
 
 
 def _read_red(reader: BitReader, csb, palette=None) -> np.ndarray:
@@ -348,7 +371,7 @@ def read_block(codec: str, reader: BitReader, csb, palette=None) -> np.ndarray:
     return ras_oracle.read_hybrid(reader, csb, palette)
 
 
-def compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
+def compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlocks:
     if codec == "red":
         return red_compress_block(block)
     if codec in FAMILIES:
@@ -357,6 +380,12 @@ def compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlock:
     if codec == "ras":
         return ras_oracle.ras_compress_block(block)
     return ras_oracle.hybrid_compress_block(block, palette)
+
+
+def compress_blocks(codec: str, blocks: np.ndarray, palette) -> CompressedBlocks:
+    """A stack encoded block by block, as one record."""
+    return stack([compress_block(codec, block, palette) for block in blocks],
+                 1 if codec in ("ras", "red") else 16)
 
 
 def decompress_streams(codec: str, grid, payload: bytes, palette=None) -> np.ndarray:

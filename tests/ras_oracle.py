@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from palette_oracle import BitReader, BitWriter, read_block, vdcp_compress_block
+from palette_oracle import BitReader, BitWriter, read_block, record, vdcp_compress_block
 
 from dcpbench.bandwidth import charged_bursts
 from dcpbench.bitio import CorruptStreamError
-from dcpbench.dcp_codecs import VDCP_RAW, CompressedBlock
+from dcpbench.dcp_codecs import VDCP_RAW, CompressedBlocks
 from dcpbench.reference_codecs import (
     GR_K_MAX,
     GR_K_RAW,
@@ -113,7 +113,7 @@ def choose_k(zz: list[int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # RAS
 
-def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
+def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlocks:
     """Encode one block: per channel a 3-bit k then the sample stream.
 
     A channel whose best Golomb-Rice size exceeds its raw size (512 bits)
@@ -136,7 +136,7 @@ def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
         w = BitWriter()
         for p in block.reshape(-1).tolist():
             w.write(p, 32)
-        return CompressedBlock((RAS_RAW_CLASS,), w.to_bytes(), w.bit_length, RAW_BLOCK_BITS)
+        return record([RAS_RAW_CLASS], w, RAW_BLOCK_BITS)
     w = BitWriter()
     for k, samples in choices:
         w.write(k, 3)
@@ -147,7 +147,7 @@ def ras_compress_block(block: np.ndarray, palette=None) -> CompressedBlock:
             for z in samples:
                 golomb_rice_encode(w, z, k)
     charged = ((total + 511) // 512) * 512
-    return CompressedBlock((charged // 512 - 1,), w.to_bytes(), w.bit_length, charged)
+    return record([charged // 512 - 1], w, charged)
 
 
 def read_ras(r: BitReader, csb, palette=None) -> np.ndarray:
@@ -187,14 +187,14 @@ def read_ras(r: BitReader, csb, palette=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # HDCP
 
-def hybrid_compress_block(block: np.ndarray, ccd) -> CompressedBlock:
+def hybrid_compress_block(block: np.ndarray, ccd) -> CompressedBlocks:
     """The cheaper in bursts of VDCP and RAS; ties go to VDCP."""
     vb = vdcp_compress_block(block, ccd)
     rb = ras_compress_block(block)
-    if charged_bursts(vb.cost_bits) <= charged_bursts(rb.cost_bits):
+    if charged_bursts(int(vb.cost_bits[0])) <= charged_bursts(int(rb.cost_bits[0])):
         return vb
-    return CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16, rb.payload,
-                           rb.payload_bits, rb.cost_bits)
+    return CompressedBlocks(np.full((1, 16), HDCP_RAS_BASE + rb.csb[0, 0]), rb.payload,
+                            rb.payload_bits, rb.cost_bits)
 
 
 def read_hybrid(reader: BitReader, csb, rccd) -> np.ndarray:

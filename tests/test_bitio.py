@@ -81,24 +81,27 @@ def _rows(rng, n, fields):
 def test_pack_fields_matches_writer():
     rng = np.random.default_rng(11)
     widths, values = _rows(rng, 40, 70)
-    payloads, nbits = pack_fields(widths, values)
-    for row_w, row_v, payload, n in zip(widths, values, payloads, nbits.tolist()):
+    payload, nbits = pack_fields(widths, values)
+    streams = []
+    for row_w, row_v, n in zip(widths, values, nbits.tolist()):
         w = BitWriter()
         for width, value in zip(row_w.tolist(), row_v.tolist()):
             w.write(value, width)
-        assert (payload, n) == (w.to_bytes(), w.bit_length)
+        assert n == w.bit_length
+        streams.append(w.to_bytes())
+    assert payload == b"".join(streams)
 
 
 def test_read_fields_reads_what_was_packed():
     rng = np.random.default_rng(12)
     widths, values = _rows(rng, 30, 50)
-    payloads, nbits = pack_fields(widths, values)
-    buf = join_streams(b"".join(payloads))
-    base = stream_starts(nbits, b"".join(payloads))
+    payload, nbits = pack_fields(widths, values)
+    buf = join_streams(payload)
+    base = stream_starts(nbits, payload)
     at = base[:, None] + np.cumsum(widths, axis=1) - widths
     assert np.array_equal(read_fields(buf, at, widths), values)
     # A field may end in the zero slack past the last byte.
-    assert read_fields(buf, [8 * len(b"".join(payloads))], 32).tolist() == [0]
+    assert read_fields(buf, [8 * len(payload)], 32).tolist() == [0]
 
 
 def test_streams_must_end_where_the_payload_does():

@@ -132,16 +132,36 @@ def test_sweep_relative_coverage_saturates(tmp_path):
     assert rel[16] <= 1.0
 
 
-def test_sweep_range_validation(ui_trace, tmp_path):
-    rc = main(["sweep", str(ui_trace), "--dimension", "fvc_size", "--values", "8",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    rc = main(["sweep", str(ui_trace), "--dimension", "frame_sampling", "--values", "99",
-               "--out", str(tmp_path / "y.csv")])
-    assert rc == 1
-    rc = main(["sweep", str(ui_trace), "--dimension", "pixel_sampling", "--values", "3",
-               "--out", str(tmp_path / "z.csv")])
-    assert rc == 1
+def test_sweep_range_validation(ui_trace, tmp_path, capsys):
+    # A sweep value is checked where its flag's value is: by the config.
+    for dimension, value, error in (
+            ("fvc_size", "1024", "entry_count must be a power of two <= 512, got 1024"),
+            ("pixel_sampling", "3", "pixel_sampling must be a power of two in 1..16384"),
+            ("frame_sampling", "0", "frame_sampling must be >= 1")):
+        rc = main(["sweep", str(ui_trace), "--dimension", dimension, "--values", value,
+                   "--out", str(tmp_path / "out" / "x.csv")])
+        assert rc == 1
+        assert f"configuration error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_sweep_values_run_as_their_flags(ui_trace, tmp_path):
+    # fvc_size 8 and frame_sampling 61 are values `compress` takes, so a
+    # sweep takes them too and gives compress's rates.
+    for dimension, flag, values in (("fvc_size", "--fvc-size", ("8", "16")),
+                                    ("frame_sampling", "--frame-sampling", ("61",))):
+        rates = []
+        for value in values:
+            out = tmp_path / f"{dimension}-{value}.csv"
+            assert main(["compress", str(ui_trace), "--scheme", "VDCP", flag, value,
+                         "--out", str(out)]) == 0
+            rates.append(json.loads(out.with_suffix(".json").read_text())["rate"])
+        sweep = tmp_path / f"{dimension}.csv"
+        assert main(["sweep", str(ui_trace), "--scheme", "VDCP", "--dimension", dimension,
+                     "--values", ",".join(values), "--out", str(sweep)]) == 0
+        rows = [line.split(",") for line in sweep.read_text().splitlines()[2:]]
+        assert [row[1] for row in rows] == list(values)
+        assert [float(row[5]) for row in rows] == pytest.approx(rates)
 
 
 def test_bare_ct_flag_defaults_to_paper_threshold(ui_trace, tmp_path):
@@ -219,6 +239,17 @@ def test_outputs_may_not_overwrite_the_config_file(ui_trace, tmp_path, capsys, c
     assert "usage error" in capsys.readouterr().err
     assert cfg.read_text() == text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "trace"]
+
+
+@pytest.mark.parametrize("dump", ["run.csv", "run.json", "c.json"],
+                         ids=["csv", "summary", "config"])
+def test_dump_frames_may_not_be_another_output(ui_trace, tmp_path, capsys, dump):
+    (tmp_path / "c.json").write_text(json.dumps({"scheme": "DCP"}))
+    rc = main(["compress", str(ui_trace), "--config", str(tmp_path / "c.json"),
+               "--out", str(tmp_path / "run.csv"), "--dump-frames", str(tmp_path / dump)])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "trace"]
 
 
 def test_compress_summary_may_not_overwrite_the_csv(ui_trace, tmp_path, capsys):

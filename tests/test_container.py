@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import palette_oracle as oracle
-from conftest import block_pool, ccd_from_blocks
+from conftest import block_pool, ccd_from_blocks, split_blocks
 
 from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bitio import CorruptStreamError
@@ -116,22 +116,22 @@ def test_every_decoder_stops_where_its_stream_ends():
     cases = _stream_cases()
     for i, (codec, block, palette) in enumerate(cases):
         after = cases[(i + 6) % len(cases)][1]               # the same codec, the next block
-        comp, following = resolve(codec, "compress_blocks")(np.stack([block, after]), palette)
+        two = resolve(codec, "compress_blocks")(np.stack([block, after]), palette)
+        comp = split_blocks(two)[0]
+        csb = comp.csb[0].tolist()
         decode = resolve(codec, "decompress_blocks")
-        two = decode(np.array([comp.csb, following.csb]), comp.payload + following.payload,
-                     palette)
-        assert np.array_equal(two, [block, after]), (codec, comp.csb)
+        assert np.array_equal(decode(two.csb, two.payload, palette), [block, after]), (codec, csb)
         with pytest.raises(CorruptStreamError, match="^2 payload bytes left unread$"):
-            decode(np.array([comp.csb]), comp.payload + sentinel, palette)
+            decode(comp.csb, comp.payload + sentinel, palette)
         payload = comp.payload + sentinel
         reader = oracle.BitReader(payload)
-        decoded = oracle.read_block(codec, reader, comp.csb, palette)
+        decoded = oracle.read_block(codec, reader, csb, palette)
         assert np.array_equal(decoded, block), codec
-        assert reader.tell() == comp.payload_bits, (codec, comp.csb)
+        assert reader.tell() == comp.payload_bits[0], (codec, csb)
         reader.align_byte()
-        assert reader.read(16) == 0xA55A, (codec, comp.csb)
-        seen.setdefault(codec, set()).add(comp.csb[0] if codec in ("ras", "red", "hybrid")
-                                          else min(comp.csb))
+        assert reader.read(16) == 0xA55A, (codec, csb)
+        seen.setdefault(codec, set()).add(csb[0] if codec in ("ras", "red", "hybrid")
+                                          else min(csb))
     assert seen["ras"] == {0, 1, 2, 3}
     assert seen["red"] == {RED_C8, RED_C4, RED_RAW}
     assert any(s < HDCP_RAS_BASE for s in seen["hybrid"])
@@ -187,8 +187,8 @@ def test_container_rejects_hdcp_status_past_ras_classes(status):
 
 def test_hdcp_reader_rejects_mixed_status_entries():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    (comp,) = resolve("hybrid", "compress_blocks")(block[None], None)
-    assert comp.csb == (HDCP_RAS_BASE,) * 16
+    comp = resolve("hybrid", "compress_blocks")(block[None], None)
+    assert comp.csb.tolist() == [[HDCP_RAS_BASE] * 16]
     for csb in ((HDCP_RAS_BASE,) * 15 + (HDCP_RAS_BASE + 1,), (0,) * 15 + (HDCP_RAS_BASE,)):
         with pytest.raises(CorruptStreamError):
             hybrid_decompress_blocks(np.array([csb]), comp.payload, Rccd([]))
@@ -196,8 +196,8 @@ def test_hdcp_reader_rejects_mixed_status_entries():
 
 def test_ras_reader_rejects_wrong_size_class():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    (comp,) = resolve("ras", "compress_blocks")(block[None], None)
-    assert comp.csb == (0,)
+    comp = resolve("ras", "compress_blocks")(block[None], None)
+    assert comp.csb.tolist() == [[0]]
     with pytest.raises(CorruptStreamError):
         ras_decompress_blocks(np.array([[1]]), comp.payload)
 

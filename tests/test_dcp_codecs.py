@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import palette_oracle as oracle
-from conftest import block_pool, ccd_from_blocks, streams
+from conftest import assert_same_blocks, block_pool, ccd_from_blocks, split_blocks
 
 from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bitio import FIELD_MAX_BITS, CorruptStreamError
@@ -44,8 +44,8 @@ def test_dcp_uniform_block_384_bits():
     ccd = Ccd(np.arange(64, dtype=np.uint32))
     block = np.full((8, 8), 11, dtype=np.uint32)
     comp = dcp_compress_block(block, ccd)
-    assert comp.payload_bits == 16 * 4 * 6 == 384
-    assert comp.csb == (1,) * 16
+    assert comp.payload_bits.tolist() == [16 * 4 * 6] == [384]
+    assert comp.csb.tolist() == [[1] * 16]
 
 
 def test_dcp_single_miss_leaves_one_raw_sub_block():
@@ -53,15 +53,15 @@ def test_dcp_single_miss_leaves_one_raw_sub_block():
     block = np.full((8, 8), 5, dtype=np.uint32)
     block[0, 0] = 0xDEADBEEF
     comp = dcp_compress_block(block, ccd)
-    assert comp.csb.count(0) == 1
-    assert comp.payload_bits == 15 * 24 + 128
+    assert comp.csb[0].tolist().count(0) == 1
+    assert comp.payload_bits.tolist() == [15 * 24 + 128]
 
 
 def test_dcp_empty_palette_all_raw():
     block = np.arange(64, dtype=np.uint32).reshape(8, 8)
     comp = dcp_compress_block(block, Ccd([]))
-    assert comp.csb == (0,) * 16
-    assert comp.payload_bits == 2048
+    assert comp.csb.tolist() == [[0] * 16]
+    assert comp.payload_bits.tolist() == [2048]
     out = dcp_decompress_block(comp, Ccd([]))
     assert np.array_equal(out, block)
 
@@ -70,7 +70,7 @@ def test_dcp_size_one_palette_zero_payload():
     ccd = Ccd([9])
     block = np.full((8, 8), 9, dtype=np.uint32)
     comp = dcp_compress_block(block, ccd)
-    assert comp.payload_bits == 0
+    assert comp.payload_bits.tolist() == [0]
     assert np.array_equal(dcp_decompress_block(comp, ccd), block)
 
 
@@ -93,12 +93,12 @@ def test_vdcp_status_widths():
     block[0:2, 2:4] = [[100, 101], [100, 101]]        # second C0,C1
     block[0:2, 4:6] = 0xDEADBEEF                      # third misses
     comp = vdcp_compress_block(block, ccd)
-    assert comp.csb[0] == 2      # max index 3 -> 2 bits per pixel
-    assert comp.csb[1] == 1      # max index 1 -> 1 bit
-    assert comp.csb[2] == 7      # raw marker
-    assert comp.csb[3] == 0      # all C0 -> zero bits
+    assert comp.csb[0, 0] == 2      # max index 3 -> 2 bits per pixel
+    assert comp.csb[0, 1] == 1      # max index 1 -> 1 bit
+    assert comp.csb[0, 2] == 7      # raw marker
+    assert comp.csb[0, 3] == 0      # all C0 -> zero bits
     bits = 4 * 2 + 4 * 1 + 128 + 0 + 12 * 0
-    assert comp.payload_bits == bits
+    assert comp.payload_bits.tolist() == [bits]
     assert np.array_equal(vdcp_decompress_block(comp, ccd), block)
 
 
@@ -115,7 +115,7 @@ def test_vdcp_never_wider_than_dcp(rng):
     for block in blocks:
         d = dcp_compress_block(block, ccd)
         v = vdcp_compress_block(block, ccd)
-        for ds, vs in zip(d.csb, v.csb):
+        for ds, vs in zip(d.csb[0].tolist(), v.csb[0].tolist()):
             if ds == 1:
                 assert vs <= b
             else:
@@ -187,9 +187,9 @@ def test_frame_cost_matches_block_codecs(rng):
     for by in range(nby):
         for bx in range(nbx):
             block = padded[by * 8:(by + 1) * 8, bx * 8:(bx + 1) * 8]
-            assert dcp_compress_block(block, ccd).payload_bits == dcp_bits[by, bx]
-            assert vdcp_compress_block(block, ccd).payload_bits == vdcp_bits[by, bx]
-            assert huffdcp_compress_block(block, table).payload_bits == huff_bits[by, bx]
+            assert dcp_compress_block(block, ccd).payload_bits[0] == dcp_bits[by, bx]
+            assert vdcp_compress_block(block, ccd).payload_bits[0] == vdcp_bits[by, bx]
+            assert huffdcp_compress_block(block, table).payload_bits[0] == huff_bits[by, bx]
 
 
 def test_frame_cost_excludes_padding():
@@ -284,14 +284,15 @@ def test_batch_codec_matches_block_codec(codec):
     ccd = ccd_from_blocks(list(blocks), 16)
     palette = build_table([(int(c), 40 - i) for i, c in enumerate(ccd.colors)]) \
         if codec == "huffdcp" else ccd
-    comps = resolve(codec, "compress_blocks")(blocks, palette)
-    assert comps == [oracle.compress_block(codec, block, palette) for block in blocks]
+    comp = resolve(codec, "compress_blocks")(blocks, palette)
+    assert_same_blocks(comp, oracle.compress_blocks(codec, blocks, palette))
     module = dcp_codecs if codec in PALETTE_CODECS else reference_codecs
     one = getattr(module, f"{codec}_compress_block"), getattr(module, f"{codec}_decompress_block")
-    assert comps == [one[0](block, palette) for block in blocks]
-    decoded = resolve(codec, "decompress_blocks")(*streams(comps), palette)
+    singles = [one[0](block, palette) for block in blocks]
+    assert_same_blocks(comp, oracle.stack(singles, comp.csb.shape[1]))
+    decoded = resolve(codec, "decompress_blocks")(comp.csb, comp.payload, palette)
     assert decoded.shape == (12, 8, 8) and np.array_equal(decoded, blocks)
-    assert all(np.array_equal(one[1](c, palette), b) for c, b in zip(comps, blocks))
+    assert all(np.array_equal(one[1](c, palette), b) for c, b in zip(singles, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +326,14 @@ def _fibonacci_table(count: int) -> HuffmanTable:
 
 
 def _assert_matches_oracle(codec: str, blocks: np.ndarray, palette):
-    comps = resolve(codec, "compress_blocks")(blocks, palette)
-    expected = [oracle.compress_block(codec, block, palette) for block in blocks]
-    assert comps == expected                 # csb, payload bytes, both bit counts
-    decoded = resolve(codec, "decompress_blocks")(*streams(comps), palette)
+    comp = resolve(codec, "compress_blocks")(blocks, palette)
+    expected = oracle.compress_blocks(codec, blocks, palette)
+    assert_same_blocks(comp, expected)       # csb, payload bytes, both bit counts
+    decoded = resolve(codec, "decompress_blocks")(comp.csb, comp.payload, palette)
     assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, oracle.decompress_streams(codec, *streams(expected), palette))
-    return comps, decoded
+    assert np.array_equal(decoded, oracle.decompress_streams(codec, expected.csb,
+                                                             expected.payload, palette))
+    return comp, decoded
 
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS)
@@ -343,12 +345,13 @@ def test_palette_batch_matches_oracle(codec, gen):
                   ExperimentConfig(scheme={"dcp": "DCP", "vdcp": "VDCP",
                                            "huffdcp": "HUFFDCP"}[codec]))
     for palette in (m.palette, _palette_for(codec, blocks)):
-        comps, decoded = _assert_matches_oracle(codec, blocks, palette)
+        comp, decoded = _assert_matches_oracle(codec, blocks, palette)
+        singles = split_blocks(comp)
         for i in range(0, len(blocks), 5):       # n=1 equals the block in a batch
             one = resolve(codec, "compress_blocks")(blocks[i:i + 1], palette)
-            assert one == comps[i:i + 1]
-            assert np.array_equal(resolve(codec, "decompress_blocks")(*streams(one), palette)[0],
-                                  decoded[i])
+            assert_same_blocks(one, singles[i])
+            assert np.array_equal(
+                resolve(codec, "decompress_blocks")(one.csb, one.payload, palette)[0], decoded[i])
 
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS)
@@ -360,12 +363,12 @@ def test_palette_batch_edge_palettes(codec):
     palettes.append(_palette_for(codec, blocks, size=64))     # 6-bit codes, VDCP's limit
     assert [len(p) for p in palettes[2:]] == [1, 64]
     for palette in palettes:
-        comps, _ = _assert_matches_oracle(codec, blocks, palette)
+        comp, _ = _assert_matches_oracle(codec, blocks, palette)
         if palette is None or len(palette) == 0:
-            assert all(c.payload_bits == 2048 for c in comps)
+            assert (comp.payload_bits == 2048).all()
     if codec == "dcp":
         uniform = np.full((1, 8, 8), one.colors[0], dtype=np.uint32)
-        assert _assert_matches_oracle(codec, uniform, one)[0][0].payload_bits == 0
+        assert _assert_matches_oracle(codec, uniform, one)[0].payload_bits.tolist() == [0]
 
 
 def test_huffdcp_codes_as_long_as_a_field(monkeypatch):
@@ -391,14 +394,15 @@ def test_huffdcp_codes_as_long_as_a_field(monkeypatch):
     steps = dcp_codecs._sub_block_steps
     monkeypatch.setattr(dcp_codecs, "_sub_block_steps",
                         lambda *args: windows.append(args[2]) or steps(*args))
-    comps, _ = _assert_matches_oracle("huffdcp", blocks, table)
+    comp, _ = _assert_matches_oracle("huffdcp", blocks, table)
     # A deep block is 64 codes of 32 bits, half a window of the chase, so
     # the chase of this one chunk moves its window on every few blocks.
-    assert [c.payload_bits for c in comps[1:7]] == [64 * FIELD_MAX_BITS] * 6
-    assert len(windows) >= sum(c.payload_bits for c in comps) // dcp_codecs._WALK_WINDOW > 6
+    assert comp.payload_bits[1:7].tolist() == [64 * FIELD_MAX_BITS] * 6
+    assert len(windows) >= int(comp.payload_bits.sum()) // dcp_codecs._WALK_WINDOW > 6
     rng = np.random.default_rng(6)
     for lo in range(0, 12, 3):
-        for csb, payload in _damaged("huffdcp", *streams(comps[lo:lo + 3]), rng):
+        part = dcp_codecs.huffdcp_compress_blocks(blocks[lo:lo + 3], table)
+        for csb, payload in _damaged("huffdcp", part.csb, part.payload, rng):
             want = _outcome(oracle.decompress_streams, "huffdcp", csb, payload, table)
             assert _same(_outcome(huffdcp_decompress_blocks, csb, payload, table), want)
 
@@ -408,9 +412,9 @@ def _chunk_of_3_bit_codes():
     two chunks of blocks whose every code is 110: 192 bits a block."""
     table = HuffmanTable([0xFF000001, 0xFF000002, 0xFF000003], [1, 2, 3])
     blocks = np.full((2 * BATCH_BLOCKS, 8, 8), 0xFF000003, dtype=np.uint32)
-    comps = dcp_codecs.huffdcp_compress_blocks(blocks, table)
-    assert {c.payload_bits for c in comps} == {192}
-    return table, blocks, comps
+    comp = dcp_codecs.huffdcp_compress_blocks(blocks, table)
+    assert set(comp.payload_bits.tolist()) == {192}
+    return table, blocks, comp
 
 
 @pytest.mark.parametrize("code", [0, BATCH_BLOCKS * 32 + 6, BATCH_BLOCKS * 64 - 1],
@@ -418,8 +422,8 @@ def _chunk_of_3_bit_codes():
 def test_huffdcp_bits_that_begin_no_code_raise(code):
     # The chase stays on such bits; the decode must still raise on them,
     # wherever in a chunk they fall, as the oracle does.
-    table, _, comps = _chunk_of_3_bit_codes()
-    csb, payload = streams(comps)
+    table, _, comp = _chunk_of_3_bit_codes()
+    csb, payload = comp.csb, comp.payload
     blob = bytearray(payload)
     bit = 3 * code + 2                                       # 110 -> 111
     blob[bit // 8] |= 0x80 >> (bit % 8)
@@ -430,34 +434,36 @@ def test_huffdcp_bits_that_begin_no_code_raise(code):
 
 
 def test_huffdcp_stream_cut_short_raises():
-    table, blocks, comps = _chunk_of_3_bit_codes()
-    csb, payload = streams(comps)
+    table, blocks, comp = _chunk_of_3_bit_codes()
+    csb, payload = comp.csb, comp.payload
     assert np.array_equal(huffdcp_decompress_blocks(csb, payload, table), blocks)
     for cut in (1, 24 * BATCH_BLOCKS - 5, len(payload) - 1):
         with pytest.raises(CorruptStreamError, match="exhausted"):
             huffdcp_decompress_blocks(csb, payload[:cut], table)
 
 
-@pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
+@pytest.mark.parametrize("codec", PALETTE_CODECS + ("ras", "red", "hybrid"))
 def test_batch_entries_take_empty_and_chunked_stacks(codec):
-    assert resolve(codec, "compress_blocks")(np.empty((0, 8, 8), np.uint32), None) == []
-    none = np.empty((0, 1 if codec == "red" else 16), dtype=np.int64)
-    decode = resolve(codec, "decompress_blocks")
-    assert decode(none, b"", None).shape == (0, 8, 8)
+    k = 1 if codec in ("ras", "red") else 16
+    compress, decode = resolve(codec, "compress_blocks"), resolve(codec, "decompress_blocks")
+    none = compress(np.empty((0, 8, 8), np.uint32), None)
+    assert none.csb.shape == (0, k) and none.payload == b""
+    assert none.payload_bits.shape == none.cost_bits.shape == (0,)
+    assert decode(none.csb, none.payload, None).shape == (0, 8, 8)
     with pytest.raises(CorruptStreamError, match="^1 payload bytes left unread$"):
-        decode(none, b"\x00", None)
+        decode(none.csb, b"\x00", None)
     blocks = np.concatenate([_frame_blocks(gen, 96, 88) for gen in GENERATORS])
     assert len(blocks) > 4 * BATCH_BLOCKS
-    palette = _palette_for(codec, blocks) if codec != "red" else None
-    comps = resolve(codec, "compress_blocks")(blocks, palette)
+    palette = _palette_for(codec, blocks) if k == 16 else None
+    c = compress(blocks, palette)
     picked = slice(BATCH_BLOCKS - 6, BATCH_BLOCKS + 6)      # across a chunk boundary
-    assert comps[picked] == [oracle.compress_block(codec, b, palette) for b in blocks[picked]]
-    csb, payload = streams(comps)
-    assert np.array_equal(decode(csb, payload, palette), blocks)
+    assert_same_blocks(oracle.stack(split_blocks(c)[picked], k),
+                       oracle.compress_blocks(codec, blocks[picked], palette))
+    assert np.array_equal(decode(c.csb, c.payload, palette), blocks)
     # The last chunk ends where the payload does.
-    for damaged in (payload[:-1], payload + b"\x00"):
+    for damaged in (c.payload[:-1], c.payload + b"\x00"):
         with pytest.raises(CorruptStreamError):
-            decode(csb, damaged, palette)
+            decode(c.csb, damaged, palette)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +517,11 @@ def test_damaged_block_streams_fail_like_the_oracle(codec):
     rng = np.random.default_rng(17)
     blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5) for gen in GENERATORS])
     palette = _palette_for(codec, blocks) if codec != "red" else None
-    comps = resolve(codec, "compress_blocks")(blocks, palette)
-    decode = resolve(codec, "decompress_blocks")
+    compress, decode = resolve(codec, "compress_blocks"), resolve(codec, "decompress_blocks")
     cases = []
-    for lo in range(0, len(comps), 3):
-        csb, payload = streams(comps[lo:lo + 3])
+    for lo in range(0, len(blocks), 3):
+        part = compress(blocks[lo:lo + 3], palette)
+        csb, payload = part.csb, part.payload
         cases += [(c, p, palette) for c, p in _damaged(codec, csb, payload, rng)]
         if codec != "red":
             cases.append((csb, payload, _narrowed(codec, palette)))

@@ -312,10 +312,14 @@ def test_red_classes_match_oracle_on_stacks():
     rng = np.random.default_rng(23)
     blocks = _red_stack(rng)
     got = reference_codecs._red_classes(blocks)
+    assert got.shape == (len(blocks), 1, 1)
+    got = got.reshape(-1)
     np.testing.assert_array_equal(got, oracle_red_classes(blocks))
     assert set(got.tolist()) == {reference_codecs.RED_C8, reference_codecs.RED_C4,
                                  reference_codecs.RED_RAW}
-    np.testing.assert_array_equal(reference_codecs._red_classes(blocks.reshape(-1, 64)), got)
+    # The same blocks side by side in one 8-row strip, as a frame holds them.
+    strip = blocks.transpose(1, 0, 2).reshape(8, -1)
+    np.testing.assert_array_equal(reference_codecs._red_classes(strip), got[None])
 
 
 @pytest.mark.parametrize("generator", GENERATORS)

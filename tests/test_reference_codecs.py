@@ -3,7 +3,7 @@ import pytest
 
 import palette_oracle
 import ras_oracle as oracle
-from conftest import block_pool, ccd_from_blocks, make_block, streams
+from conftest import assert_same_blocks, block_pool, ccd_from_blocks, make_block, split_blocks
 from palette_oracle import BitReader, BitWriter
 from ras_oracle import (
     golomb_rice_decode,
@@ -17,7 +17,12 @@ from ras_oracle import (
 from dcpbench.bandwidth import charged_bursts
 from dcpbench.bitio import CorruptStreamError
 from dcpbench import reference_codecs
-from dcpbench.dcp_codecs import CompressedBlock, vdcp_compress_blocks, vdcp_frame_cost
+from dcpbench.dcp_codecs import (
+    BATCH_BLOCKS,
+    CompressedBlocks,
+    vdcp_compress_blocks,
+    vdcp_frame_cost,
+)
 from dcpbench.palette import Ccd
 from dcpbench.reference_codecs import (
     GR_K_RAW,
@@ -117,8 +122,8 @@ def test_med_residuals_match_scalar(rng):
 
 def _red_class_bits(block):
     """(class, charged bits) of one block through the batch entry."""
-    (comp,) = red_compress_blocks(block[None])
-    return comp.csb[0], comp.cost_bits
+    comp = red_compress_blocks(block[None])
+    return int(comp.csb[0, 0]), int(comp.cost_bits[0])
 
 
 def test_red_uniform_block_is_c8():
@@ -166,16 +171,17 @@ def test_red_batch_matches_oracle(gen):
                        np.kron(quads, np.ones((2, 2), dtype=np.uint32)) + 7,  # C4
                        np.arange(64, dtype=np.uint32).reshape(8, 8)])        # raw
     blocks = np.concatenate([blocks, forced])
-    comps = red_compress_blocks(blocks)
-    expected = [palette_oracle.red_compress_block(block) for block in blocks]
-    assert comps == expected
-    assert [c.csb for c in comps[-3:]] == [(RED_C8,), (RED_C4,), (RED_RAW,)]
-    decoded = red_decompress_blocks(*streams(comps))
+    comp = red_compress_blocks(blocks)
+    assert_same_blocks(comp, palette_oracle.compress_blocks("red", blocks, None))
+    assert comp.csb[-3:].tolist() == [[RED_C8], [RED_C4], [RED_RAW]]
+    decoded = red_decompress_blocks(comp.csb, comp.payload)
     assert np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, palette_oracle.decompress_streams("red", *streams(comps)))
+    assert np.array_equal(decoded,
+                          palette_oracle.decompress_streams("red", comp.csb, comp.payload))
+    singles = split_blocks(comp)
     for i in range(0, len(blocks), 5):
-        assert red_compress_block(blocks[i]) == comps[i]
-        assert np.array_equal(red_decompress_block(comps[i]), decoded[i])
+        assert_same_blocks(red_compress_block(blocks[i]), singles[i])
+        assert np.array_equal(red_decompress_block(singles[i]), decoded[i])
 
 
 def test_red_frame_cost_matches_blocks(rng):
@@ -201,8 +207,8 @@ def test_ras_uniform_midgray_charges_one_quarter():
     # 4 x (3 + 64) = 268 bits, charged at the 512-bit class.
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
     rb = ras_compress_block(block)
-    assert rb.payload_bits == 4 * (3 + 64) == 268
-    assert rb.cost_bits == 512 and rb.csb[0] == 0
+    assert rb.payload_bits.tolist() == [4 * (3 + 64)] == [268]
+    assert rb.cost_bits.tolist() == [512] and rb.csb.tolist() == [[0]]
     assert np.array_equal(ras_decompress_block(rb), block)
 
 
@@ -211,7 +217,7 @@ def test_ras_noise_block_goes_raw(rng):
         local = np.random.default_rng(seed)
         block = local.integers(0, 1 << 32, size=(8, 8), dtype=np.uint64).astype(np.uint32)
         rb = ras_compress_block(block)
-        assert rb.cost_bits == 2048 and rb.csb[0] == 3
+        assert rb.cost_bits.tolist() == [2048] and rb.csb.tolist() == [[3]]
         assert np.array_equal(ras_decompress_block(rb), block)
 
 
@@ -223,18 +229,18 @@ def test_ras_round_trip_every_class(rng):
     blocks.append(noise.astype(np.uint32))                        # class 3
     for block in blocks:
         rb = ras_compress_block(block)
-        seen.add(rb.csb[0])
+        seen.add(int(rb.csb[0, 0]))
         assert np.array_equal(ras_decompress_block(rb), block)
-        assert rb.cost_bits >= rb.payload_bits or rb.csb[0] == 3
+        assert rb.cost_bits[0] >= rb.payload_bits[0] or rb.csb[0, 0] == 3
     assert seen == {0, 1, 2, 3}
 
 
 def test_ras_charge_never_undercharges(rng):
     for block in block_pool(120, seed=5):
         rb = ras_compress_block(block)
-        if rb.csb[0] < 3:
-            assert rb.cost_bits >= rb.payload_bits
-            assert rb.cost_bits in (512, 1024, 1536)
+        if rb.csb[0, 0] < 3:
+            assert rb.cost_bits[0] >= rb.payload_bits[0]
+            assert rb.cost_bits[0] in (512, 1024, 1536)
 
 
 def test_ras_frame_cost_matches_blocks(rng):
@@ -248,8 +254,8 @@ def test_ras_frame_cost_matches_blocks(rng):
         for bx in range(4):
             block = padded[by * 8:(by + 1) * 8, bx * 8:(bx + 1) * 8]
             rb = ras_compress_block(block)
-            assert charged[by, bx] == rb.cost_bits
-            assert classes[by, bx] == rb.csb[0]
+            assert charged[by, bx] == rb.cost_bits[0]
+            assert classes[by, bx] == rb.csb[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +265,7 @@ def test_hybrid_uniform_palette_block_prefers_vdcp():
     ccd = Ccd(np.arange(100, 116, dtype=np.uint32))
     block = np.full((8, 8), 100, dtype=np.uint32)   # palette index 0
     hb = hybrid_compress_block(block, ccd)
-    assert hb.csb[0] < HDCP_RAS_BASE
+    assert hb.csb[0, 0] < HDCP_RAS_BASE
     assert np.array_equal(hybrid_decompress_block(hb, ccd), block)
 
 
@@ -267,10 +273,10 @@ def test_hybrid_gradient_block_prefers_ras():
     ccd = Ccd(np.arange(100, 116, dtype=np.uint32))
     block = make_block("gradient", np.random.default_rng(2))
     hb = hybrid_compress_block(block, ccd)
-    assert hb.csb[0] >= HDCP_RAS_BASE
+    assert hb.csb[0, 0] >= HDCP_RAS_BASE
     rb = ras_compress_block(block)
-    assert hb.csb == (8 + rb.csb[0],) * 16
-    assert (hb.payload, hb.cost_bits) == (rb.payload, rb.cost_bits)
+    assert hb.csb.tolist() == [[8 + rb.csb[0, 0]] * 16]
+    assert (hb.payload, hb.cost_bits.tolist()) == (rb.payload, rb.cost_bits.tolist())
     assert np.array_equal(hybrid_decompress_block(hb, ccd), block)
 
 
@@ -315,7 +321,7 @@ def _frame_blocks(gen: str, width=44, height=36, seed=7):
     return padded, valid, np.concatenate([blocks, _forced_raw_blocks()]), live
 
 
-def _first_k(comp: CompressedBlock) -> int:
+def _first_k(comp: CompressedBlocks) -> int:
     return comp.payload[0] >> 5
 
 
@@ -323,26 +329,28 @@ def _first_k(comp: CompressedBlock) -> int:
 def test_ras_batch_matches_oracle(gen):
     padded, valid, blocks, live = _frame_blocks(gen)
     assert not live.all()                                    # partially live edge blocks
-    comps = ras_compress_blocks(blocks)
-    expected = [oracle.ras_compress_block(block) for block in blocks]
-    assert comps == expected                                 # csb, payload, both bit counts
-    raw_channel, raw_block = comps[-2:]
-    assert _first_k(raw_channel) == GR_K_RAW and raw_channel.csb[0] < 3
-    assert raw_block.csb == (3,) and raw_block.payload_bits == 2048
+    comp = ras_compress_blocks(blocks)
+    expected = palette_oracle.compress_blocks("ras", blocks, None)
+    assert_same_blocks(comp, expected)                       # csb, payload, both bit counts
+    singles = split_blocks(comp)
+    raw_channel, raw_block = singles[-2:]
+    assert _first_k(raw_channel) == GR_K_RAW and raw_channel.csb[0, 0] < 3
+    assert raw_block.csb.tolist() == [[3]] and raw_block.payload_bits.tolist() == [2048]
 
-    decoded = ras_decompress_blocks(*streams(comps))
+    decoded = ras_decompress_blocks(comp.csb, comp.payload)
     assert decoded.dtype == np.uint32 and np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded, palette_oracle.decompress_streams("ras", *streams(expected)))
+    assert np.array_equal(decoded, palette_oracle.decompress_streams("ras", expected.csb,
+                                                                     expected.payload))
     for i in range(0, len(blocks), 5):                       # n=1 equals the block in a batch
-        assert ras_compress_block(blocks[i]) == comps[i]
-        assert np.array_equal(ras_decompress_block(comps[i]), decoded[i])
+        assert_same_blocks(ras_compress_block(blocks[i]), singles[i])
+        assert np.array_equal(ras_decompress_block(singles[i]), decoded[i])
 
     block_real = block_valid_counts(valid)
     charged, classes = ras_frame_cost(padded, valid, sub_block_valid_counts(valid), block_real)
     for i in np.flatnonzero(live):
         by, bx = divmod(int(i), block_real.shape[1])
-        assert classes[by, bx] == expected[i].csb[0]
-        assert charged[by, bx] == expected[i].cost_bits
+        assert classes[by, bx] == expected.csb[i, 0]
+        assert charged[by, bx] == expected.cost_bits[i]
 
 
 def test_ras_stacks_of_any_size_match_oracle():
@@ -355,23 +363,43 @@ def test_ras_stacks_of_any_size_match_oracle():
     expected = {i: oracle.ras_compress_block(pool[i]) for i in picked.tolist()}
     for n in (1, 63, 64, 65, 320):
         at = rng.choice(picked, n, replace=False)
-        assert ras_compress_blocks(pool[at]) == [expected[i] for i in at.tolist()]
+        assert_same_blocks(ras_compress_blocks(pool[at]),
+                           palette_oracle.stack([expected[i] for i in at.tolist()], 1))
 
 
 @pytest.mark.parametrize("gen", GENERATORS)
 def test_hybrid_batch_matches_oracle(gen):
     _, _, blocks, _ = _frame_blocks(gen, seed=3)
     ccd = ccd_from_blocks(list(blocks), 16)
-    comps = hybrid_compress_blocks(blocks, ccd)
-    expected = [oracle.hybrid_compress_block(block, ccd) for block in blocks]
-    assert comps == expected
-    decoded = hybrid_decompress_blocks(*streams(comps), ccd)
+    comp = hybrid_compress_blocks(blocks, ccd)
+    expected = palette_oracle.compress_blocks("hybrid", blocks, ccd)
+    assert_same_blocks(comp, expected)
+    decoded = hybrid_decompress_blocks(comp.csb, comp.payload, ccd)
     assert np.array_equal(decoded, blocks)
-    assert np.array_equal(decoded,
-                          palette_oracle.decompress_streams("hybrid", *streams(expected), ccd))
+    assert np.array_equal(decoded, palette_oracle.decompress_streams(
+        "hybrid", expected.csb, expected.payload, ccd))
+    singles = split_blocks(comp)
     for i in range(0, len(blocks), 5):
-        assert hybrid_compress_block(blocks[i], ccd) == comps[i]
-        assert np.array_equal(hybrid_decompress_block(comps[i], ccd), decoded[i])
+        assert_same_blocks(hybrid_compress_block(blocks[i], ccd), singles[i])
+        assert np.array_equal(hybrid_decompress_block(singles[i], ccd), decoded[i])
+
+
+def test_hybrid_chunks_of_both_winners_match_oracle():
+    # ui-like and 2d-like blocks in turn, over a palette of ui-like colors:
+    # every chunk holds blocks each codec wins, so each chunk's streams are
+    # gathered from both codecs' payloads.
+    ui, art = (_frame_blocks(gen, 96, 88, seed=3)[2][:80] for gen in ("ui-like", "2d-like"))
+    blocks = np.stack([ui, art], axis=1).reshape(-1, 8, 8)
+    ccd = ccd_from_blocks(list(ui), 16)
+    comp = hybrid_compress_blocks(blocks, ccd)
+    ras_won = comp.csb[:, 0] >= HDCP_RAS_BASE
+    assert len(blocks) > 2 * BATCH_BLOCKS
+    for lo in range(0, len(blocks), BATCH_BLOCKS):
+        assert 0 < ras_won[lo:lo + BATCH_BLOCKS].sum() < len(ras_won[lo:lo + BATCH_BLOCKS])
+    singles = split_blocks(comp)
+    for i, block in enumerate(blocks):
+        assert_same_blocks(singles[i], oracle.hybrid_compress_block(block, ccd))
+    assert np.array_equal(hybrid_decompress_blocks(comp.csb, comp.payload, ccd), blocks)
 
 
 def _tied_block():
@@ -406,14 +434,15 @@ def _hybrid_stacks():
                          ids=[case[0] for case in _hybrid_stacks()])
 def test_hybrid_encodes_each_block_once_with_its_winner(name, blocks, ccd, outcome, monkeypatch):
     vdcp, ras = vdcp_compress_blocks(blocks, ccd), ras_compress_blocks(blocks)
-    v = charged_bursts(np.array([b.cost_bits for b in vdcp], dtype=np.int64))
-    r = charged_bursts(np.array([b.cost_bits for b in ras], dtype=np.int64))
+    v, r = charged_bursts(vdcp.cost_bits), charged_bursts(ras.cost_bits)
     assert {"mixed": 0 < (r < v).sum() < len(blocks), "vdcp": (v < r).all(),
             "ras": (r < v).all(), "tie": (v == r).all(), "empty": not blocks.size}[outcome]
     # The rule of encoding every block with both codecs, ties to VDCP.
-    expected = [vb if vdcp_won else CompressedBlock((HDCP_RAS_BASE + rb.csb[0],) * 16,
-                                                    rb.payload, rb.payload_bits, rb.cost_bits)
-                for vb, rb, vdcp_won in zip(vdcp, ras, (v <= r).tolist())]
+    expected = palette_oracle.stack(
+        [vb if vdcp_won else CompressedBlocks(np.full((1, 16), HDCP_RAS_BASE + rb.csb[0, 0]),
+                                              rb.payload, rb.payload_bits, rb.cost_bits)
+         for vb, rb, vdcp_won in zip(split_blocks(vdcp), split_blocks(ras), (v <= r).tolist())],
+        16)
     packed = []
     real = reference_codecs.ras_compress_blocks
 
@@ -422,30 +451,15 @@ def test_hybrid_encodes_each_block_once_with_its_winner(name, blocks, ccd, outco
         return real(stack, palette)
 
     monkeypatch.setattr(reference_codecs, "ras_compress_blocks", counting)
-    assert hybrid_compress_blocks(blocks, ccd) == expected     # every field of every block
+    assert_same_blocks(hybrid_compress_blocks(blocks, ccd), expected)   # every field
     # RAS encodes the blocks it wins, and no others.
     assert np.array_equal(np.concatenate(packed), blocks[r < v])
-
-
-def test_batch_entries_take_empty_and_chunked_stacks():
-    assert ras_compress_blocks(np.empty((0, 8, 8), dtype=np.uint32)) == []
-    assert ras_decompress_blocks(np.empty((0, 1), dtype=np.int64), b"").shape == (0, 8, 8)
-    # More blocks than one internal chunk.
-    blocks = np.concatenate([_frame_blocks(gen, 96, 88)[2] for gen in GENERATORS])
-    assert len(blocks) > 256
-    comps = ras_compress_blocks(blocks)
-    assert comps[250:262] == [oracle.ras_compress_block(b) for b in blocks[250:262]]
-    csb, payload = streams(comps)
-    assert np.array_equal(ras_decompress_blocks(csb, payload), blocks)
-    for damaged in (payload[:-1], payload + b"\x00"):
-        with pytest.raises(CorruptStreamError):
-            ras_decompress_blocks(csb, damaged)
 
 
 def test_ras_decoder_rejects_a_payload_cut_short():
     comp = ras_compress_block(np.full((8, 8), 0x80808080, dtype=np.uint32))
     with pytest.raises(CorruptStreamError, match="exhausted"):
-        ras_decompress_blocks(np.array([comp.csb]), comp.payload[:-1])
+        ras_decompress_blocks(comp.csb, comp.payload[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +507,12 @@ def test_damaged_block_streams_fail_like_the_oracle(codec):
     rng = np.random.default_rng(99)
     blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5)[2] for gen in GENERATORS])
     ccd = ccd_from_blocks(list(blocks), 16)
-    comps = ras_compress_blocks(blocks) if codec == "ras" else hybrid_compress_blocks(blocks, ccd)
+    compress = ras_compress_blocks if codec == "ras" else hybrid_compress_blocks
     decode = ras_decompress_blocks if codec == "ras" else hybrid_decompress_blocks
     outcomes = {"raise": 0, "decode": 0}
-    for lo in range(0, len(comps), 3):
-        for csb, payload in _damaged_streams(*streams(comps[lo:lo + 3]), rng, cuts=12, flips=24):
+    for lo in range(0, len(blocks), 3):
+        part = compress(blocks[lo:lo + 3], ccd)
+        for csb, payload in _damaged_streams(part.csb, part.payload, rng, cuts=12, flips=24):
             want = _outcome(palette_oracle.decompress_streams, codec, csb, payload, ccd)
             outcomes["raise" if want is CorruptStreamError else "decode"] += 1
             assert _same(_outcome(decode, csb, payload, ccd), want), (csb, payload)
