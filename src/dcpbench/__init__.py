@@ -16,7 +16,7 @@ from .dcp_codecs import CompressedBlocks
 from .fvc import Fvc, FvcConfig, relative_coverage
 from .huffman import HuffmanTable, build_table
 from .metrics import color_cdf, color_change, entropy, pixel_change
-from .palette import Ccd, Rccd, build_ccd
+from .palette import Ccd, build_ccd
 from .runner import ExperimentConfig, ReplayFrame, RunResult, replay, run_experiment
 from .schemes import SCHEMES, Scheme
 from .surface import Frame, SurfaceTrace, load_trace, write_trace
@@ -24,7 +24,7 @@ from .synth import SyntheticSpec, generate
 
 __all__ = [
     "SCHEMES", "Ccd", "CompressedBlocks", "ExperimentConfig", "Frame",
-    "FrameStats", "Fvc", "FvcConfig", "HuffmanTable", "Rccd", "ReplayFrame",
+    "FrameStats", "Fvc", "FvcConfig", "HuffmanTable", "ReplayFrame",
     "RunResult", "Scheme", "SurfaceTrace", "SyntheticSpec", "WorkloadStats",
     "build_ccd", "build_table", "charged_bursts", "color_cdf", "color_change",
     "entropy", "generate", "load_trace", "pixel_change", "relative_coverage",

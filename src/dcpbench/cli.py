@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +36,7 @@ from .runner import (
     run_experiment,
 )
 from .schemes import SCHEMES
-from .surface import SurfaceTrace, TraceError, load_trace, write_trace
+from .surface import SurfaceTrace, TraceError, load_trace, trace_files, write_trace
 from .synth import GENERATORS, SyntheticSpec, generate
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY = 0, 1, 2, 3
@@ -77,7 +78,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> _Parser:
+    """Built once per process: each `parse_args` call returns a new namespace."""
     parser = _Parser(prog="dcpbench", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"dcpbench {__version__}")
@@ -227,10 +230,15 @@ def build_config(args, **overrides) -> ExperimentConfig:
 
 def _check_outputs(args, *paths: Path) -> None:
     """Refuse, before anything is written, an output (a file, or the
-    `--dump-frames` directory) that is the config file or another output."""
+    `--dump-frames` directory) that is another output or an input: the
+    config file, or a trace's manifest or a frame file it lists."""
     resolved = [p.resolve() for p in paths]
-    if args.config and Path(args.config).resolve() in resolved:
-        raise UsageError(f"an output would overwrite the config file {args.config}")
+    inputs = [Path(args.config)] if getattr(args, "config", None) else []
+    for trace in getattr(args, "traces", None) or [args.trace]:
+        inputs += trace_files(trace)
+    for path in inputs:
+        if path.resolve() in resolved:
+            raise UsageError(f"an output would overwrite the input {path}")
     if len(set(resolved)) < len(resolved):
         raise UsageError(f"two outputs would be the one file {paths[-1]}")
 
@@ -258,8 +266,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = load_trace(args.trace)
     out = Path(args.out)
+    _check_outputs(args, out)
+    trace = load_trace(args.trace)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         fh.write(f"# dcpbench analyze trace={trace.name} category={trace.category}\n")

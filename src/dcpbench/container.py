@@ -6,7 +6,7 @@ Layout (integers little-endian unless they live in the bit streams):
   scheme  u8       the scheme's tag in `schemes.py`
   width   u32      real frame width in pixels
   height  u32      real frame height
-  rccd    the reverse palette, `Rccd.to_bytes` (zero entries unless the
+  rccd    the reverse palette, `Ccd.to_bytes` (zero entries unless the
           scheme's palette is a CCD)
   table   HUFFDCP only: the prefix-code table, `HuffmanTable.to_bytes`
   csb     packed status entries, padded to a byte boundary; palette schemes
@@ -28,7 +28,9 @@ are damage.
 
 Likewise the palettes serialize themselves: the container places their
 bytes and knows neither layout. A palette is passed as the one object
-`runner.replay` yields, which both encodes and decodes.
+`runner.replay` yields, which both encodes and decodes: a `Ccd` or a
+`HuffmanTable`, empty while compression is gated off, and an empty `Ccd`
+for the reference schemes, which ignore it.
 
 Bandwidth accounting never reads container bytes; the burst model is the
 measurement path and this format exists for losslessness audits. Scheme facts
@@ -43,7 +45,7 @@ import numpy as np
 
 from .bitio import CorruptStreamError
 from .huffman import HuffmanTable
-from .palette import Ccd, Rccd
+from .palette import Ccd
 from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme, resolve
 from .surface import BLOCK, Frame, block_grid, block_stack
 
@@ -51,11 +53,9 @@ MAGIC = b"FBC1"
 HEADER_BYTES = 13              # magic, scheme, width, height
 
 
-def compress_frame(frame: Frame, scheme: str,
-                   palette: Ccd | HuffmanTable | None = None) -> bytes:
-    """`palette` is the scheme's palette in force (a `Ccd` for the CCD
-    schemes, a `HuffmanTable` for HUFFDCP) or None for none; the reference
-    schemes ignore it."""
+def compress_frame(frame: Frame, scheme: str, palette: Ccd | HuffmanTable) -> bytes:
+    """`palette` is the scheme's palette in force: a `Ccd` for the CCD
+    schemes, a `HuffmanTable` for HUFFDCP. The reference schemes ignore it."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
@@ -68,9 +68,9 @@ def compress_frame(frame: Frame, scheme: str,
     out.append(s.tag)
     out += frame.width.to_bytes(4, "little")
     out += frame.height.to_bytes(4, "little")
-    out += (palette if s.palette == CCD and palette is not None else Rccd([])).to_bytes()
+    out += (palette if s.palette == CCD else Ccd()).to_bytes()
     if s.palette == HUFFMAN:
-        out += (palette if palette is not None else HuffmanTable([], [])).to_bytes()
+        out += palette.to_bytes()
 
     # Each block's k x k status entries go to their place in the frame's
     # raster-order grid: k = 1 per block, or 4 per 2x2 sub-block.
@@ -90,7 +90,7 @@ def decompress_frame(data: bytes) -> Frame:
     return Frame(padded[:height, :width].copy())
 
 
-def parse(data: bytes) -> tuple[Scheme, int, int, Rccd | HuffmanTable, np.ndarray, bytes]:
+def parse(data: bytes) -> tuple[Scheme, int, int, Ccd | HuffmanTable, np.ndarray, bytes]:
     """(scheme, width, height, palette, status grid, payload) of a container.
 
     The grid has one row per block in raster order, holding its status
@@ -109,7 +109,7 @@ def parse(data: bytes) -> tuple[Scheme, int, int, Rccd | HuffmanTable, np.ndarra
     if width == 0 or height == 0:
         raise CorruptStreamError(f"frame of {width}x{height} pixels")
     pos = HEADER_BYTES
-    palette = Rccd.from_bytes(data[pos:])
+    palette = Ccd.from_bytes(data[pos:])
     pos += palette.byte_size
     if s.palette == HUFFMAN:
         palette = HuffmanTable.from_bytes(data[pos:])

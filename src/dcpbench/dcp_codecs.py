@@ -60,7 +60,7 @@ from .bitio import (
 )
 from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
-from .palette import Ccd, Rccd, build_ccd
+from .palette import Ccd, build_ccd
 from .schemes import HUFFMAN, SCHEMES, Scheme
 from .surface import pool
 
@@ -139,12 +139,9 @@ _RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW, "huffdcp": 0}
 
 def _palette_encode(blocks: np.ndarray, codec: str, palette) -> CompressedBlocks:
     pixels = sub_blocks(blocks)                              # (n, 16, 4)
-    if palette is None:
-        entries, hit = np.full(pixels.shape, -1), np.zeros(pixels.shape, dtype=bool)
-    else:
-        entries, hit = palette.lookup(pixels)
+    entries, hit = palette.lookup(pixels)
     coded = hit.all(axis=2)
-    if not coded.any():                                      # also no or an empty palette
+    if not coded.any():                                      # also an empty palette
         width = value = np.zeros(pixels.shape, dtype=np.int64)
         status = np.full(coded.shape, _RAW_STATUS[codec])
     elif codec == "huffdcp":
@@ -172,7 +169,7 @@ def palette_widths(codec: str, csb: np.ndarray, palette) -> tuple[np.ndarray, np
     a status no encoder writes raises CorruptStreamError."""
     raw = csb == _RAW_STATUS[codec]
     if codec == "dcp":
-        return np.where(raw, 32, palette.bits_per_code if palette is not None else 0), raw
+        return np.where(raw, 32, palette.bits_per_code), raw
     if csb.size and (csb.min() < 0 or csb.max() > VDCP_RAW):
         raise CorruptStreamError("VDCP status outside 0..7")
     return np.where(raw, 32, csb), raw
@@ -213,7 +210,7 @@ def palette_decode(width, raw, buf, starts, palette) -> np.ndarray:
 def _palette_pixels(values, coded, palette) -> np.ndarray:
     """(n, 8, 8) blocks from (n, 64) fields in stream order: a palette
     entry where `coded`, else a raw pixel."""
-    colors = palette.colors if palette is not None else np.empty(0, dtype=np.uint32)
+    colors = palette.colors
     if np.any(values[coded] >= colors.size):
         raise CorruptStreamError(f"palette index out of range 0..{colors.size - 1}")
     pixels = np.where(coded, colors[np.where(coded, values, 0)] if colors.size else 0, values)
@@ -268,8 +265,6 @@ def _prefix_walk(table, buf, coded_rows, start: int, end: int, starts: list[int]
                 continue
             i = at - lo
             if not 0 <= i < span:
-                if table is None:
-                    raise CorruptStreamError("coded sub-block without a Huffman table")
                 if at >= end:
                     raise CorruptStreamError("bit stream exhausted")
                 lo, span, i = at, min(_WALK_WINDOW, end - at), 0
@@ -294,58 +289,54 @@ def _sub_block_steps(table, buf, lo: int, span: int) -> list[int]:
     return (at - np.arange(span)).tolist()
 
 
-def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+def dcp_compress_blocks(blocks: np.ndarray, ccd: Ccd) -> CompressedBlocks:
     return encode_chunks(_palette_encode, blocks, "dcp", ccd)
 
 
-def dcp_decompress_blocks(csb: np.ndarray, payload: bytes,
-                          palette: Rccd | None = None) -> np.ndarray:
+def dcp_decompress_blocks(csb: np.ndarray, payload: bytes, palette: Ccd) -> np.ndarray:
     return _palette_decompress("dcp", csb, payload, palette)
 
 
-def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
-    if ccd is not None and len(ccd) > VDCP_MAX_CCD:
+def vdcp_compress_blocks(blocks: np.ndarray, ccd: Ccd) -> CompressedBlocks:
+    if len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
     return encode_chunks(_palette_encode, blocks, "vdcp", ccd)
 
 
-def vdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
-                           palette: Rccd | None = None) -> np.ndarray:
+def vdcp_decompress_blocks(csb: np.ndarray, payload: bytes, palette: Ccd) -> np.ndarray:
     return _palette_decompress("vdcp", csb, payload, palette)
 
 
-def huffdcp_compress_blocks(blocks: np.ndarray,
-                            table: HuffmanTable | None) -> CompressedBlocks:
+def huffdcp_compress_blocks(blocks: np.ndarray, table: HuffmanTable) -> CompressedBlocks:
     return encode_chunks(_palette_encode, blocks, "huffdcp", table)
 
 
 def huffdcp_decompress_blocks(csb: np.ndarray, payload: bytes,
-                              palette: HuffmanTable | None = None) -> np.ndarray:
+                              palette: HuffmanTable) -> np.ndarray:
     return _palette_decompress("huffdcp", csb, payload, palette)
 
 
-def dcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+def dcp_compress_block(block: np.ndarray, ccd: Ccd) -> CompressedBlocks:
     return dcp_compress_blocks(block[None], ccd)
 
 
-def dcp_decompress_block(comp: CompressedBlocks, palette: Rccd | None = None) -> np.ndarray:
+def dcp_decompress_block(comp: CompressedBlocks, palette: Ccd) -> np.ndarray:
     return dcp_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
-def vdcp_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+def vdcp_compress_block(block: np.ndarray, ccd: Ccd) -> CompressedBlocks:
     return vdcp_compress_blocks(block[None], ccd)
 
 
-def vdcp_decompress_block(comp: CompressedBlocks, palette: Rccd | None = None) -> np.ndarray:
+def vdcp_decompress_block(comp: CompressedBlocks, palette: Ccd) -> np.ndarray:
     return vdcp_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
-def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable | None) -> CompressedBlocks:
+def huffdcp_compress_block(block: np.ndarray, table: HuffmanTable) -> CompressedBlocks:
     return huffdcp_compress_blocks(block[None], table)
 
 
-def huffdcp_decompress_block(comp: CompressedBlocks,
-                             palette: HuffmanTable | None = None) -> np.ndarray:
+def huffdcp_decompress_block(comp: CompressedBlocks, palette: HuffmanTable) -> np.ndarray:
     return huffdcp_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
@@ -409,8 +400,8 @@ def _block_bits(sb_bits: np.ndarray) -> np.ndarray:
 
 
 def dcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
-                   block_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
-    if ccd is None or len(ccd) == 0:
+                   block_real: np.ndarray, ccd: Ccd) -> np.ndarray:
+    if len(ccd) == 0:
         return _block_bits(_RAW_BITS * sb_real)
     _, hit = ccd.lookup(padded)
     compressible = pool(hit, np.logical_and, 2, 2)
@@ -418,8 +409,8 @@ def dcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 
 
 def vdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
-                    block_real: np.ndarray, ccd: Ccd | None) -> np.ndarray:
-    if ccd is None or len(ccd) == 0:
+                    block_real: np.ndarray, ccd: Ccd) -> np.ndarray:
+    if len(ccd) == 0:
         return _block_bits(_RAW_BITS * sb_real)
     if len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
@@ -432,8 +423,8 @@ def vdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 
 
 def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
-                       block_real: np.ndarray, table: HuffmanTable | None) -> np.ndarray:
-    if table is None or len(table) == 0:
+                       block_real: np.ndarray, table: HuffmanTable) -> np.ndarray:
+    if len(table) == 0:
         return _block_bits(_RAW_BITS * sb_real)
     entries, hit = table.lookup(padded)
     compressible = pool(hit, np.logical_and, 2, 2)

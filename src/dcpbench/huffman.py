@@ -79,11 +79,11 @@ _ENTRY = np.dtype([("color", "<u4"), ("length", "u1")])
 class HuffmanTable:
     """Prefix-code table over ranked colors, canonical assignment.
 
-    Every code is at most `FIELD_MAX_BITS` (32) bits long, so each is
-    written as one field and read with one 32-bit window.
+    Every code is at most `FIELD_MAX_BITS` (32) bits long, so each is one
+    field, read with one 32-bit window. An empty table codes nothing.
     """
 
-    def __init__(self, colors: list[int], lengths: list[int]):
+    def __init__(self, colors=(), lengths=()):
         if len(colors) != len(lengths):
             raise ValueError("colors and lengths differ in size")
         if max(lengths, default=0) > FIELD_MAX_BITS:

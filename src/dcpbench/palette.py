@@ -1,5 +1,6 @@
-"""Color palettes: the read-side map code -> color, and the forward palette
-that adds color -> code on top of it."""
+"""Color palettes: `Ccd`, the ranked colors a frame is coded with. The one
+object encodes (color -> code), decodes (code -> color) and serializes
+itself as the reverse palette (RCCD) that a container carries."""
 
 from __future__ import annotations
 
@@ -15,56 +16,50 @@ def largest_pow2_le(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-class Rccd:
-    """Reverse palette (code -> color), attached to compressed frames."""
+class Ccd:
+    """Forward palette (color -> index) and its reverse (index -> color).
 
-    def __init__(self, colors):
-        self.colors = np.asarray(colors, dtype=np.uint32)
+    Index 0 always holds the most frequent color; the order is exactly the
+    ranked-frequency order it was built from, so a size-k palette is a
+    prefix of the size-2k palette built from the same ranking. Colors are
+    unique. An empty palette codes nothing: every lookup misses.
+    """
+
+    def __init__(self, colors=()):
+        self.colors = np.asarray(list(colors), dtype=np.uint32)
+        if self.colors.ndim != 1:
+            raise ValueError("palette colors must be a flat sequence")
+        if len(np.unique(self.colors)) != self.colors.size:
+            raise ValueError("palette colors must be unique")
         # Code width in bits; a single-entry palette needs zero bits. Stored
         # once because the block codecs read it for every code.
         self.bits_per_code = (self.colors.size - 1).bit_length() if self.colors.size else 0
+        self._sorted = sorted_colors(self.colors)
 
     def __len__(self) -> int:
         return int(self.colors.size)
 
     def to_bytes(self) -> bytes:
         """Serialized layout: u16 entry count then count little-endian u32."""
-        count = len(self)
-        return count.to_bytes(2, "little") + self.colors.astype("<u4").tobytes()
+        return len(self).to_bytes(2, "little") + self.colors.astype("<u4").tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Rccd":
+    def from_bytes(cls, data: bytes) -> "Ccd":
+        """The reverse palette at the head of `data`; a truncated one, or
+        one that repeats a color, raises CorruptStreamError."""
         if len(data) < 2:
             raise CorruptStreamError("truncated palette blob")
         count = int.from_bytes(data[:2], "little")
         if len(data) < 2 + 4 * count:
             raise CorruptStreamError("truncated palette blob")
-        colors = np.frombuffer(data[2:2 + 4 * count], dtype="<u4").astype(np.uint32)
-        return cls(colors)
+        try:
+            return cls(np.frombuffer(data[2:2 + 4 * count], dtype="<u4"))
+        except ValueError as exc:
+            raise CorruptStreamError(str(exc)) from None
 
     @property
     def byte_size(self) -> int:
         return 2 + 4 * len(self)
-
-
-class Ccd(Rccd):
-    """Forward palette: the reverse palette plus a color -> index map.
-
-    Index 0 always holds the most frequent color; the order is exactly the
-    ranked-frequency order it was built from, so a size-k palette is a
-    prefix of the size-2k palette built from the same ranking. The same
-    object encodes a frame and decodes it, and serializes as its reverse
-    palette.
-    """
-
-    def __init__(self, colors):
-        super().__init__(list(colors))
-        arr = self.colors
-        if arr.ndim != 1:
-            raise ValueError("palette colors must be a flat sequence")
-        if len(np.unique(arr)) != arr.size:
-            raise ValueError("palette colors must be unique")
-        self._sorted = sorted_colors(arr)
 
     def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized encode: (codes, hit). codes is -1 where hit is False."""
@@ -127,7 +122,7 @@ def build_ccd(ranked: list[tuple[int, int]], size: int) -> Ccd:
     an empty ranking yields an empty palette, which disables compression.
     """
     if size == 0 or not ranked:
-        return Ccd([])
+        return Ccd()
     if not is_pow2(size):
         raise ValueError(f"palette size must be a power of two, got {size}")
     size = min(size, largest_pow2_le(len(ranked)))

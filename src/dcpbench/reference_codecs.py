@@ -72,7 +72,7 @@ from .dcp_codecs import (
     vdcp_compress_blocks,
     vdcp_frame_cost,
 )
-from .palette import Ccd, Rccd
+from .palette import Ccd
 from .surface import pool
 
 GR_K_MAX = 6
@@ -246,14 +246,10 @@ def red_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 RAS_RAW_CLASS = 3
 
 
-def _quantize_512(bits: int | np.ndarray):
-    return ((bits + 511) // 512) * 512
-
-
 def _ras_charge(total: np.ndarray) -> np.ndarray:
     """The bits charged for RAS streams of `total` bits: the size class's
     512-bit multiple, or the raw 2048 above 1536."""
-    return np.where(total > 1536, RAW_BLOCK_BITS, _quantize_512(total))
+    return np.where(total > 1536, RAW_BLOCK_BITS, (total + 511) // 512 * 512)
 
 
 def ras_compress_blocks(blocks: np.ndarray, palette=None) -> CompressedBlocks:
@@ -356,13 +352,13 @@ def ras_decompress_blocks(csb: np.ndarray, payload: bytes, palette=None) -> np.n
     size_class = np.asarray(csb, dtype=np.int64).reshape(-1)
     if np.any((size_class < 0) | (size_class > RAS_RAW_CLASS)):
         raise CorruptStreamError("RAS status outside the size classes 0..3")
-    return _ras_streams(size_class, None, payload, None)
+    return _ras_streams(size_class, payload)
 
 
-def _ras_streams(size_class: np.ndarray, vdcp, payload: bytes, palette) -> np.ndarray:
+def _ras_streams(size_class: np.ndarray, payload: bytes, vdcp=None) -> np.ndarray:
     """Decode a payload of RAS blocks of size class `size_class`, and for
     HDCP of VDCP blocks where the class is -1 and `vdcp` holds their (code
-    width, raw mask) per sub-block.
+    width, raw mask) per sub-block and the palette.
 
     The streams are parsed once, in order, a chunk of BATCH_BLOCKS blocks
     at a time. No block's stream is longer than its class allows (or its
@@ -395,7 +391,7 @@ def _ras_streams(size_class: np.ndarray, vdcp, payload: bytes, palette) -> np.nd
         vdcp_won = np.flatnonzero(c < 0)
         if vdcp_won.size:
             out[lo + vdcp_won] = palette_decode(vdcp[0][lo + vdcp_won], vdcp[1][lo + vdcp_won],
-                                                buf, at[vdcp_won], palette)
+                                                buf, at[vdcp_won], vdcp[2])
         raw = np.flatnonzero(c == RAS_RAW_CLASS)
         if raw.size:
             words = read_fields(buf, at[raw, None] + 32 * np.arange(64), 32)
@@ -546,7 +542,7 @@ def ras_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 HDCP_RAS_BASE = 8              # 5-bit status values 8..11 carry the RAS class
 
 
-def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd) -> CompressedBlocks:
     """Compress each block with the codec needing fewer bursts; ties go to VDCP.
 
     A chunk at a time: VDCP encodes the chunk; RAS costs every block with
@@ -557,7 +553,7 @@ def hybrid_compress_blocks(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlo
     return encode_chunks(_hybrid_encode, blocks, ccd)
 
 
-def _hybrid_encode(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+def _hybrid_encode(blocks: np.ndarray, ccd: Ccd) -> CompressedBlocks:
     v = vdcp_compress_blocks(blocks, ccd)
     won = charged_bursts(_ras_charge(_ras_cost(blocks)[3])) < charged_bursts(v.cost_bits)
     r = ras_compress_blocks(blocks[won])
@@ -576,13 +572,12 @@ def _hybrid_encode(blocks: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
     return CompressedBlocks(csb, source[at].tobytes(), payload_bits, cost_bits)
 
 
-def hybrid_decompress_blocks(csb: np.ndarray, payload: bytes,
-                             palette: Rccd | None = None) -> np.ndarray:
+def hybrid_decompress_blocks(csb: np.ndarray, payload: bytes, palette: Ccd) -> np.ndarray:
     """VDCP-coded and RAS-coded blocks, parsed in one walk of the payload."""
     csb = np.asarray(csb, dtype=np.int64).reshape(-1, 16)
     size_class = _hdcp_ras_classes(csb)
-    vdcp = palette_widths("vdcp", np.where(size_class[:, None] < 0, csb, 0), palette)
-    return _ras_streams(size_class, vdcp, payload, palette)
+    width, raw = palette_widths("vdcp", np.where(size_class[:, None] < 0, csb, 0), palette)
+    return _ras_streams(size_class, payload, (width, raw, palette))
 
 
 def _hdcp_ras_classes(csb: np.ndarray) -> np.ndarray:
@@ -598,17 +593,16 @@ def _hdcp_ras_classes(csb: np.ndarray) -> np.ndarray:
     return np.where(is_vdcp, -1, size_class)
 
 
-def hybrid_compress_block(block: np.ndarray, ccd: Ccd | None) -> CompressedBlocks:
+def hybrid_compress_block(block: np.ndarray, ccd: Ccd) -> CompressedBlocks:
     return hybrid_compress_blocks(block[None], ccd)
 
 
-def hybrid_decompress_block(comp: CompressedBlocks, palette: Rccd | None = None) -> np.ndarray:
+def hybrid_decompress_block(comp: CompressedBlocks, palette: Ccd) -> np.ndarray:
     return hybrid_decompress_blocks(comp.csb, comp.payload, palette)[0]
 
 
 def hybrid_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
-                      block_real: np.ndarray, ccd: Ccd | None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      block_real: np.ndarray, ccd: Ccd) -> tuple[np.ndarray, np.ndarray]:
     """(accounting bits, vdcp-won mask) per block; ties go to VDCP."""
     vbits = vdcp_frame_cost(padded, valid, sb_real, block_real, ccd)
     r_charged, _ = ras_frame_cost(padded, valid, sb_real, block_real)

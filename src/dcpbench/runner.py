@@ -108,7 +108,7 @@ class ReplayFrame:
     """
 
     index: int
-    palette: Ccd | HuffmanTable | None = None   # None while compression is gated off
+    palette: Ccd | HuffmanTable          # empty while gated off, and for RAS and RED
     palette_size: int = 0                # entries built, even when gated off
     rccd_bytes: int = 0                  # palette bytes first sent with this frame
     coverage: float = float("nan")
@@ -130,7 +130,7 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
     scheme = SCHEMES[cfg.scheme]
     if scheme.palette is None:
         for t in range(1, len(trace)):
-            yield ReplayFrame(t)
+            yield ReplayFrame(t, Ccd())
         return
     fvc = Fvc(replace(cfg.fvc, rng_seed=cfg.fvc.rng_seed or cfg.seed))
     palette, coverage, enabled = None, float("nan"), True
@@ -157,7 +157,7 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
             built, cov, on = in_force
             yield ReplayFrame(
                 index=t,
-                palette=built if on else None,
+                palette=built if on else type(built)(),
                 palette_size=len(built),
                 # A palette travels with the first frame that uses it.
                 rccd_bytes=built.byte_size if (t - 1) % cfg.frame_sampling == 0 else 0,

@@ -196,6 +196,16 @@ def load_trace(path) -> SurfaceTrace:
     return SurfaceTrace(frames, name=name, category=category)
 
 
+def trace_files(path) -> list[Path]:
+    """The files `load_trace` reads: the manifest and the frame files it lists."""
+    root = Path(path)
+    try:
+        frames = [root / name for name in json.loads((root / MANIFEST).read_text())["frames"]]
+    except (OSError, ValueError, LookupError, TypeError):
+        frames = []
+    return [root / MANIFEST, *frames]
+
+
 def write_trace(trace: SurfaceTrace, path, fmt: str = "raw") -> None:
     """Write a loadable trace directory. `fmt` is raw, ppm, or png."""
     if fmt not in ("raw", "ppm", "png"):

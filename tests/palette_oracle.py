@@ -25,8 +25,6 @@ import numpy as np
 from dcpbench.bitio import CorruptStreamError
 from dcpbench.container import parse
 from dcpbench.dcp_codecs import VDCP_MAX_CCD, VDCP_RAW, CompressedBlocks
-from dcpbench.huffman import HuffmanTable
-from dcpbench.palette import Rccd
 from dcpbench.reference_codecs import RED_C4, RED_C8, RED_RAW
 from dcpbench.surface import BLOCK, Frame, block_grid
 
@@ -175,10 +173,11 @@ def ccd_encode(ccd, color: int) -> int | None:
     return _first_index(ccd).get(int(color))
 
 
-def rccd_decode(rccd, index: int) -> int:
-    if index < 0 or index >= len(rccd):
-        raise CorruptStreamError(f"palette index {index} out of range 0..{len(rccd) - 1}")
-    return int(rccd.colors[index])
+def ccd_decode(ccd, index: int) -> int:
+    """The color of code `index` in a palette; a code past its end raises."""
+    if index < 0 or index >= len(ccd):
+        raise CorruptStreamError(f"palette index {index} out of range 0..{len(ccd) - 1}")
+    return int(ccd.colors[index])
 
 
 def huffman_encode(table, color: int) -> tuple[int, int] | None:
@@ -222,8 +221,8 @@ def _fixed_size(codes, ccd):
     return 1, [(c, ccd.bits_per_code) for c in codes]
 
 
-def _fixed_read(status, reader: BitReader, rccd) -> int:
-    return rccd_decode(rccd, reader.read(rccd.bits_per_code))
+def _fixed_read(status, reader: BitReader, ccd) -> int:
+    return ccd_decode(ccd, reader.read(ccd.bits_per_code))
 
 
 def _variable_size(codes, ccd):
@@ -231,8 +230,8 @@ def _variable_size(codes, ccd):
     return v, [(c, v) for c in codes]
 
 
-def _variable_read(status, reader: BitReader, rccd) -> int:
-    return rccd_decode(rccd, reader.read(status))
+def _variable_read(status, reader: BitReader, ccd) -> int:
+    return ccd_decode(ccd, reader.read(status))
 
 
 def _prefix_size(codes, table):
@@ -253,11 +252,10 @@ FAMILIES = {
 
 def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlocks:
     raw_status, encode, size, _ = FAMILIES[codec]
-    usable = palette is not None and len(palette) > 0
     w = BitWriter()
     csb = []
     for group in sub_block_pixels(block).tolist():
-        codes = [encode(palette, p) for p in group] if usable else [None]
+        codes = [encode(palette, p) for p in group]
         if None in codes:
             csb.append(raw_status)
             for p in group:
@@ -272,8 +270,6 @@ def _compress_block(codec: str, block: np.ndarray, palette) -> CompressedBlocks:
 
 def _read_palette_block(codec: str, reader: BitReader, csb, palette) -> np.ndarray:
     raw_status, _, _, read = FAMILIES[codec]
-    if palette is None:
-        palette = HuffmanTable([], []) if codec == "huffdcp" else Rccd([])
     groups = []
     for status in csb:
         if status == raw_status:
@@ -288,7 +284,7 @@ def dcp_compress_block(block: np.ndarray, ccd) -> CompressedBlocks:
 
 
 def vdcp_compress_block(block: np.ndarray, ccd) -> CompressedBlocks:
-    if ccd is not None and len(ccd) > VDCP_MAX_CCD:
+    if len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
     return _compress_block("vdcp", block, ccd)
 

@@ -197,9 +197,9 @@ def hybrid_compress_block(block: np.ndarray, ccd) -> CompressedBlocks:
                             rb.payload_bits, rb.cost_bits)
 
 
-def read_hybrid(reader: BitReader, csb, rccd) -> np.ndarray:
+def read_hybrid(reader: BitReader, csb, ccd) -> np.ndarray:
     if max(csb) <= VDCP_RAW:
-        return read_block("vdcp", reader, csb, rccd)
+        return read_block("vdcp", reader, csb, ccd)
     size_class = csb[0] - HDCP_RAS_BASE
     if not 0 <= size_class <= RAS_RAW_CLASS or any(e != csb[0] for e in csb):
         raise CorruptStreamError(f"HDCP status {list(csb)} is neither VDCP codes nor a RAS class")

@@ -260,6 +260,44 @@ def test_compress_summary_may_not_overwrite_the_csv(ui_trace, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
 
 
+@pytest.mark.parametrize("command, out", [
+    (["compress"], "trace/manifest.csv"),       # the summary would be the manifest
+    (["sweep", "--dimension", "policy", "--values", "LFC"], "other/frame_00002.raw"),
+    (["analyze"], "trace/frame_00001.raw"),
+], ids=["compress", "sweep", "analyze"])
+def test_outputs_may_not_overwrite_the_trace(ui_trace, tmp_path, capsys, command, out):
+    other = tmp_path / "other"
+    assert main(["gen", "--generator", "noise", "--width", "16", "--height", "8",
+                 "--frames", "3", "--out", str(other)]) == 0
+    traces = [ui_trace, other] if command[0] == "sweep" else [ui_trace]
+    before = {p: p.read_bytes() for t in traces for p in t.iterdir()}
+    rc = main([*command, *map(str, traces), "--out", str(tmp_path / out)])
+    assert rc == 1
+    assert "usage error: an output would overwrite the input" in capsys.readouterr().err
+    assert {p: p.read_bytes() for t in traces for p in t.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "trace"]
+
+
+def test_main_calls_share_no_parser_state(ui_trace, tmp_path, monkeypatch):
+    # The parser is built once; each call still parses its own argv alone.
+    seen = []
+    monkeypatch.setattr("dcpbench.cli._cmd_compress", lambda args: seen.append(args) or 0)
+    monkeypatch.setattr("dcpbench.cli._cmd_sweep", lambda args: seen.append(args) or 0)
+    assert build_parser() is build_parser()
+    argvs = (["compress", "a", "--scheme", "HDCP", "--ct", "--dump-frames", "d", "--out", "o"],
+             ["sweep", "b", "c", "--dimension", "policy", "--values", "LFC", "--out", "s"],
+             ["compress", "e", "--out", "p"])
+    for argv in argvs:
+        assert main(argv) == 0
+    first, sweep, last = (vars(args) for args in seen)
+    assert (first["trace"], first["scheme"], first["ct"], first["dump_frames"]) == \
+        ("a", "HDCP", 0.7, "d")
+    assert sweep["traces"] == ["b", "c"] and "trace" not in sweep
+    assert (last["trace"], last["scheme"], last["ct"], last["dump_frames"]) == \
+        ("e", None, None, None)
+    assert "traces" not in last and last.keys() == first.keys()
+
+
 def test_jobs_is_checked_and_ignored(ui_trace, tmp_path):
     assert main(["compress", str(ui_trace), "--jobs", "0", "--out", str(tmp_path / "o.csv")]) == 1
     args = build_parser().parse_args(["compress", "trace", "--out", "o.csv", "--jobs", "2"])
@@ -336,6 +374,27 @@ def test_dump_frames_round_trip(ui_trace, tmp_path):
     assert len(files) == 3
     for t, path in enumerate(files, start=1):
         assert np.array_equal(decompress_frame(path.read_bytes()).pixels, trace.frames[t].pixels)
+
+
+@pytest.mark.parametrize("scheme", ["DCP", "HUFFDCP", "HDCP"])
+def test_gated_dump_frames_round_trip(ui_trace, tmp_path, scheme):
+    # A 4-entry collector covers under all of the trace's colors, so CT 1
+    # gates every frame: each container holds an empty palette.
+    from dcpbench.container import decompress_frame, parse
+    from dcpbench.surface import load_trace
+
+    out, dump = tmp_path / "o.csv", tmp_path / "frames"
+    assert main(["compress", str(ui_trace), "--scheme", scheme, "--fvc-size", "4", "--ct", "1",
+                 "--verify-full", "--out", str(out), "--dump-frames", str(dump)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 3 and all(row[11] == "0" and row[9] != "0" for row in rows)
+    trace = load_trace(ui_trace)
+    files = sorted(dump.iterdir())
+    assert len(files) == 3
+    for t, path in enumerate(files, start=1):
+        data = path.read_bytes()
+        assert len(parse(data)[3]) == 0
+        assert np.array_equal(decompress_frame(data).pixels, trace.frames[t].pixels)
 
 
 @pytest.mark.parametrize("scheme", ["DCP", "HUFFDCP", "HDCP"])

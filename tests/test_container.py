@@ -8,8 +8,8 @@ from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bitio import CorruptStreamError
 from dcpbench.container import HEADER_BYTES, compress_frame, decompress_frame, parse
 from dcpbench.dcp_codecs import BATCH_BLOCKS
-from dcpbench.huffman import build_table
-from dcpbench.palette import Rccd
+from dcpbench.huffman import HuffmanTable, build_table
+from dcpbench.palette import Ccd
 from dcpbench.reference_codecs import (
     HDCP_RAS_BASE,
     RED_C4,
@@ -60,13 +60,15 @@ def test_container_round_trip_with_padding(scheme):
 
 def test_container_empty_palette():
     frame = _frame(5, width=16, height=16)
-    data = compress_frame(frame, "DCP", None)
-    assert frames_equal(decompress_frame(data), frame)
+    for scheme, empty in (("DCP", Ccd()), ("HUFFDCP", HuffmanTable())):
+        data = compress_frame(frame, scheme, empty)
+        assert frames_equal(decompress_frame(data), frame)
+        assert len(parse(data)[3]) == 0
 
 
 def test_container_rejects_bad_magic():
     frame = _frame(1, width=16, height=8)
-    data = bytearray(compress_frame(frame, "RED"))
+    data = bytearray(compress_frame(frame, "RED", Ccd()))
     data[0] = 0
     with pytest.raises(CorruptStreamError):
         decompress_frame(bytes(data))
@@ -74,7 +76,7 @@ def test_container_rejects_bad_magic():
 
 def test_container_rejects_unknown_scheme():
     with pytest.raises(ValueError):
-        compress_frame(_frame(1, width=16, height=8), "LZW")
+        compress_frame(_frame(1, width=16, height=8), "LZW", Ccd())
 
 
 def test_scheme_tag_distinguishes_layouts():
@@ -82,7 +84,7 @@ def test_scheme_tag_distinguishes_layouts():
     blocks = block_pool(4, seed=9)
     ccd = ccd_from_blocks(blocks, 8)
     vdcp = compress_frame(frame, "VDCP", ccd)
-    ras = compress_frame(frame, "RAS")
+    ras = compress_frame(frame, "RAS", Ccd())
     assert vdcp[4] != ras[4]
     assert frames_equal(decompress_frame(vdcp), decompress_frame(ras))
 
@@ -102,7 +104,7 @@ def _stream_cases():
     cases = []
     for block in blocks:
         cases += [("dcp", block, ccd), ("vdcp", block, ccd), ("huffdcp", block, table),
-                  ("ras", block, None), ("red", block, None), ("hybrid", block, ccd)]
+                  ("ras", block, Ccd()), ("red", block, Ccd()), ("hybrid", block, ccd)]
     return cases
 
 
@@ -169,7 +171,7 @@ def test_container_decode_parses_each_stream_once(monkeypatch):
 
 def test_container_rejects_red_status_3():
     frame = _frame(1, width=16, height=8)
-    data = bytearray(compress_frame(frame, "RED"))
+    data = bytearray(compress_frame(frame, "RED", Ccd()))
     data[15] = 0xFF            # the status byte after a 2-byte empty palette
     with pytest.raises(CorruptStreamError):
         decompress_frame(bytes(data))
@@ -178,7 +180,7 @@ def test_container_rejects_red_status_3():
 @pytest.mark.parametrize("status", [12, 20, 31])
 def test_container_rejects_hdcp_status_past_ras_classes(status):
     frame = Frame(np.full((8, 8), 0x80808080, dtype=np.uint32))
-    data = bytearray(compress_frame(frame, "HDCP"))  # no palette: RAS class 0
+    data = bytearray(compress_frame(frame, "HDCP", Ccd()))  # empty palette: RAS class 0
     assert data[15] >> 3 == HDCP_RAS_BASE            # first 5-bit entry
     data[15] = (status << 3) | (data[15] & 0b111)
     with pytest.raises(CorruptStreamError):
@@ -187,16 +189,16 @@ def test_container_rejects_hdcp_status_past_ras_classes(status):
 
 def test_hdcp_reader_rejects_mixed_status_entries():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    comp = resolve("hybrid", "compress_blocks")(block[None], None)
+    comp = resolve("hybrid", "compress_blocks")(block[None], Ccd())
     assert comp.csb.tolist() == [[HDCP_RAS_BASE] * 16]
     for csb in ((HDCP_RAS_BASE,) * 15 + (HDCP_RAS_BASE + 1,), (0,) * 15 + (HDCP_RAS_BASE,)):
         with pytest.raises(CorruptStreamError):
-            hybrid_decompress_blocks(np.array([csb]), comp.payload, Rccd([]))
+            hybrid_decompress_blocks(np.array([csb]), comp.payload, Ccd())
 
 
 def test_ras_reader_rejects_wrong_size_class():
     block = np.full((8, 8), 0x80808080, dtype=np.uint32)
-    comp = resolve("ras", "compress_blocks")(block[None], None)
+    comp = resolve("ras", "compress_blocks")(block[None], Ccd())
     assert comp.csb.tolist() == [[0]]
     with pytest.raises(CorruptStreamError):
         ras_decompress_blocks(np.array([[1]]), comp.payload)
@@ -282,12 +284,42 @@ def test_container_rejects_zero_dimension(scheme, field):
         decompress_frame(bytes(data))
 
 
+def test_huffdcp_container_with_an_empty_table_raises():
+    # Coded sub-blocks and an empty table: no stream bits begin a code.
+    trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=0))
+    (m,) = replay(trace, ExperimentConfig(scheme="HUFFDCP"))
+    data = compress_frame(trace.frames[1], "HUFFDCP", m.palette)
+    assert len(m.palette) > 0 and parse(data)[4].any()
+    at = HEADER_BYTES + Ccd().byte_size
+    blob = data[:at] + HuffmanTable().to_bytes() + data[at + m.palette.byte_size:]
+    assert len(parse(blob)[3]) == 0
+    for decode in (decompress_frame, oracle.decompress_frame):
+        with pytest.raises(CorruptStreamError):
+            decode(blob)
+    csb, payload = parse(blob)[4:]
+    with pytest.raises(CorruptStreamError, match="no prefix code"):
+        resolve("huffdcp", "decompress_blocks")(csb, payload, HuffmanTable())
+
+
+@pytest.mark.parametrize("scheme", ["DCP", "ADCP", "VDCP", "HDCP"])
+def test_reverse_palette_that_repeats_a_color_raises(scheme):
+    frame = _frame(5, width=16, height=16)
+    ccd = Ccd([7, 3, 9, 1])
+    data = compress_frame(frame, scheme, ccd)
+    at = HEADER_BYTES + 2                                     # the first color
+    blob = data[:at + 12] + data[at:at + 4] + data[at + 16:]  # the last is the first again
+    assert frames_equal(decompress_frame(data), frame)
+    for decode in (decompress_frame, oracle.decompress_frame):
+        with pytest.raises(CorruptStreamError, match="unique"):
+            decode(blob)
+
+
 def test_container_rejects_codes_over_a_field():
     frame = _frame(6, width=16, height=16)
     ccd = ccd_from_blocks(block_pool(4, seed=6), 8)
     table = build_table([(int(c), 9 - i) for i, c in enumerate(ccd.colors)])
     data = bytearray(compress_frame(frame, "HUFFDCP", table))
-    at = HEADER_BYTES + Rccd([]).byte_size + 2 + 4          # the first entry's length
+    at = HEADER_BYTES + Ccd().byte_size + 2 + 4             # the first entry's length
     assert data[at] == table.lengths[0]
     for length in range(33, 256):
         data[at] = length
@@ -296,7 +328,7 @@ def test_container_rejects_codes_over_a_field():
 
 
 def test_container_rejects_unknown_scheme_tag():
-    data = bytearray(compress_frame(_frame(1, width=16, height=8), "DCP"))
+    data = bytearray(compress_frame(_frame(1, width=16, height=8), "DCP", Ccd()))
     for tag in [0, *range(8, 256)]:
         data[4] = tag
         with pytest.raises(CorruptStreamError, match=f"unknown scheme tag {tag}$"):
@@ -304,7 +336,7 @@ def test_container_rejects_unknown_scheme_tag():
 
 
 def test_container_rejects_header_only_blob():
-    data = compress_frame(_frame(1, width=16, height=8), "DCP")
+    data = compress_frame(_frame(1, width=16, height=8), "DCP", Ccd())
     for n in (0, 4, 5, 12):
         with pytest.raises(CorruptStreamError):
             decompress_frame(data[:n])

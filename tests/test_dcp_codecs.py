@@ -25,7 +25,7 @@ from dcpbench.dcp_codecs import (
 )
 from dcpbench.fvc import Fvc, FvcConfig
 from dcpbench.huffman import HuffmanTable, build_table
-from dcpbench.palette import Ccd, Rccd
+from dcpbench.palette import Ccd
 from dcpbench.runner import ExperimentConfig, replay
 from dcpbench.schemes import SCHEMES, resolve
 from dcpbench.surface import (
@@ -219,7 +219,8 @@ def test_advance_frame_gates_on_coverage():
     (m,) = replayed([first, first], "DCP", entries=4, coverage_threshold=0.7)
     assert m.coverage == pytest.approx(0.69)
     assert not m.enabled
-    assert m.palette is None and m.palette_size == 4
+    # Gated off, the palette in force is empty, of the built palette's kind.
+    assert type(m.palette) is Ccd and len(m.palette) == 0 and m.palette_size == 4
 
     first2 = np.array([1] * 70 + [2] * 30).reshape(10, 10)
     (m2,) = replayed([first2, first2], "DCP", entries=2, coverage_threshold=0.7)
@@ -242,7 +243,7 @@ def test_advance_frame_builds_per_scheme():
         assert len(ms[0].palette) == expect
         assert ms[1].palette.colors.min() >= 1100
 
-    # An empty ranking gives an empty table, not None.
+    # An empty ranking gives an empty table.
     assert len(advance_frame(SCHEMES["HUFFDCP"], Fvc(FvcConfig(entry_count=8)), 4096)) == 0
 
 
@@ -357,14 +358,14 @@ def test_palette_batch_matches_oracle(codec, gen):
 @pytest.mark.parametrize("codec", PALETTE_CODECS)
 def test_palette_batch_edge_palettes(codec):
     blocks = np.concatenate([_frame_blocks(gen, 24, 16) for gen in GENERATORS])
-    palettes = [None, Ccd([]) if codec != "huffdcp" else HuffmanTable([], [])]
+    palettes = [HuffmanTable() if codec == "huffdcp" else Ccd()]
     one = _palette_for(codec, blocks, size=1)                 # 0-bit codes (1 bit for Huffman)
     palettes.append(one)
     palettes.append(_palette_for(codec, blocks, size=64))     # 6-bit codes, VDCP's limit
-    assert [len(p) for p in palettes[2:]] == [1, 64]
+    assert [len(p) for p in palettes] == [0, 1, 64]
     for palette in palettes:
         comp, _ = _assert_matches_oracle(codec, blocks, palette)
-        if palette is None or len(palette) == 0:
+        if len(palette) == 0:
             assert (comp.payload_bits == 2048).all()
     if codec == "dcp":
         uniform = np.full((1, 8, 8), one.colors[0], dtype=np.uint32)
@@ -446,15 +447,16 @@ def test_huffdcp_stream_cut_short_raises():
 def test_batch_entries_take_empty_and_chunked_stacks(codec):
     k = 1 if codec in ("ras", "red") else 16
     compress, decode = resolve(codec, "compress_blocks"), resolve(codec, "decompress_blocks")
-    none = compress(np.empty((0, 8, 8), np.uint32), None)
+    empty = HuffmanTable() if codec == "huffdcp" else Ccd()
+    none = compress(np.empty((0, 8, 8), np.uint32), empty)
     assert none.csb.shape == (0, k) and none.payload == b""
     assert none.payload_bits.shape == none.cost_bits.shape == (0,)
-    assert decode(none.csb, none.payload, None).shape == (0, 8, 8)
+    assert decode(none.csb, none.payload, empty).shape == (0, 8, 8)
     with pytest.raises(CorruptStreamError, match="^1 payload bytes left unread$"):
-        decode(none.csb, b"\x00", None)
+        decode(none.csb, b"\x00", empty)
     blocks = np.concatenate([_frame_blocks(gen, 96, 88) for gen in GENERATORS])
     assert len(blocks) > 4 * BATCH_BLOCKS
-    palette = _palette_for(codec, blocks) if k == 16 else None
+    palette = _palette_for(codec, blocks) if k == 16 else empty
     c = compress(blocks, palette)
     picked = slice(BATCH_BLOCKS - 6, BATCH_BLOCKS + 6)      # across a chunk boundary
     assert_same_blocks(oracle.stack(split_blocks(c)[picked], k),
@@ -507,7 +509,7 @@ def _narrowed(codec: str, palette):
     first 12 of 16 colors, or a Huffman table without its last entries."""
     if codec == "huffdcp":
         return HuffmanTable(palette.colors[:-3].tolist(), palette.lengths[:-3].tolist())
-    return Rccd(palette.colors[:12]) if palette is not None else None
+    return Ccd(palette.colors[:12])
 
 
 @pytest.mark.parametrize("codec", PALETTE_CODECS + ("red",))
@@ -516,7 +518,7 @@ def test_damaged_block_streams_fail_like_the_oracle(codec):
     # as it does in a container; the outcome is the oracle's, exactly.
     rng = np.random.default_rng(17)
     blocks = np.concatenate([_frame_blocks(gen, 24, 16, seed=5) for gen in GENERATORS])
-    palette = _palette_for(codec, blocks) if codec != "red" else None
+    palette = _palette_for(codec, blocks) if codec != "red" else Ccd()
     compress, decode = resolve(codec, "compress_blocks"), resolve(codec, "decompress_blocks")
     cases = []
     for lo in range(0, len(blocks), 3):

@@ -6,10 +6,10 @@ from conftest import make_block, rand_palette
 from palette_oracle import (
     BitReader,
     BitWriter,
+    ccd_decode,
     ccd_encode,
     huffman_decode_symbol,
     huffman_encode,
-    rccd_decode,
 )
 
 import dcpbench.palette
@@ -17,7 +17,7 @@ from dcpbench.bitio import FIELD_MAX_BITS, CorruptStreamError
 from dcpbench.dcp_codecs import dcp_decompress_blocks, sub_blocks
 from dcpbench.fvc import MAX_ENTRY_COUNT
 from dcpbench.huffman import HuffmanTable, build_table, canonical_codes, code_lengths
-from dcpbench.palette import RUN_HEAD_SHARE, Ccd, Rccd, build_ccd, largest_pow2_le
+from dcpbench.palette import RUN_HEAD_SHARE, Ccd, build_ccd, largest_pow2_le
 
 
 def ranked(*pairs):
@@ -54,10 +54,10 @@ def test_encode_decode_identity(rng):
     colors = np.unique(rng.integers(0, 1 << 32, size=64, dtype=np.uint64).astype(np.uint32))
     ccd = Ccd(colors)
     for c in colors.tolist():
-        assert rccd_decode(ccd, ccd_encode(ccd, c)) == c
-    # A forward palette serializes as its reverse palette.
-    assert ccd.to_bytes() == Rccd(colors).to_bytes()
-    assert ccd.byte_size == Rccd(colors).byte_size
+        assert ccd_decode(ccd, ccd_encode(ccd, c)) == c
+    # A palette serializes as its reverse palette: the colors in code order.
+    assert ccd.to_bytes() == len(colors).to_bytes(2, "little") + colors.astype("<u4").tobytes()
+    assert ccd.byte_size == len(ccd.to_bytes())
 
 
 def test_decode_out_of_range():
@@ -66,22 +66,42 @@ def test_decode_out_of_range():
     csb = np.ones((1, 16), dtype=np.int64)
     assert dcp_decompress_blocks(csb, codes, Ccd([1, 2, 3, 4]))[0, 0, 0] == 4
     with pytest.raises(CorruptStreamError):
-        dcp_decompress_blocks(csb, codes, Rccd([1, 2, 3]))
+        dcp_decompress_blocks(csb, codes, Ccd([1, 2, 3]))
     with pytest.raises(CorruptStreamError):
-        rccd_decode(Rccd([1, 2]), -1)
+        ccd_decode(Ccd([1, 2]), -1)
 
 
 def test_rccd_serialization_round_trip(rng):
     colors = np.unique(rng.integers(0, 1 << 32, size=64, dtype=np.uint64).astype(np.uint32))
-    rccd = Rccd(colors)
-    blob = rccd.to_bytes()
-    assert len(blob) == rccd.byte_size == 2 + 4 * len(colors)
-    back = Rccd.from_bytes(blob)
-    assert np.array_equal(back.colors, rccd.colors)
+    ccd = Ccd(colors)
+    blob = ccd.to_bytes()
+    assert len(blob) == ccd.byte_size == 2 + 4 * len(colors)
+    back = Ccd.from_bytes(blob + b"\x00")                  # bytes past the palette are not its
+    assert np.array_equal(back.colors, ccd.colors)
+    codes, hit = back.lookup(ccd.colors)
+    assert hit.all() and codes.tolist() == list(range(len(colors)))
 
 
 def test_rccd_64_entries_is_258_bytes():
-    assert Rccd(np.arange(64, dtype=np.uint32)).byte_size == 258
+    assert Ccd(np.arange(64, dtype=np.uint32)).byte_size == 258
+
+
+def test_reverse_palette_that_repeats_a_color_raises():
+    blob = Ccd([7, 3, 9, 1]).to_bytes()
+    repeat = blob[:-4] + blob[2:6]                          # the last color is the first again
+    with pytest.raises(ValueError, match="unique"):
+        Ccd([7, 3, 9, 7])
+    with pytest.raises(CorruptStreamError, match="unique"):
+        Ccd.from_bytes(repeat)
+
+
+def test_empty_palettes_code_nothing():
+    for palette in (Ccd(), HuffmanTable()):
+        assert len(palette) == 0 and palette.to_bytes() == b"\x00\x00"
+        assert len(type(palette).from_bytes(palette.to_bytes())) == 0
+        codes, hit = palette.lookup(np.arange(6, dtype=np.uint32).reshape(2, 3))
+        assert (codes == -1).all() and not hit.any()
+    assert Ccd().bits_per_code == 0
 
 
 def test_vector_lookup_matches_scalar(rng):
@@ -385,7 +405,7 @@ def test_table_rejects_codes_over_a_field():
 
 @pytest.mark.parametrize("palette", [
     build_table([(7, 50), (3, 20), (9, 5), (1, 1)]),
-    Rccd([7, 3, 9, 1]),
+    Ccd([7, 3, 9, 1]),
 ], ids=["huffman", "rccd"])
 def test_from_bytes_rejects_every_truncation(palette):
     blob = palette.to_bytes()

@@ -16,7 +16,7 @@ from conftest import make_block, rand_palette
 
 from dcpbench import dcp_codecs, reference_codecs
 from dcpbench.bandwidth import charged_bursts
-from dcpbench.huffman import build_table
+from dcpbench.huffman import HuffmanTable, build_table
 from dcpbench.palette import Ccd
 from dcpbench.schemes import CCD, HUFFMAN, SCHEMES, resolve
 from dcpbench.surface import Frame, block_valid_counts, pool, sub_block_valid_counts
@@ -64,7 +64,7 @@ def oracle_valid_counts(valid):
 
 
 def oracle_dcp(padded, sb_real, ccd):
-    if ccd is None or len(ccd) == 0:
+    if len(ccd) == 0:
         return oracle_block_sum(32 * sb_real)
     _, hit = ccd.lookup(padded)
     compressible = oracle_sub_block_all(hit)
@@ -72,7 +72,7 @@ def oracle_dcp(padded, sb_real, ccd):
 
 
 def oracle_vdcp(padded, sb_real, ccd):
-    if ccd is None or len(ccd) == 0:
+    if len(ccd) == 0:
         return oracle_block_sum(32 * sb_real)
     codes, hit = ccd.lookup(padded)
     compressible = oracle_sub_block_all(hit)
@@ -82,7 +82,7 @@ def oracle_vdcp(padded, sb_real, ccd):
 
 
 def oracle_huffdcp(padded, valid, sb_real, table):
-    if table is None or len(table) == 0:
+    if len(table) == 0:
         return oracle_block_sum(32 * sb_real)
     entries, hit = table.lookup(padded)
     compressible = oracle_sub_block_all(hit)
@@ -254,10 +254,10 @@ def test_engines_match_oracle(generator, width, height, rows):
     sb_old, block_old = oracle_valid_counts(valid)
     ranked = _top_colors(warm, 64)
     palettes = {
-        CCD: [None, Ccd([]), Ccd([c for c, _ in ranked[:1]]), Ccd([c for c, _ in ranked[:16]]),
+        CCD: [Ccd(), Ccd([c for c, _ in ranked[:1]]), Ccd([c for c, _ in ranked[:16]]),
               Ccd([c for c, _ in ranked])],
-        HUFFMAN: [None, build_table(ranked[:1]), build_table(ranked)],
-        None: [None],
+        HUFFMAN: [HuffmanTable(), build_table(ranked[:1]), build_table(ranked)],
+        None: [Ccd()],
     }
     oracles = {
         "dcp": lambda ccd: oracle_dcp(padded, sb_old, ccd),

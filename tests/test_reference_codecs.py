@@ -172,7 +172,7 @@ def test_red_batch_matches_oracle(gen):
                        np.arange(64, dtype=np.uint32).reshape(8, 8)])        # raw
     blocks = np.concatenate([blocks, forced])
     comp = red_compress_blocks(blocks)
-    assert_same_blocks(comp, palette_oracle.compress_blocks("red", blocks, None))
+    assert_same_blocks(comp, palette_oracle.compress_blocks("red", blocks, Ccd()))
     assert comp.csb[-3:].tolist() == [[RED_C8], [RED_C4], [RED_RAW]]
     decoded = red_decompress_blocks(comp.csb, comp.payload)
     assert np.array_equal(decoded, blocks)
@@ -330,7 +330,7 @@ def test_ras_batch_matches_oracle(gen):
     padded, valid, blocks, live = _frame_blocks(gen)
     assert not live.all()                                    # partially live edge blocks
     comp = ras_compress_blocks(blocks)
-    expected = palette_oracle.compress_blocks("ras", blocks, None)
+    expected = palette_oracle.compress_blocks("ras", blocks, Ccd())
     assert_same_blocks(comp, expected)                       # csb, payload, both bit counts
     singles = split_blocks(comp)
     raw_channel, raw_block = singles[-2:]
@@ -413,21 +413,22 @@ def _tied_block():
 
 
 def _hybrid_stacks():
-    """(name, blocks, ccd, outcome) stacks, with and without a palette.
+    """(name, blocks, ccd, outcome) stacks, with a palette and with an
+    empty one.
     `outcome` is what the stack's blocks come to: all "vdcp" or "ras" won,
     all "tie" (equal bursts, so VDCP won), "mixed" for some of each, or
     "empty"."""
     for gen in ("ui-like", "2d-like", "noise"):
         blocks = np.concatenate([_frame_blocks(gen, 96, 88, seed=s)[2] for s in (3, 4)])
         yield gen, blocks, ccd_from_blocks(list(blocks), 16), "mixed"
-        yield gen + "-no-palette", blocks, None, "mixed"
+        yield gen + "-no-palette", blocks, Ccd(), "mixed"
     tied, ccd = _tied_block()
     yield "tied", np.stack([tied] * 3), ccd, "tie"
-    yield "raw-tied", np.stack(block_pool(70, seed=4, kinds=("random",))), None, "tie"
+    yield "raw-tied", np.stack(block_pool(70, seed=4, kinds=("random",))), Ccd(), "tie"
     palette_blocks = np.stack(block_pool(70, seed=5, kinds=("uniform", "ui")))
     yield "all-vdcp", palette_blocks, ccd_from_blocks(list(palette_blocks), 64), "vdcp"
-    yield "all-ras", np.stack(block_pool(70, seed=6, kinds=("gradient",))), None, "ras"
-    yield "empty", np.empty((0, 8, 8), dtype=np.uint32), None, "empty"
+    yield "all-ras", np.stack(block_pool(70, seed=6, kinds=("gradient",))), Ccd(), "ras"
+    yield "empty", np.empty((0, 8, 8), dtype=np.uint32), Ccd(), "empty"
 
 
 @pytest.mark.parametrize("name, blocks, ccd, outcome", list(_hybrid_stacks()),
