@@ -9,12 +9,15 @@ reported, from most optimistic to most faithful:
   payload+csb   raw bits / (payload + status-buffer bits), no rounding
   full          raw bursts / (charged bursts + status-buffer bursts)
 
-Status widths come from `schemes.py`; the runner charges each `replay` frame.
+A run's counters are declared once, in `Totals`; `FrameStats` and
+`WorkloadStats` extend it with their labels, and `sum_frames` builds a
+workload from its frames. Status widths come from `schemes.py`; the runner
+charges each `replay` frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,46 +61,46 @@ def csb_overhead(width: int, height: int, scheme: str) -> int:
     return bursts(csb_frame_bits(width, height, scheme))
 
 
-@dataclass
-class FrameStats:
-    frame: int
-    uncompressed_bits: int
-    payload_bits: int
-    csb_bits: int
-    uncompressed_bursts: int
-    payload_bursts: int
-    csb_bursts: int
-    rate: float
-    coverage: float = float("nan")
-    ccd_size: int = 0
-    rccd_bytes: int = 0
-    compression_enabled: bool = True
-    vdcp_blocks: int = 0
-    ras_blocks: int = 0
+@dataclass(kw_only=True)
+class Totals:
+    """The counters a frame charges and a workload sums, and the rate of the
+    six bit and burst totals under the run's accounting mode."""
 
-
-@dataclass
-class WorkloadStats:
-    name: str
-    category: str
-    scheme: str
-    accounting: str
-    frames_measured: int = 0
     uncompressed_bits: int = 0
     payload_bits: int = 0
     csb_bits: int = 0
     uncompressed_bursts: int = 0
     payload_bursts: int = 0
     csb_bursts: int = 0
-    rccd_bytes: int = 0
-    vdcp_blocks: int = 0
-    ras_blocks: int = 0
-    rate: float = 0.0
+    rccd_bytes: int = 0            # palette bytes sent
+    vdcp_blocks: int = 0           # HDCP blocks won by VDCP
+    ras_blocks: int = 0            # HDCP blocks won by RAS
+    rate: float = float("nan")
 
 
-def rate(stats: FrameStats | WorkloadStats, mode: str) -> float:
-    """The compression rate of a frame's or a workload's six totals under
-    an accounting mode; inf when nothing is charged."""
+COUNTERS = tuple(f.name for f in fields(Totals) if f.name != "rate")
+
+
+@dataclass
+class FrameStats(Totals):
+    frame: int
+    coverage: float = float("nan")
+    ccd_size: int = 0
+    enabled: bool = True
+
+
+@dataclass
+class WorkloadStats(Totals):
+    name: str
+    category: str
+    scheme: str
+    accounting: str
+    frames_measured: int = 0
+
+
+def rate(stats: Totals, mode: str) -> float:
+    """The compression rate of a frame's or a workload's six bit and burst
+    totals under an accounting mode; inf when nothing is charged."""
     if mode == "payload":
         num, den = stats.uncompressed_bits, stats.payload_bits
     elif mode == "payload+csb":
@@ -109,3 +112,13 @@ def rate(stats: FrameStats | WorkloadStats, mode: str) -> float:
     if den == 0:
         return float("inf")
     return num / den
+
+
+def sum_frames(frames: list[FrameStats], name: str, category: str, scheme: str,
+               accounting: str) -> WorkloadStats:
+    """A workload's record: every counter summed over its frames, and the
+    rate of those sums, which is not a mean of the frame rates."""
+    w = WorkloadStats(name, category, scheme, accounting, frames_measured=len(frames),
+                      **{c: sum(getattr(f, c) for f in frames) for c in COUNTERS})
+    w.rate = rate(w, accounting)
+    return w

@@ -24,7 +24,7 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .bandwidth import ACCOUNTING_MODES
+from .bandwidth import ACCOUNTING_MODES, COUNTERS
 from .container import compress_frame
 from .fvc import POLICIES, FvcConfig
 from .metrics import color_cdf, color_change, entropy, pixel_change, unique_colors
@@ -62,11 +62,16 @@ KEY_TYPES = {
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
                (int, float): "a number", (int, str): "an integer or a word"}
 
+# The per-frame CSV's columns, each a `FrameStats` field.
 FRAME_COLUMNS = (
     "frame", "uncompressed_bits", "payload_bits", "csb_bits",
     "uncompressed_bursts", "payload_bursts", "csb_bursts", "rate",
     "coverage", "ccd_size", "rccd_bytes", "enabled", "vdcp_blocks", "ras_blocks",
 )
+
+# The summary's "totals": the workload's counters but HDCP's block counts,
+# which it reports as "hybrid_blocks".
+SUMMARY_TOTALS = tuple(c for c in COUNTERS if not c.endswith("_blocks"))
 
 
 class UsageError(Exception):
@@ -228,10 +233,17 @@ def build_config(args, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_outputs(args, *paths: Path) -> None:
+def _check_outputs(args, *paths: Path, dump: Path | None = None) -> None:
     """Refuse, before anything is written, an output (a file, or the
     `--dump-frames` directory) that is another output or an input: the
-    config file, or a trace's manifest or a frame file it lists."""
+    config file, or a trace's manifest or a frame file it lists. Refuse too
+    a dump directory that would be, or lie under, an existing file or
+    another output."""
+    if dump is not None:
+        nearest = next(p for p in (dump, *dump.parents) if p.exists())
+        if not nearest.is_dir() or {p.resolve() for p in paths} & set(dump.resolve().parents):
+            raise UsageError(f"--dump-frames {dump} would be, or lie under, a file")
+        paths += (dump,)
     resolved = [p.resolve() for p in paths]
     inputs = [Path(args.config)] if getattr(args, "config", None) else []
     for trace in getattr(args, "traces", None) or [args.trace]:
@@ -293,8 +305,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_compress(args) -> int:
     out = Path(args.out)
     summary_path = out.with_suffix(".json")
-    dump = [Path(args.dump_frames)] if args.dump_frames else []
-    _check_outputs(args, out, summary_path, *dump)
+    _check_outputs(args, out, summary_path,
+                   dump=Path(args.dump_frames) if args.dump_frames else None)
     cfg = build_config(args)
     trace = load_trace(args.trace)
     result = run_experiment(trace, cfg)
@@ -358,6 +370,8 @@ def _cmd_sweep(args) -> int:
 # Report writing
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -373,12 +387,7 @@ def _write_frame_csv(path: Path, trace: SurfaceTrace, cfg: ExperimentConfig,
         writer = csv.writer(fh)
         writer.writerow(FRAME_COLUMNS)
         for f in result.frames:
-            writer.writerow([
-                f.frame, f.uncompressed_bits, f.payload_bits, f.csb_bits,
-                f.uncompressed_bursts, f.payload_bursts, f.csb_bursts,
-                _fmt(f.rate), _fmt(f.coverage), f.ccd_size, f.rccd_bytes,
-                int(f.compression_enabled), f.vdcp_blocks, f.ras_blocks,
-            ])
+            writer.writerow([_fmt(getattr(f, column)) for column in FRAME_COLUMNS])
 
 
 def _summary_json(trace: SurfaceTrace, cfg: ExperimentConfig, result: RunResult) -> str:
@@ -396,15 +405,7 @@ def _summary_json(trace: SurfaceTrace, cfg: ExperimentConfig, result: RunResult)
             "seed": cfg.seed,
         },
         "frames_measured": w.frames_measured,
-        "totals": {
-            "uncompressed_bits": w.uncompressed_bits,
-            "payload_bits": w.payload_bits,
-            "csb_bits": w.csb_bits,
-            "uncompressed_bursts": w.uncompressed_bursts,
-            "payload_bursts": w.payload_bursts,
-            "csb_bursts": w.csb_bursts,
-            "rccd_bytes": w.rccd_bytes,
-        },
+        "totals": {key: getattr(w, key) for key in SUMMARY_TOTALS},
         # RFC 8259 has no Infinity: a rate with nothing charged is null here
         # (the CSV keeps inf).
         "rate": w.rate if math.isfinite(w.rate) else None,

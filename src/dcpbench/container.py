@@ -6,8 +6,8 @@ Layout (integers little-endian unless they live in the bit streams):
   scheme  u8       the scheme's tag in `schemes.py`
   width   u32      real frame width in pixels
   height  u32      real frame height
-  rccd    the reverse palette, `Ccd.to_bytes` (zero entries unless the
-          scheme's palette is a CCD)
+  rccd    the reverse palette, `Ccd.to_bytes`; a scheme whose palette is
+          not a CCD carries zero entries, and more are damage
   table   HUFFDCP only: the prefix-code table, `HuffmanTable.to_bytes`
   csb     packed status entries, padded to a byte boundary; palette schemes
           and HDCP store one entry per sub-block in global raster order,
@@ -111,6 +111,8 @@ def parse(data: bytes) -> tuple[Scheme, int, int, Ccd | HuffmanTable, np.ndarray
     pos = HEADER_BYTES
     palette = Ccd.from_bytes(data[pos:])
     pos += palette.byte_size
+    if s.palette != CCD and len(palette):
+        raise CorruptStreamError(f"{s.name} carries a {len(palette)}-entry reverse palette")
     if s.palette == HUFFMAN:
         palette = HuffmanTable.from_bytes(data[pos:])
         pos += palette.byte_size

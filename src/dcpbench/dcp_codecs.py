@@ -141,10 +141,7 @@ def _palette_encode(blocks: np.ndarray, codec: str, palette) -> CompressedBlocks
     pixels = sub_blocks(blocks)                              # (n, 16, 4)
     entries, hit = palette.lookup(pixels)
     coded = hit.all(axis=2)
-    if not coded.any():                                      # also an empty palette
-        width = value = np.zeros(pixels.shape, dtype=np.int64)
-        status = np.full(coded.shape, _RAW_STATUS[codec])
-    elif codec == "huffdcp":
+    if codec == "huffdcp":
         width, value = (f[entries] for f in palette.code_fields)
         status = coded.astype(np.int64)
     elif codec == "dcp":
@@ -401,8 +398,6 @@ def _block_bits(sb_bits: np.ndarray) -> np.ndarray:
 
 def dcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
                    block_real: np.ndarray, ccd: Ccd) -> np.ndarray:
-    if len(ccd) == 0:
-        return _block_bits(_RAW_BITS * sb_real)
     _, hit = ccd.lookup(padded)
     compressible = pool(hit, np.logical_and, 2, 2)
     return _block_bits(np.where(compressible, np.int16(ccd.bits_per_code), _RAW_BITS) * sb_real)
@@ -410,8 +405,6 @@ def dcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 
 def vdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
                     block_real: np.ndarray, ccd: Ccd) -> np.ndarray:
-    if len(ccd) == 0:
-        return _block_bits(_RAW_BITS * sb_real)
     if len(ccd) > VDCP_MAX_CCD:
         raise ValueError(f"VDCP palette limited to {VDCP_MAX_CCD} entries, got {len(ccd)}")
     codes, hit = ccd.lookup(padded)
@@ -424,12 +417,11 @@ def vdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
 
 def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarray,
                        block_real: np.ndarray, table: HuffmanTable) -> np.ndarray:
-    if len(table) == 0:
-        return _block_bits(_RAW_BITS * sb_real)
     entries, hit = table.lookup(padded)
     compressible = pool(hit, np.logical_and, 2, 2)
-    lengths = table.lengths.astype(np.int16)[entries]
-    code_bits = pool(np.where(valid & hit, lengths, np.int16(0)), np.add, 2, 2)
+    # A miss (entry -1) reads the table's zero-width field.
+    lengths = table.code_fields[0].astype(np.int16)[entries]
+    code_bits = pool(np.where(valid, lengths, np.int16(0)), np.add, 2, 2)
     return _block_bits(np.where(compressible, code_bits, _RAW_BITS * sb_real))
 
 

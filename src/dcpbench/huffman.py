@@ -126,8 +126,9 @@ class HuffmanTable:
 
     @cached_property
     def code_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """(widths, values) per entry: each code as one field."""
-        return self.lengths, np.array(self.codes, dtype=np.uint64)
+        """(widths, values) per entry, each code as one field, then one
+        zero-width field that a miss (entry -1) reads."""
+        return np.append(self.lengths, 0), np.array(self.codes + [0], dtype=np.uint64)
 
     @cached_property
     def _decoder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,9 +4,10 @@
 the first collector and palette and is never measured. Every later frame is
 yielded with the palette built from the most recent collection frame, one
 object that encodes, decodes and serializes itself; `run_experiment`
-charges the frame through the burst model and keeps what was yielded, from
-which `--dump-frames` writes containers. Block costs come from the
-scheme's vectorized frame engine; a seeded sample of distinct blocks
+charges the frame through the burst model into a `FrameStats`, keeps what
+was yielded, from which `--dump-frames` writes containers, and sums the
+frames into the workload with `bandwidth.sum_frames`. Block costs come
+from the scheme's vectorized frame engine; a seeded sample of distinct blocks
 additionally runs through its exact batch codecs, checking both
 losslessness and that the two cost paths agree. What differs between
 schemes is read from the table in `schemes.py`, and every engine and codec
@@ -202,11 +203,10 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
             uncompressed_bursts=uncompressed_bursts,
             payload_bursts=int(bandwidth.charged_bursts(bits, raw_bits).sum()),
             csb_bursts=csb_bursts,
-            rate=0.0,
             coverage=m.coverage,
             ccd_size=m.palette_size,
             rccd_bytes=m.rccd_bytes,
-            compression_enabled=m.enabled,
+            enabled=m.enabled,
             vdcp_blocks=v_blocks,
             ras_blocks=r_blocks,
         )
@@ -215,23 +215,8 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
         rel_covs += m.relative_coverages
         blocks_verified += _verify_frame(cfg, scheme, m, padded, block_real, bits, verify_rng)
 
-    workload = WorkloadStats(
-        name=trace.name,
-        category=trace.category,
-        scheme=cfg.scheme,
-        accounting=cfg.accounting,
-        frames_measured=len(frames_out),
-        uncompressed_bits=sum(f.uncompressed_bits for f in frames_out),
-        payload_bits=sum(f.payload_bits for f in frames_out),
-        csb_bits=sum(f.csb_bits for f in frames_out),
-        uncompressed_bursts=sum(f.uncompressed_bursts for f in frames_out),
-        payload_bursts=sum(f.payload_bursts for f in frames_out),
-        csb_bursts=sum(f.csb_bursts for f in frames_out),
-        rccd_bytes=sum(f.rccd_bytes for f in frames_out),
-        vdcp_blocks=sum(f.vdcp_blocks for f in frames_out),
-        ras_blocks=sum(f.ras_blocks for f in frames_out),
-    )
-    workload.rate = bandwidth.rate(workload, cfg.accounting)
+    workload = bandwidth.sum_frames(frames_out, trace.name, trace.category, cfg.scheme,
+                                    cfg.accounting)
     mean_rel = float(np.mean(rel_covs)) if rel_covs else float("nan")
     return RunResult(workload, frames_out, blocks_verified, mean_rel, replayed)
 

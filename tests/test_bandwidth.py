@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from dcpbench.bandwidth import (
+    COUNTERS,
     FrameStats,
     WorkloadStats,
     charged_bursts,
     csb_frame_bits,
     csb_overhead,
     rate,
+    sum_frames,
 )
 
 
@@ -84,8 +86,17 @@ def test_workload_rate_sums_frames():
     # A workload's rate is that of its frames' summed totals, not a mean of
     # the frame rates (2.0 and 1.0 here).
     frames = [_stats(), _stats(pbits=2048, pbursts=16)]
-    totals = {name: sum(getattr(f, name) for f in frames)
-              for name in ("uncompressed_bits", "payload_bits", "csb_bits",
-                           "uncompressed_bursts", "payload_bursts", "csb_bursts")}
+    workload = sum_frames(frames, "w", "UI", "DCP", "payload")
+    assert (workload.payload_bits, workload.frames_measured) == (3072, 2)
+    assert workload.rate == rate(workload, "payload") == pytest.approx(4096 / 3072)
+
+
+def test_records_share_the_counters():
+    # The labels come first and positionally; the counters only by name.
+    totals = {c: i for i, c in enumerate(COUNTERS)}
     workload = WorkloadStats("w", "UI", "DCP", "payload", **totals)
-    assert rate(workload, "payload") == pytest.approx(4096 / 3072)
+    frame = FrameStats(frame=1, **totals)
+    for c in COUNTERS:
+        assert getattr(workload, c) == getattr(frame, c) == totals[c]
+    with pytest.raises(TypeError):
+        WorkloadStats("w", "UI", "DCP", "payload", 2, 0)

@@ -252,6 +252,18 @@ def test_dump_frames_may_not_be_another_output(ui_trace, tmp_path, capsys, dump)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "trace"]
 
 
+@pytest.mark.parametrize("dump", ["blocker", "blocker/frames", "run.csv/frames"],
+                         ids=["file", "under-file", "under-csv"])
+def test_dump_frames_may_not_be_a_file(ui_trace, tmp_path, capsys, dump):
+    (tmp_path / "blocker").write_bytes(b"")
+    rc = main(["compress", str(ui_trace), "--out", str(tmp_path / "run.csv"),
+               "--dump-frames", str(tmp_path / dump)])
+    assert rc == 1
+    assert "lie under, a file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "trace"]
+    assert (tmp_path / "blocker").read_bytes() == b""
+
+
 def test_compress_summary_may_not_overwrite_the_csv(ui_trace, tmp_path, capsys):
     # The summary goes to the CSV path with a .json suffix: here, the same file.
     rc = main(["compress", str(ui_trace), "--out", str(tmp_path / "run.json")])

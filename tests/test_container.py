@@ -314,6 +314,21 @@ def test_reverse_palette_that_repeats_a_color_raises(scheme):
             decode(blob)
 
 
+@pytest.mark.parametrize("scheme", ["HUFFDCP", "RAS", "RED"])
+def test_reverse_palette_on_a_scheme_without_a_ccd_raises(scheme):
+    # These schemes carry an empty RCCD; a spliced-in entry is damage, even
+    # though the rest of the container would still decode to the frame.
+    trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=1))
+    (m,) = replay(trace, ExperimentConfig(scheme=scheme))
+    data = compress_frame(trace.frames[1], scheme, m.palette)
+    assert frames_equal(decompress_frame(data), trace.frames[1])
+    at = HEADER_BYTES + Ccd().byte_size
+    blob = data[:HEADER_BYTES] + Ccd([0xFF000000]).to_bytes() + data[at:]
+    for decode in (decompress_frame, oracle.decompress_frame):
+        with pytest.raises(CorruptStreamError, match="1-entry reverse palette"):
+            decode(blob)
+
+
 def test_container_rejects_codes_over_a_field():
     frame = _frame(6, width=16, height=16)
     ccd = ccd_from_blocks(block_pool(4, seed=6), 8)

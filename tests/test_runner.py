@@ -9,6 +9,7 @@ import dcpbench.huffman
 import dcpbench.palette
 import dcpbench.reference_codecs
 import dcpbench.runner
+from dcpbench import bandwidth
 from dcpbench.fvc import FvcConfig
 from dcpbench.runner import (
     ConfigError,
@@ -16,6 +17,7 @@ from dcpbench.runner import (
     VerificationError,
     run_experiment,
 )
+from dcpbench.schemes import SCHEMES
 from dcpbench.surface import Frame, SurfaceTrace
 from dcpbench.synth import SyntheticSpec, generate
 
@@ -99,14 +101,14 @@ def test_coverage_gate_disables_compression():
     cfg = ExperimentConfig(scheme="DCP", fvc=FvcConfig(entry_count=2),
                            coverage_threshold=0.7, accounting="payload")
     res = run_experiment(trace, cfg)
-    assert all(not f.compression_enabled for f in res.frames)
+    assert all(not f.enabled for f in res.frames)
     assert all(f.payload_bits == f.uncompressed_bits for f in res.frames)
     assert all(f.rate == 1.0 for f in res.frames)
 
     open_cfg = ExperimentConfig(scheme="DCP", fvc=FvcConfig(entry_count=4),
                                 coverage_threshold=0.7, accounting="payload")
     res2 = run_experiment(trace, open_cfg)
-    assert all(f.compression_enabled for f in res2.frames)
+    assert all(f.enabled for f in res2.frames)
     assert res2.workload.rate > 1.0
 
 
@@ -211,6 +213,23 @@ def test_lookup_paths_agree_within_a_frame(monkeypatch, scheme):
     assert len(fast_bits) == len(slow_bits) == 2
     for got, want in zip(fast_bits, slow_bits):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))    # (bits, classes or None)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_workload_sums_its_frames(scheme):
+    # On 2d-like content both of HDCP's codecs win blocks, so no HDCP
+    # counter is zero.
+    trace = generate(SyntheticSpec(generator="2d-like", width=40, height=24, frames=4, seed=4))
+    cfg = ExperimentConfig(scheme=scheme, seed=4, accounting="payload+csb")
+    res = run_experiment(trace, cfg)
+    w = res.workload
+    assert w.frames_measured == len(res.frames) == 3
+    if scheme == "HDCP":
+        assert all(getattr(w, name) > 0 for name in bandwidth.COUNTERS)
+    for name in bandwidth.COUNTERS:
+        assert getattr(w, name) == sum(getattr(f, name) for f in res.frames), name
+    assert w.rate == bandwidth.rate(w, cfg.accounting)
+    assert all(f.rate == bandwidth.rate(f, cfg.accounting) for f in res.frames)
 
 
 def test_hybrid_shares_are_reported():
