@@ -237,8 +237,11 @@ def _check_outputs(args, *paths: Path, dump: Path | None = None) -> None:
     """Refuse, before anything is written, an output (a file, or the
     `--dump-frames` directory) that is another output or an input: the
     config file, or a trace's manifest or a frame file it lists. Refuse too
-    a dump directory that would be, or lie under, an existing file or
-    another output."""
+    a file output that is an existing directory, and a dump directory that
+    would be, or lie under, an existing file or another output."""
+    for path in paths:
+        if path.is_dir():
+            raise UsageError(f"the output {path} is a directory")
     if dump is not None:
         nearest = next(p for p in (dump, *dump.parents) if p.exists())
         if not nearest.is_dir() or {p.resolve() for p in paths} & set(dump.resolve().parents):

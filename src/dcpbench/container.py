@@ -28,9 +28,9 @@ are damage.
 
 Likewise the palettes serialize themselves: the container places their
 bytes and knows neither layout. A palette is passed as the one object
-`runner.replay` yields, which both encodes and decodes: a `Ccd` or a
-`HuffmanTable`, empty while compression is gated off, and an empty `Ccd`
-for the reference schemes, which ignore it.
+`runner.replay` yields, which both encodes and decodes: a `Palette` of
+either kind, a `Ccd` or a `HuffmanTable`, empty while compression is
+gated off, and an empty `Ccd` for the reference schemes, which ignore it.
 
 Bandwidth accounting never reads container bytes; the burst model is the
 measurement path and this format exists for losslessness audits. Scheme facts
@@ -45,7 +45,7 @@ import numpy as np
 
 from .bitio import CorruptStreamError
 from .huffman import HuffmanTable
-from .palette import Ccd
+from .palette import Ccd, Palette
 from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme, resolve
 from .surface import BLOCK, Frame, block_grid, block_stack
 
@@ -53,7 +53,7 @@ MAGIC = b"FBC1"
 HEADER_BYTES = 13              # magic, scheme, width, height
 
 
-def compress_frame(frame: Frame, scheme: str, palette: Ccd | HuffmanTable) -> bytes:
+def compress_frame(frame: Frame, scheme: str, palette: Palette) -> bytes:
     """`palette` is the scheme's palette in force: a `Ccd` for the CCD
     schemes, a `HuffmanTable` for HUFFDCP. The reference schemes ignore it."""
     if scheme not in SCHEMES:
@@ -90,7 +90,7 @@ def decompress_frame(data: bytes) -> Frame:
     return Frame(padded[:height, :width].copy())
 
 
-def parse(data: bytes) -> tuple[Scheme, int, int, Ccd | HuffmanTable, np.ndarray, bytes]:
+def parse(data: bytes) -> tuple[Scheme, int, int, Palette, np.ndarray, bytes]:
     """(scheme, width, height, palette, status grid, payload) of a container.
 
     The grid has one row per block in raster order, holding its status

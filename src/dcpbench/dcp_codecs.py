@@ -29,8 +29,8 @@ entries and payloads without knowing what is in them.
 
 Every encoder runs on a chunk of blocks at a time (`encode_chunks`). The
 palette codecs run on one skeleton: `lookup` over the (n, 16, 4) sub-block
-view, an all-hit mask per sub-block, a field width per pixel, then one
-`bitio.pack_fields` call.
+view, an all-hit mask per sub-block, a field per pixel from the palette's
+`code_fields` (VDCP's width is its v), then one `bitio.pack_fields` call.
 Decoding reads every field with one gather from offsets that follow from
 the status entries (DCP, VDCP). HUFFDCP's offsets follow from its code
 lengths: one `_prefix_walk` per chunk chases the chunk's blocks in order,
@@ -47,6 +47,7 @@ differential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .bitio import (
 )
 from .fvc import Fvc
 from .huffman import HuffmanTable, build_table
-from .palette import Ccd, build_ccd
+from .palette import Ccd, Palette, build_ccd
 from .schemes import HUFFMAN, SCHEMES, Scheme
 from .surface import pool
 
@@ -130,9 +131,10 @@ def encode_chunks(encode, blocks: np.ndarray, *args) -> CompressedBlocks:
 #
 # One skeleton serves DCP, VDCP and HUFFDCP. A sub-block is coded when all
 # four of its pixels are in the palette, else its four pixels are stored
-# raw as 32-bit fields. The families differ only in the width of a code:
-# `bits_per_code` (DCP), the sub-block's v (VDCP), or the code's length
-# (HUFFDCP, at most 32 bits). Every pixel is one field.
+# raw as 32-bit fields. Every pixel is one field, and the palette's
+# `code_fields` give each entry's code: its index in `bits_per_code` bits
+# (DCP, ADCP) or its prefix code, at most 32 bits (HUFFDCP). VDCP alone
+# overrides the width, with the sub-block's v.
 
 _RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW, "huffdcp": 0}
 
@@ -141,15 +143,9 @@ def _palette_encode(blocks: np.ndarray, codec: str, palette) -> CompressedBlocks
     pixels = sub_blocks(blocks)                              # (n, 16, 4)
     entries, hit = palette.lookup(pixels)
     coded = hit.all(axis=2)
-    if codec == "huffdcp":
-        width, value = (f[entries] for f in palette.code_fields)
-        status = coded.astype(np.int64)
-    elif codec == "dcp":
-        value = entries
-        width = np.full(value.shape, palette.bits_per_code)
-        status = coded.astype(np.int64)
-    else:
-        value = entries
+    width, value = (f[entries] for f in palette.code_fields)
+    status = coded.astype(np.int64)
+    if codec == "vdcp":
         v = _VDCP_WIDTH[np.clip(entries.max(axis=2), 0, VDCP_MAX_CCD - 1)]
         width = np.repeat(v[:, :, None], 4, axis=2)
         status = np.where(coded, v, VDCP_RAW)
@@ -346,34 +342,24 @@ def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
 
     For each candidate i in 0..log2(max_size) the predictor charges the
     pixel mass covered by the top 2**i colors at i bits per pixel and the
-    remainder at the raw pixel width; the initial candidate is the
-    uncompressed frame, and ties keep the smaller palette. An empty
-    frequency list returns 0, which disables compression.
+    remainder at the raw pixel width. Of equal predictions the smaller
+    palette wins, and when none beats the uncompressed frame the size is 1.
+    An empty frequency list returns 0, which disables compression.
 
     Frequencies must already be scaled to frame_size_pixels when they were
     collected under pixel sampling; cumulative mass is clamped to the frame
     so oversampled inputs cannot go negative.
     """
-    freqs = list(frequencies)
-    if not freqs:
+    cum = list(accumulate(frequencies))
+    if not cum:
         return 0
-    best_bits = frame_size_pixels * pixel_size_bits
-    opt = 0
-    chosen = False
-    cum = 0
-    taken = 0
+    # bits[0] is the uncompressed frame; bits[i + 1] is candidate i.
+    bits = [frame_size_pixels * pixel_size_bits]
     for i in range(max_size.bit_length()):  # i = 0 .. log2(max_size)
-        want = 1 << i
-        while taken < min(want, len(freqs)):
-            cum += freqs[taken]
-            taken += 1
-        covered = min(cum, frame_size_pixels)
-        bits = covered * i + (frame_size_pixels - covered) * pixel_size_bits
-        if bits < best_bits:
-            best_bits = bits
-            opt = i
-            chosen = True
-    return (1 << opt) if chosen else 1
+        covered = min(cum[min(1 << i, len(cum)) - 1], frame_size_pixels)
+        bits.append(covered * i + (frame_size_pixels - covered) * pixel_size_bits)
+    best = bits.index(min(bits))
+    return 1 << (best - 1) if best else 1
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +415,7 @@ def huffdcp_frame_cost(padded: np.ndarray, valid: np.ndarray, sb_real: np.ndarra
 # Palette rebuild
 
 def advance_frame(scheme: Scheme, fvc: Fvc, frame_pixels: int,
-                  ccd_size: int | None = None) -> Ccd | HuffmanTable:
+                  ccd_size: int | None = None) -> Palette:
     """The next palette, built from the collector's ranking.
 
     ADCP sizes its palette from the ranked frequencies; HUFFDCP builds a

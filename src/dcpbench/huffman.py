@@ -1,12 +1,12 @@
 """Canonical prefix codes over ranked color frequencies.
 
-A `HuffmanTable` is HUFFDCP's palette: it gives each code as one bit field
-for the encoder, finds the code at any offset of a stream for the decoder,
-and serializes itself for the frame container. Only the color and the code
-length of each entry are stored; the codes follow from the lengths by the
-canonical assignment. No code is longer than one `bitio` field, 32 bits:
-`build_table` flattens a deeper tree until it fits, and a stored length
-over 32 is rejected.
+A `HuffmanTable` is HUFFDCP's kind of `palette.Palette`: beside the lookup
+and the serialization every palette has, it gives each code as one bit
+field for the encoder and finds the code at any offset of a stream for the
+decoder. Only the color and the code length of each entry are stored; the
+codes follow from the lengths by the canonical assignment. No code is
+longer than one `bitio` field, 32 bits: `build_table` flattens a deeper
+tree until it fits, and a stored length over 32 is rejected.
 """
 
 from __future__ import annotations
@@ -16,45 +16,34 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitio import FIELD_MAX_BITS, CorruptStreamError, read_fields
-from .palette import sorted_colors, sorted_lookup
+from .bitio import FIELD_MAX_BITS, read_fields
+from .palette import Palette
 
 
 def code_lengths(freqs: list[int]) -> list[int]:
-    """Huffman code length per symbol, in input (rank) order.
+    """Huffman code length per symbol, in input (rank) order: the number
+    of merges above it.
 
     Weight ties merge the later-ranked entry first so frequent symbols stay
     shallow; a single symbol gets a 1-bit code because zero-length codes
     break bitstream framing.
     """
     n = len(freqs)
-    if n == 0:
-        return []
     if n == 1:
         return [1]
-    # Heap items: (weight, order, node). Symbol i gets order n-1-i; merged
-    # nodes get fresh orders above n, so tie behavior is fully pinned.
-    heap = [(w, n - 1 - i, i) for i, w in enumerate(freqs)]
+    # Heap items: (weight, order, symbols under the node). Symbol i gets
+    # order n-1-i; merged nodes get fresh orders from n up, so tie behavior
+    # is fully pinned and the symbol lists are never compared.
+    heap = [(w, n - 1 - i, [i]) for i, w in enumerate(freqs)]
     heapq.heapify(heap)
-    parent: dict[int, int] = {}
-    next_node = n
-    next_order = n
-    while len(heap) > 1:
+    lengths = [0] * n
+    for order in range(n, 2 * n - 1):
         w1, _, a = heapq.heappop(heap)
         w2, _, b = heapq.heappop(heap)
-        parent[a] = next_node
-        parent[b] = next_node
-        heapq.heappush(heap, (w1 + w2, next_order, next_node))
-        next_node += 1
-        next_order += 1
-    lengths = []
-    for i in range(n):
-        depth = 0
-        node = i
-        while node in parent:
-            node = parent[node]
-            depth += 1
-        lengths.append(depth)
+        merged = a + b
+        for sym in merged:
+            lengths[sym] += 1
+        heapq.heappush(heap, (w1 + w2, order, merged))
     return lengths
 
 
@@ -72,57 +61,25 @@ def canonical_codes(lengths: list[int]) -> list[int]:
     return codes
 
 
-# One serialized table entry: little-endian u32 color, u8 code length.
-_ENTRY = np.dtype([("color", "<u4"), ("length", "u1")])
-
-
-class HuffmanTable:
-    """Prefix-code table over ranked colors, canonical assignment.
+class HuffmanTable(Palette):
+    """Prefix-code table over ranked colors, canonical assignment. A table
+    may repeat a color; the first entry of a color codes it.
 
     Every code is at most `FIELD_MAX_BITS` (32) bits long, so each is one
-    field, read with one 32-bit window. An empty table codes nothing.
+    field, read with one 32-bit window. Serialized, an entry is its u32
+    color and its u8 code length.
     """
 
+    ENTRY = np.dtype([("colors", "<u4"), ("lengths", "u1")])
+
     def __init__(self, colors=(), lengths=()):
-        if len(colors) != len(lengths):
-            raise ValueError("colors and lengths differ in size")
-        if max(lengths, default=0) > FIELD_MAX_BITS:
-            raise ValueError(f"code length over {FIELD_MAX_BITS} bits")
-        self.colors = np.asarray(colors, dtype=np.uint32)
+        super().__init__(colors)
         self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.codes = canonical_codes(list(lengths))
-        self._sorted = sorted_colors(self.colors)
-
-    def __len__(self) -> int:
-        return int(self.colors.size)
-
-    def to_bytes(self) -> bytes:
-        """Serialized layout: u16 entry count, then per entry the u32 color
-        and the u8 code length."""
-        entries = np.empty(len(self), dtype=_ENTRY)
-        entries["color"] = self.colors
-        entries["length"] = self.lengths
-        return len(self).to_bytes(2, "little") + entries.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HuffmanTable":
-        if len(data) < 2:
-            raise CorruptStreamError("truncated Huffman table")
-        count = int.from_bytes(data[:2], "little")
-        if len(data) < 2 + _ENTRY.itemsize * count:
-            raise CorruptStreamError("truncated Huffman table")
-        entries = np.frombuffer(data[2:2 + _ENTRY.itemsize * count], dtype=_ENTRY)
-        if entries["length"].max(initial=0) > FIELD_MAX_BITS:
-            raise CorruptStreamError(f"Huffman code length over {FIELD_MAX_BITS} bits")
-        return cls(entries["color"].tolist(), entries["length"].tolist())
-
-    @property
-    def byte_size(self) -> int:
-        return 2 + _ENTRY.itemsize * len(self)
-
-    def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized: (entry index per pixel, hit mask); -1 on a miss."""
-        return sorted_lookup(self._sorted, pixels)
+        if self.lengths.shape != self.colors.shape:
+            raise ValueError("colors and lengths differ in size")
+        if self.lengths.max(initial=0) > FIELD_MAX_BITS:
+            raise ValueError(f"code length over {FIELD_MAX_BITS} bits")
+        self.codes = canonical_codes(self.lengths.tolist())
 
     @cached_property
     def code_fields(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,13 @@
-"""Color palettes: `Ccd`, the ranked colors a frame is coded with. The one
-object encodes (color -> code), decodes (code -> color) and serializes
-itself as the reverse palette (RCCD) that a container carries."""
+"""Color palettes. A `Palette` is the rank-ordered colors a frame is coded
+with: it finds each pixel's entry (`lookup`) and serializes itself for the
+frame container. It has two kinds, each of which also gives the code of
+every entry as one bit field (`code_fields`): a `Ccd`, whose codes are
+fixed-width entry indices (DCP, ADCP, VDCP), and `huffman.HuffmanTable`,
+whose codes are canonical prefix codes (HUFFDCP)."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -16,60 +21,79 @@ def largest_pow2_le(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-class Ccd:
-    """Forward palette (color -> index) and its reverse (index -> color).
+class Palette:
+    """Colors in rank order: index 0 holds the most frequent one. An empty
+    palette codes nothing: every lookup misses.
 
-    Index 0 always holds the most frequent color; the order is exactly the
-    ranked-frequency order it was built from, so a size-k palette is a
-    prefix of the size-2k palette built from the same ranking. Colors are
-    unique. An empty palette codes nothing: every lookup misses.
+    Serialized, a palette is a little-endian u16 entry count, then one
+    `ENTRY` per color. `ENTRY`'s fields are the palette's per-entry arrays,
+    named as its attributes and in the order its constructor takes them.
     """
+
+    ENTRY = np.dtype([("colors", "<u4")])
 
     def __init__(self, colors=()):
         self.colors = np.asarray(list(colors), dtype=np.uint32)
         if self.colors.ndim != 1:
             raise ValueError("palette colors must be a flat sequence")
-        if len(np.unique(self.colors)) != self.colors.size:
-            raise ValueError("palette colors must be unique")
-        # Code width in bits; a single-entry palette needs zero bits. Stored
-        # once because the block codecs read it for every code.
-        self.bits_per_code = (self.colors.size - 1).bit_length() if self.colors.size else 0
-        self._sorted = sorted_colors(self.colors)
+        order = np.argsort(self.colors, kind="stable").astype(np.int64)
+        self._sorted = (self.colors[order], order)
 
     def __len__(self) -> int:
         return int(self.colors.size)
 
+    def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized encode: (entry index per pixel, hit mask); the index
+        is -1 where hit is False. Of equal colors the first is found."""
+        return sorted_lookup(self._sorted, pixels)
+
     def to_bytes(self) -> bytes:
-        """Serialized layout: u16 entry count then count little-endian u32."""
-        return len(self).to_bytes(2, "little") + self.colors.astype("<u4").tobytes()
+        entries = np.empty(len(self), dtype=self.ENTRY)
+        for name in self.ENTRY.names:
+            entries[name] = getattr(self, name)
+        return len(self).to_bytes(2, "little") + entries.tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Ccd":
-        """The reverse palette at the head of `data`; a truncated one, or
-        one that repeats a color, raises CorruptStreamError."""
-        if len(data) < 2:
-            raise CorruptStreamError("truncated palette blob")
-        count = int.from_bytes(data[:2], "little")
-        if len(data) < 2 + 4 * count:
-            raise CorruptStreamError("truncated palette blob")
+    def from_bytes(cls, data: bytes) -> "Palette":
+        """The palette at the head of `data`; a truncated one, or one the
+        constructor refuses, raises CorruptStreamError."""
+        end = 2 + cls.ENTRY.itemsize * int.from_bytes(data[:2], "little")
+        if len(data) < end:
+            raise CorruptStreamError(f"truncated {cls.__name__}")
+        entries = np.frombuffer(data[2:end], dtype=cls.ENTRY)
         try:
-            return cls(np.frombuffer(data[2:2 + 4 * count], dtype="<u4"))
+            return cls(*(entries[name] for name in cls.ENTRY.names))
         except ValueError as exc:
             raise CorruptStreamError(str(exc)) from None
 
     @property
     def byte_size(self) -> int:
-        return 2 + 4 * len(self)
-
-    def lookup(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized encode: (codes, hit). codes is -1 where hit is False."""
-        return sorted_lookup(self._sorted, pixels)
+        return 2 + self.ENTRY.itemsize * len(self)
 
 
-def sorted_colors(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`colors` sorted, and the index of each sorted color in `colors`."""
-    order = np.argsort(colors, kind="stable").astype(np.int64)
-    return colors[order], order
+class Ccd(Palette):
+    """A palette of unique colors coded by entry index, every code
+    `bits_per_code` bits wide. Its order is exactly the ranked-frequency
+    order it was built from, so a size-k palette is a prefix of the size-2k
+    palette built from the same ranking. Serialized, it is the reverse
+    palette (RCCD) that a container carries.
+    """
+
+    def __init__(self, colors=()):
+        super().__init__(colors)
+        if len(np.unique(self.colors)) != self.colors.size:
+            raise ValueError("palette colors must be unique")
+        # Code width in bits; a single-entry palette needs zero bits. Stored
+        # once because the block codecs read it for every code.
+        self.bits_per_code = (self.colors.size - 1).bit_length() if self.colors.size else 0
+
+    @cached_property
+    def code_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """(widths, values) per entry, each code its index in
+        `bits_per_code` bits, then one zero-width field that a miss (entry
+        -1) reads."""
+        return (np.append(np.full(len(self), self.bits_per_code), 0),
+                np.append(np.arange(len(self)), 0).astype(np.uint64))
 
 
 # A lookup searches only each raster run's first pixel when the runs number
@@ -81,8 +105,8 @@ RUN_HEAD_SHARE = 8
 def sorted_lookup(sorted_index: tuple[np.ndarray, np.ndarray],
                   pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(index, hit) for every pixel, by binary search over a palette's
-    `sorted_colors`; the index is -1 where hit is False. Of equal colors the
-    first is found.
+    sorted colors and the index of each in the palette; the index is -1
+    where hit is False. Of equal colors the first is found.
 
     Runs are taken in raster (C) order over the whole of `pixels`, across
     rows. When they number at most 1/RUN_HEAD_SHARE of the pixels, only each

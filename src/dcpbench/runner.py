@@ -24,8 +24,7 @@ import numpy as np
 from . import bandwidth, dcp_codecs
 from .bandwidth import ACCOUNTING_MODES, FrameStats, WorkloadStats
 from .fvc import Fvc, FvcConfig, is_pow2, relative_coverage
-from .huffman import HuffmanTable
-from .palette import Ccd
+from .palette import Ccd, Palette
 from .rng import SplitMix64, mix64
 from .schemes import SCHEMES, Scheme, resolve
 from .surface import (
@@ -109,7 +108,7 @@ class ReplayFrame:
     """
 
     index: int
-    palette: Ccd | HuffmanTable          # empty while gated off, and for RAS and RED
+    palette: Palette                     # empty while gated off, and for RAS and RED
     palette_size: int = 0                # entries built, even when gated off
     rccd_bytes: int = 0                  # palette bytes first sent with this frame
     coverage: float = float("nan")

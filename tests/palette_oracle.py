@@ -14,10 +14,13 @@ payload bytes, payload and cost bits, same decoded blocks, and
 
 `sorted_lookup` is the per-pixel binary search that the palette lookup
 keeps only for bands with many runs; tests pin the run-head search to it.
+`code_lengths` builds the Huffman tree as a parent map and walks each
+symbol to the root; tests pin `dcpbench.huffman.code_lengths` to it.
 """
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 
 import numpy as np
@@ -178,6 +181,36 @@ def ccd_decode(ccd, index: int) -> int:
     if index < 0 or index >= len(ccd):
         raise CorruptStreamError(f"palette index {index} out of range 0..{len(ccd) - 1}")
     return int(ccd.colors[index])
+
+
+def code_lengths(freqs: list[int]) -> list[int]:
+    """Huffman code length per symbol, in input order: the depth of its
+    leaf. Ties pop the later-ranked symbol first, then the older node."""
+    n = len(freqs)
+    if n == 0:
+        return []
+    if n == 1:
+        return [1]
+    # Heap items: (weight, order, node). Symbol i gets order n-1-i; merged
+    # nodes get fresh orders above n, so tie behavior is fully pinned.
+    heap = [(w, n - 1 - i, i) for i, w in enumerate(freqs)]
+    heapq.heapify(heap)
+    parent: dict[int, int] = {}
+    next_node = n
+    while len(heap) > 1:
+        w1, _, a = heapq.heappop(heap)
+        w2, _, b = heapq.heappop(heap)
+        parent[a] = parent[b] = next_node
+        heapq.heappush(heap, (w1 + w2, next_node, next_node))
+        next_node += 1
+    lengths = []
+    for i in range(n):
+        depth, node = 0, i
+        while node in parent:
+            node = parent[node]
+            depth += 1
+        lengths.append(depth)
+    return lengths
 
 
 def huffman_encode(table, color: int) -> tuple[int, int] | None:

@@ -264,6 +264,22 @@ def test_dump_frames_may_not_be_a_file(ui_trace, tmp_path, capsys, dump):
     assert (tmp_path / "blocker").read_bytes() == b""
 
 
+@pytest.mark.parametrize("command, out", [
+    (["compress", "--scheme", "DCP"], "run.csv"),   # the summary, run.json, is a directory
+    (["compress"], "o"),
+    (["sweep", "--dimension", "policy", "--values", "LFC"], "o"),
+    (["analyze"], "o"),
+], ids=["compress-summary", "compress-csv", "sweep", "analyze"])
+def test_file_outputs_may_not_be_directories(ui_trace, tmp_path, capsys, command, out):
+    for name in ("o", "run.json"):
+        (tmp_path / name).mkdir()
+    rc = main([*command, str(ui_trace), "--out", str(tmp_path / out)])
+    assert rc == 1
+    assert "is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "run.json", "trace"]
+    assert [list((tmp_path / name).iterdir()) for name in ("o", "run.json")] == [[], []]
+
+
 def test_compress_summary_may_not_overwrite_the_csv(ui_trace, tmp_path, capsys):
     # The summary goes to the CSV path with a .json suffix: here, the same file.
     rc = main(["compress", str(ui_trace), "--out", str(tmp_path / "run.json")])

@@ -23,7 +23,7 @@ from dcpbench.dcp_codecs import (
     vdcp_decompress_block,
     vdcp_frame_cost,
 )
-from dcpbench.fvc import Fvc, FvcConfig
+from dcpbench.fvc import MAX_ENTRY_COUNT, Fvc, FvcConfig
 from dcpbench.huffman import HuffmanTable, build_table
 from dcpbench.palette import Ccd
 from dcpbench.runner import ExperimentConfig, replay
@@ -140,13 +140,13 @@ def test_adcp_empty_disables():
 def test_adcp_matches_exhaustive_oracle(rng):
     # Independent minimization with exact rational arithmetic.
     for _ in range(300):
-        count = int(rng.integers(1, 65))
+        count = int(rng.integers(1, MAX_ENTRY_COUNT + 1))
         freqs = sorted(rng.integers(1, 2000, size=count).tolist(), reverse=True)
         n = int(sum(freqs) + rng.integers(0, 5000))
-        got = adcp_optimal_ccd_size(freqs, n, max_size=64)
+        got = adcp_optimal_ccd_size(freqs, n, max_size=MAX_ENTRY_COUNT)
 
         best = (Fraction(n * 32), -1)
-        for i in range(7):
+        for i in range(MAX_ENTRY_COUNT.bit_length()):
             covered = min(sum(freqs[: 1 << i]), n)
             bits = Fraction(covered * i + (n - covered) * 32)
             if bits < best[0]:

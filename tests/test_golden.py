@@ -29,6 +29,10 @@ VARIANTS = (
     ("payload", ["--accounting", "payload"]),
 )
 NO_EXPLICIT_SIZE = ("ADCP", "RAS", "RED")
+# A 512-entry collector on many-color content: every measured frame is
+# coded through a 512-entry palette, the largest the collector holds.
+FVC512_GENERATORS = ("noise", "2d-like")
+FVC512_SCHEMES = ("DCP", "ADCP", "HUFFDCP")
 
 
 def compress_cells() -> dict[str, tuple[str, list[str]]]:
@@ -41,6 +45,9 @@ def compress_cells() -> dict[str, tuple[str, list[str]]]:
                 continue
             trace = "ui-like-4" if name == "fs2" else "ui-like"
             cells[f"ui-like-{scheme}-{name}"] = (trace, ["--scheme", scheme, *flags])
+    for gen in FVC512_GENERATORS:
+        for scheme in FVC512_SCHEMES:
+            cells[f"{gen}-{scheme}-fvc512"] = (gen, ["--scheme", scheme, "--fvc-size", "512"])
     return cells
 
 
@@ -149,6 +156,13 @@ GOLDEN = {
     "ui-like-RAS-payload": "38bae5413250d820",
     "ui-like-RED-payload": "e2818c5ac0c54414",
     "ui-like-HDCP-payload": "c2f395dd19064fc2",
+    # Recorded before `Ccd` and `HuffmanTable` became kinds of one `Palette`.
+    "noise-DCP-fvc512": "6b35f2003f93eec8",
+    "noise-ADCP-fvc512": "dce5818f4e2edaae",
+    "noise-HUFFDCP-fvc512": "465bbe316c0d0e40",
+    "2d-like-DCP-fvc512": "ae2bca59c8eff768",
+    "2d-like-ADCP-fvc512": "cde598bde00579dc",
+    "2d-like-HUFFDCP-fvc512": "1a129e024aab9d3a",
 }
 SWEEP_GOLDEN = "4581439b5cc2af67"
 # ui-like content's 9 colors over a 4-entry collector: frames that overflow

@@ -297,6 +297,17 @@ def test_skewed_pair_lengths():
     assert lengths == [1, 2, 3, 3]
 
 
+def test_code_lengths_match_the_parent_map_oracle(rng):
+    # Few distinct weights give many ties; ranked and unranked orders, and
+    # weights up to 1e9, over rankings up to the largest collector's.
+    for _ in range(300):
+        n = int(rng.integers(0, MAX_ENTRY_COUNT + 1))
+        freqs = rng.integers(1, int(rng.choice([4, 1000, 10**9])), size=n).tolist()
+        if rng.random() < 0.5:
+            freqs.sort(reverse=True)
+        assert code_lengths(freqs) == palette_oracle.code_lengths(freqs)
+
+
 def test_two_equal_symbols():
     assert code_lengths([1, 1]) == [1, 1]
 

@@ -5,7 +5,6 @@ import palette_oracle
 import pytest
 
 import dcpbench.dcp_codecs
-import dcpbench.huffman
 import dcpbench.palette
 import dcpbench.reference_codecs
 import dcpbench.runner
@@ -202,7 +201,6 @@ def test_lookup_paths_agree_within_a_frame(monkeypatch, scheme):
     results = []
     for lookup in (spy, palette_oracle.sorted_lookup):
         monkeypatch.setattr(dcpbench.palette, "sorted_lookup", lookup)
-        monkeypatch.setattr(dcpbench.huffman, "sorted_lookup", lookup)
         res = run_experiment(trace, cfg)
         results.append((res, banded[:]))
         banded.clear()
