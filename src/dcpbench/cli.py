@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TraceError, OSError, json.JSONDecodeError) as exc:
+    except (TraceError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except VerificationError as exc:
@@ -233,29 +233,33 @@ def build_config(args, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_outputs(args, *paths: Path, dump: Path | None = None) -> None:
-    """Refuse, before anything is written, an output (a file, or the
-    `--dump-frames` directory) that is another output or an input: the
-    config file, or a trace's manifest or a frame file it lists. Refuse too
-    a file output that is an existing directory, and a dump directory that
-    would be, or lie under, an existing file or another output."""
-    for path in paths:
-        if path.is_dir():
-            raise UsageError(f"the output {path} is a directory")
-    if dump is not None:
-        nearest = next(p for p in (dump, *dump.parents) if p.exists())
-        if not nearest.is_dir() or {p.resolve() for p in paths} & set(dump.resolve().parents):
-            raise UsageError(f"--dump-frames {dump} would be, or lie under, a file")
-        paths += (dump,)
-    resolved = [p.resolve() for p in paths]
+def _check_outputs(args, *files: Path, dump: Path | None = None) -> None:
+    """Refuse, before anything is written, an output that is an existing
+    path of the other kind: a file output that is a directory, or the
+    `--dump-frames` directory that is a file. Refuse too an output that is
+    an input (the config file, a trace's manifest or a frame file it lists,
+    or a link to one), lies under a file, or is or lies under another output."""
     inputs = [Path(args.config)] if getattr(args, "config", None) else []
     for trace in getattr(args, "traces", None) or [args.trace]:
         inputs += trace_files(trace)
-    for path in inputs:
-        if path.resolve() in resolved:
-            raise UsageError(f"an output would overwrite the input {path}")
-    if len(set(resolved)) < len(resolved):
-        raise UsageError(f"two outputs would be the one file {paths[-1]}")
+    by_file = {_file_id(path): path for path in inputs if path.exists()}
+    outputs = [(path, path.resolve()) for path in (*files, dump) if path is not None]
+    for path, resolved in outputs:
+        chain = (resolved, *resolved.parents)
+        nearest = next(p for p in chain if p.exists())
+        if nearest is resolved and path is not dump and nearest.is_dir():
+            raise UsageError(f"the output {path} is a directory")
+        if nearest is resolved and (source := by_file.get(_file_id(nearest))):
+            raise UsageError(f"an output would overwrite the input {source}")
+        # An output counts itself once; a second count is another output.
+        if sum(r in chain for _, r in outputs) > 1 or not nearest.is_dir() and (
+                nearest is not resolved or path is dump):
+            raise UsageError(f"the output {path} would be, or lie under, a file or another output")
+
+
+def _file_id(path: Path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_dev, st.st_ino
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +347,22 @@ def _cmd_sweep(args) -> int:
     configs = [replace(build_config(args, **{key: v}), track_relative_coverage=True)
                for v in values]
     traces = [load_trace(t) for t in args.traces]
+    # Every run finishes before the CSV is opened: a failed run leaves none.
+    rows = []
+    for trace in traces:
+        first_rate = None
+        for value, cfg in zip(values, configs):
+            result = run_experiment(trace, cfg)
+            rate = result.workload.rate
+            if first_rate is None:
+                first_rate = rate
+            covs = [f.coverage for f in result.frames if f.coverage == f.coverage]
+            mean_cov = sum(covs) / len(covs) if covs else float("nan")
+            rows.append([
+                args.dimension, value, trace.name, trace.category, cfg.scheme,
+                _fmt(rate), _fmt(rate / first_rate if first_rate else float("nan")),
+                _fmt(mean_cov), _fmt(result.mean_relative_coverage),
+            ])
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         base = configs[0]
@@ -351,20 +371,7 @@ def _cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["dimension", "value", "trace", "category", "scheme", "rate",
                          "normalized_rate", "mean_coverage", "mean_relative_coverage"])
-        for trace in traces:
-            first_rate = None
-            for value, cfg in zip(values, configs):
-                result = run_experiment(trace, cfg)
-                rate = result.workload.rate
-                if first_rate is None:
-                    first_rate = rate
-                covs = [f.coverage for f in result.frames if f.coverage == f.coverage]
-                mean_cov = sum(covs) / len(covs) if covs else float("nan")
-                writer.writerow([
-                    args.dimension, value, trace.name, trace.category, cfg.scheme,
-                    _fmt(rate), _fmt(rate / first_rate if first_rate else float("nan")),
-                    _fmt(mean_cov), _fmt(result.mean_relative_coverage),
-                ])
+        writer.writerows(rows)
     print(f"wrote {out}")
     return EXIT_OK
 

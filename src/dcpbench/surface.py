@@ -181,9 +181,11 @@ def load_trace(path) -> SurfaceTrace:
     try:
         width = int(manifest["width"])
         height = int(manifest["height"])
-        names = list(manifest["frames"])
+        names = manifest["frames"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"manifest missing width/height/frames: {exc}") from exc
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise FormatError("manifest frames must be a list of file names")
     if width < 1 or height < 1:
         raise FormatError("width and height must be >= 1")
     if len(names) < 2:

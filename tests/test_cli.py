@@ -191,20 +191,43 @@ def test_exit_code_usage_error():
     assert main(["gen", "--generator", "ui-like", "--frames", "1", "--out", "x"]) == 1
 
 
-def test_exit_code_data_error(tmp_path):
+def test_exit_code_data_error(ui_trace, tmp_path, capsys):
     assert main(["compress", str(tmp_path / "missing"), "--out",
                  str(tmp_path / "o.csv")]) == 2
     assert main(["analyze", str(tmp_path / "missing"), "--out",
                  str(tmp_path / "o.csv")]) == 2
+    # A config file that is not UTF-8.
+    (tmp_path / "c.json").write_bytes(b'{"scheme": "\xff"}')
+    assert main(["compress", str(ui_trace), "--config", str(tmp_path / "c.json"),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "data error" in capsys.readouterr().err
+    # A manifest whose frames are not a list of names.
+    manifest = json.loads((ui_trace / "manifest.json").read_text())
+    for frames in ([1, 2], "ab"):
+        (ui_trace / "manifest.json").write_text(json.dumps({**manifest, "frames": frames}))
+        assert main(["analyze", str(ui_trace), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "frames must be a list of file names" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_exit_code_verification_failure(ui_trace, tmp_path, monkeypatch):
-    def boom(trace, cfg):
-        raise VerificationError("synthetic corruption")
+    from dcpbench.runner import run_experiment
 
-    monkeypatch.setattr("dcpbench.cli.run_experiment", boom)
-    rc = main(["compress", str(ui_trace), "--out", str(tmp_path / "o.csv")])
-    assert rc == 3
+    # A sweep fails on its second run, after one has finished.
+    sweep = ["sweep", "--dimension", "fvc_size", "--values", "16,32,64"]
+    for command, failing_run in ((["compress"], 1), (sweep, 2)):
+        calls = []
+
+        def boom(trace, cfg):
+            calls.append(cfg)
+            if len(calls) == failing_run:
+                raise VerificationError("synthetic corruption")
+            return run_experiment(trace, cfg)
+
+        monkeypatch.setattr("dcpbench.cli.run_experiment", boom)
+        rc = main([*command, str(ui_trace), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
 
 
 @pytest.mark.parametrize("values", [
@@ -241,8 +264,8 @@ def test_outputs_may_not_overwrite_the_config_file(ui_trace, tmp_path, capsys, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "trace"]
 
 
-@pytest.mark.parametrize("dump", ["run.csv", "run.json", "c.json"],
-                         ids=["csv", "summary", "config"])
+@pytest.mark.parametrize("dump", ["run.csv", "run.json", "c.json", "."],
+                         ids=["csv", "summary", "config", "above-csv"])
 def test_dump_frames_may_not_be_another_output(ui_trace, tmp_path, capsys, dump):
     (tmp_path / "c.json").write_text(json.dumps({"scheme": "DCP"}))
     rc = main(["compress", str(ui_trace), "--config", str(tmp_path / "c.json"),
@@ -258,6 +281,20 @@ def test_dump_frames_may_not_be_a_file(ui_trace, tmp_path, capsys, dump):
     (tmp_path / "blocker").write_bytes(b"")
     rc = main(["compress", str(ui_trace), "--out", str(tmp_path / "run.csv"),
                "--dump-frames", str(tmp_path / dump)])
+    assert rc == 1
+    assert "lie under, a file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "trace"]
+    assert (tmp_path / "blocker").read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", [
+    ["compress", "--scheme", "DCP"],
+    ["sweep", "--dimension", "policy", "--values", "LFC"],
+    ["analyze"],
+], ids=["compress", "sweep", "analyze"])
+def test_outputs_may_not_lie_under_a_file(ui_trace, tmp_path, capsys, command):
+    (tmp_path / "blocker").write_bytes(b"")
+    rc = main([*command, str(ui_trace), "--out", str(tmp_path / "blocker" / "run.csv")])
     assert rc == 1
     assert "lie under, a file" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "trace"]
@@ -304,6 +341,17 @@ def test_outputs_may_not_overwrite_the_trace(ui_trace, tmp_path, capsys, command
     assert "usage error: an output would overwrite the input" in capsys.readouterr().err
     assert {p: p.read_bytes() for t in traces for p in t.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "trace"]
+
+
+@pytest.mark.parametrize("link", ["hardlink_to", "symlink_to"])
+def test_outputs_may_not_be_a_link_to_an_input(ui_trace, tmp_path, capsys, link):
+    frame = ui_trace / "frame_00001.raw"
+    before = frame.read_bytes()
+    getattr(tmp_path / "m.csv", link)(frame)
+    rc = main(["analyze", str(ui_trace), "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert "usage error: an output would overwrite the input" in capsys.readouterr().err
+    assert frame.read_bytes() == before
 
 
 def test_main_calls_share_no_parser_state(ui_trace, tmp_path, monkeypatch):
