@@ -243,7 +243,7 @@ def _check_outputs(args, *files: Path, dump: Path | None = None) -> None:
     for trace in getattr(args, "traces", None) or [args.trace]:
         inputs += trace_files(trace)
     by_file = {_file_id(path): path for path in inputs if path.exists()}
-    outputs = [(path, path.resolve()) for path in (*files, dump) if path is not None]
+    outputs = [(path, _resolve(path)) for path in (*files, dump) if path is not None]
     for path, resolved in outputs:
         chain = (resolved, *resolved.parents)
         nearest = next(p for p in chain if p.exists())
@@ -255,6 +255,13 @@ def _check_outputs(args, *files: Path, dump: Path | None = None) -> None:
         if sum(r in chain for _, r in outputs) > 1 or not nearest.is_dir() and (
                 nearest is not resolved or path is dump):
             raise UsageError(f"the output {path} would be, or lie under, a file or another output")
+
+
+def _resolve(path: Path) -> Path:
+    try:
+        return path.resolve()
+    except (OSError, RuntimeError) as exc:  # a symlink loop raises RuntimeError
+        raise UsageError(f"the output {path} cannot be resolved: {exc}") from None
 
 
 def _file_id(path: Path) -> tuple[int, int]:

@@ -31,12 +31,6 @@ MAX_ENTRY_COUNT = 512
 _COLOR_MASK = (1 << 32) - 1
 # RANDOM draws victims ahead in blocks of at most this many outputs.
 _DRAW_CHUNK = 4096
-# The streak bound of a run that ends its streak of guaranteed misses, or is
-# no guaranteed miss. It is the largest uint64, so every floor scan stops
-# there.
-_STREAK_STOP = (1 << 64) - 1
-# The first window of a streak scan; each further window is twice as wide.
-_SCAN_WIDTH = 32
 
 
 class UndefinedCoverageError(ValueError):
@@ -115,18 +109,18 @@ class Fvc:
       and LRU, a miss into a full set takes the rest of its streak of
       guaranteed misses in one step. The runs are taken set by set (one
       stable sort by set index), which leaves every set as raster order
-      does. The streak rules:
-      - LFC: the floor is the least key among the entries but the set's
-        least. The set's least is evicted once, each streak key below the
-        floor is evicted by the next miss, and the step's last run holds
-        the churn slot (the slot each new miss evicts and refills).
-      - 2LFC: the floor is the third-least key. The survivor ends as the
-        least of the two least entries and every streak key but the last,
-        and the step's last run holds the churn slot.
-      - LRU: a set of W ways keeps its last max(0, W - L) entries after a
-        streak of L misses, then the streak's last min(L, W) runs.
-      An LFC or 2LFC step ends at the streak's first key at or above the
-      floor, and the next step starts after it with the risen floor. Hits,
+      does. A full set of W ways with entries S, taking a streak of keys
+      x_1..x_L, ends with:
+      - LFC: the W-1 greatest keys of S and x_1..x_(L-1), then x_L, since
+        each miss evicts the least key and inserts one.
+      - 2LFC: the least key of that union, the W-2 greatest of the rest,
+        then x_L.
+      - LRU: the last max(0, W - L) entries of S, then the streak's last
+        min(L, W) runs.
+      An LFC or 2LFC step picks the streak's greatest keys (one partition
+      when there are more than the set can keep) and merges them into the
+      heap in descending order, each replacing the set's least while it is
+      greater: O(L) numpy work and O(min(L, W) log W) Python work. Hits,
       other misses and fills of a set that is not yet full go through the
       loop one at a time, as does every run under RANDOM (each of its
       evictions draws, and the draws' order is part of the result).
@@ -196,31 +190,18 @@ class Fvc:
     # inserts its color, evicting first when the set is full. Frequency ties
     # break on ascending color.
     #
-    # LFC, 2LFC and LRU also take `bounds` (see _streak_bounds): a run that
-    # starts or continues a streak of guaranteed misses has its packed key
-    # there, and a run that ends its streak, or is no guaranteed miss, has
-    # _STREAK_STOP. A miss into a full set whose bound is not a stop takes
-    # the streak's rule below in one step: it reads its run's index off the
-    # color iterator's remaining length and skips the runs the step covers,
-    # so the loops keep their `for` over the runs and a hit costs no more
-    # than without streaks. All other runs take the loop body one at a time.
-    #
-    # The rules rest on a set's floor: the least key among the entries the
-    # next miss cannot evict (LFC: all but the least; 2LFC: all but the two
-    # least). Once a set is full, its floor never falls within a frame. An
-    # eviction removes a key below the floor; an inserted key below the
-    # floor leaves it where it is, and one above it can only raise it; a
-    # hit only raises a frequency. So while a streak's keys stay below the
-    # floor, the entries at or above it stay untouched and the streak only
-    # churns the slot(s) below it. A step ends at the first key at or above
-    # the floor, found by one scan; the next step reads the new floor.
+    # LFC, 2LFC and LRU also take `keys` and `ends` (see _streak_bounds):
+    # each run's packed key and the index of its streak's last run. A miss
+    # into a full set whose run is not its streak's last takes the rest of
+    # the streak in one step by the rule in the class docstring: it reads
+    # its run's index off the color iterator's remaining length and skips
+    # the runs the step covers, so the loops keep their `for` over the runs
+    # and a hit costs no more than without streaks. All other runs take the
+    # loop body one at a time.
 
-    def _runs_lfc(self, colors, counts, bounds=None):
-        # Streak rule: evict the least key once; every streak key but the
-        # last is then evicted by the next miss, and the last one stays.
+    def _runs_lfc(self, colors, counts, keys=None, ends=None):
         sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
-        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
-        stops = None if bounds is None else memoryview(bounds)
+        push, replace = heapq.heappush, heapq.heapreplace
         color_iter = iter(colors)
         runs = zip(color_iter, counts)
         for color, count in runs:
@@ -232,29 +213,23 @@ class Fvc:
             if len(s) < ways:
                 push(heap, count << 32 | color)
             else:
-                del s[_exact_top(heap, s)]
-                if stops is not None:
+                if ends is not None:
                     i = len(colors) - length_hint(color_iter) - 1
-                if stops is None or stops[i] == _STREAK_STOP:
-                    replace(heap, count << 32 | color)
-                else:
-                    pop(heap)
-                    _exact_top(heap, s)
-                    last = _scan(bounds, i, heap[0])
-                    _skip(runs, last - i)
-                    color, count = colors[last], counts[last]
-                    push(heap, count << 32 | color)
+                    end = ends[i]
+                    if end > i:
+                        _merge(heap, s, _streak_keys(keys, i, end, ways - 1))
+                        _skip(runs, end - i)
+                        color, count = colors[end], counts[end]
+                del s[_exact_top(heap, s)]
+                replace(heap, count << 32 | color)
             s[color] = count
 
-    def _runs_2lfc(self, colors, counts, bounds=None):
+    def _runs_2lfc(self, colors, counts, keys=None, ends=None):
         # The second-least-frequent entry goes; the least frequent survives
         # so a freshly inserted color is not immediately thrashed out. Sets
-        # have at least two ways here (see __init__). Streak rule: the
-        # survivor ends as the least of itself and every streak key but the
-        # last, and the last streak key holds the churn slot.
+        # have at least two ways here (see __init__).
         sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
         push, pop = heapq.heappush, heapq.heappop
-        stops = None if bounds is None else memoryview(bounds)
         color_iter = iter(colors)
         runs = zip(color_iter, counts)
         for color, count in runs:
@@ -268,38 +243,27 @@ class Fvc:
             else:
                 _exact_top(heap, s)
                 least = pop(heap)
-                del s[_exact_top(heap, s)]
-                if stops is not None:
+                if ends is not None:
                     i = len(colors) - length_hint(color_iter) - 1
-                if stops is None or stops[i] == _STREAK_STOP:
-                    # `least` is no greater than any key left, so it can take
-                    # the victim's place at the top without a sift.
-                    heap[0] = least
-                else:
-                    pop(heap)
-                    if heap:
-                        _exact_top(heap, s)
-                        last = _scan(bounds, i, heap[0])
-                    else:                   # a two-way set has no third key
-                        last = _scan(bounds, i, _STREAK_STOP)
-                    if last > i:
-                        k = i + int(bounds[i:last].argmin())
-                        if stops[k] < least:
+                    end = ends[i]
+                    if end > i:
+                        kept = _streak_keys(keys, i, end, ways - 2)
+                        if kept[-1] < least:        # the streak's least survives
                             del s[least & _COLOR_MASK]
-                            least = stops[k]
-                            s[colors[k]] = counts[k]
-                        _skip(runs, last - i)
-                        color, count = colors[last], counts[last]
-                    push(heap, least)
+                            least = kept.pop()
+                            s[least & _COLOR_MASK] = least >> 32
+                        _merge(heap, s, kept)
+                        _skip(runs, end - i)
+                        color, count = colors[end], counts[end]
+                del s[_exact_top(heap, s)]
+                # `least` is no greater than any key left, so it can take
+                # the victim's place at the top without a sift.
+                heap[0] = least
                 push(heap, count << 32 | color)
             s[color] = count
 
-    def _runs_lru(self, colors, counts, bounds=None):
-        # Streak rule: a full set of W ways and a streak of L guaranteed
-        # misses end with the set's last max(0, W - L) entries, in order,
-        # then the streak's last min(L, W) runs.
+    def _runs_lru(self, colors, counts, keys=None, ends=None):
         sets, mask, ways = self._sets, self._set_mask, self._ways
-        stops = None if bounds is None else memoryview(bounds)
         color_iter = iter(colors)
         runs = zip(color_iter, counts)
         for color, count in runs:
@@ -308,15 +272,14 @@ class Fvc:
                 s[color] = s.pop(color) + count
                 continue
             if len(s) >= ways:
-                if stops is not None:
+                if ends is not None:
                     i = len(colors) - length_hint(color_iter) - 1
-                if stops is None or stops[i] == _STREAK_STOP:
+                if ends is None or ends[i] == i:
                     del s[next(iter(s))]
                 else:
-                    end = _scan(bounds, i, _STREAK_STOP) + 1
-                    kept = list(s.items())[end - i:]
-                    s.clear()
-                    s.update(kept)
+                    end = ends[i] + 1
+                    for old in list(islice(s, end - i)):
+                        del s[old]
                     tail = max(i, end - ways)
                     s.update(zip(colors[tail:end], counts[tail:end]))
                     _skip(runs, end - i - 1)
@@ -380,20 +343,21 @@ class Fvc:
             by_set = np.argsort(values & self._set_mask, kind="stable")
             values, lengths = values[by_set], lengths[by_set]
             del by_set
-        bounds = self._streak_bounds(values, lengths)
+        keys, ends = self._streak_bounds(values, lengths)
         colors, counts = values.tolist(), lengths.tolist()
-        del values, lengths         # the loop needs only the lists and bounds
-        self._runs(colors, counts, bounds)
+        del values, lengths         # the loop needs only the lists, keys and ends
+        self._runs(colors, counts, memoryview(keys), memoryview(ends))
 
-    def _streak_bounds(self, values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Each run's bound for the streak rules of the run loops.
+    def _streak_bounds(self, values: np.ndarray,
+                       lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each run's packed key `count << 32 | color`, and its streak end.
 
         A run is a guaranteed miss when its color was not resident before
         the frame and no earlier run holds it; one stable sort of the colors
         finds each color's first run. A streak is a maximal stretch of
-        guaranteed misses in one set, with `values` grouped by set. Its runs
-        bound at their packed key `count << 32 | color`, except the last,
-        which bounds at _STREAK_STOP, as does every other run.
+        guaranteed misses in one set, with `values` grouped by set. A run's
+        end is the index of its streak's last run, or its own index when it
+        is no guaranteed miss.
         """
         order = np.argsort(values, kind="stable")
         ordered = values[order]
@@ -412,11 +376,12 @@ class Fvc:
             set_of = values & self._set_mask
             go_on[:-1] &= set_of[1:] == set_of[:-1]
         # Keys cannot overflow: a frame holds far fewer than 2**32 samples.
-        bounds = lengths.astype(np.uint64)
-        bounds <<= np.uint64(32)
-        bounds |= values
-        bounds[~go_on] = _STREAK_STOP
-        return bounds
+        keys = lengths.astype(np.uint64)
+        keys <<= np.uint64(32)
+        keys |= values
+        # A run's end is the first run at or after it that does not go on.
+        stops = np.where(go_on, values.size, np.arange(values.size))
+        return keys, np.minimum.accumulate(stops[::-1])[::-1]
 
     def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray,
                                   colors: np.ndarray) -> bool:
@@ -491,21 +456,28 @@ def _exact_top(heap: list[int], s: dict[int, int]) -> int:
         heapq.heapreplace(heap, true)
 
 
-def _scan(bounds: np.ndarray, start: int, floor: int) -> int:
-    """The first index at or after `start` whose bound reaches `floor`.
+def _streak_keys(keys: memoryview, start: int, end: int, k: int) -> list[int]:
+    """The keys of runs start..end-1 that a streak step may keep, descending:
+    their k greatest, then their least; all of them when there are at most
+    k. A longer stretch takes one partition for both."""
+    n = end - start
+    if n <= k:
+        return sorted(keys[start:end], reverse=True)
+    part = np.partition(np.asarray(keys[start:end]), (0, n - k - 1))
+    return [*sorted(part[n - k:].tolist(), reverse=True), int(part[0])]
 
-    Windows double from _SCAN_WIDTH, so a scan that covers d runs makes
-    O(log d) numpy calls. Every streak ends with a _STREAK_STOP bound, and
-    `floor` is capped at it, so the scan ends within the streak.
-    """
-    floor, width = min(floor, _STREAK_STOP), _SCAN_WIDTH
-    while True:
-        window = bounds[start:start + width]
-        at = int((window >= floor).argmax())
-        if window[at] >= floor:
-            return start + at
-        start += width
-        width *= 2
+
+def _merge(heap: list[int], s: dict[int, int], keys: list[int]) -> None:
+    """Enter new colors' keys, descending, into a full set: each replaces
+    the set's least key while it is greater. The first key that is not ends
+    the merge, as no later key can be."""
+    for key in keys:
+        color = _exact_top(heap, s)
+        if key < heap[0]:
+            return
+        del s[color]
+        heapq.heapreplace(heap, key)
+        s[key & _COLOR_MASK] = key >> 32
 
 
 def _skip(runs, n: int) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +300,20 @@ def test_outputs_may_not_lie_under_a_file(ui_trace, tmp_path, capsys, command):
     assert "lie under, a file" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "trace"]
     assert (tmp_path / "blocker").read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", [
+    ["compress", "--scheme", "DCP"],
+    ["sweep", "--dimension", "policy", "--values", "LFC"],
+    ["analyze"],
+], ids=["compress", "sweep", "analyze"])
+def test_outputs_may_not_lie_under_a_symlink_loop(ui_trace, tmp_path, capsys, command):
+    (tmp_path / "self").symlink_to("self")
+    rc = main([*command, str(ui_trace), "--out", str(tmp_path / "self" / "x.csv")])
+    assert rc == 1
+    assert "cannot be resolved" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["self", "trace"]
+    assert (tmp_path / "self").readlink() == Path("self")
 
 
 @pytest.mark.parametrize("command, out", [

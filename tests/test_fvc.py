@@ -319,6 +319,19 @@ def _assert_same(f, ref):
     if ref.samples_observed:
         assert f.coverage() == ref.coverage()
     assert f._rng._state == ref._rng._state
+    _assert_heaps(f)
+
+
+def _assert_heaps(f):
+    """Each LFC or 2LFC heap holds one key per resident color of its set,
+    none above its color's true key, in heap order."""
+    if f.config.policy not in ("LFC", "2LFC") or f._ways == 1:
+        return
+    mask = (1 << 32) - 1
+    for s, heap in zip(f._sets, f._victims):
+        assert sorted(key & mask for key in heap) == sorted(s)
+        assert all(key <= s[key & mask] << 32 | key & mask for key in heap)
+        assert all(heap[(j - 1) // 2] <= heap[j] for j in range(1, len(heap)))
 
 
 def _run_frame(rng, pool, shape=(8, 16), max_run=9):
@@ -527,24 +540,24 @@ def _runs_frame(runs):
     return Frame(np.repeat(np.array(colors, dtype=np.uint32), counts)[None, :])
 
 
-class _ScanCount:
-    """Counts the streak scans, the one step a streak rule takes."""
+class _StepCount:
+    """Counts the streak steps: each skips, once, the runs its streak covers."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        real = fvc_module._scan
+        real = fvc_module._skip
 
-        def scan(*args):
+        def skip(*args):
             self.calls += 1
             return real(*args)
 
-        monkeypatch.setattr(fvc_module, "_scan", scan)
+        monkeypatch.setattr(fvc_module, "_skip", skip)
 
 
 def _streak_case(monkeypatch, policy, before, frames, entries=4, ways=None, sampling=1):
     """Feed `before` runs through observe_run, then `frames` (run lists)
     through observe_frame, checking the collector against the oracle after
-    each call. Returns how many streak scans the frames took."""
+    each call. Returns how many streak steps the frames took."""
     cfg = FvcConfig(entry_count=entries, ways=ways, policy=policy, pixel_sampling=sampling,
                     rng_seed=3)
     f, ref = Fvc(cfg), ReferenceFvc(cfg)
@@ -552,13 +565,13 @@ def _streak_case(monkeypatch, policy, before, frames, entries=4, ways=None, samp
         f.observe_run(color, count)
         ref.observe_run(color, count)
     _assert_same(f, ref)
-    scans, probe = _ScanCount(monkeypatch), _PathProbe(f)
+    steps, probe = _StepCount(monkeypatch), _PathProbe(f)
     for runs in frames:
         frame = _runs_frame(runs)
         assert not probe.took_fast_path(f, frame)
         ref.observe_frame(frame)
         _assert_same(f, ref)
-    return scans.calls
+    return steps.calls
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -568,8 +581,8 @@ def test_streak_ties_on_frequency(monkeypatch, policy):
     before = [(10, 2), (20, 2), (30, 2), (40, 2)]
     runs = [(15, 2), (5, 2), (25, 2), (12, 2), (45, 2), (22, 2), (35, 2), (1, 2), (50, 2),
             (21, 2), (19, 2), (41, 2), (2, 2)]
-    scans = _streak_case(monkeypatch, policy, before, [runs])
-    assert (scans > 0) == (policy != "RANDOM")
+    steps = _streak_case(monkeypatch, policy, before, [runs])
+    assert (steps > 0) == (policy != "RANDOM")
     # Equal frequencies with lower and higher counts around them.
     _streak_case(monkeypatch, policy, before, [[(c, 1 + c % 3) for c, _ in runs]])
 
@@ -592,8 +605,8 @@ def test_streak_starts_while_set_not_full(monkeypatch, policy, ways):
     # set without evicting, and the rest of the same streak overflows it.
     before = [(0x100, 3), (0x201, 1)]
     runs = [((k << 4) | (k % 4), 1 + k % 2) for k in range(1, 40)]
-    scans = _streak_case(monkeypatch, policy, before, [runs], entries=8, ways=ways)
-    assert (scans > 0) == (policy != "RANDOM")
+    steps = _streak_case(monkeypatch, policy, before, [runs], entries=8, ways=ways)
+    assert (steps > 0) == (policy != "RANDOM")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -603,8 +616,8 @@ def test_streak_around_colors_resident_before_the_frame(monkeypatch, policy):
     # comes back as a miss; 9 is hit inside the frame.
     before = [(7, 1), (9, 4), (30, 6), (40, 6)]
     runs = [(1, 1), (2, 1), (7, 2), (3, 1), (9, 1), (4, 1), (5, 1), (7, 1), (6, 1), (8, 1)]
-    scans = _streak_case(monkeypatch, policy, before, [runs, runs[::-1]])
-    assert (scans > 0) == (policy != "RANDOM")
+    steps = _streak_case(monkeypatch, policy, before, [runs, runs[::-1]])
+    assert (steps > 0) == (policy != "RANDOM")
 
 
 @pytest.mark.parametrize("policy", ["2LFC", "LFC", "LRU"])
@@ -623,8 +636,8 @@ def test_streak_in_one_way_sets(monkeypatch, policy):
     rng = np.random.default_rng(78)
     frames = [[(int(c), 1 + int(c) % 3) for c in rng.permutation(1 << 9)[:200]],
               [(1, 1), (17, 2), (33, 1), (1, 1), (49, 4), (2, 1), (18, 1)]]
-    scans = _streak_case(monkeypatch, policy, [(1, 3)], frames, entries=16, ways=1)
-    assert (scans > 0) == (policy != "RANDOM")
+    steps = _streak_case(monkeypatch, policy, [(1, 3)], frames, entries=16, ways=1)
+    assert (steps > 0) == (policy != "RANDOM")
 
 
 @pytest.mark.parametrize("ways", [None, 2, 4])
@@ -635,8 +648,8 @@ def test_streak_with_pixel_sampling(monkeypatch, policy, ways):
     frames = [[(int(c), int(n)) for c, n in zip(rng.integers(0, 64, size=400),
                                                  rng.integers(1, 9, size=400))]
               for _ in range(3)]
-    scans = _streak_case(monkeypatch, policy, [], frames, entries=8, ways=ways, sampling=4)
-    assert (scans > 0) == (policy != "RANDOM")
+    steps = _streak_case(monkeypatch, policy, [], frames, entries=8, ways=ways, sampling=4)
+    assert (steps > 0) == (policy != "RANDOM")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -645,8 +658,8 @@ def test_streak_runs_longer_than_two_to_the_sixteen(monkeypatch, policy):
     before = [(10, long + 5), (20, 3), (30, 3), (40, long)]
     runs = [(1, long + 1), (2, 1), (3, long + 2), (4, 2), (5, long + 1), (6, 1), (7, 3 * long),
             (8, 1), (9, 1)]
-    scans = _streak_case(monkeypatch, policy, before, [runs, runs[::-1]])
-    assert (scans > 0) == (policy != "RANDOM")
+    steps = _streak_case(monkeypatch, policy, before, [runs, runs[::-1]])
+    assert (steps > 0) == (policy != "RANDOM")
 
 
 @pytest.mark.parametrize("assoc", [None, 4, 2, 1])
@@ -672,7 +685,7 @@ def test_small_alphabet_fuzz_matches_reference(policy, assoc):
         _assert_same(f, ref)
 
 
-@pytest.mark.parametrize("policy, share", [("LFC", 0.15), ("2LFC", 0.15), ("LRU", 0.02)])
+@pytest.mark.parametrize("policy, share", [("LFC", 0.02), ("2LFC", 0.02), ("LRU", 0.02)])
 def test_streaks_skip_most_runs_on_hostile_content(policy, share):
     # The 2d-like frame holds 48,183 runs of 48,129 distinct colors. The run
     # loop may take only a small share of them one at a time, each with one
@@ -698,6 +711,83 @@ def test_streaks_skip_most_runs_on_hostile_content(policy, share):
         loop.observe_run(color, count)
     assert f.ranked_values() == loop.ranked_values()
     assert f.samples_observed == loop.samples_observed
+
+
+@pytest.mark.parametrize("length", [3, 12, 40])
+@pytest.mark.parametrize("entries", [4, 16])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_streak_takes_one_step(monkeypatch, policy, entries, length):
+    # The exact top is (5, 10). The streak's keys fall on both sides of it,
+    # by frequency and, at frequency 5, by color; 3 runs fit in what a
+    # 4-entry set keeps, 12 and 40 do not.
+    before = [(10 * (k + 1), 5 + k // 4) for k in range(entries)]
+    rng = np.random.default_rng(81)
+    colors = rng.permutation(np.arange(1, 1000))
+    colors = colors[colors % 10 != 0][:length]
+    runs = [(int(c), int(n)) for c, n in zip(colors, rng.integers(1, 10, size=length))]
+    steps = _streak_case(monkeypatch, policy, before, [runs], entries=entries)
+    assert steps == (policy != "RANDOM")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streak_after_hits_on_lagging_keys(monkeypatch, policy):
+    # Hits raise 10, 20, 30 and 40 above their heap keys, before the frame
+    # and within it; the streak's keys fall between stored and true keys.
+    before = [(10, 1), (20, 1), (30, 1), (40, 1), (10, 6), (20, 4), (30, 2)]
+    runs = [(40, 3), (10, 1), (1, 2), (2, 5), (3, 4), (4, 1), (5, 3), (6, 6), (7, 2), (20, 1),
+            (8, 4), (9, 3), (11, 8)]
+    assert _streak_case(monkeypatch, policy, before, [runs, runs[::-1]]) > 0 or policy == "RANDOM"
+
+
+@pytest.mark.parametrize("runs, kept", [
+    ([(50, 4), (60, 1), (70, 6), (80, 2)], False),  # (1, 60) undercuts (3, 10)
+    ([(50, 4), (60, 6), (70, 1)], True),            # only the last key undercuts
+    ([(50, 4), (11, 3), (70, 6), (80, 2)], True),   # (3, 11) is just above
+], ids=["dropped", "last-undercuts", "just-above"])
+@pytest.mark.parametrize("entries", [4, 16])
+def test_2lfc_streak_survivor(monkeypatch, runs, kept, entries):
+    # The survivor (3, 10) is the set's least; it stays unless a streak key
+    # but the last is less, which then survives in its place.
+    before = [(10, 3), *((20 + k, 5) for k in range(entries - 1))]
+    cfg = FvcConfig(entry_count=entries, policy="2LFC")
+    f, ref = Fvc(cfg), ReferenceFvc(cfg)
+    for color, count in before:
+        f.observe_run(color, count)
+        ref.observe_run(color, count)
+    steps = _StepCount(monkeypatch)
+    frame = _runs_frame(runs)
+    f.observe_frame(frame)
+    ref.observe_frame(frame)
+    _assert_same(f, ref)
+    assert steps.calls == 1
+    assert (10 in dict(f.ranked_values())) == kept
+
+
+@pytest.mark.parametrize("entries, ways", [(2, None), (8, 2)])
+def test_2lfc_streaks_in_two_way_sets(monkeypatch, entries, ways):
+    # A two-way 2LFC set ends a streak holding the least key seen and the
+    # streak's last.
+    before = [(c, 3) for c in range(entries)]
+    frames = [[(c, 1 + (c * 7) % 5) for c in range(entries, entries + 9 * entries)],
+              [(c, 5 - (c * 3) % 4) for c in range(10 * entries, 13 * entries)]]
+    assert _streak_case(monkeypatch, "2LFC", before, frames, entries=entries, ways=ways) > 0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streaks_into_a_512_entry_set(monkeypatch, policy):
+    # One streak four times the set, then 200 two-run streaks, each ended by
+    # a hit on the first streak's last color, which every policy but RANDOM
+    # keeps: one step per streak.
+    rng = np.random.default_rng(82)
+    colors = rng.permutation(1 << 16).tolist()
+    before = [(c, int(n)) for c, n in zip(colors[:512], rng.integers(1, 9, size=512))]
+    long = [(c, int(n)) for c, n in zip(colors[512:2560], rng.integers(1, 12, size=2048))]
+    pairs = []
+    for k in range(200):
+        pairs += [(colors[2560 + 2 * k], 1 + k % 7), (colors[2561 + 2 * k], 1 + k % 5),
+                  (long[-1][0], 1)]
+    steps = _streak_case(monkeypatch, policy, before, [long, pairs], entries=MAX_ENTRY_COUNT)
+    assert steps == (0 if policy == "RANDOM" else 201)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
