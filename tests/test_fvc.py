@@ -685,11 +685,14 @@ def test_small_alphabet_fuzz_matches_reference(policy, assoc):
         _assert_same(f, ref)
 
 
-@pytest.mark.parametrize("policy, share", [("LFC", 0.02), ("2LFC", 0.02), ("LRU", 0.02)])
+@pytest.mark.parametrize("policy, share", [("LFC", 0.15), ("2LFC", 0.15), ("LRU", 0.02),
+                                           ("LFC", 0.02), ("2LFC", 0.02)])
 def test_streaks_skip_most_runs_on_hostile_content(policy, share):
     # The 2d-like frame holds 48,183 runs of 48,129 distinct colors. The run
     # loop may take only a small share of them one at a time, each with one
-    # residency test; streak steps cover the rest.
+    # residency test; streak steps cover the rest. The 0.15 cases are the
+    # looser bound of floor-bounded LFC and 2LFC steps; one merge step per
+    # streak keeps every policy under 0.02.
     frame = generate(SyntheticSpec("2d-like", 256, 192, 2, seed=5)).frames[0]
     tested = []
 
