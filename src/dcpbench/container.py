@@ -59,7 +59,7 @@ def compress_frame(frame: Frame, scheme: str, palette: Palette) -> bytes:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     s = SCHEMES[scheme]
-    padded, _ = frame.padded()
+    padded = frame.padded()
     comp = resolve(s.codec, "compress_blocks")(
         block_stack(padded).reshape(-1, BLOCK, BLOCK), palette)
 

@@ -380,7 +380,7 @@ class Fvc:
         keys <<= np.uint64(32)
         keys |= values
         # A run's end is the first run at or after it that does not go on.
-        stops = np.where(go_on, values.size, np.arange(values.size))
+        stops = np.where(go_on, values.size, np.arange(values.size, dtype=np.int32))
         return keys, np.minimum.accumulate(stops[::-1])[::-1]
 
     def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray,

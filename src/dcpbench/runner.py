@@ -32,6 +32,7 @@ from .surface import (
     SurfaceTrace,
     block_stack,
     block_valid_counts,
+    live_mask,
     sub_block_valid_counts,
 )
 
@@ -170,7 +171,7 @@ def replay(trace: SurfaceTrace, cfg: ExperimentConfig):
 
 def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     scheme = SCHEMES[cfg.scheme]
-    _, valid = trace.frames[0].padded()
+    valid = live_mask(trace.width, trace.height)
     sb_real = sub_block_valid_counts(valid)
     block_real = block_valid_counts(valid)
     raw_bits = 32 * block_real
@@ -187,7 +188,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
 
     for m in replay(trace, cfg):
         replayed.append(m)
-        padded, _ = trace.frames[m.index].padded()
+        padded = trace.frames[m.index].padded()
         bits, classes = _banded(resolve(scheme.codec, "frame_cost"), m.palette,
                                 padded, valid, sb_real, block_real)
         v_blocks = r_blocks = 0

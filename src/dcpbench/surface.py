@@ -4,6 +4,9 @@ Pixels are packed RGBA8888 values held in uint32 arrays: R in the low byte,
 then G, B, A (the little-endian byte order of the raw frame files). Equality
 is exact bitwise equality; every codec in the package treats the packed
 32-bit word as the unit of compression.
+
+A trace directory is the package's one outside input: `_read_manifest` alone
+parses and checks its manifest, and `write_trace` writes its frames raw.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ class FormatError(TraceError):
 
 
 class Frame:
-    """A width x height grid of packed RGBA pixels, row-major."""
+    """A width x height grid of packed RGBA pixels, row-major. The pixels are
+    all it holds: padding is made on demand, and `live_mask` gives the mask."""
 
     def __init__(self, pixels: np.ndarray):
         pixels = np.ascontiguousarray(pixels, dtype=np.uint32)
         if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] < 1:
             raise ValueError("frame pixels must be a non-empty 2-D array")
         self.pixels = pixels
-        self._padded: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def height(self) -> int:
@@ -57,25 +60,13 @@ class Frame:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frame padded to block multiples by edge replication, plus a mask.
-
-        Returns (pixels, valid) where valid is False exactly on padded
-        positions. Padded pixels never enter frequency collection or
-        bandwidth totals.
-        """
-        if self._padded is None:
-            h, w = self.pixels.shape
-            ph = -h % BLOCK
-            pw = -w % BLOCK
-            if ph or pw:
-                padded = np.pad(self.pixels, ((0, ph), (0, pw)), mode="edge")
-            else:
-                padded = self.pixels
-            valid = np.zeros(padded.shape, dtype=bool)
-            valid[:h, :w] = True
-            self._padded = (padded, valid)
-        return self._padded
+    def padded(self) -> np.ndarray:
+        """The pixels padded to block multiples by edge replication: the
+        frame's own array when it is block-aligned, a new copy otherwise."""
+        h, w = self.pixels.shape
+        if h % BLOCK or w % BLOCK:
+            return np.pad(self.pixels, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
+        return self.pixels
 
     def to_raw_bytes(self) -> bytes:
         return self.pixels.astype("<u4").tobytes()
@@ -115,6 +106,15 @@ class SurfaceTrace:
 def block_grid(width: int, height: int) -> tuple[int, int]:
     """(columns, rows) of the 8x8 block grid covering a frame."""
     return (-(-width // BLOCK), -(-height // BLOCK))
+
+
+def live_mask(width: int, height: int) -> np.ndarray:
+    """The live-pixel mask over a width x height frame's padded grid: False on
+    the padded pixels, which never enter frequency collection or bandwidth."""
+    cols, rows = block_grid(width, height)
+    valid = np.zeros((rows * BLOCK, cols * BLOCK), dtype=bool)
+    valid[:height, :width] = True
+    return valid
 
 
 def block_stack(pixels: np.ndarray) -> np.ndarray:
@@ -161,7 +161,8 @@ def block_valid_counts(valid: np.ndarray) -> np.ndarray:
 #
 # A trace directory holds manifest.json plus one file per frame:
 #   manifest.json: {"width": W, "height": H, "frames": [names...],
-#                   "name": str, "category": str}
+#                   "name": str, "category": str}, W and H JSON integers
+#                   >= 1, at least two frames, the name one printable line
 #   frame files:   .raw/.bin  raw RGBA8888, row-major, R,G,B,A per pixel
 #                  .ppm       binary P6, alpha read as 255
 #                  .png       optional, decoded to the identical raw bytes
@@ -169,64 +170,59 @@ def block_valid_counts(valid: np.ndarray) -> np.ndarray:
 MANIFEST = "manifest.json"
 
 
-def load_trace(path) -> SurfaceTrace:
-    root = Path(path)
-    manifest_path = root / MANIFEST
-    if not manifest_path.is_file():
+def _read_manifest(root: Path) -> tuple[int, int, list[str], str, str]:
+    """(width, height, frame file names, name, category) from the manifest in
+    `root`, checked here but for the category, which `SurfaceTrace` checks."""
+    path = root / MANIFEST
+    if not path.is_file():
         raise MissingManifestError(f"no {MANIFEST} in {root}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"bad manifest: {exc}") from exc
-    try:
-        width = int(manifest["width"])
-        height = int(manifest["height"])
-        names = manifest["frames"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"manifest missing width/height/frames: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError("the manifest must be a JSON object")
+    width, height = manifest.get("width"), manifest.get("height")
+    if not all(type(v) is int and v >= 1 for v in (width, height)):
+        raise FormatError(f"width and height must be integers >= 1, got {width!r} and {height!r}")
+    names = manifest.get("frames")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise FormatError("manifest frames must be a list of file names")
-    if width < 1 or height < 1:
-        raise FormatError("width and height must be >= 1")
     if len(names) < 2:
         raise TooFewFramesError(f"trace has {len(names)} frames, need >= 2")
-    name = str(manifest.get("name", root.name))
-    category = str(manifest.get("category", "unknown"))
-    if category not in CATEGORIES:
-        raise FormatError(f"category {category!r} not one of {CATEGORIES}")
+    name = manifest.get("name", root.name)
+    if not isinstance(name, str) or not name.isprintable():
+        raise FormatError(f"the trace name must be one printable line, got {name!r}")
+    return width, height, names, name, manifest.get("category", "unknown")
+
+
+def load_trace(path) -> SurfaceTrace:
+    root = Path(path)
+    width, height, names, name, category = _read_manifest(root)
     frames = [_read_frame_file(root / fname, width, height) for fname in names]
     return SurfaceTrace(frames, name=name, category=category)
 
 
 def trace_files(path) -> list[Path]:
-    """The files `load_trace` reads: the manifest and the frame files it lists."""
+    """The files `load_trace` reads: the manifest and the frame files it
+    lists, or the manifest alone when it is not a valid one."""
     root = Path(path)
     try:
-        frames = [root / name for name in json.loads((root / MANIFEST).read_text())["frames"]]
-    except (OSError, ValueError, LookupError, TypeError):
-        frames = []
-    return [root / MANIFEST, *frames]
+        names = _read_manifest(root)[2]
+    except (TraceError, OSError):
+        names = []
+    return [root / MANIFEST, *(root / name for name in names)]
 
 
-def write_trace(trace: SurfaceTrace, path, fmt: str = "raw") -> None:
-    """Write a loadable trace directory. `fmt` is raw, ppm, or png."""
-    if fmt not in ("raw", "ppm", "png"):
-        raise FormatError(f"unsupported output format {fmt!r}")
+def write_trace(trace: SurfaceTrace, path) -> None:
+    """Write a loadable trace directory of raw frames."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    ext = {"raw": "raw", "ppm": "ppm", "png": "png"}[fmt]
-    names = []
-    for i, frame in enumerate(trace.frames):
-        fname = f"frame_{i:05d}.{ext}"
-        names.append(fname)
-        _write_frame_file(root / fname, frame, fmt)
-    manifest = {
-        "width": trace.width,
-        "height": trace.height,
-        "frames": names,
-        "name": trace.name,
-        "category": trace.category,
-    }
+    names = [f"frame_{i:05d}.raw" for i in range(len(trace))]
+    for fname, frame in zip(names, trace.frames):
+        (root / fname).write_bytes(frame.to_raw_bytes())
+    manifest = {"width": trace.width, "height": trace.height, "frames": names,
+                "name": trace.name, "category": trace.category}
     (root / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -246,25 +242,6 @@ def _read_frame_file(path: Path, width: int, height: int) -> Frame:
     if suffix == ".png":
         return _read_png(path, width, height)
     raise FormatError(f"unsupported frame file type {path.name!r}")
-
-
-def _write_frame_file(path: Path, frame: Frame, fmt: str) -> None:
-    if fmt == "raw":
-        path.write_bytes(frame.to_raw_bytes())
-    elif fmt == "ppm":
-        alpha = frame.pixels >> 24
-        if not bool((alpha == 255).all()):
-            raise FormatError("PPM cannot carry alpha != 255")
-        rgb = np.stack([(frame.pixels >> s) & 0xFF for s in (0, 8, 16)], axis=-1)
-        header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
-        path.write_bytes(header + rgb.astype(np.uint8).tobytes())
-    else:
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise FormatError("PNG support requires Pillow") from exc
-        rgba = np.stack([(frame.pixels >> s) & 0xFF for s in (0, 8, 16, 24)], axis=-1)
-        Image.fromarray(rgba.astype(np.uint8), mode="RGBA").save(path)
 
 
 def _read_ppm(path: Path, width: int, height: int) -> Frame:

@@ -25,6 +25,7 @@ from .surface import Frame, SurfaceTrace
 GENERATORS = ("ui-like", "2d-like", "noise", "gradient")
 
 _DEFAULT_PALETTE = {"ui-like": 24, "2d-like": 40, "noise": 4096, "gradient": 0}
+MAX_PALETTE = 1 << 20   # _palette draws until it holds this many of the 2**24 colors
 _STRIP_BOUNDS = np.array([5, 3, 5], dtype=np.uint64)   # next_below bounds: run, gap, inked
 
 
@@ -47,6 +48,8 @@ class SyntheticSpec:
             raise ValueError("a trace needs at least 2 frames")
         if self.palette_size is None:
             self.palette_size = _DEFAULT_PALETTE[self.generator]
+        if not 0 <= self.palette_size <= MAX_PALETTE:
+            raise ValueError(f"palette size must be 0..{MAX_PALETTE}, got {self.palette_size}")
 
 
 def generate(spec: SyntheticSpec) -> SurfaceTrace:

@@ -43,6 +43,7 @@ from dcpbench.surface import (
     Frame,
     SurfaceTrace,
     block_valid_counts,
+    live_mask,
     sub_block_valid_counts,
 )
 from dcpbench.synth import SyntheticSpec, generate
@@ -333,12 +334,12 @@ def test_c09_scheme_ordering_on_synthetic_corpora():
         for seed in seeds:
             tr = generate(SyntheticSpec(generator=gen, width=128, height=96,
                                         frames=4, seed=seed))
-            _, valid = tr.frames[0].padded()
+            valid = live_mask(tr.width, tr.height)
             sb_real = sub_block_valid_counts(valid)
             block_real = block_valid_counts(valid)
             raw_bursts = (32 * block_real + 127) // 128
             for m in replay(tr, ExperimentConfig(scheme="HDCP")):
-                padded, _ = tr.frames[m.index].padded()
+                padded = tr.frames[m.index].padded()
                 vbits = vdcp_frame_cost(padded, valid, sb_real, block_real, m.palette)
                 vbursts = np.minimum((vbits + 127) // 128, raw_bursts)
                 rcharged, _ = ras_frame_cost(padded, valid, sb_real, block_real)

@@ -190,6 +190,7 @@ def test_exit_code_usage_error():
     assert main(["compress", "/nonexistent", "--scheme", "BOGUS", "--out", "x.csv"]) == 1
     assert main(["sweep"]) == 1
     assert main(["gen", "--generator", "ui-like", "--frames", "1", "--out", "x"]) == 1
+    assert main(["gen", "--palette-size", "-1", "--out", "x"]) == 1
 
 
 def test_exit_code_data_error(ui_trace, tmp_path, capsys):
@@ -356,6 +357,31 @@ def test_outputs_may_not_overwrite_the_trace(ui_trace, tmp_path, capsys, command
     assert "usage error: an output would overwrite the input" in capsys.readouterr().err
     assert {p: p.read_bytes() for t in traces for p in t.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "trace"]
+
+
+@pytest.mark.parametrize("command", [
+    ["compress"], ["analyze"], ["sweep", "--dimension", "policy", "--values", "LFC"],
+], ids=["compress", "analyze", "sweep"])
+def test_multi_line_trace_name_exits_2_before_writing(ui_trace, tmp_path, capsys, command):
+    # The name goes into the CSV's one-line comment header.
+    manifest = json.loads((ui_trace / "manifest.json").read_text())
+    (ui_trace / "manifest.json").write_text(json.dumps({**manifest, "name": "a\nb"}))
+    rc = main([*command, str(ui_trace), "--out", str(tmp_path / "out" / "run.csv")])
+    assert rc == 2
+    assert "data error: the trace name must be one printable line" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_manifest_is_refused_before_its_frame_files_are_written(ui_trace, capsys):
+    # Its frame files are no inputs, so the output check passes them; the
+    # load refuses the manifest before anything is written.
+    manifest = json.loads((ui_trace / "manifest.json").read_text())
+    (ui_trace / "manifest.json").write_text(json.dumps({**manifest, "width": "64"}))
+    frame = ui_trace / "frame_00001.raw"
+    before = frame.read_bytes()
+    assert main(["analyze", str(ui_trace), "--out", str(frame)]) == 2
+    assert "data error: width and height must be integers" in capsys.readouterr().err
+    assert frame.read_bytes() == before
 
 
 @pytest.mark.parametrize("link", ["hardlink_to", "symlink_to"])

@@ -33,6 +33,7 @@ from dcpbench.surface import (
     SurfaceTrace,
     block_stack,
     block_valid_counts,
+    live_mask,
     sub_block_valid_counts,
 )
 from dcpbench.synth import SyntheticSpec, generate
@@ -173,7 +174,7 @@ def frame_cost_fixture(rng, width=64, height=40):
 
 def test_frame_cost_matches_block_codecs(rng):
     frame, _ = frame_cost_fixture(rng)
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     sb_real = sub_block_valid_counts(valid)
     ccd = ccd_from_blocks([padded], 16)
     table = build_table(
@@ -196,7 +197,7 @@ def test_frame_cost_excludes_padding():
     # A 12x8 frame: the second block has 4 live columns; raw accounting
     # charges 32 bits per live pixel only.
     frame = Frame(np.arange(96, dtype=np.uint32).reshape(8, 12))
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     sb_real = sub_block_valid_counts(valid)
     bits = dcp_frame_cost(padded, valid, sb_real, block_valid_counts(valid), Ccd([]))
     assert bits[0, 0] == 2048
@@ -306,7 +307,7 @@ def _frame_blocks(gen: str, width=44, height=36, seed=7) -> np.ndarray:
     """The blocks of a seeded frame whose size is no multiple of 8."""
     trace = generate(SyntheticSpec(generator=gen, width=width, height=height, frames=2,
                                    seed=seed))
-    padded, _ = trace.frames[1].padded()
+    padded = trace.frames[1].padded()
     return block_stack(padded).reshape(-1, 8, 8)
 
 

@@ -19,7 +19,7 @@ from dcpbench.bandwidth import charged_bursts
 from dcpbench.huffman import HuffmanTable, build_table
 from dcpbench.palette import Ccd
 from dcpbench.schemes import CCD, HUFFMAN, SCHEMES, resolve
-from dcpbench.surface import Frame, block_valid_counts, pool, sub_block_valid_counts
+from dcpbench.surface import Frame, block_valid_counts, live_mask, pool, sub_block_valid_counts
 from dcpbench.synth import GENERATORS, SyntheticSpec, generate
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("width,height", SIZES)
 def test_valid_counts_match_oracle(generator, width, height):
     _, frame = _frames(generator, width, height)
-    _, valid = frame.padded()
+    valid = live_mask(frame.width, frame.height)
     sb_want, block_want = oracle_valid_counts(valid)
     np.testing.assert_array_equal(sub_block_valid_counts(valid), sb_want)
     block_real = block_valid_counts(valid)
@@ -248,7 +248,7 @@ def test_valid_counts_match_oracle(generator, width, height):
 @pytest.mark.parametrize("width,height", SIZES)
 def test_engines_match_oracle(generator, width, height, rows):
     warm, frame = _frames(generator, width, height)
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     sb_real = sub_block_valid_counts(valid)
     block_real = block_valid_counts(valid)
     sb_old, block_old = oracle_valid_counts(valid)
@@ -282,7 +282,7 @@ def test_red_edge_blocks_charge_live_regions_only():
     # live columns (one region column), block row 5 five live rows (three
     # region rows).
     frame = Frame(np.full((45, 58), 0xFF336699, dtype=np.uint32))
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     bits, classes = reference_codecs.red_frame_cost(
         padded, valid, sub_block_valid_counts(valid), block_valid_counts(valid))
     want_bits, want_classes = oracle_red(padded, valid, *oracle_valid_counts(valid))
@@ -325,7 +325,7 @@ def test_red_classes_match_oracle_on_stacks():
 @pytest.mark.parametrize("generator", GENERATORS)
 def test_ras_kernels_match_oracle_on_stacks(generator):
     _, frame = _frames(generator, 61, 45)
-    padded, _ = frame.padded()
+    padded = frame.padded()
     blocks = padded.reshape(6, 8, 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
     for x in (reference_codecs._channels(blocks), reference_codecs._channels(padded)):
         zz = reference_codecs.med_zigzag(x)

@@ -47,7 +47,13 @@ from dcpbench.reference_codecs import (
     red_decompress_blocks,
     red_frame_cost,
 )
-from dcpbench.surface import Frame, block_stack, block_valid_counts, sub_block_valid_counts
+from dcpbench.surface import (
+    Frame,
+    block_stack,
+    block_valid_counts,
+    live_mask,
+    sub_block_valid_counts,
+)
 from dcpbench.synth import SyntheticSpec, generate
 
 GENERATORS = ("ui-like", "2d-like", "gradient", "noise")
@@ -188,7 +194,7 @@ def test_red_frame_cost_matches_blocks(rng):
     blocks = [make_block(k, rng) for k in ("uniform", "palette", "gradient", "ui") for _ in range(4)]
     pixels = np.vstack([np.hstack(blocks[i * 4:(i + 1) * 4]) for i in range(4)])
     frame = Frame(pixels)
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     bits, classes = red_frame_cost(padded, valid, sub_block_valid_counts(valid),
                                    block_valid_counts(valid))
     for by in range(4):
@@ -247,7 +253,7 @@ def test_ras_frame_cost_matches_blocks(rng):
     blocks = block_pool(16, seed=11)
     pixels = np.vstack([np.hstack(blocks[i * 4:(i + 1) * 4]) for i in range(4)])
     frame = Frame(pixels)
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     charged, classes = ras_frame_cost(padded, valid, sub_block_valid_counts(valid),
                                       block_valid_counts(valid))
     for by in range(4):
@@ -284,7 +290,7 @@ def test_hybrid_cost_is_min_of_both(rng):
     blocks = block_pool(16, seed=17)
     pixels = np.vstack([np.hstack(blocks[i * 4:(i + 1) * 4]) for i in range(4)])
     frame = Frame(pixels)
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(frame.width, frame.height)
     sb_real = sub_block_valid_counts(valid)
     block_real = block_valid_counts(valid)
     ccd = ccd_from_blocks(blocks, 16)
@@ -315,7 +321,7 @@ def _frame_blocks(gen: str, width=44, height=36, seed=7):
     stack, fully-live mask), plus the two forced-raw blocks."""
     trace = generate(SyntheticSpec(generator=gen, width=width, height=height, frames=2,
                                    seed=seed))
-    padded, valid = trace.frames[1].padded()
+    padded, valid = trace.frames[1].padded(), live_mask(trace.width, trace.height)
     blocks = block_stack(padded).reshape(-1, 8, 8)
     live = block_valid_counts(valid).reshape(-1) == 64
     return padded, valid, np.concatenate([blocks, _forced_raw_blocks()]), live

@@ -13,8 +13,10 @@ from dcpbench.surface import (
     TooFewFramesError,
     block_grid,
     block_stack,
+    live_mask,
     load_trace,
     sub_block_valid_counts,
+    trace_files,
     write_trace,
 )
 from dcpbench.dcp_codecs import sub_blocks
@@ -24,15 +26,37 @@ from palette_oracle import assemble_sub_blocks, sub_block_pixels
 OPAQUE_123 = 0xFF030201          # R=1, G=2, B=3, A=255 in the packed word
 
 
+def _trace_dir(root, frames, suffix, write):
+    """A trace directory of `frames`, each saved by `write(path, frame)`."""
+    root.mkdir()
+    names = [f"frame_{i}{suffix}" for i in range(len(frames))]
+    for name, frame in zip(names, frames):
+        write(root / name, frame)
+    manifest = {"width": frames[0].width, "height": frames[0].height, "frames": names}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+def _channels(frame, n):
+    """A frame's first n bytes per pixel, R first, as an (h, w, n) uint8 array."""
+    return frame.pixels.astype("<u4").view(np.uint8).reshape(frame.height, frame.width, 4)[..., :n]
+
+
+def _write_ppm(path, frame):
+    header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
+    path.write_bytes(header + _channels(frame, 3).tobytes())
+
+
 def test_pack_unpack_round_trip(tmp_path):
     # R is the low byte of the packed word: raw frame bytes are R, G, B, A.
     frame = Frame(np.array([[0x04030201, 0xFFFFFFFF]], dtype=np.uint32))
     assert frame.to_raw_bytes() == bytes([1, 2, 3, 4, 255, 255, 255, 255])
     # A PPM carries R, G, B and reads back opaque.
     opaque = Frame(np.full((8, 8), OPAQUE_123, dtype=np.uint32))
-    write_trace(SurfaceTrace([opaque, opaque]), tmp_path / "p", fmt="ppm")
-    assert (tmp_path / "p" / "frame_00000.ppm").read_bytes().endswith(bytes([1, 2, 3]))
-    assert np.array_equal(load_trace(tmp_path / "p").frames[0].pixels, opaque.pixels)
+    ppm = b"P6\n8 8\n255\n" + bytes([1, 2, 3]) * 64
+    root = _trace_dir(tmp_path / "p", [opaque, opaque], ".ppm",
+                      lambda path, _: path.write_bytes(ppm))
+    assert np.array_equal(load_trace(root).frames[0].pixels, opaque.pixels)
 
 
 def test_splitmix_vector_matches_scalar():
@@ -67,7 +91,7 @@ def test_block_grid_counts():
 
 def test_padding_flags_9x8():
     frame = Frame(np.arange(72, dtype=np.uint32).reshape(8, 9))
-    padded, valid = frame.padded()
+    padded, valid = frame.padded(), live_mask(9, 8)
     assert padded.shape == (8, 16)
     assert block_grid(9, 8) == (2, 1)
     blocks = block_stack(valid)
@@ -100,7 +124,7 @@ def test_tiling_partition():
     rng = np.random.default_rng(0)
     frame = Frame(rng.integers(0, 1 << 32, size=(13, 21), dtype=np.uint64).astype(np.uint32))
     seen = np.zeros((13, 21), dtype=int)
-    _, valid = frame.padded()
+    valid = live_mask(frame.width, frame.height)
     nbx, _ = block_grid(21, 13)
     for i, block_valid in enumerate(block_stack(valid).reshape(-1, 8, 8)):
         y0, x0 = 8 * (i // nbx), 8 * (i % nbx)
@@ -111,9 +135,7 @@ def test_tiling_partition():
 
 
 def test_sub_block_valid_counts():
-    frame = Frame(np.zeros((8, 9), dtype=np.uint32))
-    _, valid = frame.padded()
-    counts = sub_block_valid_counts(valid)
+    counts = sub_block_valid_counts(live_mask(9, 8))
     assert counts.shape == (4, 8)
     assert counts[:, :4].tolist() == [[4] * 4] * 4
     assert counts[:, 4].tolist() == [2, 2, 2, 2]   # column x=8 only
@@ -138,23 +160,18 @@ def test_write_load_720x1280_bit_identical(tmp_path):
 
 def test_ppm_round_trip(tmp_path):
     trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=2))
-    write_trace(trace, tmp_path / "p", fmt="ppm")
-    back = load_trace(tmp_path / "p")
+    back = load_trace(_trace_dir(tmp_path / "p", trace.frames, ".ppm", _write_ppm))
     assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(trace.frames, back.frames))
 
 
-def test_ppm_rejects_translucent_frames(tmp_path):
-    frame = Frame(np.full((8, 8), 0x80030201, dtype=np.uint32))     # alpha 128
-    trace = SurfaceTrace([frame, frame], category="synthetic")
-    with pytest.raises(FormatError):
-        write_trace(trace, tmp_path / "p", fmt="ppm")
-
-
 def test_png_round_trip(tmp_path):
-    pytest.importorskip("PIL")
+    image = pytest.importorskip("PIL.Image")
+
+    def write_png(path, frame):
+        image.fromarray(_channels(frame, 4)).save(path)   # (h, w, 4) uint8 is RGBA
+
     trace = generate(SyntheticSpec(generator="2d-like", width=32, height=24, frames=2, seed=3))
-    write_trace(trace, tmp_path / "png", fmt="png")
-    back = load_trace(tmp_path / "png")
+    back = load_trace(_trace_dir(tmp_path / "png", trace.frames, ".png", write_png))
     assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(trace.frames, back.frames))
 
 
@@ -173,24 +190,61 @@ def test_truncated_frame_file(tmp_path):
         load_trace(tmp_path / "t")
 
 
-def test_too_few_frames(tmp_path):
+def _with_manifest(tmp_path, edit):
+    """A valid two-frame trace directory whose manifest is replaced by
+    `edit(manifest)`."""
     trace = generate(SyntheticSpec(generator="noise", width=16, height=8, frames=2, seed=1))
     write_trace(trace, tmp_path / "t")
     manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
-    manifest["frames"] = manifest["frames"][:1]
-    (tmp_path / "t" / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "t" / "manifest.json").write_text(json.dumps(edit(manifest)))
+    return tmp_path / "t"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {**m, "width": 16.9},
+    lambda m: {**m, "width": True},
+    lambda m: {**m, "width": "16"},
+    lambda m: {**m, "name": "a\nb"},
+    lambda m: {**m, "name": 5},
+    lambda m: [m],
+], ids=["width-float", "width-bool", "width-string", "name-two-lines", "name-int", "list"])
+def test_manifest_types_are_strict(tmp_path, edit):
+    root = _with_manifest(tmp_path, edit)
+    with pytest.raises(FormatError):
+        load_trace(root)
+    # The frame files of a manifest that does not load are no inputs.
+    assert trace_files(root) == [root / "manifest.json"]
+
+
+def test_name_defaults_to_the_directory_name(tmp_path):
+    root = _with_manifest(tmp_path, lambda m: {k: v for k, v in m.items() if k != "name"})
+    assert load_trace(root).name == "t"
+    with pytest.raises(FormatError):
+        load_trace(root.rename(tmp_path / "a\nb"))
+
+
+@pytest.mark.parametrize("width,height", [(61, 45), (1, 1), (8, 8), (9, 17)])
+def test_live_mask_marks_the_real_pixels(width, height):
+    frame = Frame(np.arange(width * height, dtype=np.uint32).reshape(height, width))
+    padded, valid = frame.padded(), live_mask(width, height)
+    # The padded frame's shape, True on the frame's own rows and columns.
+    expected = np.zeros(padded.shape, dtype=bool)
+    expected[:height, :width] = True
+    assert valid.shape == (-(-height // 8) * 8, -(-width // 8) * 8)
+    assert np.array_equal(valid, expected)
+    assert np.array_equal(padded[valid].reshape(height, width), frame.pixels)
+    assert (padded is frame.pixels) == (width % 8 == 0 and height % 8 == 0)
+
+
+def test_too_few_frames(tmp_path):
+    root = _with_manifest(tmp_path, lambda m: {**m, "frames": m["frames"][:1]})
     with pytest.raises(TooFewFramesError):
-        load_trace(tmp_path / "t")
+        load_trace(root)
 
 
 def test_bad_category(tmp_path):
-    trace = generate(SyntheticSpec(generator="noise", width=16, height=8, frames=2, seed=1))
-    write_trace(trace, tmp_path / "t")
-    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
-    manifest["category"] = "movies"
-    (tmp_path / "t" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError):
-        load_trace(tmp_path / "t")
+        load_trace(_with_manifest(tmp_path, lambda m: {**m, "category": "movies"}))
 
 
 def test_mixed_dimensions_rejected():

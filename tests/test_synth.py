@@ -4,7 +4,7 @@ import pytest
 from dcpbench.metrics import color_change, pixel_change, unique_colors
 from dcpbench.rng import SplitMix64
 from dcpbench.surface import load_trace, write_trace
-from dcpbench.synth import GENERATORS, SyntheticSpec, _palette, generate
+from dcpbench.synth import GENERATORS, MAX_PALETTE, SyntheticSpec, _palette, generate
 
 
 def test_generation_is_deterministic():
@@ -125,3 +125,13 @@ def test_spec_validation():
         SyntheticSpec(width=4)
     with pytest.raises(ValueError):
         SyntheticSpec(frames=1)
+
+
+@pytest.mark.parametrize("size", [-1, MAX_PALETTE + 1, (1 << 24) + 1])
+def test_palette_size_is_bounded(size):
+    # Drawing stops only at `palette_size` distinct colors, and there are
+    # 2**24 opaque ones: a larger size would never return.
+    with pytest.raises(ValueError, match="palette size"):
+        SyntheticSpec(palette_size=size)
+    assert SyntheticSpec(palette_size=MAX_PALETTE).palette_size == MAX_PALETTE
+    assert SyntheticSpec(generator="noise", palette_size=0).palette_size == 0
