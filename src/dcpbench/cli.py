@@ -295,23 +295,15 @@ def _cmd_analyze(args) -> int:
     out = Path(args.out)
     _check_outputs(args, out)
     trace = load_trace(args.trace)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        fh.write(f"# dcpbench analyze trace={trace.name} category={trace.category}\n")
-        writer = csv.writer(fh)
-        header = ["frame", "entropy_bpp", "unique_colors", "pixel_change", "color_change"]
-        header += [f"cdf_{k}" for k in CDF_POINTS]
-        writer.writerow(header)
-        prev = None
-        for i, frame in enumerate(trace.frames):
-            row = [i, _fmt(entropy(frame)), unique_colors(frame)]
-            if prev is None:
-                row += ["", ""]
-            else:
-                row += [_fmt(pixel_change(prev, frame)), _fmt(color_change(prev, frame))]
-            row += [_fmt(color_cdf(frame, k)) for k in CDF_POINTS]
-            writer.writerow(row)
-            prev = frame
+    rows = []
+    for i, frame in enumerate(trace.frames):
+        prev = trace.frames[i - 1]
+        change = [pixel_change(prev, frame), color_change(prev, frame)] if i else ["", ""]
+        rows.append([i, entropy(frame), unique_colors(frame), *change,
+                     *(color_cdf(frame, k) for k in CDF_POINTS)])
+    _write_csv(out, f"analyze trace={trace.name} category={trace.category}",
+               ["frame", "entropy_bpp", "unique_colors", "pixel_change", "color_change",
+                *(f"cdf_{k}" for k in CDF_POINTS)], rows)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -324,8 +316,11 @@ def _cmd_compress(args) -> int:
     cfg = build_config(args)
     trace = load_trace(args.trace)
     result = run_experiment(trace, cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_frame_csv(out, trace, cfg, result)
+    _write_csv(out, f"compress trace={trace.name} category={trace.category} "
+               f"scheme={cfg.scheme} accounting={cfg.accounting} seed={cfg.seed} "
+               f"fvc={cfg.fvc.entry_count} policy={cfg.fvc.policy} "
+               f"pixel_sampling={cfg.fvc.pixel_sampling} frame_sampling={cfg.frame_sampling}",
+               FRAME_COLUMNS, [[getattr(f, c) for c in FRAME_COLUMNS] for f in result.frames])
     summary_path.write_text(_summary_json(trace, cfg, result))
     if args.dump_frames:
         _dump_containers(args.dump_frames, trace, cfg, result)
@@ -365,20 +360,14 @@ def _cmd_sweep(args) -> int:
                 first_rate = rate
             covs = [f.coverage for f in result.frames if f.coverage == f.coverage]
             mean_cov = sum(covs) / len(covs) if covs else float("nan")
-            rows.append([
-                args.dimension, value, trace.name, trace.category, cfg.scheme,
-                _fmt(rate), _fmt(rate / first_rate if first_rate else float("nan")),
-                _fmt(mean_cov), _fmt(result.mean_relative_coverage),
-            ])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        base = configs[0]
-        fh.write(f"# dcpbench sweep dimension={args.dimension} scheme={base.scheme} "
-                 f"accounting={base.accounting} seed={base.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["dimension", "value", "trace", "category", "scheme", "rate",
-                         "normalized_rate", "mean_coverage", "mean_relative_coverage"])
-        writer.writerows(rows)
+            rows.append([args.dimension, value, trace.name, trace.category, cfg.scheme, rate,
+                         rate / first_rate if first_rate else float("nan"),
+                         mean_cov, result.mean_relative_coverage])
+    base = configs[0]
+    _write_csv(out, f"sweep dimension={args.dimension} scheme={base.scheme} "
+               f"accounting={base.accounting} seed={base.seed}",
+               ["dimension", "value", "trace", "category", "scheme", "rate",
+                "normalized_rate", "mean_coverage", "mean_relative_coverage"], rows)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -394,17 +383,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_frame_csv(path: Path, trace: SurfaceTrace, cfg: ExperimentConfig,
-                     result: RunResult) -> None:
+def _write_csv(path: Path, comment: str, header, rows) -> None:
+    """Write `# dcpbench <comment>`, the header and the rows, each cell
+    through `_fmt`, creating the parent directory. Callers build every row
+    first, so a failed command leaves no partial CSV."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        fh.write(f"# dcpbench compress trace={trace.name} category={trace.category} "
-                 f"scheme={cfg.scheme} accounting={cfg.accounting} seed={cfg.seed} "
-                 f"fvc={cfg.fvc.entry_count} policy={cfg.fvc.policy} "
-                 f"pixel_sampling={cfg.fvc.pixel_sampling} frame_sampling={cfg.frame_sampling}\n")
+        fh.write(f"# dcpbench {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(FRAME_COLUMNS)
-        for f in result.frames:
-            writer.writerow([_fmt(getattr(f, column)) for column in FRAME_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _summary_json(trace: SurfaceTrace, cfg: ExperimentConfig, result: RunResult) -> str:

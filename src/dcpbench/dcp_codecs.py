@@ -65,6 +65,7 @@ from .palette import Ccd, Palette, build_ccd
 from .schemes import HUFFMAN, SCHEMES, Scheme
 from .surface import pool
 
+PIXEL_BITS = 32               # raw pixel width
 VDCP_RAW = 7                  # 3-bit status value marking a raw sub-block
 VDCP_MAX_CCD = SCHEMES["VDCP"].max_palette   # widths 0..6 address at most 64 entries
 
@@ -336,8 +337,7 @@ def huffdcp_decompress_block(comp: CompressedBlocks, palette: HuffmanTable) -> n
 # ---------------------------------------------------------------------------
 # Adaptive palette sizing
 
-def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
-                          pixel_size_bits: int = 32, max_size: int = 64) -> int:
+def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int, max_size: int) -> int:
     """Palette size 2**i minimizing the predicted compressed frame size.
 
     For each candidate i in 0..log2(max_size) the predictor charges the
@@ -354,10 +354,10 @@ def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
     if not cum:
         return 0
     # bits[0] is the uncompressed frame; bits[i + 1] is candidate i.
-    bits = [frame_size_pixels * pixel_size_bits]
+    bits = [frame_size_pixels * PIXEL_BITS]
     for i in range(max_size.bit_length()):  # i = 0 .. log2(max_size)
         covered = min(cum[min(1 << i, len(cum)) - 1], frame_size_pixels)
-        bits.append(covered * i + (frame_size_pixels - covered) * pixel_size_bits)
+        bits.append(covered * i + (frame_size_pixels - covered) * PIXEL_BITS)
     best = bits.index(min(bits))
     return 1 << (best - 1) if best else 1
 
@@ -374,7 +374,7 @@ def adcp_optimal_ccd_size(frequencies, frame_size_pixels: int,
 # 16 * 128 bits and every scheme's bits stay int16. Only the per-block
 # result is widened to int64.
 
-_RAW_BITS = np.int16(32)
+_RAW_BITS = np.int16(PIXEL_BITS)
 
 
 def _block_bits(sb_bits: np.ndarray) -> np.ndarray:

@@ -322,8 +322,6 @@ class Fvc:
         n = self.config.pixel_sampling
         if n > 1:
             flat = flat[::n]
-        if flat.size == 0:
-            return
         starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
         values, lengths = flat[starts], np.diff(starts, append=flat.size)
         del starts
@@ -485,28 +483,18 @@ def _skip(runs, n: int) -> None:
     next(islice(runs, n, n), None)
 
 
-def relative_coverage(ranked: list[tuple[int, int]], frame: Frame,
-                      top_n: int | None = None) -> float:
+def relative_coverage(ranked: list[tuple[int, int]], frame: Frame, top_n: int) -> float:
     """Pixel mass of the collector's top-N colors over the true top-N mass.
 
-    `ranked` is a ranked_values() result; N defaults to its length and
-    should normally be the collector's entry count.
+    `ranked` is a ranked_values() result; N should normally be the
+    collector's entry count. An empty ranking covers nothing.
     """
-    if frame.pixels.size == 0:
-        raise ValueError("empty frame")
-    if top_n is None:
-        top_n = len(ranked)
     if top_n == 0:
         raise ValueError("top_n must be positive")
     colors, counts = np.unique(frame.pixels, return_counts=True)
     chosen = np.array([c for c, _ in ranked[:top_n]], dtype=np.uint32)
-    if chosen.size:
-        pos = np.searchsorted(colors, chosen)
-        pos = np.minimum(pos, len(colors) - 1)
-        hit = colors[pos] == chosen
-        fvc_mass = int(counts[pos[hit]].sum())
-    else:
-        fvc_mass = 0
+    pos = np.minimum(np.searchsorted(colors, chosen), len(colors) - 1)
+    fvc_mass = int(counts[pos[colors[pos] == chosen]].sum())
     k = min(top_n, len(counts))
     true_mass = int(np.sort(counts)[::-1][:k].sum())
     return fvc_mass / true_mass

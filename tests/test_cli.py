@@ -209,7 +209,19 @@ def test_exit_code_data_error(ui_trace, tmp_path, capsys):
         (ui_trace / "manifest.json").write_text(json.dumps({**manifest, "frames": frames}))
         assert main(["analyze", str(ui_trace), "--out", str(tmp_path / "o.csv")]) == 2
         assert "frames must be a list of file names" in capsys.readouterr().err
-    assert not (tmp_path / "o.csv").exists()
+    # A missing frame file, a frame file of an unsupported type and a
+    # manifest that is not JSON: compress exits 2 before writing anything.
+    (ui_trace / "frame.gif").write_bytes(b"GIF89a")
+    for text, message in (
+            (json.dumps({**manifest, "frames": ["frame_00000.raw", "gone.raw"]}),
+             "missing frame file gone.raw"),
+            (json.dumps({**manifest, "frames": ["frame_00000.raw", "frame.gif"]}),
+             "unsupported frame file type 'frame.gif'"),
+            ("{not json", "bad manifest")):
+        (ui_trace / "manifest.json").write_text(text)
+        assert main(["compress", str(ui_trace), "--out", str(tmp_path / "o.csv")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o.json").exists()
 
 
 def test_exit_code_verification_failure(ui_trace, tmp_path, monkeypatch):
@@ -420,6 +432,18 @@ def test_jobs_is_checked_and_ignored(ui_trace, tmp_path):
     args = build_parser().parse_args(["compress", "trace", "--out", "o.csv", "--jobs", "2"])
     assert build_config(args) == build_config(
         build_parser().parse_args(["compress", "trace", "--out", "o.csv"]))
+
+
+def test_assoc_full_is_the_default(ui_trace, tmp_path):
+    args = build_parser().parse_args(["compress", "trace", "--out", "o.csv", "--assoc", "full"])
+    assert build_config(args).fvc.ways is None
+    runs = []
+    for name, flags in (("default", []), ("full", ["--assoc", "full"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["compress", str(ui_trace), "--scheme", "VDCP", *flags,
+                     "--out", str(out)]) == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_oversized_collector_is_a_configuration_error(ui_trace, tmp_path, capsys):

@@ -249,6 +249,13 @@ def test_relative_coverage_full_capacity(rng):
     assert relative_coverage(f.ranked_values(), frame, top_n=16) == 1.0
 
 
+def test_relative_coverage_of_an_empty_ranking_is_zero(rng):
+    frame = Frame(rng.integers(0, 8, size=(16, 16)).astype(np.uint32))
+    assert relative_coverage([], frame, top_n=4) == 0.0
+    with pytest.raises(ValueError):
+        relative_coverage([], frame, top_n=0)
+
+
 def test_relative_coverage_adversarial_burst():
     # A frequent early color gets displaced by late one-off bursts; the
     # collector's top set then misses mass a full replay would also miss.
@@ -281,7 +288,7 @@ def test_observe_run_rejects_colors_outside_pixel_domain(color):
     top = (1 << 32) - 1
     f.observe_run(top, 3)
     frame = Frame(np.full((2, 2), top, dtype=np.uint32))
-    assert relative_coverage(f.ranked_values(), frame) == 1.0
+    assert relative_coverage(f.ranked_values(), frame, top_n=4) == 1.0
 
 
 def test_config_validation():

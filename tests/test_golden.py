@@ -94,6 +94,12 @@ def sweep_digest(trace: Path, work: Path, dimension: str = "policy",
     return _digest([out.read_bytes()])
 
 
+def analyze_digest(trace: Path, work: Path) -> str:
+    out = work / "analyze.csv"
+    assert main(["analyze", str(trace), "--out", str(out)]) == 0
+    return _digest([out.read_bytes()])
+
+
 # Recorded before the scheme table and the replay loop were introduced.
 GOLDEN = {
     "ui-like-DCP": "1893c2b96e129278",
@@ -179,6 +185,16 @@ DIMENSION_SWEEPS = {
     "frame_sampling": ("ui-like-4", "frame_sampling", "1,2", "92153d75dd46830d"),
 }
 
+# Each golden trace's analyze CSV. Recorded while analyze still wrote each
+# row as it computed it.
+ANALYZE_GOLDEN = {
+    "ui-like": "c28f6d621da8955f",
+    "2d-like": "9a253ce43acaca33",
+    "gradient": "6b36f556a2c21601",
+    "noise": "f5fcc9cdea160251",
+    "ui-like-4": "9c8f7c8566fd94a6",
+}
+
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
@@ -204,3 +220,8 @@ def test_few_color_policy_sweep_unchanged(traces, tmp_path):
 def test_dimension_sweep_unchanged(sweep, traces, tmp_path):
     trace, dimension, values, digest = DIMENSION_SWEEPS[sweep]
     assert sweep_digest(traces[trace], tmp_path, dimension, values) == digest
+
+
+@pytest.mark.parametrize("trace", list(ANALYZE_GOLDEN))
+def test_analyze_outputs_unchanged(trace, traces, tmp_path):
+    assert analyze_digest(traces[trace], tmp_path) == ANALYZE_GOLDEN[trace]

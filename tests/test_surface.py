@@ -51,9 +51,10 @@ def test_pack_unpack_round_trip(tmp_path):
     # R is the low byte of the packed word: raw frame bytes are R, G, B, A.
     frame = Frame(np.array([[0x04030201, 0xFFFFFFFF]], dtype=np.uint32))
     assert frame.to_raw_bytes() == bytes([1, 2, 3, 4, 255, 255, 255, 255])
-    # A PPM carries R, G, B and reads back opaque.
+    # A PPM carries R, G, B and reads back opaque; '#' comments between
+    # header tokens are skipped.
     opaque = Frame(np.full((8, 8), OPAQUE_123, dtype=np.uint32))
-    ppm = b"P6\n8 8\n255\n" + bytes([1, 2, 3]) * 64
+    ppm = b"P6\n# by hand\n8 8 # size\n255\n" + bytes([1, 2, 3]) * 64
     root = _trace_dir(tmp_path / "p", [opaque, opaque], ".ppm",
                       lambda path, _: path.write_bytes(ppm))
     assert np.array_equal(load_trace(root).frames[0].pixels, opaque.pixels)
@@ -162,6 +163,25 @@ def test_ppm_round_trip(tmp_path):
     trace = generate(SyntheticSpec(generator="ui-like", width=32, height=16, frames=2, seed=2))
     back = load_trace(_trace_dir(tmp_path / "p", trace.frames, ".ppm", _write_ppm))
     assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(trace.frames, back.frames))
+
+
+PPM_BODY = bytes(8 * 8 * 3)
+
+
+@pytest.mark.parametrize("ppm, error, message", [
+    (b"P6\n8 8\n", FormatError, "truncated PPM header"),
+    (b"P3\n8 8\n255\n" + PPM_BODY, FormatError, "not a binary PPM"),
+    (b"P6\n8 x\n255\n" + PPM_BODY, FormatError, "bad PPM header"),
+    (b"P6\n8 8\n65535\n" + PPM_BODY, FormatError, "only maxval 255"),
+    (b"P6\n8 4\n255\n" + PPM_BODY[:96], FrameSizeError, "does not match manifest 8x8"),
+    (b"P6\n8 8\n255\n" + PPM_BODY[1:], FrameSizeError, "191 body bytes, expected 192"),
+], ids=["truncated", "not-p6", "bad-number", "maxval", "size", "body"])
+def test_bad_ppm_raises(tmp_path, ppm, error, message):
+    frame = Frame(np.zeros((8, 8), dtype=np.uint32))
+    root = _trace_dir(tmp_path / "p", [frame, frame], ".ppm",
+                      lambda path, _: path.write_bytes(ppm))
+    with pytest.raises(error, match=message):
+        load_trace(root)
 
 
 def test_png_round_trip(tmp_path):
