@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import sys
@@ -212,7 +213,8 @@ def build_config(args, **overrides) -> ExperimentConfig:
             continue
         if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
             raise ConfigError(f"{key} must be {_TYPE_NAMES[kinds]}, got {value!r}")
-        given[key] = value
+        # A number is a float, as its flag's is, wherever it was given.
+        given[key] = float(value) if kinds == (int, float) else value
 
     def fields(**names):
         return {name: given[key] for name, key in names.items() if key in given}
@@ -258,9 +260,18 @@ def _check_outputs(args, *files: Path, dump: Path | None = None) -> None:
 
 
 def _resolve(path: Path) -> Path:
+    """`path` with its links followed. A symlink loop on the way is a usage
+    error: `resolve` raises RuntimeError on one before Python 3.13, and from
+    3.13 returns a path whose stat fails with ELOOP."""
     try:
-        return path.resolve()
-    except (OSError, RuntimeError) as exc:  # a symlink loop raises RuntimeError
+        resolved = path.resolve()
+        try:
+            resolved.stat()
+        except OSError as exc:
+            if exc.errno == errno.ELOOP:
+                raise
+        return resolved
+    except (OSError, RuntimeError) as exc:
         raise UsageError(f"the output {path} cannot be resolved: {exc}") from None
 
 

@@ -94,9 +94,11 @@ class Fvc:
       of splitmix64 outputs reduced `% ways`; the RNG then advances by the
       draws used, exactly as one next_below() per eviction would.
 
-    Each policy has one run loop, `_runs_<policy>`, picked once in
-    __init__; observe_run() is a one-run call to it. observe_frame() takes
-    one of two paths:
+    LFC and 2LFC share one heap loop, `_runs_lfc`; 2LFC is LFC that spares
+    its least key, holding it out of the heap while the second least goes.
+    LRU and RANDOM each have their own loop. The loop is picked once in
+    __init__; observe_run() is a one-run call to it. observe_frame() counts
+    the frame's samples, then takes one of two paths:
 
     - No set can overflow (every set's resident colors plus the frame's new
       distinct colors fit in `ways`): the loop enters only the new colors,
@@ -142,8 +144,10 @@ class Fvc:
             # A one-entry set evicts its only entry under LFC, 2LFC and LRU
             # alike, with no victim structure; RANDOM still draws.
             policy = "LRU"
-        self._runs = {"LFC": self._runs_lfc, "2LFC": self._runs_2lfc,
+        self._runs = {"LFC": self._runs_lfc, "2LFC": self._runs_lfc,
                       "LRU": self._runs_lru, "RANDOM": self._runs_random}[policy]
+        # The least entries an eviction spares: 2LFC's victim is the second least.
+        self._spare = int(policy == "2LFC")
         # RANDOM draws one victim per eviction, in run order, so it takes
         # every run one at a time; the other loops take streaks in one step.
         self._streak_rules = policy != "RANDOM"
@@ -200,8 +204,11 @@ class Fvc:
     # loop body one at a time.
 
     def _runs_lfc(self, colors, counts, keys=None, ends=None):
+        # 2LFC (spare 1) holds its least key out, so a fresh color is not at
+        # once thrashed out; its sets have at least two ways (see __init__).
         sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
-        push, replace = heapq.heappush, heapq.heapreplace
+        spare = self._spare
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
         color_iter = iter(colors)
         runs = zip(color_iter, counts)
         for color, count in runs:
@@ -213,42 +220,15 @@ class Fvc:
             if len(s) < ways:
                 push(heap, count << 32 | color)
             else:
+                if spare:
+                    _exact_top(heap, s)
+                    least = pop(heap)
                 if ends is not None:
                     i = len(colors) - length_hint(color_iter) - 1
                     end = ends[i]
                     if end > i:
-                        _merge(heap, s, _streak_keys(keys, i, end, ways - 1))
-                        _skip(runs, end - i)
-                        color, count = colors[end], counts[end]
-                del s[_exact_top(heap, s)]
-                replace(heap, count << 32 | color)
-            s[color] = count
-
-    def _runs_2lfc(self, colors, counts, keys=None, ends=None):
-        # The second-least-frequent entry goes; the least frequent survives
-        # so a freshly inserted color is not immediately thrashed out. Sets
-        # have at least two ways here (see __init__).
-        sets, heaps, mask, ways = self._sets, self._victims, self._set_mask, self._ways
-        push, pop = heapq.heappush, heapq.heappop
-        color_iter = iter(colors)
-        runs = zip(color_iter, counts)
-        for color, count in runs:
-            s = sets[color & mask]
-            if color in s:
-                s[color] += count
-                continue
-            heap = heaps[color & mask]
-            if len(s) < ways:
-                push(heap, count << 32 | color)
-            else:
-                _exact_top(heap, s)
-                least = pop(heap)
-                if ends is not None:
-                    i = len(colors) - length_hint(color_iter) - 1
-                    end = ends[i]
-                    if end > i:
-                        kept = _streak_keys(keys, i, end, ways - 2)
-                        if kept[-1] < least:        # the streak's least survives
+                        kept = _streak_keys(keys, i, end, ways - 1 - spare)
+                        if spare and kept[-1] < least:      # the streak's least survives
                             del s[least & _COLOR_MASK]
                             least = kept.pop()
                             s[least & _COLOR_MASK] = least >> 32
@@ -256,10 +236,13 @@ class Fvc:
                         _skip(runs, end - i)
                         color, count = colors[end], counts[end]
                 del s[_exact_top(heap, s)]
-                # `least` is no greater than any key left, so it can take
-                # the victim's place at the top without a sift.
-                heap[0] = least
-                push(heap, count << 32 | color)
+                if spare:
+                    # `least` is no greater than any key left, so it can take
+                    # the victim's place at the top without a sift.
+                    heap[0] = least
+                    push(heap, count << 32 | color)
+                else:
+                    replace(heap, count << 32 | color)
             s[color] = count
 
     def _runs_lru(self, colors, counts, keys=None, ends=None):
@@ -328,9 +311,9 @@ class Fvc:
         ordered = np.sort(values)
         colors = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         del ordered
+        self._samples += flat.size
         if self._observe_without_eviction(values, lengths, colors):
             return
-        self._samples += flat.size
         del colors
         if not self._streak_rules:
             self._runs(values.tolist(), lengths.tolist())
@@ -424,7 +407,6 @@ class Fvc:
                 c = color_list[i]
                 s = sets[c & mask]
                 s[c] = s.pop(c)
-        self._samples += int(lengths.sum())
         return True
 
     def coverage(self) -> float:

@@ -41,7 +41,8 @@ def entropy(frame: Frame) -> float:
     """Shannon entropy of the exact color histogram, in bits per pixel."""
     _, counts = np.unique(frame.pixels, return_counts=True)
     p = counts / frame.pixels.size
-    return float(-(p * np.log2(p)).sum())
+    # Every term is <= 0, so abs is the negation but for one color's -0.0.
+    return float(abs((p * np.log2(p)).sum()))
 
 
 def color_cdf(frame: Frame, k: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_config_file_merging(ui_trace, tmp_path):
     assert summary["config"]["seed"] == 11
 
 
+def test_config_file_numbers_are_floats_as_their_flags(ui_trace, tmp_path):
+    # An integer for a number key writes the summary its flag's float does.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ct": 1, "verify_fraction": 1}))
+    outs = {}
+    for name, flags in {"config": ["--config", str(cfg)],
+                        "flags": ["--ct", "1", "--verify-fraction", "1"]}.items():
+        outs[name] = out = tmp_path / f"{name}.csv"
+        assert main(["compress", str(ui_trace), *flags, "--out", str(out)]) == 0
+    assert outs["config"].read_bytes() == outs["flags"].read_bytes()
+    summaries = [[line for line in out.with_suffix(".json").read_text().splitlines()
+                  if '"generated_at"' not in line] for out in outs.values()]
+    assert summaries[0] == summaries[1]
+    assert '    "coverage_threshold": 1.0,' in summaries[0]
+
+
 def test_sweep_first_value_matches_baseline(ui_trace, tmp_path):
     base = tmp_path / "base.csv"
     assert main(["compress", str(ui_trace), "--scheme", "VDCP", "--seed", "2",
@@ -184,6 +201,16 @@ def test_analyze_output(ui_trace, tmp_path):
     assert rows[0][3] == ""   # frame 0 has no predecessor
     for row in rows[1:]:
         assert float(row[4]) <= float(row[3])   # color <= pixel change
+
+
+def test_analyze_writes_a_one_color_entropy_as_zero(tmp_path):
+    flat = np.full((1, 1), 0xFF204060, dtype=np.uint32)
+    write_trace(SurfaceTrace([Frame(flat.copy()) for _ in range(2)], name="flat"),
+                tmp_path / "flat")
+    out = tmp_path / "a.csv"
+    assert main(["analyze", str(tmp_path / "flat"), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["0.0", "0.0"]
 
 
 def test_exit_code_usage_error():
@@ -327,6 +354,19 @@ def test_outputs_may_not_lie_under_a_symlink_loop(ui_trace, tmp_path, capsys, co
     assert "cannot be resolved" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["self", "trace"]
     assert (tmp_path / "self").readlink() == Path("self")
+
+
+@pytest.mark.parametrize("command", [
+    ["compress", "--scheme", "DCP"],
+    ["sweep", "--dimension", "policy", "--values", "LFC"],
+    ["analyze"],
+], ids=["compress", "sweep", "analyze"])
+def test_symlink_loop_is_refused_where_resolve_returns_it(ui_trace, tmp_path, capsys,
+                                                          monkeypatch, command):
+    # From Python 3.13 a non-strict resolve returns a path through a loop,
+    # as os.path.realpath does, where earlier versions raise RuntimeError.
+    monkeypatch.setattr(Path, "resolve", lambda self, strict=False: Path(os.path.realpath(self)))
+    test_outputs_may_not_lie_under_a_symlink_loop(ui_trace, tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("command, out", [

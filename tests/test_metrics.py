@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,11 @@ def test_entropy_known_values():
     assert entropy(F(half)) == pytest.approx(1.0)
     uniform = np.arange(256, dtype=np.uint32).reshape(16, 16)
     assert entropy(F(uniform)) == pytest.approx(8.0)
+
+
+def test_entropy_of_one_color_is_positive_zero():
+    assert math.copysign(1.0, entropy(F(np.full((1, 1), 7)))) == 1.0
+    assert math.copysign(1.0, entropy(F(np.zeros((8, 8))))) == 1.0
 
 
 def test_entropy_bounded_by_unique_colors(rng):
