@@ -235,27 +235,29 @@ def build_config(args, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_outputs(args, *files: Path, dump: Path | None = None) -> None:
+def _check_outputs(args, *files: Path, directory: Path | None = None) -> None:
     """Refuse, before anything is written, an output that is an existing
     path of the other kind: a file output that is a directory, or the
-    `--dump-frames` directory that is a file. Refuse too an output that is
-    an input (the config file, a trace's manifest or a frame file it lists,
-    or a link to one), lies under a file, or is or lies under another output."""
+    directory output (`gen --out`, `compress --dump-frames`) that is a file.
+    Refuse too an output that is an input (the config file, a trace's
+    manifest or a frame file it lists, or a link to one; `gen` reads none),
+    lies under a file, or is or lies under another output."""
     inputs = [Path(args.config)] if getattr(args, "config", None) else []
-    for trace in getattr(args, "traces", None) or [args.trace]:
+    traces = getattr(args, "traces", None) or [getattr(args, "trace", None)]
+    for trace in filter(None, traces):
         inputs += trace_files(trace)
     by_file = {_file_id(path): path for path in inputs if path.exists()}
-    outputs = [(path, _resolve(path)) for path in (*files, dump) if path is not None]
+    outputs = [(path, _resolve(path)) for path in (*files, directory) if path is not None]
     for path, resolved in outputs:
         chain = (resolved, *resolved.parents)
         nearest = next(p for p in chain if p.exists())
-        if nearest is resolved and path is not dump and nearest.is_dir():
+        if nearest is resolved and path is not directory and nearest.is_dir():
             raise UsageError(f"the output {path} is a directory")
         if nearest is resolved and (source := by_file.get(_file_id(nearest))):
             raise UsageError(f"an output would overwrite the input {source}")
         # An output counts itself once; a second count is another output.
         if sum(r in chain for _, r in outputs) > 1 or not nearest.is_dir() and (
-                nearest is not resolved or path is dump):
+                nearest is not resolved or path is directory):
             raise UsageError(f"the output {path} would be, or lie under, a file or another output")
 
 
@@ -284,6 +286,7 @@ def _file_id(path: Path) -> tuple[int, int]:
 # Subcommands
 
 def _cmd_gen(args) -> int:
+    _check_outputs(args, directory=Path(args.out))
     try:
         spec = SyntheticSpec(
             generator=args.generator,
@@ -323,7 +326,7 @@ def _cmd_compress(args) -> int:
     out = Path(args.out)
     summary_path = out.with_suffix(".json")
     _check_outputs(args, out, summary_path,
-                   dump=Path(args.dump_frames) if args.dump_frames else None)
+                   directory=Path(args.dump_frames) if args.dump_frames else None)
     cfg = build_config(args)
     trace = load_trace(args.trace)
     result = run_experiment(trace, cfg)

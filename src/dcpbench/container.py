@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitio import CorruptStreamError
+from .bitio import CorruptStreamError, join_streams, pack_fields, read_fields
 from .huffman import HuffmanTable
 from .palette import Ccd, Palette
 from .schemes import BY_TAG, CCD, HUFFMAN, SCHEMES, Scheme, resolve
@@ -76,8 +76,8 @@ def compress_frame(frame: Frame, scheme: str, palette: Palette) -> bytes:
     # raster-order grid: k = 1 per block, or 4 per 2x2 sub-block.
     nbx, nby = block_grid(frame.width, frame.height)
     k = 1 if s.per_block else 4
-    grid = comp.csb.astype(np.uint8).reshape(nby, nbx, k, k).transpose(0, 2, 1, 3).reshape(-1, 1)
-    out += np.packbits(np.unpackbits(grid, axis=1)[:, 8 - s.status_bits:]).tobytes()
+    grid = comp.csb.reshape(nby, nbx, k, k).transpose(0, 2, 1, 3).reshape(1, -1)
+    out += pack_fields(np.full(grid.shape, s.status_bits), grid)[0]
     out += comp.payload
     return bytes(out)
 
@@ -121,11 +121,10 @@ def parse(data: bytes) -> tuple[Scheme, int, int, Palette, np.ndarray, bytes]:
     k = 1 if s.per_block else 4
     cells = nby * nbx * k * k
     csb_bytes = (cells * s.status_bits + 7) // 8
-    packed = np.frombuffer(data[pos:pos + csb_bytes], dtype=np.uint8)
-    if packed.size < csb_bytes:
+    if len(data) < pos + csb_bytes:
         raise CorruptStreamError("status buffer truncated")
+    buf = join_streams(data[pos:pos + csb_bytes])
+    values = read_fields(buf, np.arange(cells) * s.status_bits, s.status_bits).astype(np.int64)
     pos += csb_bytes
-    bits = np.unpackbits(packed)[:cells * s.status_bits].reshape(cells, s.status_bits)
-    values = bits.dot(1 << np.arange(s.status_bits - 1, -1, -1))
     grid = values.reshape(nby, k, nbx, k).transpose(0, 2, 1, 3).reshape(nby * nbx, k * k)
     return s, width, height, palette, grid, data[pos:]

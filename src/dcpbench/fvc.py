@@ -98,7 +98,10 @@ class Fvc:
     its least key, holding it out of the heap while the second least goes.
     LRU and RANDOM each have their own loop. The loop is picked once in
     __init__; observe_run() is a one-run call to it. observe_frame() counts
-    the frame's samples, then takes one of two paths:
+    the frame's samples and classifies its runs once: one stable sort of
+    the run colors gives each distinct color's first run, and one search of
+    the resident colors tells which colors are new. Then it takes one of
+    two paths:
 
     - No set can overflow (every set's resident colors plus the frame's new
       distinct colors fit in `ways`): the loop enters only the new colors,
@@ -106,9 +109,8 @@ class Fvc:
       vectorized pass, leaving the collector exactly as the loop would, with
       no RNG draw.
     - Otherwise the frame's runs go through the loop. A run is a guaranteed
-      miss when its color was not resident before the frame and no earlier
-      run holds it; one sort of the run colors finds them. Under LFC, 2LFC
-      and LRU, a miss into a full set takes the rest of its streak of
+      miss when it is the first run of a new color. Under LFC, 2LFC and
+      LRU, a miss into a full set takes the rest of its streak of
       guaranteed misses in one step. The runs are taken set by set (one
       stable sort by set index), which leaves every set as raster order
       does. A full set of W ways with entries S, taking a streak of keys
@@ -308,47 +310,46 @@ class Fvc:
         starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
         values, lengths = flat[starts], np.diff(starts, append=flat.size)
         del starts
-        ordered = np.sort(values)
-        colors = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        del ordered
         self._samples += flat.size
-        if self._observe_without_eviction(values, lengths, colors):
+        # The distinct colors, ascending, each one's first run, and which
+        # colors were not resident before the frame.
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        head = np.ones(values.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        colors, first = ordered[head], order[head]
+        del order, ordered, head
+        resident = np.fromiter((c for s in self._sets for c in s), dtype=np.int64, count=len(self))
+        resident = np.append(np.sort(resident), 1 << 32)    # 2**32 equals no color
+        new = resident[np.searchsorted(resident, colors)] != colors
+        if self._observe_without_eviction(values, lengths, colors, first, new):
             return
-        del colors
         if not self._streak_rules:
             self._runs(values.tolist(), lengths.tolist())
             return
+        go_on = np.zeros(values.size, dtype=bool)          # the guaranteed misses
+        go_on[first[new]] = True
+        del colors, first, new
         if self._set_mask:
             # Sets are independent: taking each set's runs in raster order,
             # one set after another, leaves every set as raster order does.
             by_set = np.argsort(values & self._set_mask, kind="stable")
-            values, lengths = values[by_set], lengths[by_set]
+            values, lengths, go_on = values[by_set], lengths[by_set], go_on[by_set]
             del by_set
-        keys, ends = self._streak_bounds(values, lengths)
+        keys, ends = self._streak_bounds(values, lengths, go_on)
         colors, counts = values.tolist(), lengths.tolist()
         del values, lengths         # the loop needs only the lists, keys and ends
         self._runs(colors, counts, memoryview(keys), memoryview(ends))
 
-    def _streak_bounds(self, values: np.ndarray,
-                       lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _streak_bounds(self, values: np.ndarray, lengths: np.ndarray,
+                       go_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each run's packed key `count << 32 | color`, and its streak end.
 
-        A run is a guaranteed miss when its color was not resident before
-        the frame and no earlier run holds it; one stable sort of the colors
-        finds each color's first run. A streak is a maximal stretch of
-        guaranteed misses in one set, with `values` grouped by set. A run's
-        end is the index of its streak's last run, or its own index when it
-        is no guaranteed miss.
+        `values` are grouped by set, and `go_on` marks their guaranteed
+        misses; it is overwritten. A streak is a maximal stretch of
+        guaranteed misses in one set. A run's end is the index of its
+        streak's last run, or its own index when it is no guaranteed miss.
         """
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
-        first = np.ones(values.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        colors = ordered[first]
-        resident = np.fromiter((c for s in self._sets for c in s), dtype=np.int64, count=len(self))
-        resident = np.append(np.sort(resident), 1 << 32)    # 2**32 equals no color
-        go_on = np.zeros(values.size, dtype=bool)
-        go_on[order[first]] = resident[np.searchsorted(resident, colors)] != colors
         # A guaranteed miss goes on to the next run when that run is one too,
         # in the same set.
         go_on[:-1] &= go_on[1:]
@@ -365,39 +366,36 @@ class Fvc:
         return keys, np.minimum.accumulate(stops[::-1])[::-1]
 
     def _observe_without_eviction(self, values: np.ndarray, lengths: np.ndarray,
-                                  colors: np.ndarray) -> bool:
+                                  colors: np.ndarray, first: np.ndarray,
+                                  new: np.ndarray) -> bool:
         """Apply runs `values` x `lengths` at once if no set can overflow.
 
-        `colors` holds the runs' distinct colors, ascending. Returns False,
-        changing nothing, when some set's resident colors plus the runs' new
-        distinct colors exceed `ways`. Otherwise no eviction can
-        happen, and the collector ends exactly as the run loop leaves it:
-        the same frequencies, new colors entered in order of first
-        occurrence (dict, heap and key list alike), and under LRU every
-        observed color moved to the end in order of its last run.
+        `colors` holds the runs' distinct colors, ascending, `first` each
+        one's first run and `new` whether it was not resident. Returns
+        False, changing nothing, when some set's resident colors plus its
+        new colors exceed `ways`. Otherwise no eviction can happen, and the
+        collector ends exactly as the run loop leaves it: the same
+        frequencies, new colors entered in order of first occurrence (dict,
+        heap and key list alike), and under LRU every observed color moved
+        to the end in order of its last run.
         """
         if colors.size > self.config.entry_count:
             return False
         sets, mask = self._sets, self._set_mask
-        color_list = colors.tolist()
-        new = [i for i, c in enumerate(color_list) if c not in sets[c & mask]]
-        if new:
-            new_per_set = np.bincount(colors[new] & mask, minlength=len(sets))
-            if any(len(s) + k > self._ways for s, k in zip(sets, new_per_set.tolist())):
-                return False
-        # The frame fits: now each run's color index and each color's first run.
+        new_per_set = np.bincount(colors[new] & mask, minlength=len(sets))
+        if any(len(s) + k > self._ways for s, k in zip(sets, new_per_set.tolist())):
+            return False
+        # The frame fits: now each run's color index.
         inverse = np.searchsorted(colors, values)
-        first = np.full(colors.size, values.size)
-        np.minimum.at(first, inverse, np.arange(values.size))
         # Float weights are exact: a frame holds far fewer than 2**53 samples.
         counts = np.bincount(inverse, weights=lengths).astype(np.int64)
-        first_run = lengths[first]
         # New colors enter as in the run loop, and through it: by first
         # occurrence, with their first run's length, which cannot evict here.
         # Then every color gets the rest of its frame count.
-        new.sort(key=first.__getitem__)
-        self._runs([color_list[i] for i in new], [int(first_run[i]) for i in new])
-        counts[new] -= first_run[new]
+        entering = np.sort(first[new])
+        self._runs(values[entering].tolist(), lengths[entering].tolist())
+        counts[new] -= lengths[first[new]]
+        color_list = colors.tolist()
         for c, n in zip(color_list, counts.tolist()):
             sets[c & mask][c] += n
         if self._lru:

@@ -356,6 +356,23 @@ def test_outputs_may_not_lie_under_a_symlink_loop(ui_trace, tmp_path, capsys, co
     assert (tmp_path / "self").readlink() == Path("self")
 
 
+@pytest.mark.parametrize("out, message", [
+    ("blocker", "lie under, a file"),
+    ("blocker/trace", "lie under, a file"),
+    ("self", "cannot be resolved"),
+    ("self/trace", "cannot be resolved"),
+], ids=["file", "under-file", "loop", "under-loop"])
+def test_gen_out_follows_the_output_rule(tmp_path, capsys, monkeypatch, out, message):
+    # Refused before anything is generated, with nothing written.
+    (tmp_path / "blocker").write_bytes(b"")
+    (tmp_path / "self").symlink_to("self")
+    monkeypatch.setattr("dcpbench.cli.generate", lambda spec: pytest.fail("generated"))
+    assert main(["gen", "--width", "16", "--height", "8", "--out", str(tmp_path / out)]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "self"]
+    assert (tmp_path / "blocker").read_bytes() == b""
+
+
 @pytest.mark.parametrize("command", [
     ["compress", "--scheme", "DCP"],
     ["sweep", "--dimension", "policy", "--values", "LFC"],

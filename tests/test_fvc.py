@@ -351,14 +351,22 @@ def _run_frame(rng, pool, shape=(8, 16), max_run=9):
 
 class _PathProbe:
     """Records whether each observe_frame on one collector took the
-    no-overflow path, from _observe_without_eviction's return value."""
+    no-overflow path, from _observe_without_eviction's return value, and
+    checks the classification of the runs that it is handed."""
 
     def __init__(self, f):
         self.took = []
         real = f._observe_without_eviction
 
-        def probing(*args):
-            took = real(*args)
+        def probing(values, lengths, colors, first, new):
+            firsts = {}
+            for i, c in enumerate(values.tolist()):
+                firsts.setdefault(c, i)
+            resident = {c for s in f._sets for c in s}
+            assert colors.tolist() == sorted(firsts)
+            assert first.tolist() == [firsts[c] for c in colors.tolist()]
+            assert new.tolist() == [c not in resident for c in colors.tolist()]
+            took = real(values, lengths, colors, first, new)
             self.took.append(took)
             return took
 
@@ -605,13 +613,18 @@ def test_streak_hit_on_churn_slot(monkeypatch, policy):
     assert _streak_case(monkeypatch, policy, before, frames) > 0 or policy == "RANDOM"
 
 
-@pytest.mark.parametrize("ways", [None, 4])
+@pytest.mark.parametrize("ways", [None, 4, 2])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_streak_starts_while_set_not_full(monkeypatch, policy, ways):
     # Two of eight entries are held; the frame's first new colors fill the
     # set without evicting, and the rest of the same streak overflows it.
     before = [(0x100, 3), (0x201, 1)]
     runs = [((k << 4) | (k % 4), 1 + k % 2) for k in range(1, 40)]
+    if ways == 2:
+        # Five colors fit the eight entries, so the frame passes the
+        # entry-count check; three of them are new to set 0, which holds
+        # 0x100, and overflow its two ways.
+        runs = [(0x110, 1), (0x211, 2), (0x120, 2), (0x3, 1), (0x130, 1)]
     steps = _streak_case(monkeypatch, policy, before, [runs], entries=8, ways=ways)
     assert (steps > 0) == (policy != "RANDOM")
 
