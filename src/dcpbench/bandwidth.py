@@ -56,11 +56,6 @@ def csb_frame_bits(width: int, height: int, scheme: str) -> int:
     return -(-width // edge) * -(-height // edge) * s.status_bits
 
 
-def csb_overhead(width: int, height: int, scheme: str) -> int:
-    """Status-buffer bursts per frame, rounded up once per frame."""
-    return bursts(csb_frame_bits(width, height, scheme))
-
-
 @dataclass(kw_only=True)
 class Totals:
     """The counters a frame charges and a workload sums, and the rate of the

@@ -137,7 +137,7 @@ def encode_chunks(encode, blocks: np.ndarray, *args) -> CompressedBlocks:
 # (DCP, ADCP) or its prefix code, at most 32 bits (HUFFDCP). VDCP alone
 # overrides the width, with the sub-block's v.
 
-_RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW, "huffdcp": 0}
+_RAW_STATUS = {"dcp": 0, "vdcp": VDCP_RAW}
 
 
 def _palette_encode(blocks: np.ndarray, codec: str, palette) -> CompressedBlocks:

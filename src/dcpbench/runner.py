@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bandwidth, dcp_codecs
 from .bandwidth import ACCOUNTING_MODES, FrameStats, WorkloadStats
+from .bitio import CorruptStreamError
 from .fvc import Fvc, FvcConfig, is_pow2, relative_coverage
 from .palette import Ccd, Palette
 from .rng import SplitMix64, mix64
@@ -44,7 +45,7 @@ class ConfigError(ValueError):
 
 
 class VerificationError(Exception):
-    """A sampled block failed round-trip or cost cross-checking."""
+    """A verification sample did not decode, or failed round-trip or cost checking."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def run_experiment(trace: SurfaceTrace, cfg: ExperimentConfig) -> RunResult:
     uncompressed_bits = int(raw_bits.sum())
     uncompressed_bursts = int(bandwidth.bursts(raw_bits).sum())
     csb_bits = bandwidth.csb_frame_bits(trace.width, trace.height, cfg.scheme)
-    csb_bursts = bandwidth.csb_overhead(trace.width, trace.height, cfg.scheme)
+    csb_bursts = bandwidth.bursts(csb_bits)
 
     verify_rng = SplitMix64(mix64(cfg.seed ^ 0xB10C5))
     frames_out: list[FrameStats] = []
@@ -258,9 +259,9 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     `schemes.resolve` looks the pair up on its module when called.
     Fully live blocks must also reproduce the vectorized engine's
     accounting bits exactly; edge blocks are checked for losslessness
-    only. The first failing block in index order raises, naming the frame
-    and the block; a block that fails both checks is reported as a
-    round-trip mismatch.
+    only. A record that does not decode raises, naming the frame; else the
+    first failing block in index order raises, naming the frame and the
+    block; a block that fails both checks is reported as a round-trip mismatch.
     """
     nby, nbx = block_real.shape
     nblocks = nby * nbx
@@ -269,7 +270,11 @@ def _verify_frame(cfg, scheme: Scheme, m: ReplayFrame, padded, block_real,
     rows, cols = np.divmod(idx, nbx)
     blocks = block_stack(padded)[rows, cols]
     comp = resolve(scheme.codec, "compress_blocks")(blocks, m.palette)
-    decoded = resolve(scheme.codec, "decompress_blocks")(comp.csb, comp.payload, m.palette)
+    try:
+        decoded = resolve(scheme.codec, "decompress_blocks")(comp.csb, comp.payload, m.palette)
+    except CorruptStreamError as exc:
+        raise VerificationError(
+            f"{scheme.name} sample at frame {m.index} does not decode: {exc}") from exc
     lossy = (decoded.reshape(len(idx), 64) != blocks.reshape(len(idx), 64)).any(axis=1)
     stream = comp.cost_bits
     engine = engine_bits.reshape(-1)[idx]

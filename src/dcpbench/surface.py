@@ -68,9 +68,6 @@ class Frame:
             return np.pad(self.pixels, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
         return self.pixels
 
-    def to_raw_bytes(self) -> bytes:
-        return self.pixels.astype("<u4").tobytes()
-
 
 class SurfaceTrace:
     """An ordered sequence of same-sized frames with workload metadata."""
@@ -215,12 +212,12 @@ def trace_files(path) -> list[Path]:
 
 
 def write_trace(trace: SurfaceTrace, path) -> None:
-    """Write a loadable trace directory of raw frames."""
+    """Write a loadable trace directory of raw frames, each from its own buffer."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     names = [f"frame_{i:05d}.raw" for i in range(len(trace))]
     for fname, frame in zip(names, trace.frames):
-        (root / fname).write_bytes(frame.to_raw_bytes())
+        (root / fname).write_bytes(np.ascontiguousarray(frame.pixels, dtype="<u4"))
     manifest = {"width": trace.width, "height": trace.height, "frames": names,
                 "name": trace.name, "category": trace.category}
     (root / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

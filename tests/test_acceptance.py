@@ -11,7 +11,7 @@ import pytest
 
 from conftest import frame_from_cells, rand_palette
 
-from dcpbench.bandwidth import charged_bursts, csb_frame_bits, csb_overhead
+from dcpbench.bandwidth import bursts, charged_bursts, csb_frame_bits
 from dcpbench.dcp_codecs import (
     adcp_optimal_ccd_size,
     dcp_compress_block,
@@ -247,8 +247,8 @@ def test_c06_burst_model_fixtures():
     fixtures = {0: 0, 1: 1, 128: 1, 129: 2, 2048: 16, 2049: 16}
     charges_ok = all(charged_bursts(bits) == want for bits, want in fixtures.items())
     identity_ok = (csb_frame_bits(720, 1280, "DCP") == 720 * 1280 * 32 // 128
-                   and csb_overhead(720, 1280, "DCP") == 1800
-                   and csb_overhead(8, 8, "DCP") == 1)
+                   and bursts(csb_frame_bits(720, 1280, "DCP")) == 1800
+                   and bursts(csb_frame_bits(8, 8, "DCP")) == 1)
     report(6, charges_ok and identity_ok,
            f"burst charges {sorted(fixtures.items())} and the 1-bit-per-128-surface-bits "
            f"status identity hold")

@@ -5,9 +5,9 @@ from dcpbench.bandwidth import (
     COUNTERS,
     FrameStats,
     WorkloadStats,
+    bursts,
     charged_bursts,
     csb_frame_bits,
-    csb_overhead,
     rate,
     sum_frames,
 )
@@ -38,14 +38,14 @@ def test_charge_block_vectorized():
 def test_csb_identity_for_one_bit_schemes():
     bits = csb_frame_bits(720, 1280, "DCP")
     assert bits == 230400 == 720 * 1280 * 32 // 128
-    assert csb_overhead(720, 1280, "DCP") == 1800
-    assert csb_overhead(720, 1280, "VDCP") == 5400
-    assert csb_overhead(720, 1280, "HDCP") == 9000
+    assert bursts(csb_frame_bits(720, 1280, "DCP")) == 1800
+    assert bursts(csb_frame_bits(720, 1280, "VDCP")) == 5400
+    assert bursts(csb_frame_bits(720, 1280, "HDCP")) == 9000
 
 
 def test_csb_tiny_frame_rounds_to_one_burst():
     assert csb_frame_bits(8, 8, "DCP") == 16
-    assert csb_overhead(8, 8, "DCP") == 1
+    assert bursts(csb_frame_bits(8, 8, "DCP")) == 1
 
 
 def test_csb_per_block_schemes():

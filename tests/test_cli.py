@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dcpbench import dcp_codecs
 from dcpbench.cli import build_config, build_parser, main
 from dcpbench.runner import VerificationError
 from dcpbench.surface import Frame, SurfaceTrace, write_trace
@@ -269,6 +271,23 @@ def test_exit_code_verification_failure(ui_trace, tmp_path, monkeypatch):
         rc = main([*command, str(ui_trace), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
+
+
+def test_undecodable_verification_sample_exits_3(ui_trace, tmp_path, monkeypatch, capsys):
+    # An encoder whose stream its decoder cannot parse is a verification
+    # failure of the first verified frame, not a crash.
+    encode = dcp_codecs.dcp_compress_blocks
+
+    def truncated(blocks, ccd):
+        comp = encode(blocks, ccd)
+        return replace(comp, payload=comp.payload[:-1])
+
+    monkeypatch.setattr(dcp_codecs, "dcp_compress_blocks", truncated)
+    rc = main(["compress", str(ui_trace), "--scheme", "DCP", "--out", str(tmp_path / "o.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "DCP" in err and "frame 1 " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
 
 
 @pytest.mark.parametrize("values", [

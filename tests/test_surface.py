@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +52,9 @@ def _write_ppm(path, frame):
 def test_pack_unpack_round_trip(tmp_path):
     # R is the low byte of the packed word: raw frame bytes are R, G, B, A.
     frame = Frame(np.array([[0x04030201, 0xFFFFFFFF]], dtype=np.uint32))
-    assert frame.to_raw_bytes() == bytes([1, 2, 3, 4, 255, 255, 255, 255])
+    write_trace(SurfaceTrace([frame, frame]), tmp_path / "raw")
+    assert (tmp_path / "raw" / "frame_00000.raw").read_bytes() == bytes(
+        [1, 2, 3, 4, 255, 255, 255, 255])
     # A PPM carries R, G, B and reads back opaque; '#' comments between
     # header tokens are skipped.
     opaque = Frame(np.full((8, 8), OPAQUE_123, dtype=np.uint32))
@@ -155,8 +159,24 @@ def test_write_load_720x1280_bit_identical(tmp_path):
     trace = generate(SyntheticSpec(generator="gradient", width=720, height=1280, frames=2))
     write_trace(trace, tmp_path / "big")
     back = load_trace(tmp_path / "big")
-    for a, b in zip(trace.frames, back.frames):
-        assert a.to_raw_bytes() == b.to_raw_bytes()
+    files = trace_files(tmp_path / "big")[1:]
+    for a, b, path in zip(trace.frames, back.frames, files, strict=True):
+        assert path.read_bytes() == a.pixels.astype("<u4").tobytes()
+        assert np.array_equal(a.pixels, b.pixels)
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="a big-endian host writes a swapped copy")
+def test_write_trace_copies_no_frame(tmp_path):
+    # Each frame file is written from the frame's own buffer: the write's
+    # allocation peak stays far below one frame's bytes.
+    trace = generate(SyntheticSpec(generator="gradient", width=720, height=1280, frames=2))
+    tracemalloc.start()
+    try:
+        write_trace(trace, tmp_path / "big")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trace.frames[0].pixels.nbytes // 8
 
 
 def test_ppm_round_trip(tmp_path):
